@@ -54,6 +54,7 @@ pub struct CheckpointStore {
     tmp: PathBuf,
     wal: PathBuf,
     last_error: Option<ArchiveError>,
+    obs: moat_obs::Obs,
 }
 
 impl CheckpointStore {
@@ -76,7 +77,15 @@ impl CheckpointStore {
             tmp,
             wal,
             last_error: None,
+            obs: moat_obs::Obs::default(),
         })
+    }
+
+    /// Report parked saves on `obs` (the handle of the run being
+    /// checkpointed). Untraced by default.
+    pub fn with_obs(mut self, obs: moat_obs::Obs) -> Self {
+        self.obs = obs;
+        self
     }
 
     fn sibling(path: &Path, ext: &str) -> PathBuf {
@@ -190,7 +199,7 @@ impl CheckpointSink for CheckpointStore {
             // next save: operators scraping the trace (or the serve
             // daemon's parked-checkpoints gauge) learn immediately that
             // the on-disk resume point has gone stale.
-            moat_obs::emit_keyed(moat_obs::Event::CheckpointParked {
+            self.obs.emit(|| moat_obs::Event::CheckpointParked {
                 path: self.path.display().to_string(),
                 error: e.to_string(),
             });
@@ -293,16 +302,17 @@ mod tests {
     fn parked_save_emits_keyed_event_immediately() {
         let dir = tmpdir("parked");
         let path = dir.join("run.ckpt");
-        let mut store = CheckpointStore::create(&path).unwrap();
+        let obs = moat_obs::Obs::new(moat_obs::TimestampMode::Logical);
+        let mut store = CheckpointStore::create(&path)
+            .unwrap()
+            .with_obs(obs.clone());
         // Make the journal unwritable even for root: a directory cannot
         // be opened for append, so the very first save fails and parks.
         fs::create_dir_all(store.wal_path()).unwrap();
-        let guard = moat_obs::install(moat_obs::TimestampMode::Logical);
         store.save(&checkpoint(1, 10));
         // The event must be drainable *now* — before any further save —
         // so monitors see the degradation the moment it happens.
-        let records = guard.drain();
-        drop(guard);
+        let records = obs.drain();
         assert!(store.last_error().is_some(), "error parked");
         assert!(
             records.iter().any(|r| matches!(

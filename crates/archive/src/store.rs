@@ -53,6 +53,7 @@ pub enum WarmStartSource {
 #[derive(Debug, Clone)]
 pub struct Archive {
     root: PathBuf,
+    obs: moat_obs::Obs,
 }
 
 fn io_err(path: &Path, e: std::io::Error) -> ArchiveError {
@@ -67,9 +68,19 @@ impl Archive {
     pub fn open(root: impl Into<PathBuf>) -> Result<Archive, ArchiveError> {
         let root = root.into();
         fs::create_dir_all(&root).map_err(|e| io_err(&root, e))?;
-        let archive = Archive { root };
+        let archive = Archive {
+            root,
+            obs: moat_obs::Obs::default(),
+        };
         archive.sweep_stale_temps();
         Ok(archive)
+    }
+
+    /// Report reads and writes on `obs` (the handle of the run consulting
+    /// the archive). Untraced by default.
+    pub fn with_obs(mut self, obs: moat_obs::Obs) -> Self {
+        self.obs = obs;
+        self
     }
 
     /// Remove leftover `.*.tmp` files from a crashed writer. Best-effort:
@@ -104,22 +115,18 @@ impl Archive {
         let text = match fs::read_to_string(&path) {
             Ok(t) => t,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                if moat_obs::enabled() {
-                    moat_obs::emit(moat_obs::Event::ArchiveRead {
-                        key: key.id(),
-                        hit: false,
-                    });
-                }
+                self.obs.emit(|| moat_obs::Event::ArchiveRead {
+                    key: key.id(),
+                    hit: false,
+                });
                 return Ok(None);
             }
             Err(e) => return Err(io_err(&path, e)),
         };
-        if moat_obs::enabled() {
-            moat_obs::emit(moat_obs::Event::ArchiveRead {
-                key: key.id(),
-                hit: true,
-            });
-        }
+        self.obs.emit(|| moat_obs::Event::ArchiveRead {
+            key: key.id(),
+            hit: true,
+        });
         let rec = ArchiveRecord::from_json(&text)
             .map_err(|e| ArchiveError::Format(format!("{}: {e}", path.display())))?;
         if rec.key != *key {
@@ -178,13 +185,11 @@ impl Archive {
             }
         };
         self.write_atomic(&merged)?;
-        if moat_obs::enabled() {
-            moat_obs::emit(moat_obs::Event::ArchiveWrite {
-                key: record.key.id(),
-                added: stats.inserted as u64,
-                dropped: stats.rejected as u64,
-            });
-        }
+        self.obs.emit(|| moat_obs::Event::ArchiveWrite {
+            key: record.key.id(),
+            added: stats.inserted as u64,
+            dropped: stats.rejected as u64,
+        });
         Ok(stats)
     }
 
@@ -256,13 +261,11 @@ impl Archive {
         for id in &order {
             let (rec, sums) = &working[id];
             self.write_atomic(rec)?;
-            if moat_obs::enabled() {
-                moat_obs::emit(moat_obs::Event::ArchiveWrite {
-                    key: id.clone(),
-                    added: sums.inserted as u64,
-                    dropped: sums.rejected as u64,
-                });
-            }
+            self.obs.emit(|| moat_obs::Event::ArchiveWrite {
+                key: id.clone(),
+                added: sums.inserted as u64,
+                dropped: sums.rejected as u64,
+            });
         }
         Ok(stats)
     }

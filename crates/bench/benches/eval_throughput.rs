@@ -66,10 +66,10 @@ struct TuningWallReport {
 
 #[derive(Serialize)]
 struct TracingOverheadReport {
-    /// Wall-clock of the tuning run with no subscriber installed (the
+    /// Wall-clock of the tuning run on a disabled obs handle (the
     /// instrumentation reduces to one relaxed atomic load per site).
     baseline_s: f64,
-    /// Wall-clock of the identical run with a logical-mode subscriber.
+    /// Wall-clock of the identical run on a logical-mode handle.
     traced_s: f64,
     /// `(traced - baseline) / baseline`, percent. Target: < 2.
     overhead_pct: f64,
@@ -240,9 +240,9 @@ fn main() {
     let report = session.run(&RsGde3Tuner::new(params));
     let tuning_s = tune_t.elapsed().as_secs_f64();
 
-    // --- 4. tracing overhead: the identical run with a subscriber on ---
-    // Without a subscriber every emit site is a single relaxed atomic
-    // load; with a logical-mode subscriber the run must produce the same
+    // --- 4. tracing overhead: the identical run on a live obs handle ---
+    // On the default (disabled) handle every emit site is a single
+    // branch; on a logical-mode handle the run must produce the same
     // result and stay within a few percent. Interleaved reps with a
     // paired-median estimate, or single-run jitter swamps the signal.
     // Paired medians: machine noise (scheduler, frequency drift) hits both
@@ -260,9 +260,10 @@ fn main() {
     };
 
     let tr_reps = if smoke { 3 } else { 25 };
-    let run_tuning = || {
-        let mut session =
-            TuningSession::new(setup.space.clone(), &ev).with_batch(BatchEval::default());
+    let run_tuning = |obs: moat::Obs| {
+        let mut session = TuningSession::new(setup.space.clone(), &ev)
+            .with_batch(BatchEval::default())
+            .with_obs(obs);
         session.run(&RsGde3Tuner::new(params))
     };
     let mut tr_baselines = Vec::with_capacity(tr_reps);
@@ -279,15 +280,14 @@ fn main() {
         };
         for traced in legs {
             if traced {
-                let guard = moat::obs::install(moat::TimestampMode::Logical);
+                let obs = moat::Obs::new(moat::TimestampMode::Logical);
                 let t = Instant::now();
-                traced_report = Some(run_tuning());
+                traced_report = Some(run_tuning(obs.clone()));
                 tr_traceds.push(t.elapsed().as_secs_f64());
-                records = guard.drain().len();
-                drop(guard);
+                records = obs.drain().len();
             } else {
                 let t = Instant::now();
-                black_box(run_tuning());
+                black_box(run_tuning(moat::Obs::default()));
                 tr_baselines.push(t.elapsed().as_secs_f64());
             }
         }
@@ -345,7 +345,7 @@ fn main() {
                 screened_report = Some(run_screened());
                 sur_screeneds.push(t.elapsed().as_secs_f64());
             } else {
-                black_box(run_tuning());
+                black_box(run_tuning(moat::Obs::default()));
                 sur_baselines.push(t.elapsed().as_secs_f64());
             }
         }

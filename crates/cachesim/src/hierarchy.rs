@@ -265,6 +265,8 @@ pub struct MultiCoreHierarchy {
     /// One shared cache per chip.
     shared: Vec<Cache>,
     memory_accesses: u64,
+    /// Where the phase timers report (`simulate_nest` reads it too).
+    pub(crate) obs: moat_obs::Obs,
 }
 
 impl MultiCoreHierarchy {
@@ -285,7 +287,16 @@ impl MultiCoreHierarchy {
             private,
             shared,
             memory_accesses: 0,
+            obs: moat_obs::Obs::default(),
         }
+    }
+
+    /// Report the simulation's phase timers (compile, stream, LLC merge)
+    /// on `obs`. They are timing-class records: only a wall-mode handle
+    /// keeps them, so the hot loop stays untouched otherwise.
+    pub fn with_obs(mut self, obs: moat_obs::Obs) -> Self {
+        self.obs = obs;
+        self
     }
 
     /// Issue a read from `core` to byte address `addr`. Returns the level
@@ -340,7 +351,7 @@ impl MultiCoreHierarchy {
         // Wall-mode-only phase timers: the private-level streaming phase
         // and the shared-level (LLC) merge replay are the two halves of
         // the evaluation hot path worth attributing separately.
-        let stream_span = moat_obs::span_start();
+        let stream_span = self.obs.span_start();
         if n == 1 {
             // No interleaving to reproduce: skip the worker threads.
             for (stream, (issued, ops)) in streams.into_iter().zip(results.iter_mut()) {
@@ -358,13 +369,10 @@ impl MultiCoreHierarchy {
             });
         }
 
-        moat_obs::emit_span(
-            stream_span,
-            moat_obs::Event::Phase {
-                name: "cachesim.stream".into(),
-            },
-        );
-        let merge_span = moat_obs::span_start();
+        self.obs.emit_span(stream_span, || moat_obs::Event::Phase {
+            name: "cachesim.stream".into(),
+        });
+        let merge_span = self.obs.span_start();
 
         // Deterministic shared-level replay: merge per-core event logs by
         // (stream position, core id) — stable, so the multiple events of
@@ -391,12 +399,9 @@ impl MultiCoreHierarchy {
                 }
             }
         }
-        moat_obs::emit_span(
-            merge_span,
-            moat_obs::Event::Phase {
-                name: "cachesim.llc_merge".into(),
-            },
-        );
+        self.obs.emit_span(merge_span, || moat_obs::Event::Phase {
+            name: "cachesim.llc_merge".into(),
+        });
         results.iter().map(|(issued, _)| issued).sum()
     }
 

@@ -629,16 +629,14 @@ pub fn simulate_nest(
     hierarchy: &mut MultiCoreHierarchy,
 ) -> u64 {
     // Phase timers are timing-class observability records: they exist only
-    // in wall-timestamp mode (span_start returns None otherwise), so the
-    // hot loop stays untouched for untraced and logical-mode runs.
-    let span = moat_obs::span_start();
+    // under a wall-mode handle on the hierarchy (span_start returns None
+    // otherwise), so the hot loop stays untouched for untraced and
+    // logical-mode runs.
+    let span = hierarchy.obs.span_start();
     let compiled = CompiledNest::new(arrays, nest);
-    moat_obs::emit_span(
-        span,
-        moat_obs::Event::Phase {
-            name: "cachesim.compile".into(),
-        },
-    );
+    hierarchy.obs.emit_span(span, || moat_obs::Event::Phase {
+        name: "cachesim.compile".into(),
+    });
     hierarchy.simulate_streams(compiled.thread_streams())
 }
 

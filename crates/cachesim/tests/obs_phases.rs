@@ -34,7 +34,7 @@ fn mm(n: i64) -> LoopNest {
     )
 }
 
-fn hierarchy() -> MultiCoreHierarchy {
+fn hierarchy(obs: &obs::Obs) -> MultiCoreHierarchy {
     MultiCoreHierarchy::new(HierarchyConfig {
         private_levels: vec![CacheConfig::new(1024, 2, 64)],
         shared_level: CacheConfig::new(8192, 4, 64),
@@ -42,6 +42,7 @@ fn hierarchy() -> MultiCoreHierarchy {
         cores: 2,
         prefetch_depth: 0,
     })
+    .with_obs(obs.clone())
 }
 
 fn parallel_mm() -> (Vec<ArrayDecl>, LoopNest) {
@@ -65,10 +66,10 @@ fn phase_names(records: &[obs::Record]) -> Vec<String> {
 
 #[test]
 fn wall_mode_records_all_three_phases() {
-    let guard = obs::install(obs::TimestampMode::Wall);
+    let obs = obs::Obs::new(obs::TimestampMode::Wall);
     let (arrs, par) = parallel_mm();
-    simulate_nest(&arrs, &par, &mut hierarchy());
-    let records = guard.drain();
+    simulate_nest(&arrs, &par, &mut hierarchy(&obs));
+    let records = obs.drain();
     assert_eq!(
         phase_names(&records),
         vec![
@@ -86,10 +87,10 @@ fn wall_mode_records_all_three_phases() {
 
 #[test]
 fn logical_mode_drops_phase_spans() {
-    let guard = obs::install(obs::TimestampMode::Logical);
+    let obs = obs::Obs::new(obs::TimestampMode::Logical);
     let (arrs, par) = parallel_mm();
-    simulate_nest(&arrs, &par, &mut hierarchy());
-    let records = guard.drain();
+    simulate_nest(&arrs, &par, &mut hierarchy(&obs));
+    let records = obs.drain();
     assert!(
         records.is_empty(),
         "logical trace should drop timing spans: {records:?}"

@@ -8,7 +8,7 @@
 //! [`BatchEval`], which fans the batch out over threads.
 
 use crate::space::Config;
-use moat_obs as obs;
+use moat_obs::{Event, Obs};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -314,21 +314,27 @@ impl BatchEval {
     /// The batch is split into one contiguous chunk per worker; each worker
     /// writes into the matching disjoint chunk of the result slice, so no
     /// per-slot synchronization is needed.
-    ///
-    /// Each worker's chunk is recorded as a `worker_span` in the
-    /// observability stream — a timing-class record, so it only exists in
-    /// wall-timestamp mode and never perturbs deterministic traces.
     pub fn run(&self, ev: &dyn Evaluator, configs: &[Config]) -> Vec<Option<ObjVec>> {
+        self.run_traced(&Obs::default(), ev, configs)
+    }
+
+    /// [`run`](Self::run) on behalf of a traced session: each worker's
+    /// chunk is recorded on `obs` as a `worker_span` — a timing-class
+    /// record, so it only exists in wall-timestamp mode and never
+    /// perturbs deterministic traces.
+    pub(crate) fn run_traced(
+        &self,
+        obs: &Obs,
+        ev: &dyn Evaluator,
+        configs: &[Config],
+    ) -> Vec<Option<ObjVec>> {
         if self.parallelism <= 1 || configs.len() <= 1 {
-            let span = obs::span_start();
+            let span = obs.span_start();
             let results = configs.iter().map(|c| ev.evaluate(c)).collect();
-            obs::emit_span(
-                span,
-                obs::Event::WorkerSpan {
-                    worker: 0,
-                    configs: configs.len() as u64,
-                },
-            );
+            obs.emit_span(span, || Event::WorkerSpan {
+                worker: 0,
+                configs: configs.len() as u64,
+            });
             return results;
         }
         let mut results: Vec<Option<ObjVec>> = vec![None; configs.len()];
@@ -340,17 +346,14 @@ impl BatchEval {
                 .enumerate()
             {
                 scope.spawn(move || {
-                    let span = obs::span_start();
+                    let span = obs.span_start();
                     for (cfg, slot) in cfgs.iter().zip(out.iter_mut()) {
                         *slot = ev.evaluate(cfg);
                     }
-                    obs::emit_span(
-                        span,
-                        obs::Event::WorkerSpan {
-                            worker: worker as u64,
-                            configs: cfgs.len() as u64,
-                        },
-                    );
+                    obs.emit_span(span, || Event::WorkerSpan {
+                        worker: worker as u64,
+                        configs: cfgs.len() as u64,
+                    });
                 });
             }
         });

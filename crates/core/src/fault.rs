@@ -27,7 +27,7 @@
 
 use crate::evaluate::{Evaluator, ObjVec};
 use crate::space::Config;
-use moat_obs as obs;
+use moat_obs::{Event, Obs};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -232,6 +232,7 @@ pub struct FaultTolerantEvaluator<'a> {
     failures: AtomicU64,
     extra: AtomicU64,
     quarantined: Mutex<HashSet<Config>>,
+    obs: Obs,
 }
 
 impl<'a> FaultTolerantEvaluator<'a> {
@@ -246,7 +247,15 @@ impl<'a> FaultTolerantEvaluator<'a> {
             failures: AtomicU64::new(0),
             extra: AtomicU64::new(0),
             quarantined: Mutex::new(HashSet::new()),
+            obs: Obs::default(),
         }
+    }
+
+    /// Report retries and quarantines on `obs` (the handle of the run
+    /// this evaluator serves). Untraced by default.
+    pub fn with_obs(mut self, obs: Obs) -> Self {
+        self.obs = obs;
+        self
     }
 
     /// The policy in force.
@@ -298,12 +307,10 @@ impl<'a> FaultTolerantEvaluator<'a> {
                 // exactly once, so the *set* of retries is deterministic —
                 // the config string is the stable sort key that fixes their
                 // order at drain.
-                if obs::enabled() {
-                    obs::emit_keyed(obs::Event::EvalRetry {
-                        config: format!("{cfg:?}"),
-                        attempt: u64::from(retry),
-                    });
-                }
+                self.obs.emit(|| Event::EvalRetry {
+                    config: format!("{cfg:?}"),
+                    attempt: u64::from(retry),
+                });
                 let delay = self.backoff_delay(cfg, retry);
                 if !delay.is_zero() {
                     std::thread::sleep(delay);
@@ -370,11 +377,9 @@ impl Evaluator for FaultTolerantEvaluator<'_> {
             Ok(r) => r,
             Err(_) => {
                 self.quarantined.lock().insert(cfg.clone());
-                if obs::enabled() {
-                    obs::emit_keyed(obs::Event::EvalQuarantined {
-                        config: format!("{cfg:?}"),
-                    });
-                }
+                self.obs.emit(|| Event::EvalQuarantined {
+                    config: format!("{cfg:?}"),
+                });
                 Some(vec![self.policy.penalty; self.inner.num_objectives()])
             }
         }

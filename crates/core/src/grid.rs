@@ -6,13 +6,9 @@
 //! scatter plots of Fig. 8 need the full data).
 
 use crate::checkpoint::TunerState;
-#[cfg(any(test, feature = "deprecated-shims"))]
-use crate::evaluate::{BatchEval, Evaluator};
 use crate::pareto::{ParetoArchive, ParetoFront, Point};
 use crate::rsgde3::FrontSignature;
 use crate::space::Config;
-#[cfg(any(test, feature = "deprecated-shims"))]
-use crate::space::ParamSpace;
 use crate::tuner::{StopReason, Tuner, TuningReport, TuningSession};
 
 /// Result of a brute-force sweep.
@@ -134,39 +130,6 @@ impl Tuner for GridTuner {
     }
 }
 
-/// Sweep a regular grid with `steps` points per `Range` dimension (choice
-/// dimensions are enumerated fully).
-#[cfg(feature = "deprecated-shims")]
-#[deprecated(note = "drive a `GridTuner` through a `TuningSession` instead")]
-pub fn grid_search(
-    space: &ParamSpace,
-    evaluator: &dyn Evaluator,
-    batch: &BatchEval,
-    steps: usize,
-) -> GridResult {
-    let mut session = TuningSession::new(space.clone(), evaluator).with_batch(*batch);
-    session.run(&GridTuner::new(steps)).into()
-}
-
-/// Sweep an explicit list of configurations (e.g. custom per-dimension
-/// axes).
-#[cfg(feature = "deprecated-shims")]
-#[deprecated(note = "drive a `GridTuner` through a `TuningSession` instead")]
-pub fn grid_search_points(
-    evaluator: &dyn Evaluator,
-    batch: &BatchEval,
-    configs: Vec<Config>,
-) -> GridResult {
-    // The explicit-points sweep never consults the space, so a trivial
-    // placeholder keeps the legacy space-free signature.
-    let space = ParamSpace::new(
-        vec!["_".into()],
-        vec![crate::space::Domain::Range { lo: 0, hi: 0 }],
-    );
-    let mut session = TuningSession::new(space, evaluator).with_batch(*batch);
-    session.run(&GridTuner::from_points(configs)).into()
-}
-
 /// Cartesian product of explicit per-dimension axes.
 pub fn cartesian_axes(axes: &[Vec<i64>]) -> Vec<Config> {
     let mut out: Vec<Config> = vec![Vec::new()];
@@ -187,8 +150,8 @@ pub fn cartesian_axes(axes: &[Vec<i64>]) -> Vec<Config> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate::ObjVec;
-    use crate::space::Domain;
+    use crate::evaluate::{BatchEval, Evaluator, ObjVec};
+    use crate::space::{Domain, ParamSpace};
 
     fn problem() -> (
         ParamSpace,
@@ -265,46 +228,5 @@ mod tests {
         assert_eq!(r.evaluations, 10);
         assert_eq!(r.all.len(), 5);
         assert_eq!(r.front.points()[0].config, vec![1]);
-    }
-}
-
-#[cfg(all(test, feature = "deprecated-shims"))]
-mod legacy_shim_tests {
-    // The deprecated shims must keep their exact legacy contract; these
-    // tests exercise them deliberately.
-    #![allow(deprecated)]
-
-    use super::*;
-    use crate::evaluate::ObjVec;
-    use crate::space::Domain;
-
-    #[test]
-    fn shims_match_the_session_path() {
-        let space = ParamSpace::new(
-            vec!["x".into(), "t".into()],
-            vec![
-                Domain::Range { lo: 0, hi: 100 },
-                Domain::Choice(vec![1, 2, 4]),
-            ],
-        );
-        let ev = (2usize, |cfg: &Config| {
-            let x = cfg[0] as f64;
-            let t = cfg[1] as f64;
-            Some(vec![(x - 30.0).abs() / t, t]) as Option<ObjVec>
-        });
-        let shim = grid_search(&space, &ev, &BatchEval::sequential(), 11);
-        let mut session =
-            TuningSession::new(space.clone(), &ev).with_batch(BatchEval::sequential());
-        let direct: GridResult = session.run(&GridTuner::new(11)).into();
-        assert_eq!(shim.evaluations, direct.evaluations);
-        assert_eq!(shim.front.points(), direct.front.points());
-
-        let pts = cartesian_axes(&[vec![1, 2], vec![10, 20, 30]]);
-        let ev1 = (1usize, |cfg: &Config| {
-            Some(vec![(cfg[0] * cfg[1]) as f64]) as Option<ObjVec>
-        });
-        let r = grid_search_points(&ev1, &BatchEval::parallel(2), pts);
-        assert_eq!(r.evaluations, 6);
-        assert_eq!(r.front.points()[0].config, vec![1, 10]);
     }
 }

@@ -50,19 +50,6 @@ pub mod surrogate;
 pub mod tuner;
 pub mod wsum;
 
-// Deprecated free-function shims, kept only behind the `deprecated-shims`
-// feature for out-of-tree callers mid-migration; drive a `Tuner` through a
-// `TuningSession` instead.
-#[cfg(feature = "deprecated-shims")]
-#[allow(deprecated)]
-pub use grid::{grid_search, grid_search_points};
-#[cfg(feature = "deprecated-shims")]
-#[allow(deprecated)]
-pub use random::random_search;
-#[cfg(feature = "deprecated-shims")]
-#[allow(deprecated)]
-pub use wsum::weighted_sweep;
-
 pub use backend::{BackendId, BackendKind, BackendSet, Provenance, BACKEND_PARAM};
 pub use checkpoint::{
     rng_from_state, CheckpointError, CheckpointSink, MemorySink, SessionCheckpoint, TunerState,
@@ -85,7 +72,7 @@ pub use pareto::{
 };
 pub use random::RandomTuner;
 pub use roughset::reduce_search_space;
-pub use rsgde3::{FrontSignature, RsGde3, RsGde3Params, RsGde3Tuner, TuningResult};
+pub use rsgde3::{FrontSignature, RsGde3Params, RsGde3Tuner, TuningResult};
 pub use space::{Config, Domain, ParamSpace};
 pub use surrogate::{
     spearman, BatchError, FeatureSource, ScreenPlan, ScreeningEvaluator, ScreeningPolicy,

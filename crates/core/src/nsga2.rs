@@ -8,17 +8,11 @@
 //! non-dominated sorting + crowding (shared with GDE3's pruning).
 
 use crate::checkpoint::{rng_from_state, TunerState};
-#[cfg(any(test, feature = "deprecated-shims"))]
-use crate::evaluate::{BatchEval, Evaluator};
 use crate::gde3::prune;
 use crate::metrics::extend_bounds;
 use crate::pareto::{crowding_distances, fast_nondominated_sort, ParetoArchive, Point};
 use crate::rsgde3::FrontSignature;
-#[cfg(feature = "deprecated-shims")]
-use crate::rsgde3::TuningResult;
 use crate::space::Config;
-#[cfg(any(test, feature = "deprecated-shims"))]
-use crate::space::ParamSpace;
 use crate::tuner::{StopReason, Tuner, TuningReport, TuningSession};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -281,24 +275,11 @@ impl Tuner for Nsga2Tuner {
     }
 }
 
-/// Run NSGA-II on `space`.
-#[cfg(feature = "deprecated-shims")]
-#[deprecated(note = "drive an `Nsga2Tuner` through a `TuningSession` instead")]
-pub fn nsga2(
-    space: &ParamSpace,
-    evaluator: &dyn Evaluator,
-    batch: &BatchEval,
-    params: Nsga2Params,
-) -> TuningResult {
-    let mut session = TuningSession::new(space.clone(), evaluator).with_batch(*batch);
-    session.run(&Nsga2Tuner::new(params)).into()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate::ObjVec;
-    use crate::space::Domain;
+    use crate::evaluate::{BatchEval, Evaluator, ObjVec};
+    use crate::space::{Domain, ParamSpace};
 
     fn problem() -> (
         ParamSpace,
@@ -356,47 +337,5 @@ mod tests {
         let r = search(&space, &ev, Nsga2Params::default());
         assert_eq!(r.trace.len(), Nsga2Params::default().generations as usize);
         assert!(r.trace.last().unwrap().hv >= r.trace.first().unwrap().hv);
-    }
-}
-
-#[cfg(all(test, feature = "deprecated-shims"))]
-mod legacy_shim_tests {
-    // The deprecated `nsga2` shim must keep its exact legacy contract;
-    // these tests exercise it deliberately.
-    #![allow(deprecated)]
-
-    use super::*;
-    use crate::evaluate::ObjVec;
-    use crate::space::Domain;
-
-    #[test]
-    fn shim_keeps_legacy_contract() {
-        let space = ParamSpace::new(
-            vec!["x".into(), "y".into()],
-            vec![
-                Domain::Range { lo: 0, hi: 100 },
-                Domain::Range { lo: 0, hi: 100 },
-            ],
-        );
-        let ev = (2usize, |cfg: &Config| {
-            let (x, y) = (cfg[0] as f64, cfg[1] as f64);
-            Some(vec![x + y, (x - 80.0).powi(2) + (y - 80.0).powi(2)]) as Option<ObjVec>
-        });
-        let a = nsga2(
-            &space,
-            &ev,
-            &BatchEval::sequential(),
-            Nsga2Params::default(),
-        );
-        let b = nsga2(
-            &space,
-            &ev,
-            &BatchEval::sequential(),
-            Nsga2Params::default(),
-        );
-        assert!(!a.front.is_empty());
-        assert_eq!(a.front.points(), b.front.points());
-        assert_eq!(a.evaluations, b.evaluations);
-        assert!(a.hv_history.last().unwrap() >= a.hv_history.first().unwrap());
     }
 }

@@ -6,16 +6,10 @@
 //! techniques" (Fig. 9) — a comparison the harness reproduces.
 
 use crate::checkpoint::{rng_from_state, TunerState};
-#[cfg(any(test, feature = "deprecated-shims"))]
-use crate::evaluate::{BatchEval, Evaluator};
 use crate::metrics::objective_bounds;
 use crate::pareto::{ParetoArchive, Point};
 use crate::rsgde3::FrontSignature;
-#[cfg(feature = "deprecated-shims")]
-use crate::rsgde3::TuningResult;
 use crate::space::Config;
-#[cfg(any(test, feature = "deprecated-shims"))]
-use crate::space::ParamSpace;
 use crate::tuner::{StopReason, Tuner, TuningReport, TuningSession};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -150,33 +144,11 @@ impl Tuner for RandomTuner {
     }
 }
 
-/// Run random search with a budget of `budget` evaluations.
-#[cfg(feature = "deprecated-shims")]
-#[deprecated(note = "drive a `RandomTuner` through a `TuningSession` instead")]
-pub fn random_search(
-    space: &ParamSpace,
-    evaluator: &dyn Evaluator,
-    batch: &BatchEval,
-    budget: u64,
-    seed: u64,
-) -> TuningResult {
-    let mut session = TuningSession::new(space.clone(), evaluator)
-        .with_batch(*batch)
-        .with_budget(budget);
-    let report = session.run(&RandomTuner::new(seed));
-    TuningResult {
-        front: report.front,
-        evaluations: report.evaluations,
-        generations: 0,
-        hv_history: report.trace.iter().map(|s| s.hv).collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate::ObjVec;
-    use crate::space::Domain;
+    use crate::evaluate::{BatchEval, Evaluator, ObjVec};
+    use crate::space::{Domain, ParamSpace};
 
     fn problem() -> (
         ParamSpace,
@@ -243,36 +215,5 @@ mod tests {
                 .fold(f64::INFINITY, f64::min)
         };
         assert!(best(&large) <= best(&small));
-    }
-}
-
-#[cfg(all(test, feature = "deprecated-shims"))]
-mod legacy_shim_tests {
-    // The deprecated `random_search` shim must keep its exact legacy
-    // contract; these tests exercise it deliberately.
-    #![allow(deprecated)]
-
-    use super::*;
-    use crate::evaluate::ObjVec;
-    use crate::space::Domain;
-
-    #[test]
-    fn shim_respects_budget_and_seed() {
-        let space = ParamSpace::new(
-            vec!["x".into()],
-            vec![Domain::Range {
-                lo: -1000,
-                hi: 1000,
-            }],
-        );
-        let ev = (2usize, |cfg: &Config| {
-            let x = cfg[0] as f64;
-            Some(vec![x * x, (x - 100.0) * (x - 100.0)]) as Option<ObjVec>
-        });
-        let a = random_search(&space, &ev, &BatchEval::sequential(), 50, 9);
-        let b = random_search(&space, &ev, &BatchEval::sequential(), 50, 9);
-        assert_eq!(a.evaluations, 50);
-        assert_eq!(a.front.points(), b.front.points());
-        assert_eq!(a.hv_history.len(), 1, "one final signature");
     }
 }

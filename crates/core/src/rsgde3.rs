@@ -8,13 +8,11 @@
 //! uses three).
 
 use crate::checkpoint::{rng_from_state, TunerState};
-#[cfg(any(test, feature = "deprecated-shims"))]
-use crate::evaluate::{BatchEval, Evaluator};
 use crate::gde3::{Gde3, Gde3Params};
 use crate::metrics::{hypervolume, normalize_front, objective_bounds};
 use crate::pareto::{ParetoArchive, ParetoFront, Point};
 use crate::roughset::{enclose_points, reduce_search_space};
-use crate::space::{Config, ParamSpace};
+use crate::space::Config;
 use crate::tuner::{StopReason, Tuner, TuningReport, TuningSession};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -67,33 +65,6 @@ pub struct TuningResult {
     /// Archive hypervolume after each iteration (normalized over the points
     /// seen so far; diagnostic).
     pub hv_history: Vec<f64>,
-}
-
-/// The RS-GDE3 driver.
-#[derive(Debug, Clone)]
-pub struct RsGde3 {
-    /// The configuration space to search.
-    pub space: ParamSpace,
-    /// Parameters.
-    pub params: RsGde3Params,
-}
-
-impl RsGde3 {
-    /// Create a driver.
-    pub fn new(space: ParamSpace, params: RsGde3Params) -> Self {
-        RsGde3 { space, params }
-    }
-
-    /// Run the optimization. All evaluations go through an internal
-    /// counting/caching wrapper, so `E` counts distinct configurations
-    /// (re-visited configurations are served from the cache, like a
-    /// measurement database in an iterative compiler).
-    #[cfg(feature = "deprecated-shims")]
-    #[deprecated(note = "drive an `RsGde3Tuner` through a `TuningSession` instead")]
-    pub fn run(&self, evaluator: &dyn Evaluator, batch: &BatchEval) -> TuningResult {
-        let mut session = TuningSession::new(self.space.clone(), evaluator).with_batch(*batch);
-        session.run(&RsGde3Tuner::new(self.params)).into()
-    }
 }
 
 /// The paper's algorithm as a [`Tuner`]: GDE3 generations inside a
@@ -376,8 +347,8 @@ impl FrontSignature {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate::ObjVec;
-    use crate::space::Domain;
+    use crate::evaluate::{BatchEval, Evaluator, ObjVec};
+    use crate::space::{Domain, ParamSpace};
 
     /// Discrete two-parameter problem with a known Pareto front:
     /// f = (x + y, (x - 80)² + (y - 80)²) over [0, 100]².
@@ -519,39 +490,5 @@ mod tests {
             RsGde3Params::default(),
         );
         assert_eq!(r.front.points(), rseq.front.points());
-    }
-}
-
-#[cfg(all(test, feature = "deprecated-shims"))]
-mod legacy_shim_tests {
-    // The deprecated `RsGde3::run` shim must keep its exact legacy
-    // contract; these tests exercise it deliberately.
-    #![allow(deprecated)]
-
-    use super::*;
-    use crate::evaluate::ObjVec;
-    use crate::space::Domain;
-
-    #[test]
-    fn shim_keeps_legacy_contract() {
-        let space = ParamSpace::new(
-            vec!["x".into(), "y".into()],
-            vec![
-                Domain::Range { lo: 0, hi: 100 },
-                Domain::Range { lo: 0, hi: 100 },
-            ],
-        );
-        let ev = (2usize, |cfg: &Config| {
-            let (x, y) = (cfg[0] as f64, cfg[1] as f64);
-            Some(vec![x + y, (x - 80.0).powi(2) + (y - 80.0).powi(2)]) as Option<ObjVec>
-        });
-        let rs = RsGde3::new(space, RsGde3Params::default());
-        let a = rs.run(&ev, &BatchEval::sequential());
-        let b = rs.run(&ev, &BatchEval::sequential());
-        assert!(a.generations >= 3 && a.generations < 200);
-        assert!(!a.front.is_empty());
-        assert_eq!(a.hv_history.len() as u32, a.generations + 1);
-        assert_eq!(a.evaluations, b.evaluations);
-        assert_eq!(a.front.points(), b.front.points());
     }
 }

@@ -39,7 +39,7 @@ use crate::pareto::{ParetoFront, Point};
 use crate::rsgde3::{FrontSignature, TuningResult};
 use crate::space::{Config, ParamSpace};
 use crate::surrogate::{SurrogateScreen, SurrogateStats};
-use moat_obs as obs;
+use moat_obs::Obs;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -102,11 +102,11 @@ pub enum TuningEvent {
         evaluated: usize,
         /// Total distinct evaluations `E` after this batch.
         evaluations: u64,
-        /// Wall time spent evaluating the batch. Measured only while an
-        /// observability subscriber ([`moat_obs::install`]) is active or
-        /// the session opted in via
+        /// Wall time spent evaluating the batch. Measured only under a
+        /// wall-mode observability handle
+        /// ([`TuningSession::with_obs`]) or when the session opted in via
         /// [`TuningSession::with_batch_timing`]; `None` otherwise, so
-        /// untraced runs never read the clock here.
+        /// untraced and logical-mode runs never read the clock here.
         elapsed: Option<Duration>,
     },
     /// A surrogate screen decided a batch's fate (only emitted when
@@ -324,6 +324,7 @@ pub struct TuningSession<'a> {
     label: String,
     surrogate: Option<SurrogateScreen>,
     batch_timing: bool,
+    obs: Obs,
 }
 
 impl<'a> TuningSession<'a> {
@@ -352,7 +353,19 @@ impl<'a> TuningSession<'a> {
             label: String::new(),
             surrogate: None,
             batch_timing: false,
+            obs: Obs::default(),
         }
+    }
+
+    /// Trace the run on `obs`: the session bridges every
+    /// [`TuningEvent`] onto it and hands it to its batch workers. The
+    /// default is a disabled handle, on which the session stays on the
+    /// exact instruction path it had before tracing existed. Evaluator
+    /// layers and stores that should report into the same trace take
+    /// their own clone of the handle.
+    pub fn with_obs(mut self, obs: Obs) -> Self {
+        self.obs = obs;
+        self
     }
 
     /// Label the session's subject (kernel or region name) for the
@@ -409,13 +422,12 @@ impl<'a> TuningSession<'a> {
         self
     }
 
-    /// Measure per-batch wall time even without a global obs subscriber,
+    /// Measure per-batch wall time even without a wall-mode obs handle,
     /// so [`TuningEvent::BatchEvaluated`] carries `elapsed` for the
-    /// attached sink. Off by default: untimed runs never read the clock,
-    /// which keeps their event streams (and everything derived from
-    /// them, like `moat-serve` job traces) byte-identical. `moat-serve`
-    /// enables this for jobs carrying a trace context, where per-batch
-    /// eval spans need real durations.
+    /// attached sink. Off by default: untimed runs never read the clock.
+    /// `moat-serve` enables this for jobs carrying a trace context, where
+    /// per-batch eval spans need real durations; the job's logical trace
+    /// still drops them, so it stays byte-stable.
     pub fn with_batch_timing(mut self, on: bool) -> Self {
         self.batch_timing = on;
         self
@@ -641,7 +653,7 @@ impl<'a> TuningSession<'a> {
     }
 
     /// Emit an event to the sink (no-op without one) and bridge it into
-    /// the observability stream (no-op without an installed subscriber).
+    /// the observability stream (no-op on a disabled handle).
     pub fn emit(&mut self, event: TuningEvent) {
         self.bridge(&event);
         if let Some(sink) = self.sink.as_mut() {
@@ -656,11 +668,9 @@ impl<'a> TuningSession<'a> {
     /// `E`, which is what lets `moat-report` reconstruct the exact
     /// convergence trace [`TuningReport::trace`] records.
     fn bridge(&self, event: &TuningEvent) {
-        if !obs::enabled() {
-            return;
-        }
-        obs::emit(match event {
-            TuningEvent::IterationStart { iteration } => obs::Event::IterationStart {
+        use moat_obs::Event;
+        self.obs.emit(|| match event {
+            TuningEvent::IterationStart { iteration } => Event::IterationStart {
                 iteration: u64::from(*iteration),
             },
             TuningEvent::BatchEvaluated {
@@ -668,14 +678,14 @@ impl<'a> TuningSession<'a> {
                 evaluated,
                 evaluations,
                 elapsed,
-            } => obs::Event::BatchEvaluated {
+            } => Event::BatchEvaluated {
                 requested: *requested as u64,
                 evaluated: *evaluated as u64,
                 evaluations: *evaluations,
                 // Wall durations would make logical-mode traces differ
                 // run-to-run, so they only reach the trace in wall mode.
                 elapsed_us: elapsed
-                    .filter(|_| obs::wall_enabled())
+                    .filter(|_| self.obs.wall_enabled())
                     .map(|d| d.as_micros() as u64),
             },
             TuningEvent::BatchScreened {
@@ -683,7 +693,7 @@ impl<'a> TuningSession<'a> {
                 forwarded,
                 explored,
                 screened,
-            } => obs::Event::BatchScreened {
+            } => Event::BatchScreened {
                 requested: *requested as u64,
                 forwarded: *forwarded as u64,
                 explored: *explored as u64,
@@ -693,22 +703,22 @@ impl<'a> TuningSession<'a> {
                 samples,
                 mae_pct,
                 rank_corr,
-            } => obs::Event::SurrogateError {
+            } => Event::SurrogateError {
                 samples: *samples as u64,
                 mae_pct: *mae_pct,
                 rank_corr: *rank_corr,
             },
-            TuningEvent::FrontUpdated { signature } => obs::Event::FrontUpdated {
+            TuningEvent::FrontUpdated { signature } => Event::FrontUpdated {
                 iteration: u64::from(self.iteration),
                 evaluations: self.evaluator.evaluations(),
                 size: signature.size as u64,
                 hypervolume: signature.hv,
             },
-            TuningEvent::SpaceReduced { bbox } => obs::Event::SpaceReduced {
+            TuningEvent::SpaceReduced { bbox } => Event::SpaceReduced {
                 dims: bbox.len() as u64,
             },
-            TuningEvent::Checkpointed { seq } => obs::Event::Checkpointed { seq: *seq },
-            TuningEvent::FaultSummary { stats } => obs::Event::FaultSummary {
+            TuningEvent::Checkpointed { seq } => Event::Checkpointed { seq: *seq },
+            TuningEvent::FaultSummary { stats } => Event::FaultSummary {
                 attempts: stats.attempts,
                 retries: stats.retries,
                 timeouts: stats.timeouts,
@@ -719,7 +729,7 @@ impl<'a> TuningSession<'a> {
             TuningEvent::Stopped {
                 reason,
                 evaluations,
-            } => obs::Event::Stopped {
+            } => Event::Stopped {
                 reason: reason.name().to_string(),
                 evaluations: *evaluations,
             },
@@ -826,11 +836,13 @@ impl<'a> TuningSession<'a> {
             self.budget_exhausted = true;
         }
         // Batch wall time is observability payload only: the clock is
-        // read solely while a subscriber is installed, so untraced runs
-        // stay on the exact instruction path they had before tracing
-        // existed.
-        let t0 = (self.batch_timing || obs::enabled()).then(Instant::now);
-        let mut results = self.batch.run(&self.evaluator, &configs[..admitted]);
+        // read solely when someone will see the duration, so untraced
+        // runs stay on the exact instruction path they had before
+        // tracing existed.
+        let t0 = self.batch_clock();
+        let mut results = self
+            .batch
+            .run_traced(&self.obs, &self.evaluator, &configs[..admitted]);
         let elapsed = t0.map(|t| t.elapsed());
         results.resize(configs.len(), None);
         self.emit(TuningEvent::BatchEvaluated {
@@ -840,6 +852,12 @@ impl<'a> TuningSession<'a> {
             elapsed,
         });
         results
+    }
+
+    /// Start of a batch's wall time, when anyone will see it (see
+    /// [`TuningEvent::BatchEvaluated`]).
+    fn batch_clock(&self) -> Option<Instant> {
+        (self.batch_timing || self.obs.wall_enabled()).then(Instant::now)
     }
 
     /// The screened variant of [`evaluate`](Self::evaluate): the surrogate
@@ -886,14 +904,14 @@ impl<'a> TuningSession<'a> {
             explored: plan.explored,
             screened: plan.keep.iter().filter(|k| !**k).count(),
         });
-        let t0 = (self.batch_timing || obs::enabled()).then(Instant::now);
+        let t0 = self.batch_clock();
         // A fully-open plan (ratio 1.0, untrained model, …) forwards the
         // batch as-is — no per-config clone on the overhead-critical path.
         let results = if forwarded.len() == configs.len() {
-            self.batch.run(&self.evaluator, configs)
+            self.batch.run_traced(&self.obs, &self.evaluator, configs)
         } else {
             let gathered: Vec<Config> = forwarded.iter().map(|&i| configs[i].clone()).collect();
-            let evaluated = self.batch.run(&self.evaluator, &gathered);
+            let evaluated = self.batch.run_traced(&self.obs, &self.evaluator, &gathered);
             let mut scattered: Vec<Option<ObjVec>> = vec![None; configs.len()];
             for (&slot, r) in forwarded.iter().zip(evaluated) {
                 scattered[slot] = r;
@@ -942,12 +960,10 @@ impl<'a> TuningSession<'a> {
             );
         }
         self.started.get_or_insert_with(Instant::now);
-        if obs::enabled() {
-            obs::emit(obs::Event::SessionStart {
-                subject: self.label.clone(),
-                strategy: tuner.name().to_string(),
-            });
-        }
+        self.obs.emit(|| moat_obs::Event::SessionStart {
+            subject: self.label.clone(),
+            strategy: tuner.name().to_string(),
+        });
         let mut report = tuner.tune(self);
         if self.cancelled && report.stop == StopReason::BudgetExhausted {
             report.stop = StopReason::Cancelled;

@@ -10,15 +10,9 @@
 //! the sweeps — makes it a meaningful baseline for the ablation study.
 
 use crate::checkpoint::{rng_from_state, TunerState};
-#[cfg(any(test, feature = "deprecated-shims"))]
-use crate::evaluate::{BatchEval, Evaluator};
 use crate::pareto::{ParetoArchive, ParetoFront, Point};
 use crate::rsgde3::FrontSignature;
-#[cfg(feature = "deprecated-shims")]
-use crate::rsgde3::TuningResult;
 use crate::space::Config;
-#[cfg(any(test, feature = "deprecated-shims"))]
-use crate::space::ParamSpace;
 use crate::tuner::{StopReason, Tuner, TuningReport, TuningSession};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -290,31 +284,11 @@ impl Tuner for WeightedSumTuner {
     }
 }
 
-/// Run the sweep: one single-objective DE minimization per weight vector;
-/// the returned front is the non-dominated set of the per-weight winners.
-#[cfg(feature = "deprecated-shims")]
-#[deprecated(note = "drive a `WeightedSumTuner` through a `TuningSession` instead")]
-pub fn weighted_sweep(
-    space: &ParamSpace,
-    evaluator: &dyn Evaluator,
-    batch: &BatchEval,
-    params: WeightedSweepParams,
-) -> TuningResult {
-    let mut session = TuningSession::new(space.clone(), evaluator).with_batch(*batch);
-    let report = session.run(&WeightedSumTuner::new(params));
-    TuningResult {
-        front: report.front,
-        evaluations: report.evaluations,
-        generations: params.generations * params.num_weights as u32,
-        hv_history: Vec::new(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate::ObjVec;
-    use crate::space::Domain;
+    use crate::evaluate::{BatchEval, Evaluator, ObjVec};
+    use crate::space::{Domain, ParamSpace};
 
     fn problem() -> (
         ParamSpace,
@@ -401,42 +375,5 @@ mod tests {
         let r = sweep(&space, &ev, params);
         assert_eq!(r.trace.len(), 4);
         assert_eq!(r.iterations, 4);
-    }
-}
-
-#[cfg(all(test, feature = "deprecated-shims"))]
-mod legacy_shim_tests {
-    // The deprecated `weighted_sweep` shim must keep its exact legacy
-    // contract; these tests exercise it deliberately.
-    #![allow(deprecated)]
-
-    use super::*;
-    use crate::evaluate::ObjVec;
-    use crate::space::Domain;
-
-    #[test]
-    fn shim_keeps_legacy_contract() {
-        let space = ParamSpace::new(
-            vec!["x".into(), "y".into()],
-            vec![
-                Domain::Range { lo: 0, hi: 100 },
-                Domain::Range { lo: 0, hi: 100 },
-            ],
-        );
-        let ev = (2usize, |cfg: &Config| {
-            let (x, y) = (cfg[0] as f64, cfg[1] as f64);
-            Some(vec![x + y, (x - 80.0).powi(2) + (y - 80.0).powi(2)]) as Option<ObjVec>
-        });
-        let params = WeightedSweepParams::default();
-        let a = weighted_sweep(&space, &ev, &BatchEval::sequential(), params);
-        let b = weighted_sweep(&space, &ev, &BatchEval::sequential(), params);
-        assert!(!a.front.is_empty());
-        assert!(a.front.len() <= params.num_weights);
-        assert_eq!(
-            a.generations,
-            params.generations * params.num_weights as u32
-        );
-        assert_eq!(a.front.points(), b.front.points());
-        assert_eq!(a.evaluations, b.evaluations);
     }
 }

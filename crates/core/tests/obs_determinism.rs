@@ -37,10 +37,12 @@ fn evaluator() -> (usize, impl Fn(&Config) -> Option<ObjVec> + Sync) {
     })
 }
 
-/// Run the same seeded, fault-injected tuning session with the given
-/// worker count and return the drained trace.
-fn trace_with_parallelism(threads: usize) -> Vec<obs::Record> {
-    let guard = obs::install(obs::TimestampMode::Logical);
+/// Run the seeded, fault-injected tuning session `seed` with the given
+/// worker count on its own handle and return the drained trace. `start`
+/// runs right before the session does (a rendezvous point for the
+/// concurrent case).
+fn trace_session(threads: usize, seed: u64, start: impl FnOnce()) -> Vec<obs::Record> {
+    let handle = obs::Obs::new(obs::TimestampMode::Logical);
     let ev = evaluator();
     let schedule = FaultSchedule {
         seed: 11,
@@ -49,13 +51,20 @@ fn trace_with_parallelism(threads: usize) -> Vec<obs::Record> {
         ..Default::default()
     };
     let injector = FaultInjector::new(&ev, schedule);
-    let ft = FaultTolerantEvaluator::new(&injector, FaultPolicy::default());
+    let ft =
+        FaultTolerantEvaluator::new(&injector, FaultPolicy::default()).with_obs(handle.clone());
     let mut session = TuningSession::new(space(), &ft)
         .with_batch(BatchEval::parallel(threads))
-        .with_label("obs-determinism")
-        .with_budget(120);
-    let _ = session.run(&RandomTuner::new(2));
-    guard.drain()
+        .with_label(format!("obs-determinism-{seed}"))
+        .with_budget(120)
+        .with_obs(handle.clone());
+    start();
+    let _ = session.run(&RandomTuner::new(seed));
+    handle.drain()
+}
+
+fn trace_with_parallelism(threads: usize) -> Vec<obs::Record> {
+    trace_session(threads, 2, || ())
 }
 
 #[test]
@@ -96,4 +105,37 @@ fn logical_trace_serialization_is_byte_stable() {
         obs::export::validate_jsonl(&a).expect("trace validates"),
         a.lines().count()
     );
+}
+
+/// Two traced sessions in one process, each fanning batches over 8
+/// workers and started together, must each produce exactly the trace
+/// they produce alone: a handle belongs to its run, so neither session's
+/// control events, keyed worker events or clock can leak into the other.
+#[test]
+fn concurrent_sessions_trace_as_if_alone() {
+    let alone: Vec<String> = [2u64, 5]
+        .iter()
+        .map(|&seed| obs::export::to_jsonl(&trace_session(8, seed, || ())))
+        .collect();
+    assert_ne!(alone[0], alone[1], "the two sessions must differ");
+    for round in 0..4 {
+        let gate = std::sync::Barrier::new(2);
+        let together: Vec<String> = std::thread::scope(|s| {
+            let runs: Vec<_> = [2u64, 5]
+                .iter()
+                .map(|&seed| {
+                    let gate = &gate;
+                    s.spawn(move || {
+                        obs::export::to_jsonl(&trace_session(8, seed, || {
+                            gate.wait();
+                        }))
+                    })
+                })
+                .collect();
+            runs.into_iter()
+                .map(|h| h.join().expect("session thread"))
+                .collect()
+        });
+        assert_eq!(together, alone, "round {round}: a concurrent trace differs");
+    }
 }

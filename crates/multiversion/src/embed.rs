@@ -23,6 +23,7 @@ pub struct NativeRegion<'a, D> {
     pub impls: Vec<VersionImpl<'a, D>>,
     /// Execution statistics.
     pub stats: RegionStats,
+    obs: moat_obs::Obs,
 }
 
 impl<'a, D> NativeRegion<'a, D> {
@@ -38,7 +39,14 @@ impl<'a, D> NativeRegion<'a, D> {
             meta: table.runtime_meta(),
             impls,
             stats: RegionStats::new(),
+            obs: moat_obs::Obs::default(),
         }
+    }
+
+    /// Report every version pick on `obs`. Untraced by default.
+    pub fn with_obs(mut self, obs: moat_obs::Obs) -> Self {
+        self.obs = obs;
+        self
     }
 
     /// Invoke the region: the policy selects a version, the version runs on
@@ -51,12 +59,10 @@ impl<'a, D> NativeRegion<'a, D> {
         data: &mut D,
     ) -> Option<usize> {
         let idx = policy.select(&self.meta, ctx)?;
-        if moat_obs::enabled() {
-            moat_obs::emit(moat_obs::Event::VersionSelected {
-                region: self.region.clone(),
-                version: idx as u64,
-            });
-        }
+        self.obs.emit(|| moat_obs::Event::VersionSelected {
+            region: self.region.clone(),
+            version: idx as u64,
+        });
         let ((), elapsed) = measure(|| (self.impls[idx])(data));
         self.stats.record(idx, elapsed);
         Some(idx)
@@ -104,7 +110,8 @@ mod tests {
 
     #[test]
     fn invoke_selects_and_records() {
-        let (_, region) = region();
+        let obs = moat_obs::Obs::new(moat_obs::TimestampMode::Logical);
+        let region = region().1.with_obs(obs.clone());
         let mut data = Vec::new();
         let ctx = SelectionContext::default();
         let fastest = region.invoke(&SelectionPolicy::FastestTime, &ctx, &mut data);
@@ -113,6 +120,12 @@ mod tests {
         assert_eq!(cheapest, Some(2));
         assert_eq!(data, vec![0, 2]);
         assert_eq!(region.stats.invocations(), 2);
+        let picks: Vec<_> = obs.drain().into_iter().map(|r| r.event).collect();
+        let pick = |version| moat_obs::Event::VersionSelected {
+            region: "r".into(),
+            version,
+        };
+        assert_eq!(picks, [pick(0), pick(2)]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! breaker transitions — so an incident handler can dump a post-hoc
 //! timeline of the moments leading up to the failure.
 //!
-//! Cost discipline mirrors the global subscriber: the hot-path gate is a
+//! Cost discipline mirrors the `Obs` handle: the hot-path gate is a
 //! single relaxed atomic load, records land in a small set of mutex
 //! shards indexed by a dense per-thread id (workers almost never
 //! contend), and each shard is a bounded ring — no allocation after

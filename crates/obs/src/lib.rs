@@ -3,31 +3,39 @@
 //!
 //! Every layer of the stack (tuning session, fault-tolerant evaluator,
 //! batch workers, cache simulator, archive, runtime selector) reduces its
-//! activity to flat [`Event`]s emitted into one process-global stream:
+//! activity to flat [`Event`]s emitted through an [`Obs`] handle. The
+//! handle belongs to a run, not to the process: whoever starts the run
+//! creates it, the objects of that run carry clones of it, and any number
+//! of runs can trace side by side in one process without seeing each
+//! other.
 //!
-//! * **Zero-cost when off.** With no subscriber installed every emit path
-//!   is a single relaxed atomic load — no `#[cfg]`s, no allocation, no
-//!   clock read — so production runs are byte-identical to an
-//!   uninstrumented build.
+//! * **Zero-cost when off.** Constructors default to a disabled handle,
+//!   on which every emit path is a single branch — no `#[cfg]`s, no
+//!   allocation, no clock read, and the event closure never runs — so
+//!   production runs are byte-identical to an uninstrumented build.
 //! * **Deterministic when on.** In the default
-//!   [`TimestampMode::Logical`], control-plane events advance a logical
-//!   clock, worker-emitted events stamp the clock as an epoch and sort by
-//!   a stable key, and timing-class records are dropped — so the drained
-//!   stream (and the JSONL trace and metrics snapshot derived from it) is
-//!   byte-identical for a fixed seed regardless of thread count.
+//!   [`TimestampMode::Logical`], control-plane events advance the handle's
+//!   logical clock, worker-emitted events stamp the clock as an epoch and
+//!   sort by a stable key, and timing-class records are dropped — so the
+//!   drained stream (and the JSONL trace and metrics snapshot derived from
+//!   it) is byte-identical for a fixed seed regardless of thread count.
 //! * **Profiling when asked.** [`TimestampMode::Wall`] keeps real µs
 //!   timestamps, per-thread lanes, per-worker spans and the cachesim
 //!   phase timers — the view `moat-report` and the Chrome export turn
 //!   into timelines.
 //!
 //! ```
-//! use moat_obs as obs;
+//! use moat_obs::{export, Event, Obs, TimestampMode};
 //!
-//! let guard = obs::install(obs::TimestampMode::Logical);
-//! obs::emit(obs::Event::IterationStart { iteration: 1 });
-//! let records = guard.drain();
-//! let jsonl = obs::export::to_jsonl(&records);
-//! assert_eq!(obs::export::parse_jsonl(&jsonl).unwrap(), records);
+//! let obs = Obs::new(TimestampMode::Logical);
+//! let worker = obs.clone(); // same collector, same clock
+//! worker.emit(|| Event::IterationStart { iteration: 1 });
+//! let records = obs.drain();
+//! let jsonl = export::to_jsonl(&records);
+//! assert_eq!(export::parse_jsonl(&jsonl).unwrap(), records);
+//!
+//! // The default handle is off: the closure is never called.
+//! Obs::default().emit(|| unreachable!());
 //! ```
 
 #![warn(missing_docs)]
@@ -42,7 +50,4 @@ pub mod subscriber;
 pub use context::TraceContext;
 pub use flight::FlightRecorder;
 pub use record::{Class, Event, Record};
-pub use subscriber::{
-    emit, emit_keyed, emit_span, enabled, install, span_start, wall_enabled, ObsGuard,
-    TimestampMode,
-};
+pub use subscriber::{Obs, TimestampMode};

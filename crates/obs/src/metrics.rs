@@ -32,41 +32,90 @@ fn fmt_f64(x: f64) -> String {
     }
 }
 
-#[derive(Default)]
-struct Histogram {
-    counts: [u64; DURATION_BUCKETS_US.len()],
+/// A fixed-bucket duration histogram: per-bucket (non-cumulative) counts
+/// over caller-chosen µs upper bounds, rendered as a Prometheus histogram
+/// in base-unit seconds. The one observe/render implementation behind
+/// every duration family the stack exports — live ones (atomics that
+/// snapshot into this type at scrape time) included.
+#[derive(Debug)]
+pub struct Histogram {
+    bounds: &'static [u64],
+    counts: Vec<u64>,
     total: u64,
     sum_us: u64,
 }
 
 impl Histogram {
-    fn observe(&mut self, us: u64) {
-        for (i, &bound) in DURATION_BUCKETS_US.iter().enumerate() {
-            if us <= bound {
-                self.counts[i] += 1;
-            }
+    /// An empty histogram over `bounds` (ascending µs upper bounds).
+    pub fn new(bounds: &'static [u64]) -> Histogram {
+        Histogram::from_parts(bounds, vec![0; bounds.len()], 0, 0)
+    }
+
+    /// A histogram from counts kept elsewhere: `counts[i]` observations
+    /// fell in bucket `i` (see [`slot`](Self::slot)), out of `total`
+    /// summing to `sum_us`.
+    pub fn from_parts(bounds: &'static [u64], counts: Vec<u64>, total: u64, sum_us: u64) -> Self {
+        assert_eq!(bounds.len(), counts.len(), "one count per bucket bound");
+        Histogram {
+            bounds,
+            counts,
+            total,
+            sum_us,
+        }
+    }
+
+    /// The bucket `us` falls in: the first whose upper bound admits it.
+    /// `None` when it exceeds every bound and counts only under `+Inf`.
+    pub fn slot(bounds: &[u64], us: u64) -> Option<usize> {
+        bounds.iter().position(|&b| us <= b)
+    }
+
+    /// Record one observation.
+    pub fn observe(&mut self, us: u64) {
+        if let Some(i) = Histogram::slot(self.bounds, us) {
+            self.counts[i] += 1;
         }
         self.total += 1;
         self.sum_us += us;
     }
 
-    /// Render with Prometheus base-unit seconds: buckets are the fixed
-    /// µs bounds divided down, the sum likewise — the internal µs
-    /// arithmetic stays integral (byte-stable), only the text is scaled.
-    fn render(&self, name: &str, out: &mut String) {
-        for (i, &bound) in DURATION_BUCKETS_US.iter().enumerate() {
+    /// Append the `_bucket`/`_sum`/`_count` series of family `name`.
+    /// `labels` (`key="value",…` or empty) rides on every series; an
+    /// `exemplar` (trace id, observed µs) is attached to the `+Inf`
+    /// bucket OpenMetrics-style. The internal µs arithmetic stays
+    /// integral (byte-stable); only the text is scaled to seconds.
+    pub fn render(
+        &self,
+        name: &str,
+        labels: &str,
+        exemplar: Option<(&str, u64)>,
+        out: &mut String,
+    ) {
+        let (lead, braced) = if labels.is_empty() {
+            (String::new(), String::new())
+        } else {
+            (format!("{labels},"), format!("{{{labels}}}"))
+        };
+        let mut cum = 0;
+        for (&bound, n) in self.bounds.iter().zip(&self.counts) {
+            cum += n;
             out.push_str(&format!(
-                "{name}_bucket{{le=\"{}\"}} {}\n",
-                fmt_f64(bound as f64 / 1e6),
-                self.counts[i]
+                "{name}_bucket{{{lead}le=\"{}\"}} {cum}\n",
+                fmt_f64(bound as f64 / 1e6)
             ));
         }
-        out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", self.total));
+        let exemplar = exemplar
+            .map(|(trace, us)| format!(" # {{trace_id=\"{trace}\"}} {}", fmt_f64(us as f64 / 1e6)))
+            .unwrap_or_default();
         out.push_str(&format!(
-            "{name}_sum {}\n",
+            "{name}_bucket{{{lead}le=\"+Inf\"}} {}{exemplar}\n",
+            self.total
+        ));
+        out.push_str(&format!(
+            "{name}_sum{braced} {}\n",
             fmt_f64(self.sum_us as f64 / 1e6)
         ));
-        out.push_str(&format!("{name}_count {}\n", self.total));
+        out.push_str(&format!("{name}_count{braced} {}\n", self.total));
     }
 }
 
@@ -75,7 +124,7 @@ pub fn render(records: &[Record]) -> String {
     let mut kind_counts: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut phase_us: BTreeMap<String, (u64, u64)> = BTreeMap::new(); // (calls, µs)
     let mut version_counts: BTreeMap<(String, u64), u64> = BTreeMap::new();
-    let mut batch_hist = Histogram::default();
+    let mut batch_hist = Histogram::new(&DURATION_BUCKETS_US);
     let mut evaluations = 0u64;
     let mut front_size = 0u64;
     let mut hypervolume = 0.0f64;
@@ -186,7 +235,7 @@ pub fn render(records: &[Record]) -> String {
 
     out.push_str("# HELP moat_batch_elapsed_seconds Batch evaluation wall time.\n");
     out.push_str("# TYPE moat_batch_elapsed_seconds histogram\n");
-    batch_hist.render("moat_batch_elapsed_seconds", &mut out);
+    batch_hist.render("moat_batch_elapsed_seconds", "", None, &mut out);
 
     out
 }

@@ -371,7 +371,7 @@ pub struct Record {
     /// increasing values; keyed/timing events hold the epoch (the latest
     /// control sequence) they occurred under.
     pub seq: u64,
-    /// Wall-clock µs since subscriber install (0 in logical mode).
+    /// Wall-clock µs since the handle was created (0 in logical mode).
     pub ts_us: u64,
     /// Span duration in µs (0 for instant events).
     pub dur_us: u64,

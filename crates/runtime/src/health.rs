@@ -86,6 +86,7 @@ pub struct DegradingSelector {
     base: SelectionPolicy,
     policy: HealthPolicy,
     state: Mutex<HealthState>,
+    obs: moat_obs::Obs,
 }
 
 impl DegradingSelector {
@@ -109,7 +110,15 @@ impl DegradingSelector {
                 fallback_announced: false,
                 events: Vec::new(),
             }),
+            obs: moat_obs::Obs::default(),
         }
+    }
+
+    /// Report selections and health transitions on `obs`. Untraced by
+    /// default.
+    pub fn with_obs(mut self, obs: moat_obs::Obs) -> Self {
+        self.obs = obs;
+        self
     }
 
     /// The region this selector serves.
@@ -150,9 +159,7 @@ impl DegradingSelector {
                     region: self.region.clone(),
                     version: fallback,
                 };
-                if moat_obs::enabled() {
-                    moat_obs::emit(ev.to_obs());
-                }
+                self.obs.emit(|| ev.to_obs());
                 state.events.push(ev);
             }
             self.observe_selection(fallback);
@@ -168,12 +175,10 @@ impl DegradingSelector {
 
     /// Record a per-invocation version pick in the observability stream.
     fn observe_selection(&self, idx: usize) {
-        if moat_obs::enabled() {
-            moat_obs::emit(moat_obs::Event::VersionSelected {
-                region: self.region.clone(),
-                version: idx as u64,
-            });
-        }
+        self.obs.emit(|| moat_obs::Event::VersionSelected {
+            region: self.region.clone(),
+            version: idx as u64,
+        });
     }
 
     /// Record a successful invocation of version `idx` taking `elapsed`.
@@ -205,9 +210,7 @@ impl DegradingSelector {
                 version: idx,
                 reason: DemotionReason::LatencyBreach,
             };
-            if moat_obs::enabled() {
-                moat_obs::emit(ev.to_obs());
-            }
+            self.obs.emit(|| ev.to_obs());
             state.events.push(ev);
         }
     }
@@ -226,9 +229,7 @@ impl DegradingSelector {
                 version: idx,
                 reason: DemotionReason::ConsecutiveFailures,
             };
-            if moat_obs::enabled() {
-                moat_obs::emit(ev.to_obs());
-            }
+            self.obs.emit(|| ev.to_obs());
             state.events.push(ev);
         }
     }
@@ -244,9 +245,7 @@ impl DegradingSelector {
                 region: self.region.clone(),
                 version: idx,
             };
-            if moat_obs::enabled() {
-                moat_obs::emit(ev.to_obs());
-            }
+            self.obs.emit(|| ev.to_obs());
             state.events.push(ev);
         }
     }

@@ -20,6 +20,7 @@ pub struct VersionRegistry {
     tables: BTreeMap<String, Vec<VersionMeta>>,
     policies: BTreeMap<String, SelectionPolicy>,
     default_policy: SelectionPolicy,
+    obs: moat_obs::Obs,
 }
 
 impl Default for VersionRegistry {
@@ -35,7 +36,15 @@ impl VersionRegistry {
             tables: BTreeMap::new(),
             policies: BTreeMap::new(),
             default_policy,
+            obs: moat_obs::Obs::default(),
         }
+    }
+
+    /// Report every selection on `obs`; selectors handed out by
+    /// [`degrading`](Self::degrading) inherit it. Untraced by default.
+    pub fn with_obs(mut self, obs: moat_obs::Obs) -> Self {
+        self.obs = obs;
+        self
     }
 
     /// Install (or replace) a region's version table.
@@ -80,20 +89,18 @@ impl VersionRegistry {
     pub fn select(&self, region: &str, ctx: &SelectionContext) -> Option<(usize, &VersionMeta)> {
         let table = self.tables.get(region)?;
         let idx = self.policy_for(region).select(table, ctx)?;
-        if moat_obs::enabled() {
-            moat_obs::emit(moat_obs::Event::VersionSelected {
+        self.obs.emit(|| moat_obs::Event::VersionSelected {
+            region: region.to_string(),
+            version: idx as u64,
+        });
+        // Mixed-backend tables additionally record *which backend's*
+        // version won; single-backend tables stay trace-identical.
+        if let Some(backend) = &table[idx].backend {
+            self.obs.emit(|| moat_obs::Event::BackendSelected {
                 region: region.to_string(),
                 version: idx as u64,
+                backend: backend.clone(),
             });
-            // Mixed-backend tables additionally record *which backend's*
-            // version won; single-backend tables stay trace-identical.
-            if let Some(backend) = &table[idx].backend {
-                moat_obs::emit(moat_obs::Event::BackendSelected {
-                    region: region.to_string(),
-                    version: idx as u64,
-                    backend: backend.clone(),
-                });
-            }
         }
         Some((idx, &table[idx]))
     }
@@ -102,12 +109,15 @@ impl VersionRegistry {
     /// table and governing policy. `None` when the region is unknown.
     pub fn degrading(&self, region: &str, health: HealthPolicy) -> Option<DegradingSelector> {
         let table = self.tables.get(region)?;
-        Some(DegradingSelector::new(
-            region,
-            table.clone(),
-            self.policy_for(region).clone(),
-            health,
-        ))
+        Some(
+            DegradingSelector::new(
+                region,
+                table.clone(),
+                self.policy_for(region).clone(),
+                health,
+            )
+            .with_obs(self.obs.clone()),
+        )
     }
 }
 
@@ -186,7 +196,8 @@ mod tests {
 
     #[test]
     fn degrading_selector_inherits_region_policy() {
-        let mut reg = VersionRegistry::default();
+        let obs = moat_obs::Obs::new(moat_obs::TimestampMode::Logical);
+        let mut reg = VersionRegistry::default().with_obs(obs.clone());
         reg.register("mm", table());
         reg.set_policy("mm", SelectionPolicy::LowestResources);
         assert!(reg.degrading("unknown", HealthPolicy::default()).is_none());
@@ -199,5 +210,11 @@ mod tests {
             sel.record_failure(0);
         }
         assert_eq!(sel.select(&SelectionContext::default()), Some(1));
+        // The selector reports on the registry's handle, in clock order.
+        let kinds: Vec<_> = obs.drain().iter().map(|r| r.event.kind()).collect();
+        assert_eq!(
+            kinds,
+            ["version_selected", "version_demoted", "version_selected"]
+        );
     }
 }

@@ -87,6 +87,11 @@ pub struct JobContext {
     /// per-batch wall timing (so eval spans get real durations); untraced
     /// jobs (`None`) never read the clock and stay byte-identical.
     pub trace: Option<moat_obs::TraceContext>,
+    /// The job's own observability handle. Backends hand it to the
+    /// session (and the evaluator layers and stores under it); whatever
+    /// the run emits on it *is* `traces/<job>.jsonl` — the same records
+    /// `moat-tune --trace` writes for the same spec and seed.
+    pub obs: moat_obs::Obs,
 }
 
 /// What one finished (or parked) job run produced.
@@ -103,7 +108,8 @@ pub struct JobOutcome {
     /// True when the run was cut by the cancel flag — the job parks and
     /// resumes from its last checkpoint instead of completing.
     pub cancelled: bool,
-    /// The session's event stream, for per-job trace retrieval.
+    /// The session's event stream: the daemon derives a traced job's
+    /// `eval`/`screen`/`checkpoint` spans from it.
     pub events: Vec<TuningEvent>,
 }
 
@@ -121,9 +127,9 @@ pub trait JobBackend: Send + Sync + 'static {
 /// A [`CheckpointSink`](moat_core::CheckpointSink) over a
 /// [`CheckpointStore`] that bumps the daemon's `serve_parked_checkpoints`
 /// gauge the moment a save fails and parks — the serve-side twin of the
-/// `checkpoint_parked` obs event the store itself emits. Backends should
-/// checkpoint through this rather than the bare store so operators see
-/// the degradation on the next `/metrics` scrape.
+/// `checkpoint_parked` obs event the store itself emits into the job's
+/// trace. Backends should checkpoint through this rather than the bare
+/// store so operators see the degradation on the next `/metrics` scrape.
 pub struct GaugedStore {
     store: CheckpointStore,
     metrics: Option<Arc<crate::metrics::ServeMetrics>>,
@@ -167,7 +173,10 @@ impl moat_core::CheckpointSink for GaugedStore {
 pub fn open_checkpoint_store(ctx: &JobContext) -> Option<GaugedStore> {
     let path = ctx.checkpoint_path.as_ref()?;
     match CheckpointStore::create(path) {
-        Ok(store) => Some(GaugedStore::new(store, ctx.metrics.clone())),
+        Ok(store) => Some(GaugedStore::new(
+            store.with_obs(ctx.obs.clone()),
+            ctx.metrics.clone(),
+        )),
         Err(_) => {
             if let Some(m) = &ctx.metrics {
                 use std::sync::atomic::Ordering;
@@ -274,6 +283,7 @@ impl JobBackend for SyntheticBackend {
                 .with_budget(budget)
                 .with_cancel(Arc::clone(&ctx.cancel))
                 .with_batch_timing(ctx.trace.is_some())
+                .with_obs(ctx.obs.clone())
                 .with_sink(&mut log);
             if let Some(warm) = ctx.warm.clone() {
                 session = session.with_warm_start(warm);
@@ -356,6 +366,7 @@ mod tests {
             metrics: None,
             surrogate: None,
             trace: None,
+            obs: moat_obs::Obs::default(),
         }
     }
 

@@ -210,6 +210,7 @@ mod tests {
             metrics: None,
             surrogate: None,
             trace: None,
+            obs: moat_obs::Obs::default(),
         };
         let err = chaos.run(&spec, ctx).unwrap_err();
         assert!(err.contains("chaos: injected backend error"), "{err}");

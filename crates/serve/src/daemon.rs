@@ -6,7 +6,9 @@
 //! ```text
 //! <state>/jobs.json          job table (atomic rewrite on every change)
 //! <state>/results/<id>.json  final ArchiveRecord per completed job
-//! <state>/traces/<id>.jsonl  per-job obs trace (moat-report readable)
+//! <state>/traces/<id>.jsonl  per-job obs trace: what the job's session
+//!                            emitted on its own handle (what `moat-tune
+//!                            --trace` writes for the same spec and seed)
 //! <state>/ckpt/<fp>.ckpt     session checkpoints, named by fingerprint
 //! <state>/archive/           the sharded archive
 //! <state>/serve.jsonl        service-level obs events (sheds, breaker
@@ -59,7 +61,7 @@ use crate::spec::{JobSpec, SubmitResponse};
 use crate::wire::{self, Request, Response, WireError};
 use moat_archive::CheckpointStore;
 use moat_core::SessionCheckpoint;
-use moat_obs::{FlightRecorder, TraceContext};
+use moat_obs::{FlightRecorder, Obs, TimestampMode, TraceContext};
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -567,6 +569,9 @@ impl Daemon {
             }
         }
 
+        // The job's own logical-mode handle: what its session emits on it
+        // is the job's trace, whatever else the process is running.
+        let obs = Obs::new(TimestampMode::Logical);
         let ctx = crate::backend::JobContext {
             cancel: Arc::clone(&self.stop),
             pool: Arc::clone(&self.pool),
@@ -579,6 +584,7 @@ impl Daemon {
             metrics: Some(Arc::clone(&self.metrics)),
             surrogate,
             trace: run_ctx,
+            obs: obs.clone(),
         };
 
         // Failure isolation: a panicking backend (or a panic propagated
@@ -667,13 +673,10 @@ impl Daemon {
                     }
                 }
                 let persist_started = Instant::now();
-                let records = crate::trace::job_records(
-                    &spec.kernel,
-                    &spec.strategy,
-                    &outcome.events,
-                    Some((outcome.stop, outcome.evaluations)),
+                let _ = std::fs::write(
+                    self.trace_path(id),
+                    moat_obs::export::to_jsonl(&obs.drain()),
                 );
-                let _ = std::fs::write(self.trace_path(id), moat_obs::export::to_jsonl(&records));
                 if outcome.cancelled {
                     if let Some(rc) = &run_ctx {
                         self.span_event(
@@ -779,13 +782,20 @@ impl Daemon {
         tctx: Option<&TraceContext>,
     ) {
         let replay_started = Instant::now();
-        let records = crate::trace::job_records(
-            &spec.kernel,
-            &spec.strategy,
-            &[],
-            Some((moat_core::StopReason::Completed, 0)),
+        // No session ran: the trace is just the envelope one would emit.
+        let obs = Obs::new(TimestampMode::Logical);
+        obs.emit(|| moat_obs::Event::SessionStart {
+            subject: spec.kernel.clone(),
+            strategy: spec.strategy.clone(),
+        });
+        obs.emit(|| moat_obs::Event::Stopped {
+            reason: moat_core::StopReason::Completed.name().to_string(),
+            evaluations: 0,
+        });
+        let _ = std::fs::write(
+            self.trace_path(id),
+            moat_obs::export::to_jsonl(&obs.drain()),
         );
-        let _ = std::fs::write(self.trace_path(id), moat_obs::export::to_jsonl(&records));
         let pretty = serde_json::to_string_pretty(record).expect("record serializes");
         let _ = std::fs::write(self.result_path(id), pretty);
         let ckpt = self.ckpt_path(fingerprint);

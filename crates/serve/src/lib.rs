@@ -27,7 +27,6 @@ pub mod metrics;
 pub mod pool;
 pub mod shard;
 pub mod spec;
-pub mod trace;
 pub mod wire;
 
 pub use admission::{AdmissionPolicy, ShedReason};

@@ -7,11 +7,16 @@
 //!   completions, pool evaluations, compaction sweeps, parked
 //!   checkpoints;
 //! * **the PR 5 tuning metrics** (`moat_*` families) — rendered by
-//!   [`moat_obs::metrics::render`] over the obs records synthesized from
-//!   every finished job's trace, so the same families a single `moat-tune`
-//!   run exports stay scrapeable in service mode.
+//!   [`moat_obs::metrics::render`] over the records every finished job's
+//!   session emitted, so the same families a single `moat-tune` run
+//!   exports stay scrapeable in service mode.
+//!
+//! The phase-latency histograms keep live atomics (they are observed on
+//! the request path) but search buckets and render through the one
+//! [`moat_obs::metrics::Histogram`].
 
 use crate::admission::ShedReason;
+use moat_obs::metrics::Histogram;
 use moat_obs::Record;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,15 +27,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const PHASE_BUCKETS_US: [u64; 8] = [
     1_000, 5_000, 25_000, 100_000, 500_000, 2_500_000, 10_000_000, 60_000_000,
 ];
-
-fn secs(us: u64) -> String {
-    let s = us as f64 / 1e6;
-    if s == s.trunc() && s.abs() < 1e15 {
-        format!("{s:.0}")
-    } else {
-        format!("{s}")
-    }
-}
 
 /// One phase's latency histogram plus its most recent exemplar: the
 /// trace id (and observed value) of the last *traced* request that went
@@ -58,12 +54,8 @@ impl PhaseLatency {
     /// request was traced; untraced traffic still lands in the histogram
     /// (the families cover *all* jobs) but never touches the exemplar.
     pub fn observe(&self, us: u64, trace: Option<&str>) {
-        let slot = PHASE_BUCKETS_US
-            .iter()
-            .position(|&b| us <= b)
-            .unwrap_or(PHASE_BUCKETS_US.len() - 1);
         // Over-bound observations count only in +Inf (the running count).
-        if us <= PHASE_BUCKETS_US[PHASE_BUCKETS_US.len() - 1] {
+        if let Some(slot) = Histogram::slot(&PHASE_BUCKETS_US, us) {
             self.buckets[slot].fetch_add(1, Ordering::Relaxed);
         }
         self.count.fetch_add(1, Ordering::Relaxed);
@@ -74,31 +66,22 @@ impl PhaseLatency {
     }
 
     fn render(&self, phase: &str, out: &mut String) {
-        let mut cum = 0u64;
-        for (i, &bound) in PHASE_BUCKETS_US.iter().enumerate() {
-            cum += self.buckets[i].load(Ordering::Relaxed);
-            out.push_str(&format!(
-                "serve_phase_seconds_bucket{{phase=\"{phase}\",le=\"{}\"}} {cum}\n",
-                secs(bound)
-            ));
-        }
-        let total = self.count.load(Ordering::Relaxed);
-        let exemplar = self
-            .exemplar
-            .lock()
-            .as_ref()
-            .map(|(t, us)| format!(" # {{trace_id=\"{t}\"}} {}", secs(*us)))
-            .unwrap_or_default();
-        out.push_str(&format!(
-            "serve_phase_seconds_bucket{{phase=\"{phase}\",le=\"+Inf\"}} {total}{exemplar}\n"
-        ));
-        out.push_str(&format!(
-            "serve_phase_seconds_sum{{phase=\"{phase}\"}} {}\n",
-            secs(self.sum_us.load(Ordering::Relaxed))
-        ));
-        out.push_str(&format!(
-            "serve_phase_seconds_count{{phase=\"{phase}\"}} {total}\n"
-        ));
+        let snapshot = Histogram::from_parts(
+            &PHASE_BUCKETS_US,
+            self.buckets
+                .iter()
+                .map(|b| b.load(Ordering::Relaxed))
+                .collect(),
+            self.count.load(Ordering::Relaxed),
+            self.sum_us.load(Ordering::Relaxed),
+        );
+        let exemplar = self.exemplar.lock();
+        snapshot.render(
+            "serve_phase_seconds",
+            &format!("phase=\"{phase}\""),
+            exemplar.as_ref().map(|(t, us)| (t.as_str(), *us)),
+            out,
+        );
     }
 }
 

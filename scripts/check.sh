@@ -10,11 +10,19 @@ cargo fmt --check
 echo "== cargo clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo test (workspace) =="
+echo "== cargo test (workspace, default test threads) =="
 cargo test -q --workspace
 
-echo "== cargo test (moat-core, deprecated-shims feature) =="
-cargo test -q -p moat-core --features deprecated-shims
+echo "== cargo test (workspace, --test-threads=1) =="
+cargo test -q --workspace -- --test-threads=1
+
+# Traces are per-run handles, so a traced and an untraced test sharing a
+# process must never see each other; a scheduling-dependent relapse should
+# fail here, not in review.
+echo "== cargo test --test observability x20 =="
+for _ in $(seq 20); do
+    cargo test -q --test observability
+done
 
 echo "== trace smoke (moat-tune --trace -> moat-report --validate) =="
 smoke="target/trace-smoke"

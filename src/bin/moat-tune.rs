@@ -54,9 +54,10 @@ use moat::ir::{analyze, AnalyzerConfig, Step};
 use moat::multiversion::{emit_multiversioned_c, emit_parameterized_c, VersionTable};
 use moat::{
     ir_space, Archive, ArchiveKey, ArchiveRecord, CheckpointStore, Kernel, MachineDesc,
-    MultiObjectiveEvaluator, Objective, WarmStartSource,
+    MultiObjectiveEvaluator, Objective, Obs, WarmStartSource,
 };
 use moat_machine::{CostModel, NoiseModel};
+use std::path::Path;
 use std::process::exit;
 use std::time::Duration;
 
@@ -371,12 +372,27 @@ fn main() {
         });
         ckpt
     });
-    let opts = opts;
-    // Observability: installed only when a trace or metrics file was
-    // requested, so plain runs keep the pre-instrumentation code path
-    // (and byte-identical output) exactly.
-    let obs_guard = (opts.trace.is_some() || opts.metrics.is_some())
-        .then(|| moat::obs::install(opts.timestamps));
+    // The run records on a live handle only when a trace or metrics file
+    // was requested; both files are written once it returns.
+    let (trace, metrics) = (opts.trace.as_deref(), opts.metrics.as_deref());
+    let written = moat::run_observed(
+        trace.map(Path::new),
+        metrics.map(Path::new),
+        opts.timestamps,
+        |obs| tune(&opts, resume_ckpt, obs),
+    );
+    if let Err(e) = written {
+        eprintln!("{e}");
+        exit(1)
+    }
+    for path in [trace, metrics].into_iter().flatten() {
+        println!("wrote {path}");
+    }
+}
+
+/// The tuning run proper: analysis, search, archive, code emission and
+/// the summary on stdout, recording on `obs`.
+fn tune(opts: &Opts, resume_ckpt: Option<SessionCheckpoint>, obs: &Obs) {
     let size = opts.size.unwrap_or(opts.kernel.info().paper_size);
 
     // Parse the backend roster before analysis: alt<K> specs need the
@@ -532,6 +548,7 @@ fn main() {
             (None, None) => &ev,
         };
         FaultTolerantEvaluator::new(inner, opts.fault_policy.clone().unwrap_or_default())
+            .with_obs(obs.clone())
     });
     let evaluator: &dyn Evaluator = match (fault_tolerant.as_ref(), backend_set.as_ref()) {
         (Some(ft), _) => ft,
@@ -540,7 +557,8 @@ fn main() {
     };
     let mut session = TuningSession::new(tuning_space.clone(), evaluator)
         .with_batch(BatchEval::default())
-        .with_label(region.name.clone());
+        .with_label(region.name.clone())
+        .with_obs(obs.clone());
     if let Some(budget) = opts.budget {
         session = session.with_budget(budget);
     }
@@ -550,10 +568,12 @@ fn main() {
 
     // Tuning archive: seed from past runs, record this one.
     let archive = opts.archive.as_ref().map(|root| {
-        Archive::open(root).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(1)
-        })
+        Archive::open(root)
+            .unwrap_or_else(|e| {
+                eprintln!("{e}");
+                exit(1)
+            })
+            .with_obs(obs.clone())
     });
     if opts.warm_start && archive.is_none() {
         eprintln!("--warm-start requires --archive <DIR>");
@@ -585,10 +605,12 @@ fn main() {
     }
 
     let mut sink = opts.checkpoint.as_ref().map(|path| CrashingSink {
-        store: CheckpointStore::create(path).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(1)
-        }),
+        store: CheckpointStore::create(path)
+            .unwrap_or_else(|e| {
+                eprintln!("{e}");
+                exit(1)
+            })
+            .with_obs(obs.clone()),
         crash_after: opts.crash_after,
         saved: 0,
     });
@@ -799,24 +821,6 @@ fn main() {
                 println!("wrote {path}");
             }
             Err(e) => eprintln!("parameterized emission unavailable: {e}"),
-        }
-    }
-
-    if let Some(guard) = obs_guard {
-        let records = guard.drain();
-        if let Some(path) = &opts.trace {
-            std::fs::write(path, moat::obs::export::to_jsonl(&records)).unwrap_or_else(|e| {
-                eprintln!("cannot write trace {path}: {e}");
-                exit(1)
-            });
-            println!("wrote {path}");
-        }
-        if let Some(path) = &opts.metrics {
-            std::fs::write(path, moat::obs::metrics::render(&records)).unwrap_or_else(|e| {
-                eprintln!("cannot write metrics {path}: {e}");
-                exit(1)
-            });
-            println!("wrote {path}");
         }
     }
 }

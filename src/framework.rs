@@ -14,7 +14,38 @@ use moat_core::{
 use moat_ir::{analyze, AnalyzerConfig, Region, Step, Variant};
 use moat_machine::{CostModel, MachineDesc, NoiseModel};
 use moat_multiversion::{emit_multiversioned_c, VersionTable};
-use std::path::PathBuf;
+use moat_obs::{Obs, TimestampMode};
+use std::path::{Path, PathBuf};
+
+/// Run `body` under an observability handle and write what it recorded:
+/// the JSONL trace to `trace`, the Prometheus-style snapshot to
+/// `metrics`. The handle is live only when at least one file is asked
+/// for, so a plain run keeps the pre-instrumentation code path (and
+/// byte-identical output) exactly. The one place trace and metrics files
+/// are written — [`Framework::tune`] and `moat-tune` both go through it.
+pub fn run_observed<T>(
+    trace: Option<&Path>,
+    metrics: Option<&Path>,
+    mode: TimestampMode,
+    body: impl FnOnce(&Obs) -> T,
+) -> Result<T, String> {
+    let obs = if trace.is_some() || metrics.is_some() {
+        Obs::new(mode)
+    } else {
+        Obs::default()
+    };
+    let out = body(&obs);
+    let records = obs.drain();
+    if let Some(path) = trace {
+        std::fs::write(path, moat_obs::export::to_jsonl(&records))
+            .map_err(|e| format!("writing trace {}: {e}", path.display()))?;
+    }
+    if let Some(path) = metrics {
+        std::fs::write(path, moat_obs::metrics::render(&records))
+            .map_err(|e| format!("writing metrics {}: {e}", path.display()))?;
+    }
+    Ok(out)
+}
 
 /// A fully tuned region: the optimizer's result plus the backend artifacts.
 #[derive(Debug, Clone)]
@@ -143,16 +174,16 @@ pub struct Framework {
     /// Fraction of each batch forwarded to real evaluation when
     /// [`surrogate`](Self::surrogate) is on (1.0 = screen nothing).
     pub screen_ratio: f64,
-    /// Write a JSONL observability trace of the run here. Installing the
-    /// trace subscriber is the *only* thing that changes any code path:
-    /// with `trace` and [`metrics`](Self::metrics) unset, tuning output is
-    /// byte-identical to an uninstrumented build.
+    /// Write a JSONL observability trace of the run here. A live
+    /// observability handle is the *only* thing that changes any code
+    /// path: with `trace` and [`metrics`](Self::metrics) unset, tuning
+    /// output is byte-identical to an uninstrumented build.
     pub trace: Option<PathBuf>,
     /// Write a Prometheus-style text metrics snapshot of the run here.
     pub metrics: Option<PathBuf>,
     /// Timestamp mode for [`trace`](Self::trace)/[`metrics`](Self::metrics):
     /// deterministic logical clock (default) or wall-clock profiling.
-    pub timestamps: moat_obs::TimestampMode,
+    pub timestamps: TimestampMode,
 }
 
 impl Framework {
@@ -175,7 +206,7 @@ impl Framework {
             screen_ratio: ScreeningPolicy::default().screen_ratio,
             trace: None,
             metrics: None,
-            timestamps: moat_obs::TimestampMode::default(),
+            timestamps: TimestampMode::default(),
         }
     }
 
@@ -218,26 +249,15 @@ impl Framework {
     /// Run the full pipeline on `region`: analyze (1), optimize (2–4),
     /// generate the multi-versioned backend artifacts (5).
     pub fn tune(&self, region: Region) -> Result<TunedRegion, String> {
-        // Observability: install the trace subscriber only when asked for,
-        // so untraced runs keep the exact pre-instrumentation code path.
-        let guard = (self.trace.is_some() || self.metrics.is_some())
-            .then(|| moat_obs::install(self.timestamps));
-        let tuned = self.tune_inner(region);
-        if let Some(guard) = guard {
-            let records = guard.drain();
-            if let Some(path) = &self.trace {
-                std::fs::write(path, moat_obs::export::to_jsonl(&records))
-                    .map_err(|e| format!("writing trace {}: {e}", path.display()))?;
-            }
-            if let Some(path) = &self.metrics {
-                std::fs::write(path, moat_obs::metrics::render(&records))
-                    .map_err(|e| format!("writing metrics {}: {e}", path.display()))?;
-            }
-        }
-        tuned
+        run_observed(
+            self.trace.as_deref(),
+            self.metrics.as_deref(),
+            self.timestamps,
+            |obs| self.tune_inner(region, obs),
+        )?
     }
 
-    fn tune_inner(&self, region: Region) -> Result<TunedRegion, String> {
+    fn tune_inner(&self, region: Region, obs: &Obs) -> Result<TunedRegion, String> {
         // Parse the backend roster up front: `alt<K>` specs require the
         // analyzer to derive alternative skeletons.
         let specs = self
@@ -348,7 +368,8 @@ impl Framework {
         };
         let mut session = TuningSession::new(tuning_space.clone(), evaluator)
             .with_batch(self.batch)
-            .with_label(region.name.clone());
+            .with_label(region.name.clone())
+            .with_obs(obs.clone());
         if let Some(budget) = self.budget {
             session = session.with_budget(budget);
         }
@@ -356,7 +377,11 @@ impl Framework {
         // Consult the tuning archive: exact hits replay for free,
         // near-machine fronts seed the population.
         let archive = match &self.archive {
-            Some(root) => Some(Archive::open(root).map_err(|e| e.to_string())?),
+            Some(root) => Some(
+                Archive::open(root)
+                    .map_err(|e| e.to_string())?
+                    .with_obs(obs.clone()),
+            ),
             None => None,
         };
         let mut warm_source = None;

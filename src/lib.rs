@@ -21,7 +21,7 @@
 //! * the **analyzer** ([`moat_ir::analyze`]) finds tileable/parallelizable
 //!   loop bands and derives transformation skeletons with unbound
 //!   parameters,
-//! * the **optimizer** ([`moat_core::RsGde3`]) searches the configuration
+//! * the **optimizer** ([`moat_core::RsGde3Tuner`]) searches the configuration
 //!   space for the Pareto front of *(execution time, resource usage)*,
 //! * **evaluation** runs either on the analytic machine model
 //!   ([`moat_machine::CostModel`], presets for the paper's Westmere and
@@ -58,7 +58,7 @@ pub mod serve_backend;
 pub mod sim;
 
 pub use features::IrFeatures;
-pub use framework::{parse_backend_spec, BackendSpec, Framework, TunedRegion};
+pub use framework::{parse_backend_spec, run_observed, BackendSpec, Framework, TunedRegion};
 pub use program::{ProgramTuner, ProgramTuningResult, RegionOutcome};
 pub use serve_backend::TuneBackend;
 pub use sim::{
@@ -83,16 +83,16 @@ pub use moat_archive::{Archive, ArchiveKey, ArchiveRecord, CheckpointStore, Warm
 pub use moat_core::{
     BackendId, BackendKind, BackendSet, BatchEval, CheckpointSink, EventLog, EventSink,
     FaultInjector, FaultPolicy, FaultSchedule, FaultStats, FaultTolerantEvaluator, FeatureSource,
-    ParetoFront, Provenance, RsGde3, RsGde3Params, RsGde3Tuner, ScreeningEvaluator,
-    ScreeningPolicy, SessionCheckpoint, SpaceFeatures, StopReason, StrategyKind, Surrogate,
-    SurrogateScreen, SurrogateStats, Tuner, TuningEvent, TuningReport, TuningResult, TuningSession,
-    WarmStart, BACKEND_PARAM,
+    ParetoFront, Provenance, RsGde3Params, RsGde3Tuner, ScreeningEvaluator, ScreeningPolicy,
+    SessionCheckpoint, SpaceFeatures, StopReason, StrategyKind, Surrogate, SurrogateScreen,
+    SurrogateStats, Tuner, TuningEvent, TuningReport, TuningResult, TuningSession, WarmStart,
+    BACKEND_PARAM,
 };
 pub use moat_ir::Region;
 pub use moat_kernels::Kernel;
 pub use moat_machine::{CostModel, MachineDesc, MachineFeatures, NoiseModel};
 pub use moat_multiversion::VersionTable;
-pub use moat_obs::TimestampMode;
+pub use moat_obs::{Obs, TimestampMode};
 pub use moat_runtime::{
     DegradingSelector, HealthPolicy, Pool, RuntimeEvent, SelectionContext, SelectionPolicy,
     VersionRegistry,

@@ -277,6 +277,7 @@ impl JobBackend for TuneBackend {
                 .with_budget(budget)
                 .with_cancel(std::sync::Arc::clone(&ctx.cancel))
                 .with_batch_timing(ctx.trace.is_some())
+                .with_obs(ctx.obs.clone())
                 .with_sink(&mut log);
             if let Some(warm) = ctx.warm.clone() {
                 session = session.with_warm_start(warm);
@@ -368,6 +369,7 @@ mod tests {
             metrics: None,
             surrogate: None,
             trace: None,
+            obs: moat_obs::Obs::default(),
         }
     }
 

@@ -132,11 +132,11 @@ fn runtime_selection_reports_backend_of_chosen_version() {
     plain.noise = None;
     let untagged = plain.tune(Kernel::Mm.region(128)).unwrap();
 
-    let mut registry = VersionRegistry::new(SelectionPolicy::FastestTime);
+    let obs = moat::Obs::new(moat::TimestampMode::default());
+    let mut registry = VersionRegistry::new(SelectionPolicy::FastestTime).with_obs(obs.clone());
     registry.register("mm-mixed", tuned.table.runtime_meta());
     registry.register("mm-plain", untagged.table.runtime_meta());
 
-    let guard = moat::obs::install(moat::TimestampMode::default());
     let ctx = SelectionContext::default();
     let (idx, meta) = registry.select("mm-mixed", &ctx).unwrap();
     let backend = meta
@@ -144,7 +144,7 @@ fn runtime_selection_reports_backend_of_chosen_version() {
         .clone()
         .expect("mixed versions carry a backend");
     registry.select("mm-plain", &ctx).unwrap();
-    let records = guard.drain();
+    let records = obs.drain();
 
     let selected: Vec<_> = records
         .iter()

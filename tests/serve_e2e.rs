@@ -198,3 +198,82 @@ fn real_backend_restart_resumes_byte_identically() {
     let _ = std::fs::remove_dir_all(&ref_state);
     let _ = std::fs::remove_dir_all(&state);
 }
+
+/// A served job's trace is what its own session emitted — the assertion
+/// `tests/observability.rs` makes for the CLI, made for the daemon: the
+/// `front_updated` rows are the optimizer's `TuningReport::trace`, and
+/// the file does not depend on how wide the evaluation pool is. The job
+/// carries `x-moat-trace`, which turns per-batch wall timing on for the
+/// span log: none of it may reach the (logical) trace.
+#[test]
+fn job_trace_is_the_sessions_own_at_any_pool_width() {
+    use moat::core::{RsGde3Params, RsGde3Tuner, TuningSession};
+    use moat::report::Analysis;
+
+    let (seed, budget) = (5, 192);
+    let body = format!(
+        "{{\"tenant\":\"t\",\"kernel\":\"mm\",\"size\":64,\"machine\":\"westmere\",\
+         \"strategy\":\"rs-gde3\",\"budget\":{budget},\"seed\":{seed}}}"
+    );
+
+    // The same spec and seed through a bare session, no daemon around it.
+    let machine = moat::MachineDesc::westmere();
+    let acfg = moat::ir::AnalyzerConfig::for_threads((1..=machine.total_cores() as i64).collect());
+    let region = moat::ir::analyze(moat::Kernel::Mm.region(64), &acfg).unwrap();
+    let model = moat::CostModel::with_noise(machine, moat::NoiseModel::default());
+    let ev = moat::SimEvaluator {
+        region: &region,
+        skeleton: &region.skeletons[0],
+        model: &model,
+    };
+    let report = TuningSession::new(moat::ir_space(&region.skeletons[0]), &ev)
+        .with_budget(budget)
+        .run(&RsGde3Tuner::new(RsGde3Params {
+            seed,
+            ..Default::default()
+        }));
+
+    let mut traces = Vec::new();
+    for slots in [1usize, 2, 8] {
+        let state = temp_dir(&format!("trace-w{slots}"));
+        let mut config = ServeConfig::new(&state);
+        config.pool_slots = slots;
+        config.session_width = slots;
+        let handle = serve(config, Arc::new(TuneBackend::default())).unwrap();
+        let addr = handle.addr();
+        let mut req = Request::json("POST", "/jobs", body.as_bytes().to_vec());
+        req.headers.push((
+            "x-moat-trace".into(),
+            "00000000000000aa-00000000000000ab".into(),
+        ));
+        let resp = send(addr, &req);
+        assert_eq!(resp.status, 202);
+        wait_done(addr, "j0001");
+        shutdown(addr, handle);
+        assert!(state.join("spans.jsonl").exists(), "the job was traced");
+        traces.push(std::fs::read_to_string(state.join("traces/j0001.jsonl")).unwrap());
+        let _ = std::fs::remove_dir_all(&state);
+    }
+    assert_eq!(traces[0], traces[1], "trace differs between 1 and 2 slots");
+    assert_eq!(traces[0], traces[2], "trace differs between 1 and 8 slots");
+
+    let records = moat::obs::export::parse_jsonl(&traces[0]).expect("trace parses");
+    let analysis = Analysis::from_records(&records);
+    let session = &analysis.sessions[0];
+    assert_eq!(session.strategy, "rs-gde3");
+    assert_eq!(session.rows.len(), report.trace.len());
+    for (row, sig) in session.rows.iter().zip(&report.trace) {
+        assert_eq!(row.size, sig.size as u64, "front size differs");
+        assert_eq!(row.hypervolume, sig.hv, "hypervolume differs");
+    }
+    assert_eq!(
+        session.rows.last().map(|r| r.evaluations),
+        Some(report.evaluations),
+        "the last row's E is the evaluator's, not a batch counter's"
+    );
+    let (reason, evals) = session.stop.as_ref().expect("session stopped");
+    assert_eq!(
+        (reason.as_str(), *evals),
+        (report.stop.name(), report.evaluations)
+    );
+}
