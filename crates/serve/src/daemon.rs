@@ -4,7 +4,11 @@
 //! One [`serve`] call owns a state directory:
 //!
 //! ```text
-//! <state>/jobs.json          job table (atomic rewrite on every change)
+//! <state>/jobs.json          job table snapshot (atomic rewrite at start,
+//!                            at clean shutdown and when the journal has
+//!                            outgrown it)
+//! <state>/jobs.journal       one row per job-table change since the
+//!                            snapshot (see [`crate::journal`])
 //! <state>/results/<id>.json  final ArchiveRecord per completed job
 //! <state>/traces/<id>.jsonl  per-job obs trace: what the job's session
 //!                            emitted on its own handle (what `moat-tune
@@ -44,7 +48,8 @@
 //! **Shutdown.** One atomic `stop` flag is shared by the accept loop, the
 //! compactor, the workers and — as the session cancel flag — every
 //! running `TuningSession`. Setting it (SIGTERM in the binary, `POST
-//! /shutdown` in tests) stops accepting, winds sessions down at their
+//! /shutdown` in tests) wakes the accept thread out of `accept()` with one
+//! loopback connection, stops accepting, winds sessions down at their
 //! next batch boundary (they have been checkpointing all along, so they
 //! park losslessly) and [`ServeHandle::join`] reaps everything. Jobs
 //! still waiting in the queue stay `Queued` in the persisted table. On
@@ -54,6 +59,7 @@
 
 use crate::admission::{AdmissionPolicy, AdmissionState, BreakerDecision, ShedReason};
 use crate::backend::JobBackend;
+use crate::journal::Journal;
 use crate::metrics::ServeMetrics;
 use crate::pool::FairPool;
 use crate::shard::ShardedArchive;
@@ -66,7 +72,7 @@ use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -210,7 +216,8 @@ pub enum JobStatus {
     Failed,
 }
 
-/// One row of the job table — persisted verbatim in `jobs.json`.
+/// One row of the job table — persisted verbatim in `jobs.json` and the
+/// journal.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct JobState {
     /// Daemon-assigned id (`j0001`, …).
@@ -253,6 +260,8 @@ struct Jobs {
     next: u64,
     /// Quotas and breakers, serialized with the table they guard.
     admission: AdmissionState,
+    /// The table's write side on disk, in table order under the same lock.
+    journal: Journal,
 }
 
 /// The service-level obs log (`<state>/serve.jsonl`): sheds, breaker
@@ -303,13 +312,12 @@ struct Daemon {
     spans: Mutex<SpanLog>,
     traces: Mutex<HashMap<String, JobTrace>>,
     flight: FlightRecorder,
+    /// Where one throwaway connection reaches the listener: the bound
+    /// address, on loopback when bound to an unspecified IP.
+    wake: SocketAddr,
 }
 
 impl Daemon {
-    fn jobs_path(&self) -> PathBuf {
-        self.config.state_dir.join("jobs.json")
-    }
-
     fn result_path(&self, id: &str) -> PathBuf {
         self.config
             .state_dir
@@ -409,16 +417,27 @@ impl Daemon {
         let _ = std::fs::write(dir.join(format!("{name}.jsonl")), text);
     }
 
-    /// Atomically rewrite `jobs.json` from the table. Callers hold the
-    /// jobs lock. A failed write is counted (`serve_persist_errors_total`)
-    /// — the in-memory table stays authoritative, but a crash before the
-    /// next successful write would lose the unwritten rows.
-    fn persist(&self, jobs: &Jobs) {
-        let rows: Vec<&JobState> = jobs.states.values().collect();
-        let json = serde_json::to_string_pretty(&rows).expect("job table serializes");
-        let tmp = self.jobs_path().with_extension("json.tmp");
-        let written =
-            std::fs::write(&tmp, json).and_then(|()| std::fs::rename(&tmp, self.jobs_path()));
+    /// Journal row `id`, the one row a table change touched. Callers hold
+    /// the jobs lock and call this before releasing it, so the row is on
+    /// disk before the change is visible.
+    fn journal_row(&self, jobs: &mut Jobs, id: &str) {
+        if let Some(row) = jobs.states.get(id) {
+            let written = jobs.journal.append(row);
+            self.count_persist(written);
+        }
+    }
+
+    /// Rewrite the `jobs.json` snapshot from the whole table and retire
+    /// the journal. Callers hold the jobs lock.
+    fn persist(&self, jobs: &mut Jobs) {
+        let written = jobs.journal.snapshot(jobs.states.values());
+        self.count_persist(written);
+    }
+
+    /// A failed table write is counted (`serve_persist_errors_total`) —
+    /// the in-memory table stays authoritative, but a crash before the
+    /// next successful snapshot would lose the unwritten rows.
+    fn count_persist(&self, written: std::io::Result<()>) {
         if written.is_err() {
             self.metrics.persist_errors.fetch_add(1, Ordering::Relaxed);
             self.flight_dump("persist-error");
@@ -483,7 +502,7 @@ impl Daemon {
             };
             state.status = JobStatus::Running;
             let out = (state.spec.clone(), state.fingerprint.clone());
-            self.persist(&jobs);
+            self.journal_row(&mut jobs, id);
             out
         };
         let fp = spec.fingerprint();
@@ -696,7 +715,7 @@ impl Daemon {
                         state.stop = Some(outcome.stop.name().to_string());
                         state.resumed = resumed;
                         self.settle_inflight(&mut jobs, id);
-                        self.persist(&jobs);
+                        self.journal_row(&mut jobs, id);
                     }
                     return;
                 }
@@ -731,7 +750,7 @@ impl Daemon {
                     state.warm = warm_desc;
                     self.settle_inflight(&mut jobs, id);
                     self.breaker_success(&mut jobs, fp, &fingerprint);
-                    self.persist(&jobs);
+                    self.journal_row(&mut jobs, id);
                 }
                 drop(jobs);
                 let persist_us = persist_started.elapsed().as_micros() as u64;
@@ -811,7 +830,7 @@ impl Daemon {
             state.warm = Some("exact".into());
             self.settle_inflight(&mut jobs, id);
             self.breaker_success(&mut jobs, spec.fingerprint(), fingerprint);
-            self.persist(&jobs);
+            self.journal_row(&mut jobs, id);
         }
         if let Some(root) = tctx {
             self.span_event(
@@ -853,7 +872,7 @@ impl Daemon {
             });
             self.flight_dump(&format!("breaker-{fingerprint}"));
         }
-        self.persist(&jobs);
+        self.journal_row(&mut jobs, id);
         self.metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -972,7 +991,7 @@ impl Daemon {
             } else {
                 self.metrics.jobs_deduped.fetch_add(1, Ordering::Relaxed);
             }
-            self.persist(&jobs);
+            self.journal_row(&mut jobs, &id);
             (id, primary)
         };
 
@@ -1045,10 +1064,13 @@ impl Daemon {
         self.queue_cv.notify_one();
     }
 
-    /// Set the stop flag and wake every worker blocked on the queue.
+    /// Set the stop flag, wake every worker blocked on the queue and get
+    /// the accept thread out of `accept()` with one throwaway connection
+    /// (refused, harmlessly, once the listener is gone).
     fn request_stop(&self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
         self.queue_cv.notify_all();
+        let _ = TcpStream::connect_timeout(&self.wake, Duration::from_millis(250));
     }
 
     /// The `/healthz` body: liveness plus saturation snapshot.
@@ -1094,9 +1116,13 @@ impl Daemon {
             },
             ("GET", "/metrics") => {
                 let mut records = Vec::new();
+                // Primaries only: a subscriber has no trace of its own.
                 let ids: Vec<String> = {
                     let jobs = self.jobs.lock();
-                    jobs.states.keys().cloned().collect()
+                    let rows = jobs.states.values();
+                    rows.filter(|s| s.serves_as.is_none())
+                        .map(|s| s.id.clone())
+                        .collect()
                 };
                 for id in ids {
                     if let Ok(text) = std::fs::read_to_string(self.trace_path(&id)) {
@@ -1278,7 +1304,8 @@ impl ServeHandle {
         Arc::clone(&self.daemon.stop)
     }
 
-    /// Request graceful shutdown (idempotent, non-blocking).
+    /// Request graceful shutdown (idempotent; returns once the accept
+    /// thread has been woken, without waiting for the drain).
     pub fn stop(&self) {
         self.daemon.request_stop();
     }
@@ -1326,8 +1353,8 @@ impl ServeHandle {
             }
             Err(e) => eprintln!("moat-serve: final compaction failed: {e}"),
         }
-        let jobs = self.daemon.jobs.lock();
-        self.daemon.persist(&jobs);
+        let mut jobs = self.daemon.jobs.lock();
+        self.daemon.persist(&mut jobs);
         Ok(())
     }
 }
@@ -1344,8 +1371,15 @@ pub fn serve(config: ServeConfig, backend: Arc<dyn JobBackend>) -> std::io::Resu
     let pool = FairPool::new(config.pool_slots);
     let metrics = Arc::new(ServeMetrics::default());
     let listener = TcpListener::bind(&config.listen)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
+    let mut wake = addr;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake.ip() {
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let (rows, journal) = Journal::recover(&config.state_dir)?;
 
     // The service-level obs log survives restarts; continue its sequence
     // from the lines already present.
@@ -1382,6 +1416,7 @@ pub fn serve(config: ServeConfig, backend: Arc<dyn JobBackend>) -> std::io::Resu
             dedupe: HashMap::new(),
             next: 1,
             admission: AdmissionState::default(),
+            journal,
         }),
         queue: Mutex::new(VecDeque::new()),
         queue_cv: Condvar::new(),
@@ -1398,14 +1433,14 @@ pub fn serve(config: ServeConfig, backend: Arc<dyn JobBackend>) -> std::io::Resu
         }),
         traces: Mutex::new(HashMap::new()),
         flight,
+        wake,
         config,
     });
 
-    // Recover the job table and re-enqueue everything interrupted.
+    // Re-enqueue everything interrupted, then compact what was recovered
+    // into a fresh snapshot.
     let mut respawn: Vec<QueueItem> = Vec::new();
-    if let Ok(text) = std::fs::read_to_string(daemon.jobs_path()) {
-        let rows: Vec<JobState> = serde_json::from_str(&text)
-            .map_err(|e| std::io::Error::other(format!("corrupt jobs.json: {e}")))?;
+    {
         let mut jobs = daemon.jobs.lock();
         for row in rows {
             let numeric: u64 = row.id.trim_start_matches('j').parse().unwrap_or(0);
@@ -1428,7 +1463,7 @@ pub fn serve(config: ServeConfig, backend: Arc<dyn JobBackend>) -> std::io::Resu
             }
             jobs.states.insert(row.id.clone(), row);
         }
-        daemon.persist(&jobs);
+        daemon.persist(&mut jobs);
     }
     for (id, resume) in respawn {
         if resume.is_some() {
@@ -1454,12 +1489,15 @@ pub fn serve(config: ServeConfig, backend: Arc<dyn JobBackend>) -> std::io::Resu
     let accept = {
         let d = Arc::clone(&daemon);
         std::thread::spawn(move || loop {
-            if d.stop.load(Ordering::Relaxed) {
+            // Parked in accept() until a client or `request_stop`'s
+            // wake-up connects; either way re-check `stop` first, so a
+            // connection that arrives once it is set is closed, not served.
+            let accepted = listener.accept();
+            if d.stop.load(Ordering::SeqCst) {
                 break;
             }
-            match listener.accept() {
+            match accepted {
                 Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(false);
                     // Connection cap: refuse excess connections right
                     // here so slow clients can't pile up handler threads.
                     if d.conns_active.load(Ordering::Relaxed) >= d.config.max_connections.max(1) {
@@ -1486,9 +1524,7 @@ pub fn serve(config: ServeConfig, backend: Arc<dyn JobBackend>) -> std::io::Resu
                         );
                     });
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
+                // A failing accept (fd exhaustion, …) must not spin.
                 Err(_) => std::thread::sleep(Duration::from_millis(10)),
             }
         })
@@ -1516,6 +1552,10 @@ pub fn serve(config: ServeConfig, backend: Arc<dyn JobBackend>) -> std::io::Resu
                             .fetch_add(n as u64, Ordering::Relaxed);
                     }
                     Err(e) => eprintln!("moat-serve: compaction failed: {e}"),
+                }
+                let mut jobs = d.jobs.lock();
+                if jobs.journal.outgrown() {
+                    d.persist(&mut jobs);
                 }
             }
         })

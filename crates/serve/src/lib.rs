@@ -23,6 +23,7 @@ pub mod admission;
 pub mod backend;
 pub mod chaos;
 pub mod daemon;
+pub mod journal;
 pub mod metrics;
 pub mod pool;
 pub mod shard;
@@ -36,6 +37,7 @@ pub use backend::{
 };
 pub use chaos::{ChaosBackend, ChaosConfig, Fate};
 pub use daemon::{serve, JobState, JobStatus, ServeConfig, ServeHandle};
+pub use journal::load_job_table;
 pub use metrics::ServeMetrics;
 pub use pool::{FairPool, PooledEvaluator};
 pub use shard::ShardedArchive;

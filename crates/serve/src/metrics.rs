@@ -126,8 +126,8 @@ pub struct ServeMetrics {
     pub breaker_trips: AtomicU64,
     /// Backend panics contained by the job-level `catch_unwind`.
     pub backend_panics: AtomicU64,
-    /// Failed writes of `jobs.json` (the table stays correct in memory;
-    /// a restart would lose the unwritten rows).
+    /// Failed job-table journal/snapshot writes (the table stays correct
+    /// in memory; a restart would lose the unwritten rows).
     pub persist_errors: AtomicU64,
     /// Connections currently being handled (gauge).
     pub connections_active: AtomicU64,
@@ -253,7 +253,7 @@ impl ServeMetrics {
         );
         counter(
             "serve_persist_errors_total",
-            "Failed job-table (jobs.json) writes.",
+            "Failed job-table journal/snapshot writes.",
             self.persist_errors.load(Ordering::Relaxed),
         );
         out.push_str(

@@ -332,7 +332,15 @@ fn shutdown_parks_and_restart_resumes_byte_identically() {
         assert!(Instant::now() < deadline, "no checkpoint appeared");
         std::thread::sleep(Duration::from_millis(5));
     }
+    assert!(
+        state_dir.join("jobs.journal").exists(),
+        "a live daemon journals row changes"
+    );
     shutdown(addr, handle);
+    assert!(
+        !state_dir.join("jobs.journal").exists(),
+        "clean shutdown compacts the journal into jobs.json"
+    );
     let parked = std::fs::read_to_string(state_dir.join("jobs.json")).unwrap();
     let rows: Vec<JobState> = serde_json::from_str(&parked).unwrap();
     assert_eq!(rows.len(), 1);
@@ -362,4 +370,59 @@ fn shutdown_parks_and_restart_resumes_byte_identically() {
     );
     assert!(!ckpt.exists(), "completion retires the checkpoint");
     shutdown(addr, handle);
+}
+
+/// The acceptor parks in `accept()`: every way of asking an idle daemon
+/// to stop must get it out within a second, also when it is bound to an
+/// unspecified address that cannot itself be connected to everywhere.
+#[test]
+fn idle_daemon_stops_within_a_second() {
+    for listen in ["127.0.0.1:0", "0.0.0.0:0"] {
+        for via_http in [false, true] {
+            let mut config = ServeConfig::new(temp_dir("stop"));
+            config.listen = listen.into();
+            let handle = serve(config, Arc::new(SyntheticBackend::default())).unwrap();
+            let addr = SocketAddr::from(([127, 0, 0, 1], handle.addr().port()));
+            assert_eq!(send(addr, &Request::new("GET", "/healthz")).status, 200);
+            // Idle from here on: nothing but the stop request itself can
+            // get the acceptor out of accept().
+            let asked = Instant::now();
+            if via_http {
+                assert_eq!(send(addr, &Request::new("POST", "/shutdown")).status, 200);
+            } else {
+                handle.stop();
+            }
+            handle.join().expect("clean shutdown");
+            assert!(
+                asked.elapsed() < Duration::from_secs(1),
+                "{listen} via_http={via_http}: shutdown took {:?}",
+                asked.elapsed()
+            );
+        }
+    }
+}
+
+/// A connection that arrives after `stop` is set but before the wake-up
+/// is closed, not served — and serves as the wake-up.
+#[test]
+fn connection_after_stop_is_closed_not_served() {
+    let handle = serve(
+        ServeConfig::new(temp_dir("late")),
+        Arc::new(SyntheticBackend::default()),
+    )
+    .unwrap();
+    let addr = handle.addr();
+    let metrics = handle.metrics();
+    // The flag alone, as a signal handler would set it: no wake-up yet.
+    handle.stop_flag().store(true, Ordering::SeqCst);
+    let mut late = TcpStream::connect(addr).expect("listener still bound");
+    let _ = wire::write_request(&mut late, &Request::new("GET", "/healthz"));
+    assert!(
+        wire::read_response(&mut late).is_err(),
+        "a late connection gets no response"
+    );
+    let asked = Instant::now();
+    handle.join().expect("clean shutdown");
+    assert!(asked.elapsed() < Duration::from_secs(1));
+    assert_eq!(metrics.http_requests.load(Ordering::Relaxed), 0);
 }

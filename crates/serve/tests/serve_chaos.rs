@@ -543,21 +543,38 @@ fn slowloris_cut_and_connection_cap_sheds() {
         std::thread::sleep(Duration::from_millis(50));
     }
 
-    let text = metrics_text(addr);
+    // At a cap of one, a request right behind another can still find the
+    // slot taken (it is released after the response is written): retry a
+    // shed the way a client honouring Retry-After would.
+    let retrying = |req: &Request| loop {
+        let resp = send(addr, req);
+        if resp.status != 503 {
+            return resp;
+        }
+        assert!(Instant::now() < deadline, "service never recovered");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let text = retrying(&Request::new("GET", "/metrics"));
+    assert_eq!(text.status, 200);
+    let text = String::from_utf8_lossy(&text.body).to_string();
     assert!(metric(&text, "serve_shed_total{reason=\"slow_client\"}") >= 1);
     assert!(metric(&text, "serve_shed_total{reason=\"connections\"}") >= 1);
-    shutdown(addr, handle);
+    assert_eq!(retrying(&Request::new("POST", "/shutdown")).status, 200);
+    handle.join().expect("clean shutdown");
 }
 
-/// Disk faults: a directory planted where `jobs.json.tmp` and the
-/// checkpoint WAL should be makes every table persist and checkpoint
-/// save fail — both are counted, neither kills the job.
+/// Disk faults: a directory planted where the job-table journal is
+/// opened, where the snapshot's tmp file is written and where the
+/// checkpoint WAL should be makes every row append, every snapshot and
+/// every checkpoint save fail — all are counted, none kills the job.
 #[test]
 fn disk_faults_are_counted_not_fatal() {
     silence_chaos_panics();
     let state_dir = temp_dir("disk");
     std::fs::create_dir_all(state_dir.join("ckpt")).unwrap();
-    // Sabotage the job-table tmp path: fs::write into a directory fails.
+    // Sabotage the hot path: opening a directory for append fails.
+    std::fs::create_dir_all(state_dir.join("jobs.journal")).unwrap();
+    // Sabotage the start/shutdown snapshot: fs::write into a directory fails.
     std::fs::create_dir_all(state_dir.join("jobs.json.tmp")).unwrap();
     // Sabotage the checkpoint WAL of the one spec this test submits.
     let body = spec("jacobi2d", 3, "disk", 32);
@@ -584,9 +601,17 @@ fn disk_faults_are_counted_not_fatal() {
     );
 
     let text = metrics_text(addr);
+    // The start-up snapshot, then the job's Queued/Running/Done rows.
     assert!(
-        metric(&text, "serve_persist_errors_total") >= 1,
-        "failed jobs.json writes are counted, not dropped: {text}"
+        metric(&text, "serve_persist_errors_total") >= 4,
+        "failed journal and snapshot writes are counted, not dropped: {text}"
+    );
+    assert!(
+        state_dir
+            .join("flight")
+            .join("persist-error.jsonl")
+            .exists(),
+        "a persist error dumps the flight ring"
     );
     assert!(
         metric(&text, "serve_parked_checkpoints") >= 1,

@@ -84,7 +84,7 @@ awk -v ce="$cold_e" -v se="$sur_e" -v ch="$cold_hv" -v sh="$sur_hv" 'BEGIN {
     if (sh + 1e-9 < ch) { print "ERROR: surrogate hv (" sh ") below cold hv (" ch ")"; exit 1 }
 }'
 
-echo "== serve smoke (dedupe -> metrics -> SIGTERM -> resume byte-identity) =="
+echo "== serve smoke (dedupe -> metrics -> SIGTERM -> resume byte-identity -> kill -9 recovery) =="
 ssmoke="target/serve-smoke"
 rm -rf "$ssmoke"
 mkdir -p "$ssmoke"
@@ -154,6 +154,27 @@ cargo run -q --bin moat-report -- --from-serve "$ssmoke/run" > "$ssmoke/serve-re
 grep -q "Tenant ci2" "$ssmoke/serve-report.txt"
 "$lg" --addr "$run2_addr" --post /shutdown > /dev/null
 wait "$run2_pid"
+# kill -9 the moment the last 202 is read: every acknowledged job is in the
+# row journal, so the restart lists them all, finishes every primary, and
+# equal fingerprints still read byte-identical results.
+"$serve_bin" --listen 127.0.0.1:0 --state "$ssmoke/kill" \
+    --port-file "$ssmoke/kill.port" 2> "$ssmoke/kill.log" &
+kill_pid=$!
+kill_addr=$(wait_port "$ssmoke/kill.port")
+"$lg" --addr "$kill_addr" --post /jobs "$spec_big" > /dev/null
+"$lg" --addr "$kill_addr" --post /jobs "$spec_dup" > /dev/null
+"$lg" --addr "$kill_addr" --post /jobs "$spec_small" > /dev/null
+kill -KILL "$kill_pid"
+wait "$kill_pid" || true
+"$serve_bin" --listen 127.0.0.1:0 --state "$ssmoke/kill" \
+    --port-file "$ssmoke/kill2.port" 2> "$ssmoke/kill2.log" &
+kill2_pid=$!
+kill2_addr=$(wait_port "$ssmoke/kill2.port")
+[[ $("$lg" --addr "$kill2_addr" --get /jobs | grep -o '"id":"j000[123]"' | sort -u | wc -l) -eq 3 ]]
+wait_done "$kill2_addr" j0001 && wait_done "$kill2_addr" j0003
+"$lg" --addr "$kill2_addr" --get /jobs/j0002/result | cmp "$ssmoke/ref-result.json" -
+"$lg" --addr "$kill2_addr" --post /shutdown > /dev/null
+wait "$kill2_pid"
 
 echo "== serve chaos smoke (seeded faults -> SIGTERM -> restart -> all terminal) =="
 csmoke="target/serve-chaos-smoke"

@@ -31,7 +31,7 @@
 use moat::multiversion::VersionTable;
 use moat::obs::export::{parse_jsonl, to_chrome, validate_jsonl};
 use moat::report::{Analysis, LossMatrix, SloReport, SpanForest};
-use moat::serve::{JobState, JobStatus};
+use moat::serve::{load_job_table, JobState, JobStatus};
 use std::collections::BTreeMap;
 use std::process::exit;
 
@@ -79,10 +79,7 @@ fn report_trace(dir: &str, query: &str) -> Result<String, String> {
 /// Render the per-tenant service report for a `moat-serve` state dir.
 fn report_serve(dir: &str, slo_p99_ms: Option<f64>) -> Result<String, String> {
     let root = std::path::Path::new(dir);
-    let text = std::fs::read_to_string(root.join("jobs.json"))
-        .map_err(|e| format!("{dir}/jobs.json: {e} (is this a moat-serve state dir?)"))?;
-    let jobs: Vec<JobState> =
-        serde_json::from_str(&text).map_err(|e| format!("{dir}/jobs.json: {e}"))?;
+    let jobs = load_job_table(root).map_err(|e| format!("{dir}: {e}"))?;
     let by_id: BTreeMap<&str, &JobState> = jobs.iter().map(|j| (j.id.as_str(), j)).collect();
     // A subscriber's lifecycle lives on its primary; resolve for display.
     let resolved = |j: &JobState| -> JobState {
