@@ -11,8 +11,8 @@ use crate::space::Config;
 use moat_obs::{Event, Obs};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// An objective vector (all components minimized).
 pub type ObjVec = Vec<f64>;
@@ -55,18 +55,11 @@ where
     }
 }
 
-/// A cache slot for a configuration whose evaluation is still running on
-/// some thread. Concurrent requests for the same configuration wait on the
-/// condvar instead of re-running the objective function.
-struct EvalSlot {
-    /// `None` while in flight; `Some(result)` once the owner filled it.
-    result: Mutex<Option<Option<ObjVec>>>,
-    ready: Condvar,
-}
-
 enum CacheEntry {
-    /// The configuration is being evaluated by another thread.
-    InFlight(Arc<EvalSlot>),
+    /// The configuration is being evaluated by some thread; requests for it
+    /// wait on [`CachingEvaluator::published`] instead of re-running the
+    /// objective function.
+    InFlight,
     /// The evaluation finished with this result.
     Done(Option<ObjVec>),
 }
@@ -79,13 +72,15 @@ enum CacheEntry {
 ///
 /// Distinct configurations are counted *exactly* once even under concurrent
 /// evaluation: the first thread to request a configuration claims it while
-/// holding the cache lock (installing an in-flight slot and bumping the
-/// counter atomically with the claim), then evaluates outside the lock;
-/// later threads either hit the finished entry or block on the slot until
-/// the owner publishes the result.
+/// holding the cache lock (marking it in flight and bumping the counter
+/// atomically with the claim), then evaluates outside the lock; later
+/// threads either hit the finished entry or wait until the owner publishes
+/// the result.
 pub struct CachingEvaluator<'a> {
     inner: &'a dyn Evaluator,
     cache: Mutex<HashMap<Config, CacheEntry>>,
+    /// Signalled whenever an in-flight entry becomes `Done`.
+    published: Condvar,
     evaluations: AtomicU64,
     primed: AtomicU64,
 }
@@ -96,6 +91,7 @@ impl<'a> CachingEvaluator<'a> {
         CachingEvaluator {
             inner,
             cache: Mutex::new(HashMap::new()),
+            published: Condvar::new(),
             evaluations: AtomicU64::new(0),
             primed: AtomicU64::new(0),
         }
@@ -143,7 +139,7 @@ impl<'a> CachingEvaluator<'a> {
             .iter()
             .filter_map(|(cfg, entry)| match entry {
                 CacheEntry::Done(r) => Some((cfg.clone(), r.clone())),
-                CacheEntry::InFlight(_) => None,
+                CacheEntry::InFlight => None,
             })
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
@@ -170,41 +166,30 @@ impl Evaluator for CachingEvaluator<'_> {
     }
 
     fn evaluate(&self, cfg: &Config) -> Option<ObjVec> {
-        let slot = {
+        {
             let mut cache = self.cache.lock();
-            match cache.get(cfg) {
-                Some(CacheEntry::Done(hit)) => return hit.clone(),
-                Some(CacheEntry::InFlight(slot)) => {
-                    // Someone else owns this evaluation; wait for it below
-                    // (after releasing the cache lock).
-                    let slot = Arc::clone(slot);
-                    drop(cache);
-                    let mut result = slot.result.lock();
-                    while result.is_none() {
-                        slot.ready.wait(&mut result);
-                    }
-                    return result.clone().expect("in-flight slot filled");
-                }
-                None => {
-                    // Claim the configuration: the counter is bumped while
-                    // still holding the lock, so each distinct config is
-                    // counted exactly once.
-                    let slot = Arc::new(EvalSlot {
-                        result: Mutex::new(None),
-                        ready: Condvar::new(),
-                    });
-                    cache.insert(cfg.clone(), CacheEntry::InFlight(Arc::clone(&slot)));
-                    self.evaluations.fetch_add(1, Ordering::Relaxed);
-                    slot
+            loop {
+                match cache.get(cfg) {
+                    Some(CacheEntry::Done(hit)) => return hit.clone(),
+                    // Someone else owns this evaluation; the wait releases
+                    // the cache lock until a result is published.
+                    Some(CacheEntry::InFlight) => self.published.wait(&mut cache),
+                    None => break,
                 }
             }
-        };
+            // Claim the configuration: the counter is bumped while still
+            // holding the lock, so each distinct config is counted exactly
+            // once.
+            cache.insert(cfg.clone(), CacheEntry::InFlight);
+            self.evaluations.fetch_add(1, Ordering::Relaxed);
+        }
         let result = self.inner.evaluate(cfg);
-        *slot.result.lock() = Some(result.clone());
-        slot.ready.notify_all();
-        self.cache
+        *self
+            .cache
             .lock()
-            .insert(cfg.clone(), CacheEntry::Done(result.clone()));
+            .get_mut(cfg)
+            .expect("claimed entries are never removed") = CacheEntry::Done(result.clone());
+        self.published.notify_all();
         result
     }
 
@@ -311,15 +296,18 @@ impl BatchEval {
 
     /// Evaluate all configurations, preserving order.
     ///
-    /// The batch is split into one contiguous chunk per worker; each worker
-    /// writes into the matching disjoint chunk of the result slice, so no
-    /// per-slot synchronization is needed.
+    /// The calling thread is worker 0: it and up to `parallelism − 1`
+    /// scoped helpers claim configurations one at a time from a shared
+    /// cursor and store each result in the slot of its index. A batch
+    /// cheaper than a thread start is therefore finished by the caller
+    /// before a helper gets to claim anything, and none is spawned for a
+    /// batch of one.
     pub fn run(&self, ev: &dyn Evaluator, configs: &[Config]) -> Vec<Option<ObjVec>> {
         self.run_traced(&Obs::default(), ev, configs)
     }
 
     /// [`run`](Self::run) on behalf of a traced session: each worker's
-    /// chunk is recorded on `obs` as a `worker_span` — a timing-class
+    /// share is recorded on `obs` as a `worker_span` — a timing-class
     /// record, so it only exists in wall-timestamp mode and never
     /// perturbs deterministic traces.
     pub(crate) fn run_traced(
@@ -328,36 +316,43 @@ impl BatchEval {
         ev: &dyn Evaluator,
         configs: &[Config],
     ) -> Vec<Option<ObjVec>> {
-        if self.parallelism <= 1 || configs.len() <= 1 {
+        let helpers = self.parallelism.min(configs.len()).saturating_sub(1);
+        let slots: Vec<OnceLock<Option<ObjVec>>> =
+            configs.iter().map(|_| OnceLock::new()).collect();
+        let cursor = AtomicUsize::new(0);
+        let work = |worker: u64| {
             let span = obs.span_start();
-            let results = configs.iter().map(|c| ev.evaluate(c)).collect();
-            obs.emit_span(span, || Event::WorkerSpan {
-                worker: 0,
-                configs: configs.len() as u64,
-            });
-            return results;
-        }
-        let mut results: Vec<Option<ObjVec>> = vec![None; configs.len()];
-        let chunk = configs.len().div_ceil(self.parallelism.min(configs.len()));
-        std::thread::scope(|scope| {
-            for (worker, (cfgs, out)) in configs
-                .chunks(chunk)
-                .zip(results.chunks_mut(chunk))
-                .enumerate()
-            {
-                scope.spawn(move || {
-                    let span = obs.span_start();
-                    for (cfg, slot) in cfgs.iter().zip(out.iter_mut()) {
-                        *slot = ev.evaluate(cfg);
-                    }
-                    obs.emit_span(span, || Event::WorkerSpan {
-                        worker: worker as u64,
-                        configs: cfgs.len() as u64,
-                    });
-                });
+            let mut claimed = 0u64;
+            // Relaxed: the cursor only hands out indices; results are
+            // published by the scope's join.
+            while let Some((cfg, slot)) = {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                configs.get(i).zip(slots.get(i))
+            } {
+                slot.set(ev.evaluate(cfg))
+                    .expect("each index is claimed once");
+                claimed += 1;
             }
-        });
-        results
+            obs.emit_span(span, || Event::WorkerSpan {
+                worker,
+                configs: claimed,
+            });
+        };
+        if helpers == 0 {
+            work(0);
+        } else {
+            std::thread::scope(|scope| {
+                for helper in 1..=helpers {
+                    let work = &work;
+                    scope.spawn(move || work(helper as u64));
+                }
+                work(0);
+            });
+        }
+        slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("every index was claimed"))
+            .collect()
     }
 }
 

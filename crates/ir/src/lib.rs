@@ -15,7 +15,8 @@
 //! * *transformation skeletons* — generic transformation sequences with
 //!   unbound tuning parameters (tile sizes, thread counts, flags) that are
 //!   instantiated into concrete code variants by the optimizer
-//!   ([`skeleton`]), and
+//!   ([`skeleton`]) — or, for analytic models, into just the variant's
+//!   loop [`shape`] —, and
 //! * the region analyzer that decomposes input nests into tunable regions
 //!   ([`analyzer`]).
 //!
@@ -33,6 +34,7 @@ pub mod expr;
 pub mod nest;
 pub mod parser;
 pub mod region;
+pub mod shape;
 pub mod skeleton;
 pub mod transform;
 
@@ -43,4 +45,5 @@ pub use expr::{AffineExpr, VarId};
 pub use nest::{Bound, Loop, LoopNest, ParallelInfo, Stmt};
 pub use parser::{parse_region, to_source, ParseError};
 pub use region::Region;
+pub use shape::{LoopShape, NestShape, VariantShape};
 pub use skeleton::{ParamDecl, ParamDomain, ParamValue, Skeleton, Step, Variant};

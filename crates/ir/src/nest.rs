@@ -9,7 +9,6 @@
 use crate::access::Access;
 use crate::expr::{AffineExpr, VarId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::fmt;
 
 /// A loop bound: either a plain affine expression or the minimum of two
@@ -36,18 +35,16 @@ impl Bound {
         }
     }
 
-    /// The variables referenced by the bound.
-    pub fn vars(&self) -> Vec<VarId> {
-        match self {
-            Bound::Affine(e) => e.terms().map(|(v, _)| v).collect(),
-            Bound::Min(a, b) => {
-                let mut vs: Vec<_> = a.terms().map(|(v, _)| v).collect();
-                vs.extend(b.terms().map(|(v, _)| v));
-                vs.sort();
-                vs.dedup();
-                vs
-            }
-        }
+    /// The variables referenced by the bound (a variable occurring in both
+    /// arms of a `min` is yielded twice).
+    pub fn vars(&self) -> impl Iterator<Item = VarId> + '_ {
+        let (a, b) = match self {
+            Bound::Affine(e) => (e, None),
+            Bound::Min(a, b) => (a, Some(b)),
+        };
+        a.terms()
+            .chain(b.into_iter().flat_map(|b| b.terms()))
+            .map(|(v, _)| v)
     }
 
     /// If the bound is a constant, return it.
@@ -120,10 +117,14 @@ impl Loop {
         }
     }
 
+    /// `(lower, upper)` if both bounds are constant.
+    pub fn const_bounds(&self) -> Option<(i64, i64)> {
+        Some((self.lower.as_constant()?, self.upper.as_constant()?))
+    }
+
     /// Exact trip count if both bounds are constant.
     pub fn const_trip(&self) -> Option<u64> {
-        let lo = self.lower.as_constant()?;
-        let hi = self.upper.as_constant()?;
+        let (lo, hi) = self.const_bounds()?;
         let n = (hi - lo).max(0) as u64;
         Some(n.div_ceil(self.step as u64))
     }
@@ -235,9 +236,11 @@ impl LoopNest {
     /// Structural validation: unique induction variables, bounds referencing
     /// only variables of enclosing loops, positive steps, sane parallel info.
     pub fn validate(&self) -> Result<(), String> {
-        let mut seen: HashSet<VarId> = HashSet::new();
+        // Allocation-free when the nest is valid: the analytic evaluators
+        // re-check the base nest once per configuration.
+        let declares = |loops: &[Loop], v: VarId| loops.iter().any(|o| o.var == v);
         for (d, l) in self.loops.iter().enumerate() {
-            if !seen.insert(l.var) {
+            if declares(&self.loops[..d], l.var) {
                 return Err(format!(
                     "duplicate induction variable {} at depth {d}",
                     l.var
@@ -246,8 +249,8 @@ impl LoopNest {
             if l.step <= 0 {
                 return Err(format!("non-positive step {} at depth {d}", l.step));
             }
-            for v in l.lower.vars().into_iter().chain(l.upper.vars()) {
-                if !self.loops[..d].iter().any(|o| o.var == v) {
+            for v in l.lower.vars().chain(l.upper.vars()) {
+                if !declares(&self.loops[..d], v) {
                     return Err(format!(
                         "bound of loop {} references {} which is not an outer variable",
                         l.name, v
@@ -259,7 +262,7 @@ impl LoopNest {
             for a in &s.accesses {
                 for e in &a.indices {
                     for (v, _) in e.terms() {
-                        if !seen.contains(&v) {
+                        if !declares(&self.loops, v) {
                             return Err(format!(
                                 "statement {si} accesses {} via unknown variable {v}",
                                 a.array

@@ -8,6 +8,7 @@
 //! native kernel binding).
 
 use crate::nest::LoopNest;
+use crate::shape::{with_loops, ShapeWalk, VariantShape};
 use crate::transform::{self, TransformError};
 use serde::{Deserialize, Serialize};
 
@@ -204,25 +205,34 @@ impl Skeleton {
         }
     }
 
+    /// Index of the first parameter whose value is out of domain (`Err` on
+    /// an arity mismatch).
+    fn first_out_of_domain(&self, values: &[ParamValue]) -> Result<Option<usize>, ()> {
+        if values.len() != self.params.len() {
+            return Err(());
+        }
+        Ok(self
+            .params
+            .iter()
+            .zip(values)
+            .position(|(p, &v)| !p.domain.contains(v)))
+    }
+
     /// Validate a parameter assignment against the declared domains.
     pub fn check_values(&self, values: &[ParamValue]) -> Result<(), TransformError> {
-        if values.len() != self.params.len() {
-            return Err(TransformError(format!(
+        match self.first_out_of_domain(values) {
+            Ok(None) => Ok(()),
+            Ok(Some(i)) => Err(TransformError(format!(
+                "value {} out of domain for parameter {}",
+                values[i], self.params[i].name
+            ))),
+            Err(()) => Err(TransformError(format!(
                 "skeleton {} expects {} parameters, got {}",
                 self.name,
                 self.params.len(),
                 values.len()
-            )));
+            ))),
         }
-        for (p, &v) in self.params.iter().zip(values) {
-            if !p.domain.contains(v) {
-                return Err(TransformError(format!(
-                    "value {v} out of domain for parameter {}",
-                    p.name
-                )));
-            }
-        }
-        Ok(())
     }
 
     /// Clamp an arbitrary assignment to the nearest admissible one.
@@ -274,6 +284,72 @@ impl Skeleton {
             threads,
             unroll,
             values: values.to_vec(),
+        })
+    }
+
+    /// Hand the [shape](crate::shape) of the variant that
+    /// [`instantiate`](Self::instantiate) would build to `f`, without
+    /// building it: no loop names, no bound expressions, no clone of the
+    /// body, and no heap allocation for nests up to 16 loops deep after
+    /// tiling. Returns `None` exactly where `instantiate` returns an error.
+    pub fn with_shape<R>(
+        &self,
+        nest: &LoopNest,
+        values: &[ParamValue],
+        f: impl FnOnce(&VariantShape<'_>) -> R,
+    ) -> Option<R> {
+        if self.first_out_of_domain(values) != Ok(None) {
+            return None;
+        }
+        // Deepest nest the walk reaches. A band the walk would reject is
+        // rejected here, before its width sizes a buffer.
+        let mut depth = nest.depth();
+        let mut structural = false;
+        for step in &self.steps {
+            match step {
+                Step::Tile { band, .. } => {
+                    if *band == 0 || *band > depth {
+                        return None;
+                    }
+                    depth += band;
+                    structural = true;
+                }
+                Step::Interchange { .. } | Step::Parallelize { .. } => structural = true,
+                Step::Collapse { .. } | Step::Unroll { .. } => {}
+            }
+        }
+        // Every structural transformation validates its result, which is
+        // valid exactly when the nest it started from was.
+        if structural && nest.validate().is_err() {
+            return None;
+        }
+        with_loops(depth, |buf| {
+            let mut walk = ShapeWalk::new(nest, buf);
+            let mut threads = 1usize;
+            let mut unroll = 1u32;
+            let mut pending_collapse = 1usize;
+            for step in &self.steps {
+                match step {
+                    Step::Tile { band, size_params } => {
+                        let sizes = size_params.iter().map(|&p| values[p].max(1) as u64);
+                        walk.tile(*band, sizes)?;
+                    }
+                    Step::Interchange { perm } => walk.interchange(perm)?,
+                    Step::Collapse { count } => pending_collapse = (*count).max(1),
+                    Step::Parallelize { threads_param } => {
+                        threads = values[*threads_param].max(1) as usize;
+                        walk.collapse_and_parallelize(pending_collapse, threads)?;
+                    }
+                    Step::Unroll { factor_param } => {
+                        unroll = values[*factor_param].max(1) as u32;
+                    }
+                }
+            }
+            Some(f(&VariantShape {
+                nest: walk.finish(),
+                threads,
+                unroll,
+            }))
         })
     }
 

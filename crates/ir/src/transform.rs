@@ -47,6 +47,71 @@ pub fn interchange(nest: &LoopNest, perm: &[usize]) -> Result<LoopNest, Transfor
     Ok(out)
 }
 
+/// What tiling one band loop with a requested size comes to: the one place
+/// the pre-conditions and the clamp live, shared by [`tile`] (which builds
+/// the loops) and the shape walk of [`crate::shape`] (which only needs the
+/// numbers).
+pub(crate) struct TileGeometry {
+    /// Constant lower bound of the band loop.
+    pub lo: i64,
+    /// Constant upper bound of the band loop.
+    pub hi: i64,
+    /// Trip count of the band loop.
+    pub trip: u64,
+    /// Tile size after clamping to `[1, trip]`.
+    pub ts: u64,
+    /// Number of tiles (the tile loop's trip count).
+    pub num_tiles: u64,
+}
+
+impl TileGeometry {
+    /// Average trip count of the tile loop.
+    pub fn tile_trip(&self) -> f64 {
+        self.num_tiles as f64
+    }
+
+    /// Average trip count of the point loop (partial tiles averaged in).
+    pub fn point_trip(&self) -> f64 {
+        self.trip as f64 / self.num_tiles as f64
+    }
+}
+
+/// Why a loop cannot be a band loop of [`tile`].
+pub(crate) enum Untileable {
+    /// The loop is a tile or point loop already.
+    AlreadyTiled,
+    /// The loop's step is not 1.
+    Step(i64),
+    /// A bound is not a constant.
+    NonConstantBounds,
+}
+
+/// Geometry of tiling a loop of the given kind, step and constant bounds
+/// with the requested tile size.
+pub(crate) fn tile_geometry(
+    kind: LoopKind,
+    step: i64,
+    const_bounds: Option<(i64, i64)>,
+    size: u64,
+) -> Result<TileGeometry, Untileable> {
+    if kind != LoopKind::Plain {
+        return Err(Untileable::AlreadyTiled);
+    }
+    if step != 1 {
+        return Err(Untileable::Step(step));
+    }
+    let (lo, hi) = const_bounds.ok_or(Untileable::NonConstantBounds)?;
+    let trip = (hi - lo).max(0) as u64;
+    let ts = size.clamp(1, trip.max(1));
+    Ok(TileGeometry {
+        lo,
+        hi,
+        trip,
+        ts,
+        num_tiles: trip.div_ceil(ts).max(1),
+    })
+}
+
 /// Tile the outermost `band` loops of `nest` with the given tile sizes.
 ///
 /// Each band loop `for v in lo..hi` (constant bounds, step 1) is split into
@@ -69,33 +134,26 @@ pub fn tile(nest: &LoopNest, band: usize, sizes: &[u64]) -> Result<LoopNest, Tra
     let mut tile_loops = Vec::with_capacity(band);
     let mut point_loops = Vec::with_capacity(band);
     for (idx, l) in nest.loops[..band].iter().enumerate() {
-        if l.kind != LoopKind::Plain {
-            return err(format!("loop {} already tiled", l.name));
-        }
-        if l.step != 1 {
-            return err(format!("cannot tile loop {} with step {}", l.name, l.step));
-        }
-        let (lo, hi) = match (l.lower.as_constant(), l.upper.as_constant()) {
-            (Some(lo), Some(hi)) => (lo, hi),
-            _ => {
-                return err(format!(
-                    "cannot tile loop {} with non-constant bounds",
-                    l.name
-                ))
-            }
-        };
-        let trip = (hi - lo).max(0) as u64;
-        let ts = sizes[idx].clamp(1, trip.max(1));
-        let num_tiles = trip.div_ceil(ts).max(1);
+        let geo = tile_geometry(l.kind, l.step, l.const_bounds(), sizes[idx]).map_err(|why| {
+            TransformError(match why {
+                Untileable::AlreadyTiled => format!("loop {} already tiled", l.name),
+                Untileable::Step(step) => {
+                    format!("cannot tile loop {} with step {step}", l.name)
+                }
+                Untileable::NonConstantBounds => {
+                    format!("cannot tile loop {} with non-constant bounds", l.name)
+                }
+            })
+        })?;
         let tvar = VarId(max_var + 1 + idx as u32);
 
         tile_loops.push(Loop {
             var: tvar,
             name: format!("{}t", l.name),
-            lower: Bound::constant(lo),
-            upper: Bound::constant(hi),
-            step: ts as i64,
-            avg_trip: num_tiles as f64,
+            lower: Bound::constant(geo.lo),
+            upper: Bound::constant(geo.hi),
+            step: geo.ts as i64,
+            avg_trip: geo.tile_trip(),
             kind: LoopKind::Tile { point: l.var },
         });
         point_loops.push(Loop {
@@ -103,12 +161,12 @@ pub fn tile(nest: &LoopNest, band: usize, sizes: &[u64]) -> Result<LoopNest, Tra
             name: l.name.clone(),
             lower: Bound::Affine(AffineExpr::var(tvar)),
             upper: Bound::Min(
-                AffineExpr::constant(hi),
-                AffineExpr::var(tvar).offset(ts as i64),
+                AffineExpr::constant(geo.hi),
+                AffineExpr::var(tvar).offset(geo.ts as i64),
             ),
             step: 1,
-            avg_trip: trip as f64 / num_tiles as f64,
-            kind: LoopKind::Point { tile_size: ts },
+            avg_trip: geo.point_trip(),
+            kind: LoopKind::Point { tile_size: geo.ts },
         });
     }
 

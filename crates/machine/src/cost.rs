@@ -21,9 +21,9 @@
 //! shared cache, which is the central phenomenon of the paper (§II).
 
 use crate::desc::MachineDesc;
-use crate::footprint::{expands_at, nest_footprints};
+use crate::footprint::BodyFootprints;
 use crate::noise::NoiseModel;
-use moat_ir::{ArrayDecl, LoopNest, Variant};
+use moat_ir::{ArrayDecl, LoopNest, NestShape, ParamValue, Stmt, Variant, VariantShape};
 use std::hash::{Hash, Hasher};
 
 /// Cycles charged per iteration of every non-innermost loop (increment,
@@ -113,27 +113,51 @@ impl CostModel {
         threads: usize,
         unroll: u32,
     ) -> CostBreakdown {
+        let mut level_miss_lines = Vec::with_capacity(self.machine.levels.len());
+        let terms = NestShape::with_nest(nest, |shape| {
+            self.cost_terms(arrays, &nest.body, &shape, threads, unroll, |lines| {
+                level_miss_lines.push(lines)
+            })
+        });
+        CostBreakdown {
+            level_miss_lines,
+            ..terms
+        }
+    }
+
+    /// The model itself: the cost of executing `body` inside loops of the
+    /// given shape. Allocates nothing: the fetched lines of every cache
+    /// level go to `level_lines`, innermost level first, and the returned
+    /// breakdown's `level_miss_lines` is left empty.
+    fn cost_terms(
+        &self,
+        arrays: &[ArrayDecl],
+        body: &[Stmt],
+        shape: &NestShape<'_>,
+        threads: usize,
+        unroll: u32,
+        mut level_lines: impl FnMut(f64),
+    ) -> CostBreakdown {
         let m = &self.machine;
-        let depth = nest.depth();
+        let depth = shape.depth();
         assert!(depth >= 1, "cannot cost an empty nest");
-        let threads = if nest.parallel.is_some() {
+        let threads = if shape.parallel.is_some() {
             threads.clamp(1, m.total_cores())
         } else {
             1
         };
 
         let line = m.levels[0].line;
-        let fps = nest_footprints(arrays, nest, line);
-        let trips: Vec<f64> = nest.loops.iter().map(|l| l.avg_trip.max(1.0)).collect();
-        let iters: f64 = trips.iter().product();
+        let trips = || shape.loops.iter().map(|l| l.avg_trip.max(1.0));
+        let iters: f64 = trips().product();
 
         // --- compute & loop management -------------------------------------
-        let flops = nest.flops_per_iter() as f64 * iters;
+        let flops = body.iter().map(|s| s.flops).sum::<u64>() as f64 * iters;
         let ilp = 1.0 + 0.05 * f64::from(unroll.clamp(1, 16)).log2();
         let compute_cycles = flops / (m.flops_per_cycle * ilp);
         let mut overhead_cycles = 0.0;
         let mut partial = 1.0;
-        for t in trips.iter().take(depth.saturating_sub(1)) {
+        for t in trips().take(depth.saturating_sub(1)) {
             partial *= t;
             overhead_cycles += partial * LOOP_OVERHEAD_CYCLES;
         }
@@ -141,46 +165,52 @@ impl CostModel {
         // --- cache traffic per level ----------------------------------------
         // Streams that advance contiguously with the innermost loop are
         // prefetchable: they pay (mostly) bandwidth, not latency.
-        let contiguous = contiguity(nest);
-        let mut level_miss_lines = Vec::with_capacity(m.levels.len());
-        let mut stall_cycles = 0.0;
-        let mut max_transfer_cycles = 0.0f64;
-        for lvl in 0..m.levels.len() {
-            let cap = m.effective_capacity(lvl, threads) as f64;
-            // Outermost depth whose working set fits; the innermost loop is
-            // always kept free so per-stream spatial locality is modeled.
-            let g = (0..depth)
-                .find(|&d| fps[d].total_bytes <= cap)
-                .unwrap_or(depth - 1);
-            let retention_ok = fps[g].total_bytes <= cap;
-            let mut lines_lvl = 0.0;
-            for afp in &fps[g].per_array {
-                let mut reload = 1.0;
-                for (d, t) in trips.iter().enumerate().take(g) {
-                    let retained = retention_ok && d + 1 == g && !expands_at(&fps, afp.array, d);
-                    if !retained {
-                        reload *= t;
+        let (stall_cycles, max_transfer_cycles, mem_lines) =
+            BodyFootprints::with(arrays, body, shape, line, |fps| {
+                let mut stall_cycles = 0.0;
+                let mut max_transfer_cycles = 0.0f64;
+                let mut mem_lines = None;
+                for lvl in 0..m.levels.len() {
+                    let cap = m.effective_capacity(lvl, threads) as f64;
+                    // Outermost depth whose working set fits; the innermost
+                    // loop is always kept free so per-stream spatial
+                    // locality is modeled.
+                    let g = (0..depth)
+                        .find(|&d| fps.total_bytes(d) <= cap)
+                        .unwrap_or(depth - 1);
+                    let retention_ok = fps.total_bytes(g) <= cap;
+                    let mut lines_lvl = 0.0;
+                    for (a, fetched) in fps.lines_at(g) {
+                        let mut reload = 1.0;
+                        for (d, t) in trips().enumerate().take(g) {
+                            let retained = retention_ok && d + 1 == g && !fps.expands_at(a, d);
+                            if !retained {
+                                reload *= t;
+                            }
+                        }
+                        let lines = reload * fetched;
+                        stall_cycles += lines * m.line_latency_cycles(lvl, fps.contiguous(a));
+                        lines_lvl += lines;
                     }
+                    // Per-core transfer throughput at this level: overlaps
+                    // with compute, so it bounds rather than adds.
+                    max_transfer_cycles =
+                        max_transfer_cycles.max(lines_lvl * m.line_transfer_cycles(lvl));
+                    level_lines(lines_lvl);
+                    mem_lines = Some(lines_lvl);
                 }
-                let lines = reload * afp.lines;
-                let contig = contiguous.get(&afp.array).copied().unwrap_or(false);
-                stall_cycles += lines * m.line_latency_cycles(lvl, contig);
-                lines_lvl += lines;
-            }
-            // Per-core transfer throughput at this level: overlaps with
-            // compute, so it bounds rather than adds.
-            max_transfer_cycles = max_transfer_cycles.max(lines_lvl * m.line_transfer_cycles(lvl));
-            level_miss_lines.push(lines_lvl);
-        }
-        let mem_lines = *level_miss_lines
-            .last()
-            .expect("machine without cache levels");
+                (
+                    stall_cycles,
+                    max_transfer_cycles,
+                    mem_lines.expect("machine without cache levels"),
+                )
+            });
         let mem_bytes = mem_lines * line as f64;
 
         // --- parallel distribution ------------------------------------------
-        let imbalance = match nest.parallel {
+        let imbalance = match shape.parallel {
             Some(p) if threads > 1 => {
-                let par_iters: f64 = trips[..p.collapsed].iter().product();
+                let par_iters: f64 = trips().take(p.collapsed).product();
                 let chunks = (par_iters / threads as f64).ceil();
                 ((chunks * threads as f64) / par_iters).max(1.0)
             }
@@ -230,7 +260,7 @@ impl CostModel {
             fork_join_s: fork_join_cycles * spc,
             imbalance,
             bandwidth_bound,
-            level_miss_lines,
+            level_miss_lines: Vec::new(),
             mem_bytes,
             threads,
             energy_j,
@@ -241,10 +271,38 @@ impl CostModel {
     /// configured noise (median of the configured number of runs), plus the
     /// resource-usage objective.
     pub fn measure(&self, arrays: &[ArrayDecl], variant: &Variant) -> Measurement {
-        let base = self.cost(arrays, variant);
+        NestShape::with_nest(&variant.nest, |nest| {
+            let shape = VariantShape {
+                nest,
+                threads: variant.threads,
+                unroll: variant.unroll,
+            };
+            self.measure_shape(arrays, &variant.nest.body, &shape, &variant.values)
+        })
+    }
+
+    /// [`measure`](Self::measure) without the variant: `shape` is what
+    /// [`Skeleton::with_shape`](moat_ir::Skeleton::with_shape) derived from
+    /// `values`, `body` the body of the untransformed nest. Allocates
+    /// nothing.
+    pub fn measure_shape(
+        &self,
+        arrays: &[ArrayDecl],
+        body: &[Stmt],
+        shape: &VariantShape<'_>,
+        values: &[ParamValue],
+    ) -> Measurement {
+        let base = self.cost_terms(
+            arrays,
+            body,
+            &shape.nest,
+            shape.threads,
+            shape.unroll,
+            |_| {},
+        );
         let (time, energy) = match &self.noise {
             Some(n) => {
-                let key = config_key(&self.machine, variant);
+                let key = config_key(&self.machine, values, shape.threads, shape.unroll);
                 // Energy is measured by a separate instrument: independent
                 // noise draw.
                 (
@@ -262,42 +320,15 @@ impl CostModel {
     }
 }
 
-/// Per-array contiguity: `true` if every access to the array advances
-/// stride-1 (or not at all) with the innermost loop — i.e. the innermost
-/// induction variable occurs only in the last subscript, with coefficient
-/// of magnitude ≤ 1. Such streams are tracked by hardware prefetchers.
-fn contiguity(nest: &LoopNest) -> std::collections::HashMap<moat_ir::ArrayId, bool> {
-    let mut out = std::collections::HashMap::new();
-    let Some(inner) = nest.loops.last().map(|l| l.var) else {
-        return out;
-    };
-    for s in &nest.body {
-        for acc in &s.accesses {
-            let entry = out.entry(acc.array).or_insert(true);
-            let rank = acc.indices.len();
-            for (dim, e) in acc.indices.iter().enumerate() {
-                let c = e.coeff(inner);
-                let ok = if dim + 1 == rank {
-                    c.abs() <= 1
-                } else {
-                    c == 0
-                };
-                if !ok {
-                    *entry = false;
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Stable hash key of (machine, configuration) for noise derivation.
-fn config_key(machine: &MachineDesc, variant: &Variant) -> u64 {
+/// Hash key of (machine, configuration) for noise derivation. Every
+/// fixed-seed output depends on these bytes: the value is pinned by
+/// `noise_key_is_pinned` below.
+fn config_key(machine: &MachineDesc, values: &[ParamValue], threads: usize, unroll: u32) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     machine.name.hash(&mut h);
-    variant.values.hash(&mut h);
-    variant.threads.hash(&mut h);
-    variant.unroll.hash(&mut h);
+    values.hash(&mut h);
+    threads.hash(&mut h);
+    unroll.hash(&mut h);
     h.finish()
 }
 
@@ -524,6 +555,27 @@ mod tests {
         let clean = CostModel::new(m).cost(&r.arrays, &v).time_s;
         assert!((a.time_s / clean - 1.0).abs() <= 0.015 + 1e-9);
         assert!((a.resources - a.time_s * 10.0).abs() < 1e-12);
+    }
+
+    /// `DefaultHasher` is not specified to be stable across toolchains, yet
+    /// every fixed-seed output (table6/fig9/ablation, serve resume, the
+    /// benchmark's `front_hv_mean`) is a function of these bytes. A
+    /// toolchain that moves them must fail here, loudly, not there.
+    #[test]
+    fn noise_key_is_pinned() {
+        let m = MachineDesc::westmere();
+        assert_eq!(m.name, "Westmere");
+        let key = config_key(&m, &[16, 16, 8, 10], 10, 1);
+        assert_eq!(
+            key, 4_189_078_934_551_301_229,
+            "std's DefaultHasher changed"
+        );
+        let median = NoiseModel::default().median_time(key, 1.0);
+        assert_eq!(
+            median.to_bits(),
+            4_607_205_931_452_754_453,
+            "noise draw moved: {median}"
+        );
     }
 
     #[test]

@@ -112,34 +112,30 @@ impl MachineDesc {
 
     /// Threads placed on each chip when running `threads` total, under the
     /// paper's placement policy: fill a chip completely before involving the
-    /// next one. Returns a vector of per-chip counts (length = sockets).
-    pub fn placement(&self, threads: usize) -> Vec<usize> {
+    /// next one. Yields one count per chip.
+    fn chip_loads(&self, threads: usize) -> impl Iterator<Item = usize> + '_ {
         let threads = threads.min(self.total_cores());
-        let mut out = vec![0usize; self.sockets];
-        let mut left = threads;
-        for slot in out.iter_mut() {
-            let here = left.min(self.cores_per_socket);
-            *slot = here;
-            left -= here;
-            if left == 0 {
-                break;
-            }
-        }
-        out
+        (0..self.sockets).map(move |chip| {
+            threads
+                .saturating_sub(chip * self.cores_per_socket)
+                .min(self.cores_per_socket)
+        })
+    }
+
+    /// [`chip_loads`](Self::chip_loads) as a vector of per-chip counts
+    /// (length = sockets).
+    pub fn placement(&self, threads: usize) -> Vec<usize> {
+        self.chip_loads(threads).collect()
     }
 
     /// Number of chips hosting at least one thread.
     pub fn chips_used(&self, threads: usize) -> usize {
-        self.placement(threads).iter().filter(|&&c| c > 0).count()
+        self.chip_loads(threads).filter(|&c| c > 0).count()
     }
 
     /// Largest number of threads sharing one chip for a team of `threads`.
     pub fn max_threads_per_chip(&self, threads: usize) -> usize {
-        self.placement(threads)
-            .into_iter()
-            .max()
-            .unwrap_or(1)
-            .max(1)
+        self.chip_loads(threads).max().unwrap_or(1).max(1)
     }
 
     /// Effective capacity of cache level `lvl` available to one thread of a

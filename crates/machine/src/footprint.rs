@@ -14,7 +14,8 @@
 //! dimension.
 
 use moat_ir::nest::LoopKind;
-use moat_ir::{ArrayDecl, ArrayId, LoopNest, VarId};
+use moat_ir::shape::with_scratch;
+use moat_ir::{Access, ArrayDecl, ArrayId, LoopNest, LoopShape, NestShape, Stmt, VarId};
 
 /// Footprint of one array at one depth.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,53 +49,204 @@ impl DepthFootprint {
     }
 }
 
-/// Span (number of distinct values) of each induction variable when the
-/// loops at depth `>= d` are free.
-fn var_spans(nest: &LoopNest, d: usize) -> Vec<(VarId, u64)> {
-    nest.loops
-        .iter()
-        .enumerate()
-        .map(|(l, lp)| {
-            let span = if l < d {
-                1
-            } else {
-                match lp.kind {
-                    LoopKind::Point { tile_size } => {
-                        // If the matching tile loop is also free, the point
-                        // variable effectively covers the original extent.
-                        let tile_loop = nest
-                            .loops
-                            .iter()
-                            .position(
-                                |t| matches!(t.kind, LoopKind::Tile { point } if point == lp.var),
-                            )
-                            .expect("point loop without tile loop");
-                        if tile_loop >= d {
-                            full_extent(nest, tile_loop)
-                        } else {
-                            tile_size
-                        }
-                    }
-                    // Tile variables do not appear in subscripts; their span
-                    // is irrelevant (they are folded into the point span).
-                    LoopKind::Tile { .. } => 1,
-                    LoopKind::Plain => lp.avg_trip.ceil() as u64,
-                }
-            };
-            (lp.var, span.max(1))
-        })
-        .collect()
+/// Array × depth cells a [`BodyFootprints`] table holds on the stack.
+const INLINE_CELLS: usize = 8 * 17;
+/// Loops and arrays whose per-item scratch is held on the stack.
+const INLINE_ITEMS: usize = 16;
+
+/// `reach[d]` = span − 1 of the induction variable of loop `l`, the span
+/// being its number of distinct values when the loops at depth `>= d` are
+/// free: 1 once the loop itself is fixed (`d` beyond it); else, for a point
+/// loop, the original extent while its tile loop is free too and the tile
+/// size after; else the trip count.
+fn fill_reach(loops: &[LoopShape], l: usize, reach: &mut [i64]) {
+    let lp = &loops[l];
+    let (narrow, wide, widens_until) = match lp.kind {
+        LoopKind::Point { tile_size } => {
+            let tile_loop = loops
+                .iter()
+                .position(|t| matches!(t.kind, LoopKind::Tile { point } if point == lp.var))
+                .expect("point loop without tile loop");
+            (tile_size, full_extent(&loops[tile_loop]), tile_loop)
+        }
+        // Tile variables do not appear in subscripts; their span is
+        // irrelevant (they are folded into the point span).
+        LoopKind::Tile { .. } => (1, 1, 0),
+        LoopKind::Plain => {
+            let span = lp.avg_trip.ceil() as u64;
+            (span, span, 0)
+        }
+    };
+    for (d, reach) in reach.iter_mut().enumerate() {
+        let span = if l < d {
+            1
+        } else if widens_until >= d {
+            wide
+        } else {
+            narrow
+        };
+        *reach = span.max(1) as i64 - 1;
+    }
 }
 
-/// Extent (in values) of the loop at index `l`, from its constant bounds.
-fn full_extent(nest: &LoopNest, l: usize) -> u64 {
-    let lp = &nest.loops[l];
-    match (lp.lower.as_constant(), lp.upper.as_constant()) {
-        (Some(lo), Some(hi)) => (hi - lo).max(0) as u64,
+/// Extent (in values) of a loop, from its constant bounds.
+fn full_extent(lp: &LoopShape) -> u64 {
+    match lp.const_bounds {
+        Some((lo, hi)) => (hi - lo).max(0) as u64,
         // Non-constant tile loops cannot occur (tiling requires constant
         // bounds); fall back to the average trip count.
-        _ => lp.avg_trip.ceil() as u64,
+        None => lp.avg_trip.ceil() as u64,
     }
+}
+
+fn accesses(body: &[Stmt]) -> impl Iterator<Item = &Access> + Clone {
+    body.iter().flat_map(|s| &s.accesses)
+}
+
+/// Accessed arrays in first-touch order.
+fn touched(body: &[Stmt]) -> impl Iterator<Item = ArrayId> + '_ {
+    accesses(body)
+        .enumerate()
+        .filter(|(i, a)| !accesses(body).take(*i).any(|b| b.array == a.array))
+        .map(|(_, a)| a.array)
+}
+
+/// Lines and line-granular bytes of one array's footprint.
+#[derive(Debug, Clone, Copy, Default)]
+struct Extent {
+    lines: f64,
+    bytes: f64,
+}
+
+/// Subscript range of one array dimension at one depth: the union over the
+/// array's accesses, and the access being added to it.
+#[derive(Debug, Clone, Copy)]
+struct DimRange {
+    lo: i64,
+    hi: i64,
+    access_lo: i64,
+    access_hi: i64,
+}
+
+/// The nest-wide inputs of the per-array footprint computation.
+struct Footprinter<'a> {
+    arrays: &'a [ArrayDecl],
+    body: &'a [Stmt],
+    loops: &'a [LoopShape],
+    /// Depths `0..=depth` of the nest.
+    rows: usize,
+    /// `reach[l * rows + d]`: span − 1 of the variable of loop `l` when
+    /// the loops at depth `>= d` are free.
+    reach: &'a [i64],
+    line_size: u64,
+}
+
+impl Footprinter<'_> {
+    /// Set one up for `shape` over `body` and hand it to `f`.
+    fn with<R>(
+        arrays: &[ArrayDecl],
+        body: &[Stmt],
+        shape: &NestShape<'_>,
+        line_size: u64,
+        f: impl FnOnce(&Footprinter<'_>) -> R,
+    ) -> R {
+        let rows = shape.depth() + 1;
+        with_scratch::<_, { INLINE_ITEMS * (INLINE_ITEMS + 1) }, _>(
+            shape.depth() * rows,
+            0i64,
+            |reach| {
+                for (l, reach) in reach.chunks_mut(rows).enumerate() {
+                    fill_reach(shape.loops, l, reach);
+                }
+                f(&Footprinter {
+                    arrays,
+                    body,
+                    loops: shape.loops,
+                    rows,
+                    reach,
+                    line_size,
+                })
+            },
+        )
+    }
+
+    /// Footprint of array `id` at every depth `d`, into `out[d]`
+    /// (`out.len()` = nest depth + 1). Interval analysis of the affine
+    /// subscripts: a variable contributes `coeff × [0, span − 1]`, the
+    /// ranges of all accesses to the array are united per dimension, and
+    /// the extent of the union is clamped to the array's. Every extent is
+    /// also reported to `extent(d, e)`, outermost dimension first.
+    fn array(&self, id: ArrayId, out: &mut [Extent], mut extent: impl FnMut(usize, u64)) {
+        let decl = self
+            .arrays
+            .iter()
+            .find(|a| a.id == id)
+            .expect("access to undeclared array");
+        let last = decl
+            .dims
+            .len()
+            .checked_sub(1)
+            .expect("array without dimensions");
+        // `lines` holds the product of the outer extents until the last
+        // dimension turns it into a line count.
+        out.fill(Extent {
+            lines: 1.0,
+            bytes: 0.0,
+        });
+        let empty = DimRange {
+            lo: i64::MAX,
+            hi: i64::MIN,
+            access_lo: 0,
+            access_hi: 0,
+        };
+        with_scratch::<_, { INLINE_ITEMS + 1 }, _>(out.len(), empty, |ranges| {
+            for (dim, &size) in decl.dims.iter().enumerate() {
+                ranges.fill(empty);
+                for acc in accesses(self.body).filter(|a| a.array == id) {
+                    let e = &acc.indices[dim];
+                    for r in ranges.iter_mut() {
+                        r.access_lo = e.constant_part();
+                        r.access_hi = e.constant_part();
+                    }
+                    for (v, c) in e.terms() {
+                        // A variable of no loop is a single point.
+                        let Some(l) = self.loops.iter().position(|lp| lp.var == v) else {
+                            continue;
+                        };
+                        let reach = &self.reach[l * self.rows..][..self.rows];
+                        for (r, reach) in ranges.iter_mut().zip(reach) {
+                            if c >= 0 {
+                                r.access_hi += c * reach;
+                            } else {
+                                r.access_lo += c * reach;
+                            }
+                        }
+                    }
+                    for r in ranges.iter_mut() {
+                        r.lo = r.lo.min(r.access_lo);
+                        r.hi = r.hi.max(r.access_hi);
+                    }
+                }
+                for (d, (r, cell)) in ranges.iter().zip(out.iter_mut()).enumerate() {
+                    let e = ((r.hi - r.lo + 1).max(1) as u64).min(size.max(1));
+                    extent(d, e);
+                    if dim < last {
+                        cell.lines *= e as f64;
+                    } else {
+                        let inner_bytes = e * decl.elem_size;
+                        cell.lines *= (inner_bytes as f64 / self.line_size as f64).ceil().max(1.0);
+                        cell.bytes = cell.lines * self.line_size as f64;
+                    }
+                }
+            }
+        });
+    }
+}
+
+/// True if a footprint of `outer_bytes` at one depth strictly shrinks to
+/// `inner_bytes` one loop further in.
+fn shrinks(outer_bytes: f64, inner_bytes: f64) -> bool {
+    outer_bytes > inner_bytes * 1.000001
 }
 
 /// Compute the footprint of every accessed array at every depth `0..=depth`.
@@ -107,73 +259,34 @@ pub fn nest_footprints(
     nest: &LoopNest,
     line_size: u64,
 ) -> Vec<DepthFootprint> {
-    // Accessed arrays in first-touch order.
-    let mut touched: Vec<ArrayId> = Vec::new();
-    for s in &nest.body {
-        for a in &s.accesses {
-            if !touched.contains(&a.array) {
-                touched.push(a.array);
-            }
-        }
-    }
-
-    (0..=nest.depth())
-        .map(|d| {
-            let spans = var_spans(nest, d);
-            let bounds = |v: VarId| -> (i64, i64) {
-                let span = spans
-                    .iter()
-                    .find(|(sv, _)| *sv == v)
-                    .map(|(_, s)| *s)
-                    .unwrap_or(1);
-                (0, span as i64 - 1)
-            };
-            let per_array: Vec<ArrayFootprint> = touched
-                .iter()
-                .map(|&id| {
-                    let decl = arrays
-                        .iter()
-                        .find(|a| a.id == id)
-                        .expect("access to undeclared array");
-                    let rank = decl.dims.len();
-                    // Per-dimension union of subscript ranges across all
-                    // accesses to this array.
-                    let mut lo = vec![i64::MAX; rank];
-                    let mut hi = vec![i64::MIN; rank];
-                    for s in &nest.body {
-                        for acc in s.accesses.iter().filter(|a| a.array == id) {
-                            for (dim, e) in acc.indices.iter().enumerate() {
-                                let (l, h) = e.range(&bounds);
-                                lo[dim] = lo[dim].min(l);
-                                hi[dim] = hi[dim].max(h);
-                            }
-                        }
-                    }
-                    let extents: Vec<u64> = lo
-                        .iter()
-                        .zip(&hi)
-                        .zip(&decl.dims)
-                        .map(|((&l, &h), &dim)| ((h - l + 1).max(1) as u64).min(dim.max(1)))
-                        .collect();
-                    let outer: f64 = extents[..rank - 1].iter().map(|&e| e as f64).product();
-                    let inner_bytes = extents[rank - 1] * decl.elem_size;
-                    let lines = outer * (inner_bytes as f64 / line_size as f64).ceil().max(1.0);
-                    ArrayFootprint {
-                        array: id,
+    let mut fps: Vec<DepthFootprint> = (0..=nest.depth())
+        .map(|depth| DepthFootprint {
+            depth,
+            per_array: Vec::new(),
+            total_bytes: 0.0,
+        })
+        .collect();
+    NestShape::with_nest(nest, |shape| {
+        Footprinter::with(arrays, &nest.body, &shape, line_size, |fp| {
+            let mut cells = vec![Extent::default(); fps.len()];
+            for array in touched(&nest.body) {
+                let mut extents = vec![Vec::new(); fps.len()];
+                fp.array(array, &mut cells, |d, e| extents[d].push(e));
+                for ((fp, cell), extents) in fps.iter_mut().zip(&cells).zip(extents) {
+                    fp.per_array.push(ArrayFootprint {
+                        array,
                         extents,
-                        lines,
-                        bytes: lines * line_size as f64,
-                    }
-                })
-                .collect();
-            let total_bytes = per_array.iter().map(|a| a.bytes).sum();
-            DepthFootprint {
-                depth: d,
-                per_array,
-                total_bytes,
+                        lines: cell.lines,
+                        bytes: cell.bytes,
+                    });
+                }
             }
         })
-        .collect()
+    });
+    for fp in &mut fps {
+        fp.total_bytes = fp.per_array.iter().map(|a| a.bytes).sum();
+    }
+    fps
 }
 
 /// True if `array`'s footprint strictly shrinks from depth `d` to `d + 1`,
@@ -181,9 +294,103 @@ pub fn nest_footprints(
 /// is not invariant under that loop).
 pub fn expands_at(fps: &[DepthFootprint], array: ArrayId, d: usize) -> bool {
     match (fps[d].array(array), fps[d + 1].array(array)) {
-        (Some(a), Some(b)) => a.bytes > b.bytes * 1.000001,
+        (Some(a), Some(b)) => shrinks(a.bytes, b.bytes),
         _ => false,
     }
+}
+
+/// What the cost model reads of a nest's footprints — per depth and array
+/// the lines and bytes, per array whether it streams contiguously — without
+/// the extents and without the heap: the table lives in fixed-size scratch
+/// (nests beyond 16 loops, 16 arrays or 136 cells spill to the heap).
+pub(crate) struct BodyFootprints<'s> {
+    /// Depths per array (nest depth + 1).
+    rows: usize,
+    /// `arrays × rows`, one array (first-touch order) after the other.
+    cells: &'s [Extent],
+    /// Per array.
+    contiguous: &'s [bool],
+}
+
+impl BodyFootprints<'_> {
+    /// Compute the table for `shape` over `body` and hand it to `f`.
+    pub fn with<R>(
+        arrays: &[ArrayDecl],
+        body: &[Stmt],
+        shape: &NestShape<'_>,
+        line_size: u64,
+        f: impl FnOnce(&BodyFootprints<'_>) -> R,
+    ) -> R {
+        let rows = shape.depth() + 1;
+        let n = touched(body).count();
+        with_scratch::<_, INLINE_CELLS, _>(n * rows, Extent::default(), |cells| {
+            Footprinter::with(arrays, body, shape, line_size, |fp| {
+                for (cells, array) in cells.chunks_mut(rows).zip(touched(body)) {
+                    fp.array(array, cells, |_, _| {});
+                }
+            });
+            with_scratch::<_, INLINE_ITEMS, _>(n, false, |contiguous| {
+                if let Some(inner) = shape.loops.last() {
+                    for (flag, array) in contiguous.iter_mut().zip(touched(body)) {
+                        *flag = streams_contiguously(body, array, inner.var);
+                    }
+                }
+                f(&BodyFootprints {
+                    rows,
+                    cells,
+                    contiguous,
+                })
+            })
+        })
+    }
+
+    /// The cells of depth `d`, one per accessed array in first-touch order.
+    fn at(&self, d: usize) -> impl Iterator<Item = &Extent> {
+        self.cells.iter().skip(d).step_by(self.rows)
+    }
+
+    /// Sum of line-granular bytes across arrays at depth `d`.
+    pub fn total_bytes(&self, d: usize) -> f64 {
+        self.at(d).map(|c| c.bytes).sum()
+    }
+
+    /// Distinct lines of each accessed array (first-touch order) at depth
+    /// `d`, with its index for [`expands_at`](Self::expands_at) and
+    /// [`contiguous`](Self::contiguous).
+    pub fn lines_at(&self, d: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.at(d).map(|c| c.lines).enumerate()
+    }
+
+    /// Whether array `a`'s footprint strictly shrinks from depth `d` to
+    /// `d + 1` (see [`expands_at`]).
+    pub fn expands_at(&self, a: usize, d: usize) -> bool {
+        let of_array = &self.cells[a * self.rows..];
+        shrinks(of_array[d].bytes, of_array[d + 1].bytes)
+    }
+
+    /// Whether array `a` advances stride-1 (or not at all) with the
+    /// innermost loop.
+    pub fn contiguous(&self, a: usize) -> bool {
+        self.contiguous[a]
+    }
+}
+
+/// Per-array contiguity: `true` if every access to the array advances
+/// stride-1 (or not at all) with the innermost loop — i.e. the innermost
+/// induction variable occurs only in the last subscript, with coefficient
+/// of magnitude ≤ 1. Such streams are tracked by hardware prefetchers.
+fn streams_contiguously(body: &[Stmt], array: ArrayId, inner: VarId) -> bool {
+    accesses(body).filter(|a| a.array == array).all(|acc| {
+        let rank = acc.indices.len();
+        acc.indices.iter().enumerate().all(|(dim, e)| {
+            let c = e.coeff(inner);
+            if dim + 1 == rank {
+                c.abs() <= 1
+            } else {
+                c == 0
+            }
+        })
+    })
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@
 //! run index). Taking the median over `runs` draws then behaves like the
 //! paper's measurement protocol while staying bit-for-bit deterministic.
 
+use moat_ir::shape::with_scratch;
 use serde::{Deserialize, Serialize};
 
 /// Multiplicative noise description.
@@ -49,11 +50,15 @@ impl NoiseModel {
 
     /// Median of `runs` noisy samples of `base`.
     pub fn median_time(&self, key: u64, base: f64) -> f64 {
-        let mut samples: Vec<f64> = (0..self.runs.max(1))
-            .map(|r| base * self.factor(key, r))
-            .collect();
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("NaN in noise samples"));
-        samples[samples.len() / 2]
+        let runs = self.runs.max(1);
+        // Up to 8 repetitions are drawn on the stack.
+        with_scratch::<_, 8, _>(runs as usize, 0.0f64, |samples| {
+            for (r, sample) in (0..runs).zip(samples.iter_mut()) {
+                *sample = base * self.factor(key, r);
+            }
+            samples.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN in noise samples"));
+            samples[samples.len() / 2]
+        })
     }
 }
 

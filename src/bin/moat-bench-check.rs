@@ -7,7 +7,8 @@
 //!
 //! `gates` validates a single benchmark document against its absolute
 //! quality gates (overload goodput held, tracing overhead < 2%, flight
-//! recorder < 1%, surrogate E reduction, …) — cheap enough for CI on the
+//! recorder < 1%, surrogate E reduction, analytic evaluations/s ≥ 5× the
+//! PR-3 baseline, …) — cheap enough for CI on the
 //! committed baselines. `compare` additionally checks a fresh run against
 //! a committed baseline with per-metric tolerances: deterministic outputs
 //! (evaluation counts, dedupe rates, front sizes, hypervolumes) must
@@ -166,12 +167,22 @@ impl Checks {
     }
 }
 
-/// BENCH_eval.json gates: library tracing stays under its 2% promise and
-/// surrogate screening overhead stays sane.
+/// `analytic_eval.evals_per_s` when ROADMAP item 3 set its target (the
+/// PR-3 baseline, measured with a loop nest built per configuration).
+const ANALYTIC_EVALS_PER_S_PR3: f64 = 104_841.0;
+
+/// BENCH_eval.json gates: library tracing stays under its 2% promise,
+/// surrogate screening overhead stays sane, and analytic evaluation holds
+/// ROADMAP item 3's ≥ 5× over its PR-3 baseline.
 fn eval_gates(c: &mut Checks, doc: &Value) {
     c.max_abs(doc, "tracing.overhead_pct", 2.0);
     c.max_abs(doc, "surrogate.overhead_pct", 10.0);
     c.min_abs(doc, "cachesim.speedup", 2.0);
+    c.min_abs(
+        doc,
+        "analytic_eval.evals_per_s",
+        5.0 * ANALYTIC_EVALS_PER_S_PR3,
+    );
 }
 
 /// BENCH_serve.json gates: graceful overload plus the ISSUE 10 tracing

@@ -1,10 +1,50 @@
 //! Binding between the generic optimizer and the simulated machines: the
 //! objective function that instantiates a skeleton configuration and
 //! "executes" it on the analytic cost model.
+//!
+//! Every evaluator here costs a configuration from the *shape* of its
+//! variant ([`Skeleton::with_shape`]) over the region's own body: no loop
+//! nest is built per configuration and the returned objective vector is
+//! the only allocation.
 
 use moat_core::{Config, Domain, Evaluator, ObjVec, ParamSpace};
-use moat_ir::{ParamDecl, ParamDomain, Region, Skeleton, Step};
-use moat_machine::CostModel;
+use moat_ir::shape::with_scratch;
+use moat_ir::{ParamDecl, ParamDomain, ParamValue, Region, Skeleton, Step};
+use moat_machine::{CostModel, Measurement};
+
+/// Parameter values an evaluator derives from a configuration (projected,
+/// or with a hard-wired value appended) that are held on the stack.
+const INLINE_VALUES: usize = 16;
+
+/// "Execute" `skeleton` of `region` under `values` on `model`; `None` where
+/// the skeleton does not instantiate.
+fn measure(
+    region: &Region,
+    skeleton: &Skeleton,
+    model: &CostModel,
+    values: &[ParamValue],
+) -> Option<Measurement> {
+    skeleton.with_shape(&region.nest, values, |shape| {
+        model.measure_shape(&region.arrays, &region.nest.body, shape, values)
+    })
+}
+
+/// `measure` for a skeleton that is fed another skeleton's configurations:
+/// `raw` is projected onto the skeleton's own domains first.
+fn measure_nearest(
+    region: &Region,
+    skeleton: &Skeleton,
+    model: &CostModel,
+    raw: &[ParamValue],
+) -> Option<Measurement> {
+    let n = raw.len().min(skeleton.params.len());
+    with_scratch::<_, INLINE_VALUES, _>(n, 0, |values| {
+        for ((slot, p), &v) in values.iter_mut().zip(&skeleton.params).zip(raw) {
+            *slot = p.domain.nearest(v);
+        }
+        measure(region, skeleton, model, values)
+    })
+}
 
 /// The two objectives of the paper's instantiation, both minimized.
 pub const OBJECTIVE_NAMES: [&str; 2] = ["time_s", "cpu_seconds"];
@@ -79,8 +119,7 @@ impl Evaluator for SimEvaluator<'_> {
     }
 
     fn evaluate(&self, cfg: &Config) -> Option<ObjVec> {
-        let variant = self.skeleton.instantiate(&self.region.nest, cfg).ok()?;
-        let m = self.model.measure(&self.region.arrays, &variant);
+        let m = measure(self.region, self.skeleton, self.model, cfg)?;
         Some(vec![m.time_s, m.resources])
     }
 }
@@ -133,10 +172,10 @@ impl Evaluator for FixedUnrollEvaluator<'_> {
     }
 
     fn evaluate(&self, cfg: &Config) -> Option<ObjVec> {
-        let mut values = cfg.clone();
-        values.push(self.factor);
-        let variant = self.skeleton.instantiate(&self.region.nest, &values).ok()?;
-        let m = self.model.measure(&self.region.arrays, &variant);
+        let m = with_scratch::<_, INLINE_VALUES, _>(cfg.len() + 1, self.factor, |values| {
+            values[..cfg.len()].copy_from_slice(cfg);
+            measure(self.region, &self.skeleton, self.model, values)
+        })?;
         Some(vec![m.time_s, m.resources])
     }
 }
@@ -195,9 +234,8 @@ impl Evaluator for AltSkeletonEvaluator<'_> {
 
     fn evaluate(&self, cfg: &Config) -> Option<ObjVec> {
         let sk = &self.region.skeletons[self.index];
-        let values = self.project(cfg);
-        let variant = sk.instantiate(&self.region.nest, &values).ok()?;
-        let m = self.model.measure(&self.region.arrays, &variant);
+        let n = sk.params.len().min(cfg.len());
+        let m = measure_nearest(self.region, sk, self.model, &cfg[..n])?;
         Some(vec![m.time_s, m.resources])
     }
 }
@@ -222,8 +260,7 @@ impl Evaluator for MultiObjectiveEvaluator<'_> {
     }
 
     fn evaluate(&self, cfg: &Config) -> Option<ObjVec> {
-        let variant = self.skeleton.instantiate(&self.region.nest, cfg).ok()?;
-        let m = self.model.measure(&self.region.arrays, &variant);
+        let m = measure(self.region, self.skeleton, self.model, cfg)?;
         Some(self.objectives.iter().map(|o| o.of(&m)).collect())
     }
 }
@@ -271,10 +308,14 @@ impl SkeletonChoiceEvaluator<'_> {
     /// Decode one combined configuration into (skeleton index, projected
     /// per-skeleton values).
     pub fn decode(&self, cfg: &Config) -> (usize, Vec<i64>) {
-        let idx = (cfg[0].max(0) as usize).min(self.region.skeletons.len() - 1);
+        let idx = self.skeleton_index(cfg);
         let sk = &self.region.skeletons[idx];
-        let raw: Vec<i64> = cfg[1..1 + sk.params.len()].to_vec();
-        (idx, sk.nearest_values(&raw))
+        (idx, sk.nearest_values(&cfg[1..1 + sk.params.len()]))
+    }
+
+    /// The skeleton the first dimension of `cfg` selects.
+    fn skeleton_index(&self, cfg: &Config) -> usize {
+        (cfg[0].max(0) as usize).min(self.region.skeletons.len() - 1)
     }
 }
 
@@ -284,10 +325,9 @@ impl Evaluator for SkeletonChoiceEvaluator<'_> {
     }
 
     fn evaluate(&self, cfg: &Config) -> Option<ObjVec> {
-        let (idx, values) = self.decode(cfg);
+        let idx = self.skeleton_index(cfg);
         let sk = &self.region.skeletons[idx];
-        let variant = sk.instantiate(&self.region.nest, &values).ok()?;
-        let m = self.model.measure(&self.region.arrays, &variant);
+        let m = measure_nearest(self.region, sk, self.model, &cfg[1..1 + sk.params.len()])?;
         Some(vec![m.time_s, m.resources])
     }
 }
