@@ -43,21 +43,38 @@ impl CacheConfig {
 
 /// A set-associative LRU cache with write-back/write-allocate semantics.
 /// Tracks accesses, misses and dirty write-backs; no data is stored, only
-/// tags and dirty bits.
+/// line numbers and dirty bits. One bit of each slot holds the dirty flag,
+/// so line numbers must stay below 2^63 − 1: any byte address below 2^63
+/// with lines of two bytes or more.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// `sets[s]` holds `(tag, dirty)` of set `s`, most recently used first.
-    sets: Vec<Vec<(u64, bool)>>,
+    /// All sets in one array: set `s` is `slots[s * assoc..][..assoc]`,
+    /// most recently used first, each slot `line << 1 | dirty` or
+    /// [`EMPTY`]. Empty slots only ever sit at the tail of a set.
+    slots: Vec<u64>,
     /// `log2(line_size)` — line size is a power of two by construction.
     line_shift: u32,
     num_sets: u64,
-    /// `log2(num_sets)` when the set count is a power of two (the common
-    /// geometry); `None` falls back to div/mod indexing.
-    sets_shift: Option<u32>,
+    /// `num_sets - 1` when the set count is a power of two (the common
+    /// geometry); `None` falls back to modulo indexing.
+    sets_mask: Option<u64>,
     accesses: u64,
     misses: u64,
     writebacks: u64,
+}
+
+/// An unoccupied slot; no admissible line encodes to it, dirty or clean.
+const EMPTY: u64 = u64::MAX;
+
+/// Free the MRU slot: slots `..p` each move one place toward the LRU end,
+/// over slot `p`. A plain loop on purpose — sets are a handful of slots,
+/// and the `memmove` call behind `copy_within` costs more than the moves.
+#[inline]
+fn age(set: &mut [u64], p: usize) {
+    for k in (0..p).rev() {
+        set[k + 1] = set[k];
+    }
 }
 
 impl Cache {
@@ -66,12 +83,10 @@ impl Cache {
         let num_sets = cfg.num_sets();
         Cache {
             cfg,
-            sets: vec![Vec::new(); num_sets as usize],
+            slots: vec![EMPTY; (num_sets * cfg.assoc as u64) as usize],
             line_shift: cfg.line_size.trailing_zeros(),
             num_sets,
-            sets_shift: num_sets
-                .is_power_of_two()
-                .then(|| num_sets.trailing_zeros()),
+            sets_mask: num_sets.is_power_of_two().then(|| num_sets - 1),
             accesses: 0,
             misses: 0,
             writebacks: 0,
@@ -83,43 +98,32 @@ impl Cache {
         self.cfg
     }
 
-    /// Split `addr` into `(set index, tag)`. Shift/mask for power-of-two
-    /// set counts, div/mod otherwise — numerically identical either way.
+    /// Where `addr` lives: the slot range of its set and the slot value of
+    /// its line when clean.
     #[inline]
-    fn locate(&self, addr: u64) -> (usize, u64) {
+    fn locate(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
         let line = addr >> self.line_shift;
-        match self.sets_shift {
-            Some(s) => ((line & (self.num_sets - 1)) as usize, line >> s),
-            None => ((line % self.num_sets) as usize, line / self.num_sets),
-        }
-    }
-
-    /// Reconstruct the byte address of the line `(set_idx, tag)`.
-    #[inline]
-    fn line_addr(&self, set_idx: usize, tag: u64) -> u64 {
-        let line = match self.sets_shift {
-            Some(s) => (tag << s) | set_idx as u64,
-            None => tag * self.num_sets + set_idx as u64,
-        };
-        line << self.line_shift
+        debug_assert!(line < EMPTY >> 1, "byte address {addr:#x} out of range");
+        let set = match self.sets_mask {
+            Some(m) => line & m,
+            None => line % self.num_sets,
+        } as usize;
+        let assoc = self.cfg.assoc as usize;
+        (set * assoc..(set + 1) * assoc, line << 1)
     }
 
     /// Read the byte at `addr`. Returns `true` on hit. On miss the line is
     /// installed, evicting (and possibly writing back) the LRU line of its
     /// set if necessary.
     pub fn access(&mut self, addr: u64) -> bool {
-        self.touch(addr, false)
+        self.touch_evicting(addr, false).0
     }
 
     /// Write the byte at `addr` (write-allocate): like [`access`](Self::access)
     /// but the line is marked dirty; a later eviction counts as a
     /// write-back.
     pub fn write(&mut self, addr: u64) -> bool {
-        self.touch(addr, true)
-    }
-
-    fn touch(&mut self, addr: u64, is_write: bool) -> bool {
-        self.touch_evicting(addr, is_write).0
+        self.touch_evicting(addr, true).0
     }
 
     /// Like [`access`](Self::access)/[`write`](Self::write) but also
@@ -127,39 +131,47 @@ impl Cache {
     /// written back to the next level), if any.
     pub fn touch_evicting(&mut self, addr: u64, is_write: bool) -> (bool, Option<u64>) {
         self.accesses += 1;
-        let (set_idx, tag) = self.locate(addr);
-        let assoc = self.cfg.assoc as usize;
-        if let Some(pos) = self.sets[set_idx].iter().position(|&(t, _)| t == tag) {
-            // Hit: move to MRU position, accumulate dirtiness.
-            let set = &mut self.sets[set_idx];
-            let (_, dirty) = set.remove(pos);
-            set.insert(0, (tag, dirty || is_write));
+        if self.promote(addr, is_write) {
             (true, None)
         } else {
             self.misses += 1;
-            let evicted = self.install(set_idx, tag, is_write, assoc);
-            (false, evicted)
+            (false, self.install(addr, is_write))
         }
     }
 
-    /// Insert `(tag, dirty)` at the MRU position of `set_idx`, evicting the
-    /// LRU line if the set is full. Returns the byte address of a dirty
+    /// Move `addr`'s line to the MRU slot of its set, accumulating
+    /// dirtiness; `false` (and no change) when it is not resident.
+    #[inline]
+    fn promote(&mut self, addr: u64, dirty: bool) -> bool {
+        let (range, clean) = self.locate(addr);
+        let set = &mut self.slots[range];
+        if set[0] & !1 == clean {
+            set[0] |= dirty as u64;
+            return true;
+        }
+        let Some(p) = set.iter().position(|&s| s & !1 == clean) else {
+            return false;
+        };
+        let hit = set[p];
+        age(set, p);
+        set[0] = hit | dirty as u64;
+        true
+    }
+
+    /// Insert `addr`'s (absent) line at the MRU slot of its set, evicting
+    /// the LRU line if the set is full. Returns the byte address of a dirty
     /// victim, if any.
     #[inline]
-    fn install(&mut self, set_idx: usize, tag: u64, dirty: bool, assoc: usize) -> Option<u64> {
-        let mut victim = None;
-        let set = &mut self.sets[set_idx];
-        if set.len() == assoc {
-            if let Some((etag, edirty)) = set.pop() {
-                if edirty {
-                    victim = Some(etag);
-                }
-            }
-        }
-        set.insert(0, (tag, dirty));
-        victim.map(|etag| {
+    fn install(&mut self, addr: u64, dirty: bool) -> Option<u64> {
+        let (range, clean) = self.locate(addr);
+        let set = &mut self.slots[range];
+        let last = set.len() - 1;
+        let victim = set[last];
+        age(set, last);
+        set[0] = clean | dirty as u64;
+        (victim != EMPTY && victim & 1 == 1).then(|| {
             self.writebacks += 1;
-            self.line_addr(set_idx, etag)
+            victim >> 1 << self.line_shift
         })
     }
 
@@ -171,12 +183,13 @@ impl Cache {
     pub fn credit_repeat_hits(&mut self, addr: u64, n: u64, any_write: bool) {
         self.accesses += n;
         if any_write {
-            let (set_idx, tag) = self.locate(addr);
-            let mru = self.sets[set_idx]
-                .first_mut()
-                .expect("credit_repeat_hits on an empty set");
-            debug_assert_eq!(mru.0, tag, "coalesced line must be MRU");
-            mru.1 = true;
+            let (range, clean) = self.locate(addr);
+            debug_assert_eq!(
+                self.slots[range.start] & !1,
+                clean,
+                "coalesced line must be MRU"
+            );
+            self.slots[range.start] |= 1;
         }
     }
 
@@ -195,15 +208,10 @@ impl Cache {
     /// miss. Returns the address of a dirty line evicted to make room, if
     /// any (cascading write-back).
     pub fn receive_writeback(&mut self, addr: u64) -> Option<u64> {
-        let (set_idx, tag) = self.locate(addr);
-        let assoc = self.cfg.assoc as usize;
-        if let Some(pos) = self.sets[set_idx].iter().position(|&(t, _)| t == tag) {
-            let set = &mut self.sets[set_idx];
-            let _ = set.remove(pos);
-            set.insert(0, (tag, true));
+        if self.promote(addr, true) {
             None
         } else {
-            self.install(set_idx, tag, true, assoc)
+            self.install(addr, true)
         }
     }
 
@@ -211,18 +219,16 @@ impl Cache {
     /// accounting (hardware prefetch). Returns the address of a dirty line
     /// evicted to make room, if any. No-op when the line is present.
     pub fn receive_prefetch(&mut self, addr: u64) -> Option<u64> {
-        let (set_idx, tag) = self.locate(addr);
-        let assoc = self.cfg.assoc as usize;
-        if self.sets[set_idx].iter().any(|&(t, _)| t == tag) {
+        if self.contains(addr) {
             return None;
         }
-        self.install(set_idx, tag, false, assoc)
+        self.install(addr, false)
     }
 
     /// Probe without updating state or counters.
     pub fn contains(&self, addr: u64) -> bool {
-        let (set_idx, tag) = self.locate(addr);
-        self.sets[set_idx].iter().any(|&(t, _)| t == tag)
+        let (range, clean) = self.locate(addr);
+        self.slots[range].iter().any(|&s| s & !1 == clean)
     }
 
     /// Dirty lines written back to the next level so far.
@@ -258,9 +264,7 @@ impl Cache {
 
     /// Drop all cached lines and counters.
     pub fn flush(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.slots.fill(EMPTY);
         self.reset_stats();
     }
 }

@@ -54,40 +54,12 @@ impl LevelStats {
 /// repetition that hits everywhere without triggering prefetches leaves
 /// the cache state at a fixed point, so the rest of the run collapses into
 /// a hit-count credit.
-///
-/// The default implementation degrades to one access per run, which is
-/// trivially exact for any iterator.
 pub trait AccessSource: Iterator<Item = (u64, bool)> {
     /// Fill `buf` with the next block of accesses and return how many
     /// consecutive repetitions of its line pattern follow (including the
     /// one in `buf`); 0 when the stream is exhausted.
-    fn next_run(&mut self, buf: &mut Vec<(u64, bool)>, line_shift: u32) -> u64 {
-        let _ = line_shift;
-        buf.clear();
-        match self.next() {
-            Some(a) => {
-                buf.push(a);
-                1
-            }
-            None => 0,
-        }
-    }
+    fn next_run(&mut self, buf: &mut Vec<(u64, bool)>, line_shift: u32) -> u64;
 }
-
-/// Adapter giving any plain access iterator the (degenerate) one-access-
-/// per-run [`AccessSource`] behavior.
-#[derive(Debug)]
-pub struct EachAccess<I>(pub I);
-
-impl<I: Iterator<Item = (u64, bool)>> Iterator for EachAccess<I> {
-    type Item = (u64, bool);
-
-    fn next(&mut self) -> Option<(u64, bool)> {
-        self.0.next()
-    }
-}
-
-impl<I: Iterator<Item = (u64, bool)>> AccessSource for EachAccess<I> {}
 
 /// An operation reaching the shared level, recorded during the parallel
 /// private-level phase of [`MultiCoreHierarchy::simulate_streams`] and
@@ -108,8 +80,8 @@ enum SharedOp {
 }
 
 /// Where a core's shared-level traffic goes: straight to the chip's shared
-/// cache (the sequential demand path) or into a per-core event log for
-/// deferred deterministic replay (the parallel streaming path).
+/// cache (demand accesses, and a stream simulated alone) or into a per-core
+/// event log for deterministic replay (streams simulated in parallel).
 enum SharedSink<'a> {
     Direct {
         shared: &'a mut Cache,
@@ -117,50 +89,54 @@ enum SharedSink<'a> {
     },
     Record {
         ops: &'a mut Vec<(u64, SharedOp)>,
+        /// Stream position of the access being issued.
         index: u64,
     },
 }
 
 impl SharedSink<'_> {
-    fn prefetch(&mut self, addr: u64) {
-        match self {
-            SharedSink::Direct { shared, .. } => {
-                let _ = shared.receive_prefetch(addr);
-            }
-            SharedSink::Record { ops, index } => ops.push((*index, SharedOp::Prefetch(addr))),
+    /// Tag what follows with the stream position of the access causing it.
+    fn at(&mut self, position: u64) {
+        if let SharedSink::Record { index, .. } = self {
+            *index = position;
         }
     }
 
-    /// Returns whether the shared level hit, when known immediately.
-    fn demand(&mut self, addr: u64, is_write: bool) -> Option<bool> {
+    /// Apply `op` to the shared level, or log it; returns whether a demand
+    /// access hit there, when known immediately.
+    fn send(&mut self, op: SharedOp) -> Option<bool> {
         match self {
             SharedSink::Direct {
                 shared,
                 memory_accesses,
-            } => {
-                let (hit, _evicted) = shared.touch_evicting(addr, is_write);
-                // A dirty eviction from the shared level is counted as a
-                // memory write-back by the cache itself.
-                if !hit {
-                    **memory_accesses += 1;
-                }
-                Some(hit)
-            }
+            } => apply_shared(shared, memory_accesses, op),
             SharedSink::Record { ops, index } => {
-                ops.push((*index, SharedOp::Demand { addr, is_write }));
+                ops.push((*index, op));
                 None
             }
         }
     }
+}
 
-    fn writeback(&mut self, addr: u64) {
-        match self {
-            SharedSink::Direct { shared, .. } => {
-                // The shared level absorbs the write-back; its own dirty
-                // evictions count as memory write-backs internally.
-                let _ = shared.receive_writeback(addr);
+/// One operation on a chip's shared cache; `Some(hit)` for a demand access.
+/// Dirty evictions from the shared level are counted as memory write-backs
+/// by the cache itself.
+fn apply_shared(shared: &mut Cache, memory_accesses: &mut u64, op: SharedOp) -> Option<bool> {
+    match op {
+        SharedOp::Prefetch(addr) => {
+            let _ = shared.receive_prefetch(addr);
+            None
+        }
+        SharedOp::Demand { addr, is_write } => {
+            let (hit, _evicted) = shared.touch_evicting(addr, is_write);
+            if !hit {
+                *memory_accesses += 1;
             }
-            SharedSink::Record { ops, index } => ops.push((*index, SharedOp::Writeback(addr))),
+            Some(hit)
+        }
+        SharedOp::Writeback(addr) => {
+            let _ = shared.receive_writeback(addr);
+            None
         }
     }
 }
@@ -176,6 +152,10 @@ struct PrivateCore {
     /// Last accessed line (stream detection).
     last_line: Option<u64>,
     prefetches: u64,
+    /// Scratch of [`issue`](Self::issue), empty between calls: `(level the
+    /// write-back originates from, line address)` of dirty evictions still
+    /// to be propagated toward memory.
+    pending: Vec<(usize, u64)>,
 }
 
 impl PrivateCore {
@@ -205,33 +185,31 @@ impl PrivateCore {
             }
         }
         let n_private = self.levels.len();
-        // `(level the write-back originates from, line address)` — dirty
-        // evictions propagate toward memory after the access resolves.
-        let mut pending: Vec<(usize, u64)> = Vec::new();
         let mut hit_level = None;
         for (lvl, cache) in self.levels.iter_mut().enumerate() {
             let (hit, evicted) = cache.touch_evicting(addr, is_write);
             if let Some(e) = evicted {
-                pending.push((lvl, e));
+                self.pending.push((lvl, e));
             }
             if hit {
                 hit_level = Some(lvl);
                 break;
             }
         }
-        if hit_level.is_none() && sink.demand(addr, is_write) == Some(true) {
+        if hit_level.is_none() && sink.send(SharedOp::Demand { addr, is_write }) == Some(true) {
             hit_level = Some(n_private);
         }
-        // Propagate dirty evictions down the hierarchy (inclusive-style
-        // write-back forwarding; cascades may trigger further evictions).
-        while let Some((from_lvl, line_addr)) = pending.pop() {
+        // Dirty evictions propagate toward memory after the access resolves
+        // (inclusive-style write-back forwarding; cascades may trigger
+        // further evictions).
+        while let Some((from_lvl, line_addr)) = self.pending.pop() {
             let next = from_lvl + 1;
             if next < n_private {
                 if let Some(e) = self.levels[next].receive_writeback(line_addr) {
-                    pending.push((next, e));
+                    self.pending.push((next, e));
                 }
             } else {
-                sink.writeback(line_addr);
+                sink.send(SharedOp::Writeback(line_addr));
             }
         }
         hit_level
@@ -249,7 +227,7 @@ impl PrivateCore {
         for cache in self.levels.iter_mut().skip(1) {
             let _ = cache.receive_prefetch(addr);
         }
-        sink.prefetch(addr);
+        sink.send(SharedOp::Prefetch(addr));
     }
 }
 
@@ -279,6 +257,7 @@ impl MultiCoreHierarchy {
                 levels: cfg.private_levels.iter().map(|&c| Cache::new(c)).collect(),
                 last_line: None,
                 prefetches: 0,
+                pending: Vec::new(),
             })
             .collect();
         let shared = (0..chips).map(|_| Cache::new(cfg.shared_level)).collect();
@@ -332,8 +311,9 @@ impl MultiCoreHierarchy {
     /// misses, prefetch fills, write-backs) are recorded — tagged with
     /// their position in the stream — and replayed afterwards in
     /// `(position, thread)` order, which is precisely the order the
-    /// round-robin interleave issues them in. Returns the number of
-    /// accesses simulated.
+    /// round-robin interleave issues them in. A single stream has nothing
+    /// to interleave with and drives the shared level directly. Returns
+    /// the number of accesses simulated.
     pub fn simulate_streams<S>(&mut self, streams: Vec<S>) -> u64
     where
         S: AccessSource + Send,
@@ -345,28 +325,34 @@ impl MultiCoreHierarchy {
             self.cfg.cores
         );
         let prefetch_depth = self.cfg.prefetch_depth;
-        let n = streams.len();
+        // Per stream: accesses issued and the shared-level log.
         let mut results: Vec<(u64, Vec<(u64, SharedOp)>)> = Vec::new();
-        results.resize_with(n, Default::default);
         // Wall-mode-only phase timers: the private-level streaming phase
         // and the shared-level (LLC) merge replay are the two halves of
         // the evaluation hot path worth attributing separately.
         let stream_span = self.obs.span_start();
-        if n == 1 {
-            // No interleaving to reproduce: skip the worker threads.
-            for (stream, (issued, ops)) in streams.into_iter().zip(results.iter_mut()) {
-                *issued = run_core(&mut self.private[0], prefetch_depth, stream, ops);
+        match <[S; 1]>::try_from(streams) {
+            Ok([stream]) => {
+                let mut sink = SharedSink::Direct {
+                    shared: &mut self.shared[0],
+                    memory_accesses: &mut self.memory_accesses,
+                };
+                let issued = run_core(&mut self.private[0], prefetch_depth, stream, &mut sink);
+                results.push((issued, Vec::new()));
             }
-        } else {
-            std::thread::scope(|s| {
-                for ((core, stream), out) in
-                    self.private.iter_mut().zip(streams).zip(results.iter_mut())
-                {
-                    s.spawn(move || {
-                        out.0 = run_core(core, prefetch_depth, stream, &mut out.1);
-                    });
-                }
-            });
+            Err(streams) => {
+                results.resize_with(streams.len(), Default::default);
+                std::thread::scope(|s| {
+                    for ((core, stream), (issued, ops)) in
+                        self.private.iter_mut().zip(streams).zip(results.iter_mut())
+                    {
+                        s.spawn(move || {
+                            let mut sink = SharedSink::Record { ops, index: 0 };
+                            *issued = run_core(core, prefetch_depth, stream, &mut sink);
+                        });
+                    }
+                });
+            }
         }
 
         self.obs.emit_span(stream_span, || moat_obs::Event::Phase {
@@ -374,30 +360,26 @@ impl MultiCoreHierarchy {
         });
         let merge_span = self.obs.span_start();
 
-        // Deterministic shared-level replay: merge per-core event logs by
-        // (stream position, core id) — stable, so the multiple events of
-        // one access keep their intra-access order.
-        let mut merged: Vec<(u64, usize, SharedOp)> = Vec::new();
-        for (tid, (_, ops)) in results.iter().enumerate() {
-            merged.extend(ops.iter().map(|&(k, op)| (k, tid, op)));
-        }
-        merged.sort_by_key(|&(k, tid, _)| (k, tid));
-        for (_, tid, op) in merged {
+        // Deterministic shared-level replay: a k-way merge over the
+        // per-core logs by (stream position, core id). Each log is already
+        // in position order, so the several events of one access keep
+        // their order.
+        let mut heads: Vec<_> = results
+            .iter()
+            .map(|(_, ops)| ops.iter().peekable())
+            .collect();
+        loop {
+            let next = heads
+                .iter_mut()
+                .enumerate()
+                .filter_map(|(tid, ops)| Some((ops.peek()?.0, tid)))
+                .min();
+            let Some((_, tid)) = next else {
+                break;
+            };
+            let &(_, op) = heads[tid].next().expect("peeked above");
             let chip = tid / self.cfg.cores_per_chip;
-            match op {
-                SharedOp::Prefetch(addr) => {
-                    let _ = self.shared[chip].receive_prefetch(addr);
-                }
-                SharedOp::Demand { addr, is_write } => {
-                    let (hit, _evicted) = self.shared[chip].touch_evicting(addr, is_write);
-                    if !hit {
-                        self.memory_accesses += 1;
-                    }
-                }
-                SharedOp::Writeback(addr) => {
-                    let _ = self.shared[chip].receive_writeback(addr);
-                }
-            }
+            apply_shared(&mut self.shared[chip], &mut self.memory_accesses, op);
         }
         self.obs.emit_span(merge_span, || moat_obs::Event::Phase {
             name: "cachesim.llc_merge".into(),
@@ -483,7 +465,7 @@ fn simulate_block(
     block: &[(u64, bool)],
     line_shift: u32,
     base: u64,
-    ops: &mut Vec<(u64, SharedOp)>,
+    sink: &mut SharedSink<'_>,
 ) {
     let mut i = 0usize;
     while i < block.len() {
@@ -496,11 +478,8 @@ fn simulate_block(
             any_write |= block[j].1;
             j += 1;
         }
-        let mut sink = SharedSink::Record {
-            ops,
-            index: base + i as u64,
-        };
-        let _ = core.issue(prefetch_depth, addr, is_write, &mut sink);
+        sink.at(base + i as u64);
+        let _ = core.issue(prefetch_depth, addr, is_write, sink);
         if j > i + 1 {
             core.levels[0].credit_repeat_hits(addr, (j - i - 1) as u64, any_write);
         }
@@ -508,26 +487,28 @@ fn simulate_block(
     }
 }
 
-/// Simulate one core's stream against its private levels, recording
-/// shared-level traffic into `ops` tagged with the stream position of the
+/// Simulate one core's stream against its private levels, sending
+/// shared-level traffic to `sink` tagged with the stream position of the
 /// access that caused it. Returns the number of accesses issued.
 ///
 /// The stream is consumed in [`AccessSource`] runs: `reps` repetitions of
 /// an identical line pattern. Repetitions are simulated one block at a
-/// time until a block is *quiet* — every access hits the innermost level,
-/// no prefetch is installed, and nothing reaches the shared level. A quiet
-/// block leaves the private state at a fixed point: re-applying the same
-/// all-hit touch sequence reproduces the same LRU arrangement, dirty bits
-/// are already accumulated, and contained prefetch probes stay contained
-/// (hits never change cache contents). The remaining repetitions are
-/// therefore credited as bulk innermost-level hits — unless the pattern
-/// wraps line-sequentially (last line + 1 == first line), where each
-/// repetition boundary would re-trigger the stream prefetcher.
+/// time until a block is *quiet* — every access hits the innermost level
+/// and no prefetch is installed, hence nothing reaches the shared level
+/// either (demand traffic and write-backs start from an innermost-level
+/// miss). A quiet block leaves the private state at a fixed point:
+/// re-applying the same all-hit touch sequence reproduces the same LRU
+/// arrangement, dirty bits are already accumulated, and contained prefetch
+/// probes stay contained (hits never change cache contents). The remaining
+/// repetitions are therefore credited as bulk innermost-level hits —
+/// unless the pattern wraps line-sequentially (last line + 1 == first
+/// line), where each repetition boundary would re-trigger the stream
+/// prefetcher.
 fn run_core<S: AccessSource>(
     core: &mut PrivateCore,
     prefetch_depth: usize,
     mut stream: S,
-    ops: &mut Vec<(u64, SharedOp)>,
+    sink: &mut SharedSink<'_>,
 ) -> u64 {
     let line_shift = core.levels[0].config().line_size.trailing_zeros();
     let mut issued: u64 = 0;
@@ -547,13 +528,11 @@ fn run_core<S: AccessSource>(
         while rep < reps {
             let misses_before = core.levels[0].misses();
             let prefetches_before = core.prefetches;
-            let ops_before = ops.len();
-            simulate_block(core, prefetch_depth, &buf, line_shift, issued, ops);
+            simulate_block(core, prefetch_depth, &buf, line_shift, issued, sink);
             issued += buf.len() as u64;
             rep += 1;
-            let quiet = core.levels[0].misses() == misses_before
-                && core.prefetches == prefetches_before
-                && ops.len() == ops_before;
+            let quiet =
+                core.levels[0].misses() == misses_before && core.prefetches == prefetches_before;
             if quiet && !wraps_sequential && rep < reps {
                 let credited = (reps - rep) * buf.len() as u64;
                 core.levels[0].credit_steady_hits(credited);

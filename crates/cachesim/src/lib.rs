@@ -23,8 +23,5 @@ pub mod hierarchy;
 pub mod trace;
 
 pub use cache::{Cache, CacheConfig};
-pub use hierarchy::{AccessSource, EachAccess, HierarchyConfig, LevelStats, MultiCoreHierarchy};
-pub use trace::{
-    per_thread_traces, simulate_nest, simulate_traces, trace_addresses, AccessStream, CompiledNest,
-    ThreadStream,
-};
+pub use hierarchy::{AccessSource, HierarchyConfig, LevelStats, MultiCoreHierarchy};
+pub use trace::{simulate_nest, AccessStream, CompiledNest, ThreadStream};

@@ -112,9 +112,51 @@ impl CompiledBound {
 /// `c + Σ coeff · vals[depth]` over the loop variables.
 #[derive(Debug, Clone)]
 struct CompiledAccess {
-    c: i64,
-    terms: Vec<(usize, i64)>,
+    addr: CompiledAffine,
     is_write: bool,
+    /// Stride of the innermost loop — what a point-level run of
+    /// [`AccessStream::next_run`] repeats along.
+    innermost: Stride,
+    /// Stride of the second-deepest loop — what a pass-level run repeats
+    /// along.
+    second: Stride,
+}
+
+/// The byte-address delta of one step of a loop, for one access.
+#[derive(Debug, Clone, Copy)]
+struct Stride {
+    delta: i64,
+    /// `log2 |delta|` when that is a power of two (element size × a small
+    /// coefficient, the usual case): the headroom division becomes a shift.
+    shift: Option<u32>,
+}
+
+impl Stride {
+    fn new(delta: i64) -> Self {
+        let abs = delta.unsigned_abs();
+        Stride {
+            delta,
+            shift: abs.is_power_of_two().then(|| abs.trailing_zeros()),
+        }
+    }
+
+    /// How many further steps keep an access now at `addr` inside its
+    /// cache line (`mask` = line size − 1).
+    #[inline]
+    fn headroom(self, addr: u64, mask: u64) -> u64 {
+        if self.delta == 0 {
+            return u64::MAX;
+        }
+        let room = if self.delta > 0 {
+            (addr | mask) - addr
+        } else {
+            addr & mask
+        };
+        match self.shift {
+            Some(s) => room >> s,
+            None => room / self.delta.unsigned_abs(),
+        }
+    }
 }
 
 /// A loop nest compiled for streaming trace generation: array ids resolved
@@ -129,13 +171,9 @@ pub struct CompiledNest {
     bounds: Vec<(CompiledBound, CompiledBound)>,
     /// Body accesses in statement order.
     accesses: Vec<CompiledAccess>,
-    /// Per-access byte-address delta of one step of the innermost loop
-    /// (coefficient at the deepest depth × its step) — the run-length
-    /// extension in [`AccessStream::next_run`].
-    innermost_deltas: Vec<i64>,
-    /// Per-access byte-address delta of one step of the second-deepest
-    /// loop — the pass-level run extension.
-    second_deltas: Vec<i64>,
+    /// Largest second-deepest `|delta|` over the accesses: a pass-level
+    /// block can repeat only on lines longer than this.
+    max_second_delta: u64,
     /// Whether the innermost loop's bounds reference the second-deepest
     /// variable (which rules out pass-level runs: the pass shape would
     /// change between repetitions).
@@ -150,7 +188,8 @@ impl CompiledNest {
     /// emitted access.
     pub fn new(arrays: &[ArrayDecl], nest: &LoopNest) -> Self {
         let bases = array_bases(arrays);
-        let mut accesses = Vec::new();
+        let n = nest.loops.len();
+        let mut accesses: Vec<CompiledAccess> = Vec::new();
         for s in &nest.body {
             for acc in &s.accesses {
                 let a = arrays
@@ -168,7 +207,7 @@ impl CompiledNest {
                 // product of the extents of dims d+1..) into the affine
                 // subscripts: the result is one affine function per access.
                 let mut c = 0i64;
-                let mut coeffs = vec![0i64; nest.loops.len()];
+                let mut coeffs = vec![0i64; n];
                 let mut stride = 1i64;
                 for (d, idx) in acc.indices.iter().enumerate().rev() {
                     c += stride * idx.constant_part();
@@ -181,37 +220,25 @@ impl CompiledNest {
                     stride *= decl.dims[d] as i64;
                 }
                 let elem = decl.elem_size as i64;
+                let stride_at = |depth: Option<usize>| {
+                    Stride::new(depth.map_or(0, |d| elem * coeffs[d] * nest.loops[d].step))
+                };
                 accesses.push(CompiledAccess {
-                    c: bases[a] as i64 + elem * c,
-                    terms: coeffs
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &k)| k != 0)
-                        .map(|(d, &k)| (d, elem * k))
-                        .collect(),
+                    innermost: stride_at(n.checked_sub(1)),
+                    second: stride_at(n.checked_sub(2)),
+                    addr: CompiledAffine {
+                        c: bases[a] as i64 + elem * c,
+                        terms: coeffs
+                            .iter()
+                            .enumerate()
+                            .filter(|&(_, &k)| k != 0)
+                            .map(|(d, &k)| (d, elem * k))
+                            .collect(),
+                    },
                     is_write: acc.is_write(),
                 });
             }
         }
-        let n = nest.loops.len();
-        let delta_at = |depth: Option<usize>| -> Vec<i64> {
-            match depth {
-                Some(d) => accesses
-                    .iter()
-                    .map(|a| {
-                        let coeff = a
-                            .terms
-                            .iter()
-                            .find(|&&(td, _)| td == d)
-                            .map_or(0, |&(_, k)| k);
-                        coeff * nest.loops[d].step
-                    })
-                    .collect(),
-                None => vec![0; accesses.len()],
-            }
-        };
-        let innermost_deltas = delta_at(n.checked_sub(1));
-        let second_deltas = delta_at(n.checked_sub(2));
         let bounds: Vec<(CompiledBound, CompiledBound)> = nest
             .loops
             .iter()
@@ -229,8 +256,11 @@ impl CompiledNest {
                 .unwrap_or(false);
         CompiledNest {
             steps: nest.loops.iter().map(|l| l.step).collect(),
-            innermost_deltas,
-            second_deltas,
+            max_second_delta: accesses
+                .iter()
+                .map(|a| a.second.delta.unsigned_abs())
+                .max()
+                .unwrap_or(0),
             deepest_bounds_ref_second,
             bounds,
             accesses,
@@ -325,6 +355,10 @@ pub struct AccessStream<'a> {
     /// Cached lower bound per depth (`vals[d] == lo[d]` iff loop `d` is at
     /// the start of a pass — `vals[d]` only grows within one).
     lo: Vec<i64>,
+    /// Byte address of each access at `vals`: advanced by the innermost
+    /// stride while only that loop moves, re-evaluated when an outer one
+    /// does.
+    addrs: Vec<i64>,
     /// Depths `< prefix_len` are pinned and never stepped.
     prefix_len: usize,
     /// Next access of the current iteration point to emit.
@@ -343,19 +377,19 @@ impl<'a> AccessStream<'a> {
             vals,
             hi: vec![0i64; n],
             lo: vec![0i64; n],
+            addrs: vec![0i64; nest.accesses.len()],
             prefix_len: prefix.len(),
             acc_idx: 0,
             done: false,
         };
-        if !s.descend(s.prefix_len) {
-            s.done = true;
-        }
+        s.done = !s.descend(s.prefix_len);
         s
     }
 
     /// Position `vals[d..]` at the first iteration point with `vals[..d]`
-    /// fixed, backtracking over zero-trip loops. Returns `false` when the
-    /// iteration space (below the pinned prefix) is exhausted.
+    /// fixed, backtracking over zero-trip loops, and evaluate `addrs`
+    /// there. Returns `false` when the iteration space (below the pinned
+    /// prefix) is exhausted.
     fn descend(&mut self, mut d: usize) -> bool {
         let n = self.nest.steps.len();
         while d < n {
@@ -374,6 +408,10 @@ impl<'a> AccessStream<'a> {
                     None => return false,
                 }
             }
+        }
+        for (addr, a) in self.addrs.iter_mut().zip(&self.nest.accesses) {
+            *addr = a.addr.eval(&self.vals);
+            debug_assert!(*addr >= 0, "negative byte address");
         }
         true
     }
@@ -394,9 +432,22 @@ impl<'a> AccessStream<'a> {
 
     /// Advance to the next full iteration point.
     fn next_point(&mut self) -> bool {
-        match self.bump(self.nest.steps.len()) {
+        let n = self.nest.steps.len();
+        match self.bump(n) {
+            Some(d) if d == n => {
+                self.advance_innermost(1);
+                true
+            }
             Some(d) => self.descend(d),
             None => false,
+        }
+    }
+
+    /// Account in `addrs` for `steps` steps of the innermost loop.
+    #[inline]
+    fn advance_innermost(&mut self, steps: i64) {
+        for (addr, a) in self.addrs.iter_mut().zip(&self.nest.accesses) {
+            *addr += steps * a.innermost.delta;
         }
     }
 
@@ -415,11 +466,14 @@ impl<'a> AccessStream<'a> {
     ///   loop, repeated across the second-deepest loop. Each access's
     ///   per-step address delta of that loop is known from its affine
     ///   form, so the pattern repeats while every materialized access
-    ///   stays inside its current line. Requires the innermost bounds to
-    ///   be independent of the second-deepest variable (constant pass
-    ///   shape), the pass to start at its lower bound, and the block to
-    ///   fit [`PASS_CAP`](Self::PASS_CAP).
-    /// * **Point-level** fallback — the block is one iteration point,
+    ///   stays inside its current line. Taken only when it can repeat at
+    ///   all — every such delta is shorter than a line; one access that a
+    ///   step moves by a whole row (`A[j][k]` under `j`) pins every pass to
+    ///   a single repetition. Also requires the innermost bounds to be
+    ///   independent of the second-deepest variable (constant pass shape),
+    ///   the pass to start at its lower bound, and the block to fit
+    ///   [`PASS_CAP`](Self::PASS_CAP).
+    /// * **Point-level** otherwise — the block is one iteration point,
     ///   repeated across the innermost loop under the same in-line
     ///   condition.
     ///
@@ -430,68 +484,54 @@ impl<'a> AccessStream<'a> {
             return 0;
         }
         debug_assert_eq!(self.acc_idx, 0, "next_run interleaved with next()");
-        let n = self.nest.steps.len();
-        if self.nest.accesses.is_empty() {
+        let nest = self.nest;
+        let n = nest.steps.len();
+        if nest.accesses.is_empty() {
             // No accesses at all: the stream is empty regardless of the
             // iteration count.
             self.done = true;
             return 0;
         }
         let mask = (1u64 << line_shift) - 1;
-        let headroom_of = |addr: u64, delta: i64| -> u64 {
-            match delta {
-                0 => u64::MAX,
-                d if d > 0 => ((addr | mask) - addr) / d as u64,
-                d => (addr & mask) / d.unsigned_abs(),
-            }
-        };
+        let mut headroom = u64::MAX;
 
         // Pass-level run: block = one innermost pass, repeated over the
         // second-deepest loop.
-        if n >= 2 && self.prefix_len <= n - 2 && !self.nest.deepest_bounds_ref_second {
+        if n >= 2
+            && self.prefix_len <= n - 2
+            && !nest.deepest_bounds_ref_second
+            && nest.max_second_delta <= mask
+        {
             let d = n - 1;
             let d2 = n - 2;
-            let step = self.nest.steps[d];
-            let pass_iters = ((self.hi[d] - self.vals[d] + step - 1) / step) as u64;
+            let step = nest.steps[d];
+            let pass_iters = (self.hi[d] - self.vals[d] + step - 1) / step;
             if self.vals[d] == self.lo[d]
-                && pass_iters * self.nest.accesses.len() as u64 <= Self::PASS_CAP
+                && pass_iters as u64 * nest.accesses.len() as u64 <= Self::PASS_CAP
             {
-                let mut headroom = u64::MAX;
-                loop {
-                    for (a, &delta) in self.nest.accesses.iter().zip(&self.nest.second_deltas) {
-                        let addr =
-                            a.c + a.terms.iter().map(|&(d, k)| k * self.vals[d]).sum::<i64>();
-                        debug_assert!(addr >= 0, "negative byte address");
-                        buf.push((addr as u64, a.is_write));
-                        headroom = headroom.min(headroom_of(addr as u64, delta));
+                for i in 0..pass_iters {
+                    for (&at, a) in self.addrs.iter().zip(&nest.accesses) {
+                        let addr = (at + i * a.innermost.delta) as u64;
+                        buf.push((addr, a.is_write));
+                        headroom = headroom.min(a.second.headroom(addr, mask));
                     }
-                    let next = self.vals[d] + step;
-                    if next >= self.hi[d] {
-                        break;
-                    }
-                    self.vals[d] = next;
                 }
-                let remaining = ((self.hi[d2] - self.vals[d2] - 1) / self.nest.steps[d2]) as u64;
+                let remaining = ((self.hi[d2] - self.vals[d2] - 1) / nest.steps[d2]) as u64;
                 let extra = headroom.min(remaining);
-                if extra > 0 {
-                    self.vals[d2] += extra as i64 * self.nest.steps[d2];
-                }
-                if !self.next_point() {
-                    self.done = true;
-                }
+                // Leave the odometer on the last point of the last
+                // repetition; `next_point` re-evaluates `addrs` from there.
+                self.vals[d] += (pass_iters - 1) * step;
+                self.vals[d2] += extra as i64 * nest.steps[d2];
+                self.done = !self.next_point();
                 return 1 + extra;
             }
         }
 
-        // Point-level fallback: block = the current iteration point,
-        // repeated over the innermost loop.
-        let mut headroom = u64::MAX;
-        for (a, &delta) in self.nest.accesses.iter().zip(&self.nest.innermost_deltas) {
-            let addr = a.c + a.terms.iter().map(|&(d, k)| k * self.vals[d]).sum::<i64>();
-            debug_assert!(addr >= 0, "negative byte address");
-            let addr = addr as u64;
-            buf.push((addr, a.is_write));
-            headroom = headroom.min(headroom_of(addr, delta));
+        // Point-level run: block = the current iteration point, repeated
+        // over the innermost loop.
+        for (&addr, a) in self.addrs.iter().zip(&nest.accesses) {
+            buf.push((addr as u64, a.is_write));
+            headroom = headroom.min(a.innermost.headroom(addr as u64, mask));
         }
         // Iterations the innermost loop itself still has (beyond this one);
         // when the deepest loop is pinned (fully collapsed nest) or absent,
@@ -500,15 +540,14 @@ impl<'a> AccessStream<'a> {
         let remaining = if n == 0 || self.prefix_len == n {
             0
         } else {
-            ((self.hi[d] - self.vals[d] - 1) / self.nest.steps[d]) as u64
+            ((self.hi[d] - self.vals[d] - 1) / nest.steps[d]) as u64
         };
         let extra = headroom.min(remaining);
         if extra > 0 {
-            self.vals[d] += extra as i64 * self.nest.steps[d];
+            self.vals[d] += extra as i64 * nest.steps[d];
+            self.advance_innermost(extra as i64);
         }
-        if !self.next_point() {
-            self.done = true;
-        }
+        self.done = !self.next_point();
         1 + extra
     }
 }
@@ -522,9 +561,8 @@ impl Iterator for AccessStream<'_> {
         }
         loop {
             if let Some(a) = self.nest.accesses.get(self.acc_idx) {
+                let addr = self.addrs[self.acc_idx];
                 self.acc_idx += 1;
-                let addr = a.c + a.terms.iter().map(|&(d, k)| k * self.vals[d]).sum::<i64>();
-                debug_assert!(addr >= 0, "negative byte address");
                 return Some((addr as u64, a.is_write));
             }
             self.acc_idx = 0;
@@ -584,31 +622,10 @@ impl AccessSource for ThreadStream<'_> {
     }
 }
 
-/// Generate the sequential address trace of `nest` over `arrays`.
-///
-/// The trace is the exact sequence of `(byte address, is_write)` events of
-/// the nest's body statements in execution order. Intended for small
-/// instances — the trace has one entry per access per iteration; prefer
-/// streaming via [`CompiledNest`] for simulation.
-pub fn trace_addresses(arrays: &[ArrayDecl], nest: &LoopNest) -> Vec<(u64, bool)> {
-    CompiledNest::new(arrays, nest).stream().collect()
-}
-
-/// Generate per-thread address traces for a parallel nest (or a single
-/// trace for a sequential one), using the runtime's static chunking of the
-/// collapsed outer iteration space.
-pub fn per_thread_traces(arrays: &[ArrayDecl], nest: &LoopNest) -> Vec<Vec<(u64, bool)>> {
-    let compiled = CompiledNest::new(arrays, nest);
-    compiled
-        .thread_streams()
-        .into_iter()
-        .map(|s| s.collect())
-        .collect()
-}
-
 /// Static chunk `[start, end)` of `0..total` for thread `tid` of `team` —
 /// kept identical to `moat_runtime::static_chunk` (duplicated to avoid a
-/// dependency cycle; the equivalence is asserted in integration tests).
+/// dependency cycle; `tests/streaming_equivalence.rs` at the workspace root
+/// holds the two together).
 fn moat_runtime_static_chunk(total: u64, team: usize, tid: usize) -> (u64, u64) {
     let team = team.max(1) as u64;
     let tid = tid as u64;
@@ -638,37 +655,6 @@ pub fn simulate_nest(
         name: "cachesim.compile".into(),
     });
     hierarchy.simulate_streams(compiled.thread_streams())
-}
-
-/// Simulate pre-materialized per-thread traces with the sequential
-/// round-robin interleave, one access per live thread per round (thread
-/// `t` issuing from core `t`). This is the legacy evaluation path, kept as
-/// the reference implementation for equivalence tests and the
-/// streaming-vs-materialized benchmark. Returns the number of accesses
-/// simulated.
-pub fn simulate_traces(traces: &[Vec<(u64, bool)>], hierarchy: &mut MultiCoreHierarchy) -> u64 {
-    let mut cursors = vec![0usize; traces.len()];
-    let mut issued = 0u64;
-    let mut live = traces.iter().filter(|t| !t.is_empty()).count();
-    while live > 0 {
-        live = 0;
-        for (t, trace) in traces.iter().enumerate() {
-            if cursors[t] < trace.len() {
-                let (addr, is_write) = trace[cursors[t]];
-                if is_write {
-                    hierarchy.write(t, addr);
-                } else {
-                    hierarchy.access(t, addr);
-                }
-                cursors[t] += 1;
-                issued += 1;
-                if cursors[t] < trace.len() {
-                    live += 1;
-                }
-            }
-        }
-    }
-    issued
 }
 
 #[cfg(test)]
@@ -706,6 +692,10 @@ mod tests {
         )
     }
 
+    fn trace(arrays: &[ArrayDecl], nest: &LoopNest) -> Vec<(u64, bool)> {
+        CompiledNest::new(arrays, nest).stream().collect()
+    }
+
     #[test]
     fn bases_are_disjoint_and_aligned() {
         let arrs = arrays(100);
@@ -722,7 +712,7 @@ mod tests {
     #[test]
     fn trace_length_matches_iteration_count() {
         let nest = mm(6);
-        let t = trace_addresses(&arrays(6), &nest);
+        let t = trace(&arrays(6), &nest);
         // 4 accesses per iteration, 6^3 iterations.
         assert_eq!(t.len(), 4 * 216);
     }
@@ -759,36 +749,36 @@ mod tests {
         let arrs = arrays(6);
         let tiled = transform::tile(&nest, 3, &[4, 2, 3]).unwrap();
         let mut h1: HashMap<(u64, bool), u64> = HashMap::new();
-        for a in trace_addresses(&arrs, &nest) {
+        for a in trace(&arrs, &nest) {
             *h1.entry(a).or_default() += 1;
         }
         let mut h2: HashMap<(u64, bool), u64> = HashMap::new();
-        for a in trace_addresses(&arrs, &tiled) {
+        for a in trace(&arrs, &tiled) {
             *h2.entry(a).or_default() += 1;
         }
         assert_eq!(h1, h2, "tiling must only reorder accesses");
     }
 
     #[test]
-    fn parallel_traces_partition_work() {
+    fn parallel_streams_partition_work() {
         let nest = mm(8);
         let arrs = arrays(8);
         let tiled = transform::tile(&nest, 3, &[4, 4, 4]).unwrap();
         let par = transform::collapse_and_parallelize(&tiled, 2, 3).unwrap();
-        let traces = per_thread_traces(&arrs, &par);
-        assert_eq!(traces.len(), 3);
-        let total: usize = traces.iter().map(|t| t.len()).sum();
-        assert_eq!(total, 4 * 512);
+        let compiled = CompiledNest::new(&arrs, &par);
+        let lens: Vec<usize> = compiled
+            .thread_streams()
+            .into_iter()
+            .map(Iterator::count)
+            .collect();
         // 4 parallel iterations over 3 threads: chunks of 2/1/1 tiles.
-        assert!(traces[0].len() > traces[1].len());
-        assert_eq!(traces[1].len(), traces[2].len());
+        assert_eq!(lens, [2 * 4 * 128, 4 * 128, 4 * 128]);
     }
 
     #[test]
-    fn sequential_nest_yields_single_trace() {
-        let nest = mm(4);
-        let traces = per_thread_traces(&arrays(4), &nest);
-        assert_eq!(traces.len(), 1);
+    fn sequential_nest_yields_single_stream() {
+        let compiled = CompiledNest::new(&arrays(4), &mm(4));
+        assert_eq!(compiled.thread_streams().len(), 1);
     }
 
     #[test]
@@ -805,38 +795,6 @@ mod tests {
         let issued = simulate_nest(&arrs, &nest, &mut h);
         assert_eq!(issued, 4 * 216);
         assert_eq!(h.level_stats(0).accesses, issued);
-    }
-
-    #[test]
-    fn streaming_simulation_matches_legacy_interleave() {
-        // The parallel-private + deterministic-LLC-replay path must produce
-        // the exact same counters as the sequential round-robin reference.
-        let nest = mm(8);
-        let arrs = arrays(8);
-        let tiled = transform::tile(&nest, 3, &[4, 4, 4]).unwrap();
-        let par = transform::collapse_and_parallelize(&tiled, 2, 3).unwrap();
-        let cfg = HierarchyConfig {
-            private_levels: vec![CacheConfig::new(512, 2, 64), CacheConfig::new(2048, 4, 64)],
-            shared_level: CacheConfig::new(8192, 4, 64),
-            cores_per_chip: 2,
-            cores: 3,
-            prefetch_depth: 2,
-        };
-        let mut h_legacy = MultiCoreHierarchy::new(cfg.clone());
-        let issued_legacy = simulate_traces(&per_thread_traces(&arrs, &par), &mut h_legacy);
-        let mut h_stream = MultiCoreHierarchy::new(cfg);
-        let issued_stream = simulate_nest(&arrs, &par, &mut h_stream);
-        assert_eq!(issued_stream, issued_legacy);
-        for lvl in 0..h_legacy.levels() {
-            assert_eq!(
-                h_stream.level_stats(lvl),
-                h_legacy.level_stats(lvl),
-                "level {lvl} stats diverged"
-            );
-        }
-        assert_eq!(h_stream.memory_accesses(), h_legacy.memory_accesses());
-        assert_eq!(h_stream.memory_writebacks(), h_legacy.memory_writebacks());
-        assert_eq!(h_stream.prefetches(), h_legacy.prefetches());
     }
 
     #[test]

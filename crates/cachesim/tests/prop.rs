@@ -4,11 +4,74 @@
 use moat_cachesim::{Cache, CacheConfig, HierarchyConfig, MultiCoreHierarchy};
 use proptest::prelude::*;
 
+/// The textbook LRU set store the flat one must be indistinguishable from:
+/// per set a list of `(line, dirty)`, most recently used first.
+struct ListCache {
+    sets: Vec<Vec<(u64, bool)>>,
+    assoc: usize,
+    writebacks: u64,
+}
+
+impl ListCache {
+    /// `(hit, dirty victim's byte address)` of bringing `addr`'s line to the
+    /// front of its set, installing it if absent.
+    fn touch(&mut self, addr: u64, dirty: bool) -> (bool, Option<u64>) {
+        let line = addr / 64;
+        let sets = self.sets.len() as u64;
+        let set = &mut self.sets[(line % sets) as usize];
+        if let Some(p) = set.iter().position(|&(l, _)| l == line) {
+            let (_, was_dirty) = set.remove(p);
+            set.insert(0, (line, was_dirty || dirty));
+            return (true, None);
+        }
+        let victim = (set.len() == self.assoc).then(|| set.pop()).flatten();
+        set.insert(0, (line, dirty));
+        let victim = victim.filter(|&(_, d)| d).map(|(l, _)| l * 64);
+        self.writebacks += u64::from(victim.is_some());
+        (false, victim)
+    }
+}
+
 fn trace() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(0u64..16384, 1..400)
 }
 
 proptest! {
+    /// The flat set store answers every operation — demand touches,
+    /// write-backs from above, prefetch fills, probes — exactly as a list
+    /// per set does, on power-of-two and odd set counts.
+    #[test]
+    fn flat_sets_match_list_sets(
+        ops in prop::collection::vec((0u8..4, 0u64..8192, 0u8..2), 1..600),
+        sets in 1u64..6,
+        assoc in 1u32..5,
+    ) {
+        let mut flat = Cache::new(CacheConfig::new(sets * assoc as u64 * 64, assoc, 64));
+        let mut list = ListCache {
+            sets: vec![Vec::new(); sets as usize],
+            assoc: assoc as usize,
+            writebacks: 0,
+        };
+        for &(kind, addr, is_write) in &ops {
+            let resident = list.sets[(addr / 64 % sets) as usize]
+                .iter()
+                .any(|&(l, _)| l == addr / 64);
+            prop_assert_eq!(flat.contains(addr), resident);
+            match kind {
+                0 | 1 => prop_assert_eq!(
+                    flat.touch_evicting(addr, is_write == 1),
+                    list.touch(addr, is_write == 1)
+                ),
+                2 => prop_assert_eq!(flat.receive_writeback(addr), list.touch(addr, true).1),
+                // A prefetch of a resident line changes nothing, LRU order
+                // included.
+                _ if resident => prop_assert_eq!(flat.receive_prefetch(addr), None),
+                _ => prop_assert_eq!(flat.receive_prefetch(addr), list.touch(addr, false).1),
+            }
+        }
+        prop_assert_eq!(flat.writebacks(), list.writebacks);
+    }
+
     /// Misses never exceed accesses; replaying a trace whose working set
     /// fits produces only compulsory misses.
     #[test]

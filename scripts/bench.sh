@@ -3,9 +3,7 @@
 #
 # Full mode (default) runs the `eval_throughput` bench at paper-scale
 # instances and rewrites `BENCH_eval.json` at the repo root — commit the
-# result so the hot-loop numbers are tracked across PRs. The bench itself
-# asserts that the streaming and legacy cache-simulation paths agree on
-# every counter, so a run that completes is also a correctness check.
+# result so the hot-loop numbers are tracked across PRs.
 #
 # `--smoke` shrinks every instance to a few milliseconds for CI and writes
 # the JSON under `target/` instead; smoke numbers are load-check noise and
