@@ -273,11 +273,14 @@ impl Default for BatchEval {
     /// One thread per available hardware thread (the paper evaluates
     /// configurations simultaneously on the target system).
     fn default() -> Self {
-        BatchEval::parallel(
+        // Asked once per process: on Linux the answer is read from cgroup
+        // files, and `moat-serve` builds default run options per request.
+        static HOST_THREADS: OnceLock<usize> = OnceLock::new();
+        BatchEval::parallel(*HOST_THREADS.get_or_init(|| {
             std::thread::available_parallelism()
                 .map(|n| n.get())
-                .unwrap_or(1),
-        )
+                .unwrap_or(1)
+        }))
     }
 }
 

@@ -79,7 +79,7 @@ pub use surrogate::{
     SpaceFeatures, Surrogate, SurrogateScreen, SurrogateStats,
 };
 pub use tuner::{
-    EventLog, EventSink, StopReason, StrategyKind, Tuner, TuningEvent, TuningReport, TuningSession,
-    WarmStart,
+    EventLog, EventSink, SessionHooks, StopReason, StrategyKind, Tuner, TuningEvent, TuningReport,
+    TuningSession, WarmStart,
 };
 pub use wsum::{WeightedSumTuner, WeightedSweepParams};

@@ -35,10 +35,14 @@ use crate::checkpoint::{
 };
 use crate::evaluate::{BatchEval, CachingEvaluator, Evaluator, ObjVec};
 use crate::fault::FaultStats;
+use crate::grid::GridTuner;
+use crate::nsga2::{Nsga2Params, Nsga2Tuner};
 use crate::pareto::{ParetoFront, Point};
-use crate::rsgde3::{FrontSignature, TuningResult};
+use crate::random::RandomTuner;
+use crate::rsgde3::{FrontSignature, RsGde3Params, RsGde3Tuner, TuningResult};
 use crate::space::{Config, ParamSpace};
 use crate::surrogate::{SurrogateScreen, SurrogateStats};
+use crate::wsum::{WeightedSumTuner, WeightedSweepParams};
 use moat_obs::Obs;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -300,6 +304,29 @@ pub trait Tuner {
     fn tune(&self, session: &mut TuningSession<'_>) -> TuningReport;
 }
 
+/// What the *host* of a session wires into it, as opposed to the run's own
+/// options (space, batch, budget, label): the CLI's checkpoint file and
+/// time budget, the daemon's stop flag, event log and archive-derived warm
+/// start. [`TuningSession::with_hooks`] is the one place that applies them,
+/// in the one order that is valid.
+#[derive(Default)]
+pub struct SessionHooks<'a> {
+    /// Cooperative cancellation flag ([`TuningSession::with_cancel`]).
+    pub cancel: Option<Arc<AtomicBool>>,
+    /// Measure per-batch wall time ([`TuningSession::with_batch_timing`]).
+    pub batch_timing: bool,
+    /// Wall-clock budget ([`TuningSession::with_time_budget`]).
+    pub time_budget: Option<Duration>,
+    /// Progress event sink ([`TuningSession::with_sink`]).
+    pub events: Option<&'a mut dyn EventSink>,
+    /// Checkpoint sink and cadence ([`TuningSession::with_checkpointing`]).
+    pub checkpoint: Option<(&'a mut dyn CheckpointSink, u32)>,
+    /// Warm start ([`TuningSession::with_warm_start`]).
+    pub warm: Option<WarmStart>,
+    /// Checkpoint to resume from ([`TuningSession::with_resume`]).
+    pub resume: Option<SessionCheckpoint>,
+}
+
 /// One tuning run's shared state: space, caching/counting evaluator,
 /// parallel batch, budget, and event sink.
 pub struct TuningSession<'a> {
@@ -496,6 +523,29 @@ impl<'a> TuningSession<'a> {
             }
         }
         self
+    }
+
+    /// Apply everything the host wired up. Call after
+    /// [`with_budget`](Self::with_budget) (a resumed checkpoint's budget
+    /// overrides it) and before [`with_surrogate`](Self::with_surrogate)
+    /// (which replays what warm start and resume put into the cache).
+    pub fn with_hooks<'h: 'a>(mut self, hooks: SessionHooks<'h>) -> Result<Self, CheckpointError> {
+        self.cancel = hooks.cancel;
+        self.batch_timing = hooks.batch_timing;
+        self.time_budget = hooks.time_budget;
+        if let Some(sink) = hooks.events {
+            self = self.with_sink(sink);
+        }
+        if let Some(warm) = hooks.warm {
+            self = self.with_warm_start(warm);
+        }
+        if let Some((sink, every)) = hooks.checkpoint {
+            self = self.with_checkpointing(sink, every);
+        }
+        match hooks.resume {
+            Some(ckpt) => self.with_resume(ckpt),
+            None => Ok(self),
+        }
     }
 
     /// Enable surrogate screening: every batch a strategy requests is
@@ -1073,6 +1123,43 @@ impl StrategyKind {
             "wsum" | "weighted-sum" | "weighted" => Some(StrategyKind::WeightedSum),
             _ => None,
         }
+    }
+
+    /// Build this strategy's [`Tuner`]. `params` are RS-GDE3's own (plain
+    /// GDE3 runs them without the rough-set step; the other stochastic
+    /// strategies take only their seed); `grid_steps` is the number of
+    /// grid points per `Range` dimension for [`StrategyKind::Grid`].
+    pub fn tuner(self, params: RsGde3Params, grid_steps: usize) -> Box<dyn Tuner> {
+        let seed = params.seed;
+        match self {
+            StrategyKind::Grid => Box::new(GridTuner::new(grid_steps)),
+            StrategyKind::Random => Box::new(RandomTuner::new(seed)),
+            StrategyKind::Gde3 => Box::new(RsGde3Tuner::new(RsGde3Params {
+                use_roughset: false,
+                ..params
+            })),
+            StrategyKind::Nsga2 => Box::new(Nsga2Tuner::new(Nsga2Params {
+                seed,
+                ..Default::default()
+            })),
+            StrategyKind::RsGde3 => Box::new(RsGde3Tuner::new(params)),
+            StrategyKind::WeightedSum => Box::new(WeightedSumTuner::new(WeightedSweepParams {
+                seed,
+                ..Default::default()
+            })),
+        }
+    }
+}
+
+impl std::str::FromStr for StrategyKind {
+    type Err = String;
+
+    /// [`parse`](StrategyKind::parse), with the known names in the error.
+    fn from_str(s: &str) -> Result<StrategyKind, String> {
+        StrategyKind::parse(s).ok_or_else(|| {
+            let known: Vec<_> = StrategyKind::all().iter().map(|k| k.name()).collect();
+            format!("unknown strategy '{s}' (known: {})", known.join(", "))
+        })
     }
 }
 

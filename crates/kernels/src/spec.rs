@@ -35,6 +35,9 @@ pub struct KernelInfo {
 }
 
 impl Kernel {
+    /// The smallest problem size [`region`](Kernel::region) accepts.
+    pub const MIN_SIZE: i64 = 4;
+
     /// All five kernels in the paper's table order.
     pub fn all() -> [Kernel; 5] {
         [
@@ -90,7 +93,7 @@ impl Kernel {
 
     /// Build the kernel's IR region for problem size `n`.
     pub fn region(self, n: i64) -> Region {
-        assert!(n >= 4, "problem size too small");
+        assert!(n >= Kernel::MIN_SIZE, "problem size too small");
         match self {
             Kernel::Mm => mm(n),
             Kernel::Dsyrk => dsyrk(n),
@@ -103,6 +106,29 @@ impl Kernel {
     /// Region at the paper-scale problem size.
     pub fn paper_region(self) -> Region {
         self.region(self.info().paper_size)
+    }
+}
+
+impl std::str::FromStr for Kernel {
+    type Err = String;
+
+    /// Parse a kernel by its Table IV name or its hyphen-free alias — the
+    /// vocabulary of `moat-tune --kernel` and of a `moat-serve` job spec.
+    fn from_str(name: &str) -> Result<Kernel, String> {
+        match name {
+            "mm" => Ok(Kernel::Mm),
+            "dsyrk" => Ok(Kernel::Dsyrk),
+            "jacobi-2d" | "jacobi2d" => Ok(Kernel::Jacobi2d),
+            "3d-stencil" | "stencil3d" => Ok(Kernel::Stencil3d),
+            "n-body" | "nbody" => Ok(Kernel::Nbody),
+            other => {
+                let known: Vec<_> = Kernel::all().iter().map(|k| k.info().name).collect();
+                Err(format!(
+                    "unknown kernel '{other}' (known: {})",
+                    known.join(", ")
+                ))
+            }
+        }
     }
 }
 

@@ -320,6 +320,24 @@ impl MachineDesc {
         vec![MachineDesc::westmere(), MachineDesc::barcelona()]
     }
 
+    /// The paper machine called `name` in lower case (`westmere`,
+    /// `barcelona`) — the vocabulary of `moat-tune --machine` and of a
+    /// `moat-serve` job spec.
+    pub fn named(name: &str) -> Result<MachineDesc, String> {
+        let mut machines = MachineDesc::paper_machines();
+        let lower = |m: &MachineDesc| m.name.to_ascii_lowercase();
+        match machines.iter().position(|m| lower(m) == name) {
+            Some(i) => Ok(machines.swap_remove(i)),
+            None => {
+                let known: Vec<_> = machines.iter().map(lower).collect();
+                Err(format!(
+                    "unknown machine '{name}' (known: {})",
+                    known.join(", ")
+                ))
+            }
+        }
+    }
+
     /// Convenience constructor for a symmetric machine with a conventional
     /// three-level hierarchy (private L1/L2, chip-shared L3) and default
     /// timing/power parameters scaled from the Westmere preset. Intended

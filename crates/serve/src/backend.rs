@@ -3,22 +3,26 @@
 //! `moat-serve` schedules, dedupes and persists; it does not know how to
 //! resolve a kernel name into a skeleton, run a cache simulation or emit
 //! C. A [`JobBackend`] supplies exactly that: [`prepare`] resolves a
-//! [`JobSpec`] into the content-addressed identity of the problem, and
+//! [`JobSpec`] into a [`PreparedJob`] — the content-addressed identity of
+//! the problem plus whatever the backend needs to tune it — and its
 //! [`run`] executes one tuning session under the daemon-provided
 //! [`JobContext`] (cancel flag, shared pool, checkpoint path, warm-start
-//! hints). The top-level `moat` crate implements this trait over its
-//! framework; the [`SyntheticBackend`] here drives the protocol,
-//! scheduling and determinism tests without any of that machinery.
+//! hints). The context turns itself into session wiring
+//! ([`JobContext::session_hooks`], [`JobContext::pooled`]), so every
+//! backend is cancelled, checkpointed, resumed and metered the same way.
+//! The top-level `moat` crate implements the trait over its framework;
+//! the [`SyntheticBackend`] here drives the protocol, scheduling and
+//! determinism tests without any of that machinery.
 //!
 //! [`prepare`]: JobBackend::prepare
-//! [`run`]: JobBackend::run
+//! [`run`]: PreparedJob::run
 
 use crate::pool::{FairPool, PooledEvaluator};
 use crate::spec::JobSpec;
 use moat_archive::{ArchiveKey, ArchiveRecord, CheckpointStore, FORMAT_VERSION};
 use moat_core::{
-    BatchEval, Config, EventLog, RandomTuner, SessionCheckpoint, StopReason, TuningEvent,
-    TuningSession, WarmStart,
+    BatchEval, Config, Evaluator, EventLog, RandomTuner, SessionCheckpoint, SessionHooks,
+    StopReason, TuningEvent, TuningReport, TuningSession, WarmStart,
 };
 use moat_machine::{MachineDesc, MachineFeatures};
 use std::path::PathBuf;
@@ -94,6 +98,51 @@ pub struct JobContext {
     pub obs: moat_obs::Obs,
 }
 
+impl JobContext {
+    /// `inner` behind the shared pool: every evaluation holds one slot on
+    /// behalf of this job and is counted into the daemon's metrics.
+    pub fn pooled<'e>(&self, inner: &'e dyn Evaluator) -> PooledEvaluator<'e> {
+        let pooled = PooledEvaluator::new(inner, Arc::clone(&self.pool), self.job_fp);
+        match &self.metrics {
+            Some(m) => pooled.with_metrics(Arc::clone(m)),
+            None => pooled,
+        }
+    }
+
+    /// The session's batch evaluator, `slots` wide.
+    pub fn batch(&self) -> BatchEval {
+        if self.slots > 1 {
+            BatchEval::parallel(self.slots)
+        } else {
+            BatchEval::sequential()
+        }
+    }
+
+    /// The daemon's session wiring: the stop flag cuts the run at the next
+    /// batch boundary, a traced job times its batches, events go to `log`
+    /// (the daemon derives spans from them), the session checkpoints
+    /// through `store` (from [`open_checkpoint_store`]) and starts from
+    /// the archive-derived warm start or the previous incarnation's
+    /// checkpoint.
+    pub fn session_hooks<'a>(
+        &self,
+        store: &'a mut Option<GaugedStore>,
+        log: &'a mut EventLog,
+    ) -> SessionHooks<'a> {
+        SessionHooks {
+            cancel: Some(Arc::clone(&self.cancel)),
+            batch_timing: self.trace.is_some(),
+            time_budget: None,
+            events: Some(log),
+            checkpoint: store
+                .as_mut()
+                .map(|s| (s as _, self.checkpoint_every.max(1))),
+            warm: self.warm.clone(),
+            resume: self.resume.clone(),
+        }
+    }
+}
+
 /// What one finished (or parked) job run produced.
 #[derive(Debug, Clone)]
 pub struct JobOutcome {
@@ -113,15 +162,43 @@ pub struct JobOutcome {
     pub events: Vec<TuningEvent>,
 }
 
+impl JobOutcome {
+    /// The outcome of a session that produced `report` and `events` and
+    /// whose front is archived as `record`.
+    pub fn new(
+        record: ArchiveRecord,
+        report: &TuningReport,
+        cancelled: bool,
+        events: Vec<TuningEvent>,
+    ) -> JobOutcome {
+        JobOutcome {
+            record,
+            evaluations: report.evaluations,
+            iterations: report.iterations,
+            stop: report.stop,
+            cancelled,
+            events,
+        }
+    }
+}
+
 /// A pluggable tuning executor.
 pub trait JobBackend: Send + Sync + 'static {
-    /// Resolve a spec into the problem's content address, or explain why
-    /// it cannot be served (unknown kernel/machine/strategy, …). Must be
-    /// cheap: it runs on the request path.
-    fn prepare(&self, spec: &JobSpec) -> Result<JobInfo, String>;
+    /// Resolve a spec into a runnable job, or explain why it cannot be
+    /// served (unknown kernel/machine/strategy, bad roster, …). The daemon
+    /// calls this on the request path to validate and address a
+    /// submission, and once more per job run, keeping the result for the
+    /// whole run.
+    fn prepare(&self, spec: &JobSpec) -> Result<Box<dyn PreparedJob>, String>;
+}
 
-    /// Execute one tuning session for `spec` under `ctx`.
-    fn run(&self, spec: &JobSpec, ctx: JobContext) -> Result<JobOutcome, String>;
+/// A resolved job: what [`JobBackend::prepare`] makes of a [`JobSpec`].
+pub trait PreparedJob: Send {
+    /// The problem's identity.
+    fn info(&self) -> &JobInfo;
+
+    /// Execute one tuning session under `ctx`.
+    fn run(self: Box<Self>, ctx: JobContext) -> Result<JobOutcome, String>;
 }
 
 /// A [`CheckpointSink`](moat_core::CheckpointSink) over a
@@ -144,11 +221,6 @@ impl GaugedStore {
             metrics,
             parked: false,
         }
-    }
-
-    /// Whether any save has parked so far.
-    pub fn parked(&self) -> bool {
-        self.parked
     }
 }
 
@@ -232,26 +304,48 @@ impl SyntheticBackend {
     }
 }
 
+/// A synthetic job: the spec, its identity and the evaluation delay.
+struct SyntheticJob {
+    spec: JobSpec,
+    info: JobInfo,
+    space: moat_core::ParamSpace,
+    eval_delay_us: u64,
+}
+
 impl JobBackend for SyntheticBackend {
-    fn prepare(&self, spec: &JobSpec) -> Result<JobInfo, String> {
+    fn prepare(&self, spec: &JobSpec) -> Result<Box<dyn PreparedJob>, String> {
         if spec.kernel.starts_with("bad") {
             return Err(format!("unknown kernel {:?}", spec.kernel));
         }
         let space = self.space();
         let machine = self.machine(spec);
-        Ok(JobInfo {
-            key: ArchiveKey::new(fnv(&spec.kernel), space.signature(), machine.fingerprint()),
-            machine,
-            param_names: space.names.clone(),
-            objective_names: vec!["f0".into(), "f1".into()],
-        })
+        Ok(Box::new(SyntheticJob {
+            spec: spec.clone(),
+            info: JobInfo {
+                key: ArchiveKey::new(fnv(&spec.kernel), space.signature(), machine.fingerprint()),
+                machine,
+                param_names: space.names.clone(),
+                objective_names: vec!["f0".into(), "f1".into()],
+            },
+            space,
+            eval_delay_us: self.eval_delay_us,
+        }))
+    }
+}
+
+impl PreparedJob for SyntheticJob {
+    fn info(&self) -> &JobInfo {
+        &self.info
     }
 
-    fn run(&self, spec: &JobSpec, ctx: JobContext) -> Result<JobOutcome, String> {
-        let info = self.prepare(spec)?;
-        let space = self.space();
+    fn run(self: Box<Self>, ctx: JobContext) -> Result<JobOutcome, String> {
+        let SyntheticJob {
+            spec,
+            info,
+            space,
+            eval_delay_us: delay,
+        } = *self;
         let bias = (fnv(&spec.kernel) % 97) as f64;
-        let delay = self.eval_delay_us;
         let ev = (2usize, move |cfg: &Config| {
             if delay > 0 {
                 std::thread::sleep(std::time::Duration::from_micros(delay));
@@ -259,41 +353,18 @@ impl JobBackend for SyntheticBackend {
             let (x, y) = (cfg[0] as f64, cfg[1] as f64);
             Some(vec![(x - bias).powi(2) + y, (y - bias).powi(2) + x])
         });
-        let pooled = {
-            let p = PooledEvaluator::new(&ev, Arc::clone(&ctx.pool), ctx.job_fp);
-            match &ctx.metrics {
-                Some(m) => p.with_metrics(Arc::clone(m)),
-                None => p,
-            }
-        };
-
+        let pooled = ctx.pooled(&ev);
         let mut store = open_checkpoint_store(&ctx);
         let mut log = EventLog::new();
-        let batch = if ctx.slots > 1 {
-            BatchEval::parallel(ctx.slots)
-        } else {
-            BatchEval::sequential()
-        };
-        let budget = spec.budget.unwrap_or(Self::DEFAULT_BUDGET);
 
         let (report, cancelled) = {
             let mut session = TuningSession::new(space.clone(), &pooled)
                 .with_label(&spec.kernel)
-                .with_batch(batch)
-                .with_budget(budget)
-                .with_cancel(Arc::clone(&ctx.cancel))
-                .with_batch_timing(ctx.trace.is_some())
+                .with_batch(ctx.batch())
+                .with_budget(spec.budget.unwrap_or(SyntheticBackend::DEFAULT_BUDGET))
                 .with_obs(ctx.obs.clone())
-                .with_sink(&mut log);
-            if let Some(warm) = ctx.warm.clone() {
-                session = session.with_warm_start(warm);
-            }
-            if let Some(resume) = ctx.resume.clone() {
-                session = session.with_resume(resume).map_err(|e| e.to_string())?;
-            }
-            if let Some(store) = store.as_mut() {
-                session = session.with_checkpointing(store, ctx.checkpoint_every.max(1));
-            }
+                .with_hooks(ctx.session_hooks(&mut store, &mut log))
+                .map_err(|e| e.to_string())?;
             if let Some(s) = &ctx.surrogate {
                 let policy = moat_core::ScreeningPolicy {
                     screen_ratio: s.screen_ratio,
@@ -307,15 +378,14 @@ impl JobBackend for SyntheticBackend {
                 session = session.with_surrogate(screen);
             }
             let report = session.run(&RandomTuner::new(spec.seed));
-            let cancelled = session.cancelled();
-            (report, cancelled)
+            (report, session.cancelled())
         };
 
         let mut record = ArchiveRecord {
             format_version: FORMAT_VERSION,
             key: info.key,
             region: spec.kernel.clone(),
-            skeleton: spec.kernel.clone(),
+            skeleton: spec.kernel,
             machine: info.machine,
             param_names: info.param_names,
             objective_names: info.objective_names,
@@ -324,14 +394,7 @@ impl JobBackend for SyntheticBackend {
             front: report.front.points().to_vec(),
         };
         record.canonicalize();
-        Ok(JobOutcome {
-            record,
-            evaluations: report.evaluations,
-            iterations: report.iterations,
-            stop: report.stop,
-            cancelled,
-            events: log.events,
-        })
+        Ok(JobOutcome::new(record, &report, cancelled, log.events))
     }
 }
 
@@ -353,6 +416,10 @@ mod tests {
         }
     }
 
+    fn run(kernel: &str, ctx: JobContext) -> Result<JobOutcome, String> {
+        SyntheticBackend::default().prepare(&spec(kernel))?.run(ctx)
+    }
+
     fn ctx(pool: Arc<FairPool>) -> JobContext {
         JobContext {
             cancel: Arc::new(AtomicBool::new(false)),
@@ -372,29 +439,27 @@ mod tests {
 
     #[test]
     fn synthetic_runs_are_deterministic_and_kernel_sensitive() {
-        let backend = SyntheticBackend::default();
         let pool = FairPool::new(4);
-        let a = backend.run(&spec("mm"), ctx(Arc::clone(&pool))).unwrap();
-        let b = backend.run(&spec("mm"), ctx(Arc::clone(&pool))).unwrap();
+        let a = run("mm", ctx(Arc::clone(&pool))).unwrap();
+        let b = run("mm", ctx(Arc::clone(&pool))).unwrap();
         assert_eq!(a.record, b.record, "fixed seed ⇒ identical record");
         assert_eq!(a.evaluations, 40);
         assert!(!a.cancelled);
-        let c = backend.run(&spec("dsyrk"), ctx(pool)).unwrap();
+        let c = run("dsyrk", ctx(pool)).unwrap();
         assert_ne!(a.record.key, c.record.key, "kernel changes the key");
     }
 
     #[test]
     fn surrogate_full_ratio_is_identical_and_screening_runs() {
-        let backend = SyntheticBackend::default();
         let pool = FairPool::new(4);
-        let plain = backend.run(&spec("mm"), ctx(Arc::clone(&pool))).unwrap();
+        let plain = run("mm", ctx(Arc::clone(&pool))).unwrap();
         // ratio = 1.0 forwards everything: byte-identical record.
         let mut full = ctx(Arc::clone(&pool));
         full.surrogate = Some(SurrogateJob {
             screen_ratio: 1.0,
             primer: vec![],
         });
-        let out = backend.run(&spec("mm"), full).unwrap();
+        let out = run("mm", full).unwrap();
         assert_eq!(out.record, plain.record);
         assert_eq!(out.evaluations, plain.evaluations);
         // A primed screening run still completes with a usable front.
@@ -408,14 +473,13 @@ mod tests {
                 .map(|p| (p.config.clone(), p.objectives.clone()))
                 .collect(),
         });
-        let out = backend.run(&spec("mm"), screened).unwrap();
+        let out = run("mm", screened).unwrap();
         assert!(!out.cancelled);
         assert!(!out.record.front.is_empty());
     }
 
     #[test]
     fn uncreatable_checkpoint_store_degrades_instead_of_failing() {
-        let backend = SyntheticBackend::default();
         let pool = FairPool::new(2);
         let dir =
             std::env::temp_dir().join(format!("moat-serve-backend-degrade-{}", std::process::id()));
@@ -427,7 +491,7 @@ mod tests {
         let mut c = ctx(pool);
         c.checkpoint_path = Some(dir.join("blocker").join("job.ckpt"));
         c.metrics = Some(Arc::clone(&metrics));
-        let out = backend.run(&spec("mm"), c).expect("job survives");
+        let out = run("mm", c).expect("job survives");
         assert!(!out.cancelled);
         assert_eq!(out.evaluations, 40, "full run, just uncheckpointed");
         assert_eq!(
@@ -447,7 +511,6 @@ mod tests {
 
     #[test]
     fn cancel_parks_with_resume_state() {
-        let backend = SyntheticBackend::default();
         let pool = FairPool::new(2);
         let dir =
             std::env::temp_dir().join(format!("moat-serve-backend-cancel-{}", std::process::id()));
@@ -455,7 +518,7 @@ mod tests {
         let mut c = ctx(Arc::clone(&pool));
         c.cancel.store(true, std::sync::atomic::Ordering::Relaxed);
         c.checkpoint_path = Some(dir.join("job.ckpt"));
-        let out = backend.run(&spec("mm"), c).unwrap();
+        let out = run("mm", c).unwrap();
         assert!(out.cancelled);
         assert_eq!(out.stop, StopReason::Cancelled);
         assert_eq!(out.evaluations, 0, "pre-set flag cuts before any batch");

@@ -17,7 +17,7 @@
 //! wrapping the listener.
 
 use crate::admission::splitmix;
-use crate::backend::{JobBackend, JobContext, JobInfo, JobOutcome};
+use crate::backend::{JobBackend, JobContext, JobInfo, JobOutcome, PreparedJob};
 use crate::spec::JobSpec;
 use std::sync::Arc;
 use std::time::Duration;
@@ -120,20 +120,39 @@ impl ChaosBackend {
 }
 
 impl JobBackend for ChaosBackend {
-    fn prepare(&self, spec: &JobSpec) -> Result<JobInfo, String> {
-        self.inner.prepare(spec)
+    fn prepare(&self, spec: &JobSpec) -> Result<Box<dyn PreparedJob>, String> {
+        let fp = spec.fingerprint();
+        Ok(Box::new(ChaosJob {
+            inner: self.inner.prepare(spec)?,
+            fp,
+            fate: self.config.fate(fp),
+            seed: self.config.seed,
+        }))
+    }
+}
+
+/// The wrapped backend's job, with the fate its fingerprint drew.
+struct ChaosJob {
+    inner: Box<dyn PreparedJob>,
+    fp: u64,
+    fate: Fate,
+    seed: u64,
+}
+
+impl PreparedJob for ChaosJob {
+    fn info(&self) -> &JobInfo {
+        self.inner.info()
     }
 
-    fn run(&self, spec: &JobSpec, ctx: JobContext) -> Result<JobOutcome, String> {
-        let fp = spec.fingerprint();
-        match self.config.fate(fp) {
-            Fate::Clean => self.inner.run(spec, ctx),
+    fn run(self: Box<Self>, ctx: JobContext) -> Result<JobOutcome, String> {
+        let fp = self.fp;
+        match self.fate {
+            Fate::Clean => {}
             Fate::Slow => {
-                let ms = 2 + splitmix(self.config.seed ^ fp ^ 0x510) % 8;
+                let ms = 2 + splitmix(self.seed ^ fp ^ 0x510) % 8;
                 std::thread::sleep(Duration::from_millis(ms));
-                self.inner.run(spec, ctx)
             }
-            Fate::Error => Err(format!("chaos: injected backend error (fp {fp:016x})")),
+            Fate::Error => return Err(format!("chaos: injected backend error (fp {fp:016x})")),
             Fate::Panic => panic!("chaos: injected backend panic (fp {fp:016x})"),
             Fate::CheckpointDeny => {
                 if let Some(path) = &ctx.checkpoint_path {
@@ -142,9 +161,9 @@ impl JobBackend for ChaosBackend {
                     // but every `save` fails to open the WAL and parks.
                     let _ = std::fs::create_dir_all(path.with_extension("ckpt.wal"));
                 }
-                self.inner.run(spec, ctx)
             }
         }
+        self.inner.run(ctx)
     }
 }
 
@@ -212,7 +231,7 @@ mod tests {
             trace: None,
             obs: moat_obs::Obs::default(),
         };
-        let err = chaos.run(&spec, ctx).unwrap_err();
+        let err = chaos.prepare(&spec).unwrap().run(ctx).unwrap_err();
         assert!(err.contains("chaos: injected backend error"), "{err}");
     }
 }

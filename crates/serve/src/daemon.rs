@@ -494,6 +494,29 @@ impl Daemon {
         }
     }
 
+    /// Failure isolation: a panicking backend (or a panic propagated out
+    /// of its BatchEval workers) fails only job `id`.
+    fn contained<T>(
+        &self,
+        id: &str,
+        call: impl FnOnce() -> Result<T, String>,
+    ) -> Result<T, String> {
+        std::panic::catch_unwind(AssertUnwindSafe(call)).unwrap_or_else(|payload| {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "opaque panic payload".into());
+            self.metrics.backend_panics.fetch_add(1, Ordering::Relaxed);
+            self.obs_event(moat_obs::Event::ServePanic {
+                job: id.to_string(),
+                error: msg.clone(),
+            });
+            self.flight_dump(&format!("panic-{id}"));
+            Err(format!("backend panicked: {msg}"))
+        })
+    }
+
     fn run_job(self: &Arc<Self>, id: &str, resume: Option<SessionCheckpoint>) {
         let (spec, fingerprint) = {
             let mut jobs = self.jobs.lock();
@@ -532,30 +555,30 @@ impl Daemon {
         let run_ctx = jt.ctx.map(|root| root.child("run", 0));
         let run_started = Instant::now();
 
+        // Resolve the spec once; what it resolves to serves the decisions
+        // below and then runs.
+        let prepared = self.contained(id, || self.backend.prepare(&spec));
+        let info = prepared.as_ref().ok().map(|job| job.info());
+
         // Warm-start / replay decision, made against the archive at run
         // time so a restart re-derives it from current contents. An exact
         // hit never reaches the backend: the archived front IS the result,
         // served at E = 0. A near-machine hit seeds a normal run.
         let mut warm = None;
         let mut warm_desc = None;
-        if spec.warm_start && !resumed {
-            if let Ok(info) = self.backend.prepare(&spec) {
-                match self.archive.warm_start_for(&info.key, &info.machine) {
-                    Ok(Some((_, moat_archive::WarmStartSource::Exact))) => {
-                        if let Ok(Some(record)) = self.archive.get(&info.key) {
-                            self.complete_replay(id, &spec, &fingerprint, &record, jt.ctx.as_ref());
-                            return;
-                        }
+        if let (true, false, Some(info)) = (spec.warm_start, resumed, info) {
+            match self.archive.warm_start_for(&info.key, &info.machine) {
+                Ok(Some((_, moat_archive::WarmStartSource::Exact))) => {
+                    if let Ok(Some(record)) = self.archive.get(&info.key) {
+                        self.complete_replay(id, &spec, &fingerprint, &record, jt.ctx.as_ref());
+                        return;
                     }
-                    Ok(Some((
-                        ws,
-                        moat_archive::WarmStartSource::Transfer { machine, distance },
-                    ))) => {
-                        warm_desc = Some(format!("transfer({machine}, {distance:.3})"));
-                        warm = Some(ws);
-                    }
-                    _ => {}
                 }
+                Ok(Some((ws, moat_archive::WarmStartSource::Transfer { machine, distance }))) => {
+                    warm_desc = Some(format!("transfer({machine}, {distance:.3})"));
+                    warm = Some(ws);
+                }
+                _ => {}
             }
         }
 
@@ -563,30 +586,27 @@ impl Daemon {
         // front of this problem (nearest machine first) so screening
         // compounds with warm-start dedupe — the second tenant's job
         // starts with a model trained on the first tenant's measurements.
-        let mut surrogate = None;
-        if self.config.surrogate {
-            if let Ok(info) = self.backend.prepare(&spec) {
-                let primer = self
-                    .archive
-                    .records_for_machine_family(&info.key, &info.machine)
-                    .map(|family| {
-                        family
-                            .iter()
-                            .flat_map(|(record, _distance)| {
-                                record
-                                    .front
-                                    .iter()
-                                    .map(|p| (p.config.clone(), p.objectives.clone()))
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                surrogate = Some(crate::backend::SurrogateJob {
-                    screen_ratio: self.config.screen_ratio,
-                    primer,
-                });
+        let surrogate = info.filter(|_| self.config.surrogate).map(|info| {
+            let primer = self
+                .archive
+                .records_for_machine_family(&info.key, &info.machine)
+                .map(|family| {
+                    family
+                        .iter()
+                        .flat_map(|(record, _distance)| {
+                            record
+                                .front
+                                .iter()
+                                .map(|p| (p.config.clone(), p.objectives.clone()))
+                        })
+                        .collect()
+                })
+                .unwrap_or_default();
+            crate::backend::SurrogateJob {
+                screen_ratio: self.config.screen_ratio,
+                primer,
             }
-        }
+        });
 
         // The job's own logical-mode handle: what its session emits on it
         // is the job's trace, whatever else the process is running.
@@ -605,24 +625,7 @@ impl Daemon {
             trace: run_ctx,
             obs: obs.clone(),
         };
-
-        // Failure isolation: a panicking backend (or a panic propagated
-        // out of its BatchEval workers) fails only this job.
-        let run = std::panic::catch_unwind(AssertUnwindSafe(|| self.backend.run(&spec, ctx)))
-            .unwrap_or_else(|payload| {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "opaque panic payload".into());
-                self.metrics.backend_panics.fetch_add(1, Ordering::Relaxed);
-                self.obs_event(moat_obs::Event::ServePanic {
-                    job: id.to_string(),
-                    error: msg.clone(),
-                });
-                self.flight_dump(&format!("panic-{id}"));
-                Err(format!("backend panicked: {msg}"))
-            });
+        let run = prepared.and_then(|job| self.contained(id, || job.run(ctx)));
         let eval_us = run_started.elapsed().as_micros() as u64;
         self.metrics
             .phase_eval
@@ -906,8 +909,8 @@ impl Daemon {
         if let Err(e) = spec.validate() {
             return Response::error(400, &e);
         }
-        let info = match self.backend.prepare(&spec) {
-            Ok(i) => i,
+        let key = match self.backend.prepare(&spec) {
+            Ok(job) => job.info().key,
             Err(e) => return Response::error(400, &e),
         };
         let fp = spec.fingerprint();
@@ -975,7 +978,7 @@ impl Daemon {
                 fingerprint: fingerprint.clone(),
                 status: JobStatus::Queued,
                 serves_as: primary.clone(),
-                key: Some(info.key.id()),
+                key: Some(key.id()),
                 evaluations: 0,
                 iterations: 0,
                 stop: None,

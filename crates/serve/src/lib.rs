@@ -32,8 +32,8 @@ pub mod wire;
 
 pub use admission::{AdmissionPolicy, ShedReason};
 pub use backend::{
-    open_checkpoint_store, GaugedStore, JobBackend, JobContext, JobInfo, JobOutcome, SurrogateJob,
-    SyntheticBackend,
+    open_checkpoint_store, GaugedStore, JobBackend, JobContext, JobInfo, JobOutcome, PreparedJob,
+    SurrogateJob, SyntheticBackend,
 };
 pub use chaos::{ChaosBackend, ChaosConfig, Fate};
 pub use daemon::{serve, JobState, JobStatus, ServeConfig, ServeHandle};

@@ -258,4 +258,7 @@ cargo run -q --bin moat-report -- "$tsmoke/state/spans.jsonl" --validate
 echo "== bench gates (committed baselines) =="
 scripts/bench_check.sh --smoke
 
+echo "== non-test line count (ROADMAP item 7) =="
+scripts/loc.sh
+
 echo "All checks passed."

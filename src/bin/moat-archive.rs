@@ -24,19 +24,7 @@ use moat::multiversion::VersionTable;
 use std::process::exit;
 
 fn usage() -> ! {
-    eprintln!(
-        "{}",
-        include_str!("moat-archive.rs")
-            .lines()
-            .skip(3)
-            .take(14)
-            .map(|l| {
-                let l = l.strip_prefix("//!").unwrap_or(l);
-                l.strip_prefix(' ').unwrap_or(l)
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+    eprintln!("{}", moat::usage_text(include_str!("moat-archive.rs")));
     exit(2)
 }
 

@@ -20,19 +20,7 @@ use serde::Value;
 use std::process::exit;
 
 fn usage() -> ! {
-    eprintln!(
-        "{}",
-        include_str!("moat-bench-check.rs")
-            .lines()
-            .skip(3)
-            .take(2)
-            .map(|l| {
-                let l = l.strip_prefix("//!").unwrap_or(l);
-                l.strip_prefix(' ').unwrap_or(l)
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+    eprintln!("{}", moat::usage_text(include_str!("moat-bench-check.rs")));
     exit(2)
 }
 

@@ -53,19 +53,7 @@ use std::process::exit;
 use std::time::{Duration, Instant};
 
 fn usage() -> ! {
-    eprintln!(
-        "{}",
-        include_str!("moat-loadgen.rs")
-            .lines()
-            .skip(2)
-            .take(30)
-            .map(|l| {
-                let l = l.strip_prefix("//!").unwrap_or(l);
-                l.strip_prefix(' ').unwrap_or(l)
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+    eprintln!("{}", moat::usage_text(include_str!("moat-loadgen.rs")));
     exit(2)
 }
 

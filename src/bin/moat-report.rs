@@ -36,16 +36,7 @@ use std::collections::BTreeMap;
 use std::process::exit;
 
 fn usage() -> ! {
-    // The doc comment above is the single source of truth for the help
-    // text; print its code block.
-    let doc: String = include_str!("moat-report.rs")
-        .lines()
-        .skip(3)
-        .take(23)
-        .map(|l| l.trim_start_matches("//! ").trim_start_matches("//!"))
-        .collect::<Vec<_>>()
-        .join("\n");
-    eprintln!("{doc}");
+    eprintln!("{}", moat::usage_text(include_str!("moat-report.rs")));
     exit(2)
 }
 

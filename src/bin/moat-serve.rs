@@ -65,19 +65,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn usage() -> ! {
-    eprintln!(
-        "{}",
-        include_str!("moat-serve.rs")
-            .lines()
-            .skip(2)
-            .take(50)
-            .map(|l| {
-                let l = l.strip_prefix("//!").unwrap_or(l);
-                l.strip_prefix(' ').unwrap_or(l)
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+    eprintln!("{}", moat::usage_text(include_str!("moat-serve.rs")));
     exit(2)
 }
 

@@ -1,17 +1,23 @@
-//! The end-to-end auto-tuning pipeline (paper Fig. 3, labels 1–5).
+//! The end-to-end auto-tuning pipeline (paper Fig. 3, labels 1–5), in the
+//! three stages every host composes: [`Framework::prepare`] (analysis and
+//! whatever else depends on the problem alone), [`Framework::run`] (the
+//! evaluator stack, the session, the archive) and [`Framework::table`] /
+//! [`Framework::emit`] (the backend artifacts). [`Framework::tune`] chains
+//! them; `moat-tune` and `moat-serve`'s `TuneBackend` call the same stages
+//! and differ in the [`Hooks`] they hand to the middle one.
 
 use crate::features::IrFeatures;
 use crate::sim::{
-    ir_space, AltSkeletonEvaluator, FixedUnrollEvaluator, SimEvaluator, OBJECTIVE_NAMES,
+    ir_space, AltSkeletonEvaluator, FixedUnrollEvaluator, MultiObjectiveEvaluator, Objective,
 };
 use moat_archive::{Archive, ArchiveKey, ArchiveRecord, WarmStartSource};
 use moat_core::{
-    BackendId, BackendKind, BackendSet, BatchEval, Evaluator, FeatureSource, GridTuner,
-    Nsga2Params, Nsga2Tuner, Provenance, RandomTuner, RsGde3Params, RsGde3Tuner, ScreeningPolicy,
-    StrategyKind, Surrogate, SurrogateScreen, Tuner, TuningReport, TuningSession, WeightedSumTuner,
-    WeightedSweepParams,
+    BackendId, BackendKind, BackendSet, BatchEval, Config, Evaluator, FeatureSource, ObjVec,
+    ParamSpace, ParetoFront, Provenance, RsGde3Params, ScreeningPolicy, SessionHooks, StrategyKind,
+    Surrogate, SurrogateScreen, SurrogateStats, TuningReport, TuningSession,
 };
-use moat_ir::{analyze, AnalyzerConfig, Region, Step, Variant};
+use moat_ir::{analyze, AnalyzerConfig, Region, Skeleton, Step, Variant};
+use moat_kernels::Kernel;
 use moat_machine::{CostModel, MachineDesc, NoiseModel};
 use moat_multiversion::{emit_multiversioned_c, VersionTable};
 use moat_obs::{Obs, TimestampMode};
@@ -117,7 +123,21 @@ pub fn parse_backend_spec(spec: &str) -> Result<BackendSpec, String> {
     ))
 }
 
-/// The auto-tuning framework bound to one target machine.
+/// Parse and validate a whole roster: every entry well-formed, no name
+/// twice (two backends with one identity would make provenance
+/// meaningless).
+fn parse_roster(names: &[String]) -> Result<Vec<BackendSpec>, String> {
+    for (i, name) in names.iter().enumerate() {
+        if names[..i].contains(name) {
+            return Err(format!("duplicate backend '{name}'"));
+        }
+    }
+    names.iter().map(|s| parse_backend_spec(s)).collect()
+}
+
+/// The auto-tuning framework bound to one target machine: the one set of
+/// run options `moat-tune`'s flags, a `moat-serve` job spec and library
+/// callers all fill in.
 #[derive(Debug, Clone)]
 pub struct Framework {
     /// Target machine description.
@@ -125,6 +145,10 @@ pub struct Framework {
     /// Measurement-noise emulation (defaults to the paper's
     /// median-of-3 protocol; set to `None` for exact model output).
     pub noise: Option<NoiseModel>,
+    /// The objectives tuned, in table order (defaults to the paper's
+    /// time and resource usage; energy is the further candidate of
+    /// §III-B.1).
+    pub objectives: Vec<Objective>,
     /// Search strategy (defaults to the paper's RS-GDE3).
     pub strategy: StrategyKind,
     /// RS-GDE3 parameters (the seed is shared with the other stochastic
@@ -186,12 +210,77 @@ pub struct Framework {
     pub timestamps: TimestampMode,
 }
 
+/// What [`Framework::prepare`] resolves once per problem, before any
+/// evaluation; the run and emit stages only read it.
+#[derive(Debug, Clone)]
+pub struct Prepared {
+    /// The analyzed region (skeletons attached; under
+    /// [`Framework::tune_unroll`], the unroll parameter appended).
+    pub region: Region,
+    /// The cost model configurations are evaluated on.
+    pub model: CostModel,
+    /// Search space of the tuned skeleton.
+    pub space: ParamSpace,
+    /// Content address of the problem: skeleton × space × machine.
+    pub key: ArchiveKey,
+    /// The parsed roster, index-aligned with [`Framework::backends`].
+    roster: Vec<BackendSpec>,
+}
+
+impl Prepared {
+    /// The tuned skeleton — the analyzer's primary one.
+    pub fn skeleton(&self) -> &Skeleton {
+        &self.region.skeletons[0]
+    }
+}
+
+/// The rest of the run stage, waiting for the evaluator its session is to
+/// use.
+pub type Session<'s> = Box<dyn FnOnce(&dyn Evaluator) + 's>;
+
+/// An evaluator layer a host puts between the roster and the session's
+/// cache: called with the roster evaluator and the [`Session`], it runs the
+/// session once, over whatever it built on the roster evaluator.
+pub type Wrap<'h> = &'h dyn Fn(&dyn Evaluator, Session<'_>);
+
+/// What a host wires into [`Framework::run`]. The default — nothing — is
+/// the library's own fire-and-forget run.
+#[derive(Default)]
+pub struct Hooks<'h> {
+    /// Session wiring. A `warm` start given here is used as is and the
+    /// archive is not consulted for one.
+    pub session: SessionHooks<'h>,
+    /// `moat-tune`'s fault pipeline, the daemon's pooled evaluator.
+    pub wrap: Option<Wrap<'h>>,
+    /// Surrogate training pairs supplied by the host, used instead of the
+    /// archived fronts of this problem's machine family.
+    pub primer: Option<&'h [(Config, ObjVec)]>,
+}
+
+/// What [`Framework::run`] hands back.
+#[derive(Debug, Clone)]
+pub struct RunOutcome {
+    /// The optimizer's report. Under a roster the front is projected back
+    /// onto the logical space, every point tagged with its backend.
+    pub report: TuningReport,
+    /// Whether the host's cancel flag cut the run short.
+    pub cancelled: bool,
+    /// The archive warm start that seeded the run, with the number of
+    /// points it carried (hints of an exact hit, seeds of a transfer).
+    /// `None`: cold start, or a warm start the host supplied.
+    pub warm_start: Option<(WarmStartSource, usize)>,
+    /// Under surrogate screening: how many pairs primed the model before
+    /// the run, and the screen's counters after it.
+    pub surrogate: Option<(usize, SurrogateStats)>,
+}
+
 impl Framework {
     /// Framework with paper-default settings for `machine`.
     pub fn new(machine: MachineDesc) -> Self {
         Framework {
             machine,
             noise: Some(NoiseModel::default()),
+            objectives: vec![Objective::Time, Objective::Resources],
             strategy: StrategyKind::RsGde3,
             tuner_params: RsGde3Params::default(),
             grid_steps: 10,
@@ -210,74 +299,81 @@ impl Framework {
         }
     }
 
-    /// Build the configured strategy's [`Tuner`].
-    pub fn make_tuner(&self) -> Box<dyn Tuner> {
-        let seed = self.tuner_params.seed;
-        match self.strategy {
-            StrategyKind::Grid => Box::new(GridTuner::new(self.grid_steps)),
-            StrategyKind::Random => Box::new(RandomTuner::new(seed)),
-            StrategyKind::Gde3 => Box::new(RsGde3Tuner::new(RsGde3Params {
-                use_roughset: false,
-                ..self.tuner_params
-            })),
-            StrategyKind::Nsga2 => Box::new(Nsga2Tuner::new(Nsga2Params {
-                seed,
-                ..Default::default()
-            })),
-            StrategyKind::RsGde3 => Box::new(RsGde3Tuner::new(self.tuner_params)),
-            StrategyKind::WeightedSum => Box::new(WeightedSumTuner::new(WeightedSweepParams {
-                seed,
-                ..Default::default()
-            })),
-        }
-    }
-
-    /// Analyzer configuration matching the machine: any thread count up to
-    /// the machine size (paper §V-B.3) and the `N/2` tile-size bound.
-    pub fn analyzer_config(&self) -> AnalyzerConfig {
-        AnalyzerConfig::for_threads((1..=self.machine.total_cores() as i64).collect())
-    }
-
-    /// The cost model used for evaluation.
-    pub fn cost_model(&self) -> CostModel {
-        match self.noise {
-            Some(n) => CostModel::with_noise(self.machine.clone(), n),
-            None => CostModel::new(self.machine.clone()),
-        }
+    /// Objective names, in table order.
+    pub fn objective_names(&self) -> Vec<String> {
+        self.objectives
+            .iter()
+            .map(|o| o.name().to_string())
+            .collect()
     }
 
     /// Run the full pipeline on `region`: analyze (1), optimize (2–4),
     /// generate the multi-versioned backend artifacts (5).
     pub fn tune(&self, region: Region) -> Result<TunedRegion, String> {
-        run_observed(
+        let p = self.prepare(region)?;
+        let out = run_observed(
             self.trace.as_deref(),
             self.metrics.as_deref(),
             self.timestamps,
-            |obs| self.tune_inner(region, obs),
-        )?
+            |obs| self.run(&p, Hooks::default(), obs),
+        )??;
+        let table = self.table(&p, &out.report.front);
+        let (variants, source_c) = self.emit(&p, &table)?;
+        Ok(TunedRegion {
+            region: p.region,
+            skeleton_index: 0,
+            result: out.report,
+            table,
+            variants,
+            source_c,
+            warm_start: out.warm_start.map(|(source, _)| source),
+        })
     }
 
-    fn tune_inner(&self, region: Region, obs: &Obs) -> Result<TunedRegion, String> {
-        // Parse the backend roster up front: `alt<K>` specs require the
-        // analyzer to derive alternative skeletons.
-        let specs = self
-            .backends
-            .iter()
-            .map(|s| parse_backend_spec(s))
-            .collect::<Result<Vec<_>, _>>()?;
-        let wants_alternatives = specs
-            .iter()
-            .any(|s| matches!(s, BackendSpec::AltSkeleton(_)));
+    /// [`prepare`](Self::prepare) for a paper kernel at problem size
+    /// `size` (default: the paper's), refusing sizes the kernel cannot be
+    /// built at.
+    pub fn prepare_kernel(&self, kernel: Kernel, size: Option<i64>) -> Result<Prepared, String> {
+        let size = size.unwrap_or(kernel.info().paper_size);
+        if size < Kernel::MIN_SIZE {
+            return Err(format!(
+                "size {size} too small (minimum {})",
+                Kernel::MIN_SIZE
+            ));
+        }
+        self.prepare(kernel.region(size))
+    }
 
-        // (1) Analyzer: derive skeletons if not already present.
+    /// Stage 1 — everything that depends on the problem alone: validate
+    /// the options, run the analyzer (1) unless `region` already carries
+    /// skeletons, and fix the cost model, search space and archive key.
+    pub fn prepare(&self, region: Region) -> Result<Prepared, String> {
+        let roster = parse_roster(&self.backends)?;
+        if !roster.is_empty() && self.warm_start {
+            return Err("warm-start is not supported with a multi-backend roster".into());
+        }
+        if !roster.is_empty() && self.objectives != [Objective::Time, Objective::Resources] {
+            return Err("a backend roster tunes the two paper objectives only".into());
+        }
+        if !(0.0..=1.0).contains(&self.screen_ratio) {
+            return Err(format!(
+                "screen ratio must be in [0, 1], got {}",
+                self.screen_ratio
+            ));
+        }
+
+        // `alt<K>` backends need the analyzer's alternative skeletons.
         let mut region = if region.skeletons.is_empty() {
-            let mut acfg = self.analyzer_config();
-            acfg.alternatives = acfg.alternatives || wants_alternatives;
+            let threads = (1..=self.machine.total_cores() as i64).collect();
+            let mut acfg = AnalyzerConfig::for_threads(threads);
+            acfg.alternatives |= roster
+                .iter()
+                .any(|s| matches!(s, BackendSpec::AltSkeleton(_)));
             analyze(region, &acfg)?
         } else {
             region
         };
-        for s in &specs {
+        for s in &roster {
             if let BackendSpec::AltSkeleton(k) = s {
                 if *k >= region.skeletons.len() {
                     return Err(format!(
@@ -298,84 +394,65 @@ impl Framework {
                 sk.steps.push(Step::Unroll { factor_param });
             }
         }
-        let skeleton_index = 0;
-        let skeleton = &region.skeletons[skeleton_index];
+        let model = match self.noise {
+            Some(n) => CostModel::with_noise(self.machine.clone(), n),
+            None => CostModel::new(self.machine.clone()),
+        };
+        let space = ir_space(&region.skeletons[0]);
+        let key = ArchiveKey::of(&region.skeletons[0], &space, &self.machine);
+        Ok(Prepared {
+            region,
+            model,
+            space,
+            key,
+            roster,
+        })
+    }
 
-        // (2–4) Multi-objective optimization on the machine model, driven
-        // through a TuningSession (strategy-agnostic budget enforcement and
-        // evaluation accounting).
-        let model = self.cost_model();
-        let base_eval = SimEvaluator {
-            region: &region,
+    /// Stage 2 — multi-objective optimization on the machine model
+    /// (2–4): build the evaluator stack (under a roster the optimizer sees
+    /// the product space `config × backend`), consult the archive for a
+    /// warm start, prime the surrogate, drive a [`TuningSession`] with the
+    /// configured strategy, and record the outcome in the archive.
+    pub fn run(&self, p: &Prepared, mut hooks: Hooks<'_>, obs: &Obs) -> Result<RunOutcome, String> {
+        let skeleton = p.skeleton();
+        let base = || MultiObjectiveEvaluator {
+            region: &p.region,
             skeleton,
-            model: &model,
+            model: &p.model,
+            objectives: self.objectives.clone(),
         };
-        let space = ir_space(skeleton);
-        let key = ArchiveKey::of(skeleton, &space, &self.machine);
-
-        // Multi-backend roster: the optimizer sees the product space
-        // `config × backend`; the classic empty-roster path is untouched.
-        if self.warm_start && !self.backends.is_empty() {
-            return Err("warm-start is not supported with a multi-backend roster".into());
-        }
-        let unrolls: Vec<FixedUnrollEvaluator> = specs
+        let plain = base();
+        let variants: Vec<Box<dyn Evaluator + '_>> = p
+            .roster
             .iter()
-            .filter_map(|s| match s {
-                BackendSpec::Unroll(n) => {
-                    Some(FixedUnrollEvaluator::new(&region, skeleton, &model, *n))
+            .map(|spec| -> Box<dyn Evaluator + '_> {
+                match *spec {
+                    BackendSpec::Model => Box::new(base()),
+                    BackendSpec::Unroll(n) => {
+                        Box::new(FixedUnrollEvaluator::new(&p.region, skeleton, &p.model, n))
+                    }
+                    BackendSpec::AltSkeleton(k) => {
+                        Box::new(AltSkeletonEvaluator::new(&p.region, &p.model, k))
+                    }
                 }
-                _ => None,
             })
             .collect();
-        let alts: Vec<AltSkeletonEvaluator> = specs
-            .iter()
-            .filter_map(|s| match s {
-                BackendSpec::AltSkeleton(k) => Some(AltSkeletonEvaluator::new(&region, &model, *k)),
-                _ => None,
-            })
-            .collect();
-        let backend_set = if self.backends.is_empty() {
-            None
-        } else {
+        let roster = (!variants.is_empty()).then(|| {
             let mut set = BackendSet::new();
-            let (mut next_unroll, mut next_alt) = (0, 0);
-            for (name, spec) in self.backends.iter().zip(&specs) {
-                let prov = Provenance::new(
-                    BackendId::new(BackendKind::Analytic, name.clone()),
-                    key.machine,
-                );
-                match spec {
-                    BackendSpec::Model => set.register(prov, &base_eval),
-                    BackendSpec::Unroll(_) => {
-                        set.register(prov, &unrolls[next_unroll]);
-                        next_unroll += 1;
-                    }
-                    BackendSpec::AltSkeleton(_) => {
-                        set.register(prov, &alts[next_alt]);
-                        next_alt += 1;
-                    }
-                }
+            for (name, variant) in self.backends.iter().zip(&variants) {
+                let id = BackendId::new(BackendKind::Analytic, name.clone());
+                set.register(Provenance::new(id, p.key.machine), variant.as_ref());
             }
-            Some(set)
+            set
+        });
+        let (tuning_space, evaluator): (ParamSpace, &dyn Evaluator) = match &roster {
+            Some(set) => (set.space(&p.space), set),
+            None => (p.space.clone(), &plain),
         };
-        let tuning_space = match &backend_set {
-            Some(set) => set.space(&space),
-            None => space.clone(),
-        };
-        let evaluator: &dyn Evaluator = match &backend_set {
-            Some(set) => set,
-            None => &base_eval,
-        };
-        let mut session = TuningSession::new(tuning_space.clone(), evaluator)
-            .with_batch(self.batch)
-            .with_label(region.name.clone())
-            .with_obs(obs.clone());
-        if let Some(budget) = self.budget {
-            session = session.with_budget(budget);
-        }
 
-        // Consult the tuning archive: exact hits replay for free,
-        // near-machine fronts seed the population.
+        // Exact archive hits replay for free, near-machine fronts seed
+        // the population.
         let archive = match &self.archive {
             Some(root) => Some(
                 Archive::open(root)
@@ -384,102 +461,150 @@ impl Framework {
             ),
             None => None,
         };
-        let mut warm_source = None;
-        if self.warm_start {
-            if let Some(archive) = &archive {
-                let features = self.machine.features();
-                if let Some((warm, source)) = archive
-                    .warm_start_for(&key, &features)
-                    .map_err(|e| e.to_string())?
-                {
-                    session = session.with_warm_start(warm);
-                    warm_source = Some(source);
-                }
+        let features = self.machine.features();
+        let mut warm_start = None;
+        if let (true, None, Some(archive)) = (self.warm_start, &hooks.session.warm, &archive) {
+            if let Some((warm, source)) = archive
+                .warm_start_for(&p.key, &features)
+                .map_err(|e| e.to_string())?
+            {
+                let points = match source {
+                    WarmStartSource::Exact => warm.hints.len(),
+                    WarmStartSource::Transfer { .. } => warm.seeds.len(),
+                };
+                warm_start = Some((source, points));
+                hooks.session.warm = Some(warm);
             }
         }
 
-        // Surrogate screening: engineered IR/machine features, the model
-        // primed from every archived front for this problem (nearest
-        // machine first), installed last so it also replays any points the
-        // warm start put into the evaluator cache.
-        if self.surrogate {
-            if !(0.0..=1.0).contains(&self.screen_ratio) {
-                return Err(format!(
-                    "screen ratio must be in [0, 1], got {}",
-                    self.screen_ratio
-                ));
-            }
+        // Surrogate screening on engineered IR/machine features, primed
+        // with every archived front of this problem, nearest machine
+        // first. Roster records store product-space provenance, not plain
+        // configurations, so only the single-backend path is primed.
+        let mut primed = 0;
+        let screen = if self.surrogate {
             let policy = ScreeningPolicy {
                 screen_ratio: self.screen_ratio,
                 seed: self.tuner_params.seed,
                 ..ScreeningPolicy::default()
             };
-            let features = IrFeatures::new(skeleton, &tuning_space, &self.machine.features());
-            let model = Surrogate::new(features.dims(), base_eval.num_objectives());
-            let mut screen = SurrogateScreen::new(Box::new(features), model, policy);
-            // Prime from the archive: every recorded front for this
-            // problem is free training data (multi-backend records store
-            // product-space provenance, not plain configs — skip those by
-            // restricting priming to the classic single-backend path).
-            if self.backends.is_empty() {
-                if let Some(archive) = &archive {
+            let source = IrFeatures::new(skeleton, &tuning_space, &features);
+            let model = Surrogate::new(source.dims(), self.objectives.len());
+            let mut screen = SurrogateScreen::new(Box::new(source), model, policy);
+            let mut prime = |config: &Config, objectives: &[f64]| {
+                primed += usize::from(screen.prime(config, objectives));
+            };
+            match (hooks.primer, &archive) {
+                _ if roster.is_some() => {}
+                (Some(pairs), _) => pairs.iter().for_each(|(c, o)| prime(c, o)),
+                (None, Some(archive)) => {
                     let family = archive
-                        .records_for_machine_family(&key, &self.machine.features())
+                        .records_for_machine_family(&p.key, &features)
                         .map_err(|e| e.to_string())?;
-                    for (record, _distance) in &family {
-                        for point in &record.front {
-                            screen.prime(&point.config, &point.objectives);
-                        }
+                    for point in family.iter().flat_map(|(record, _)| &record.front) {
+                        prime(&point.config, &point.objectives);
                     }
                 }
+                (None, None) => {}
             }
-            session = session.with_surrogate(screen);
+            Some(screen)
+        } else {
+            None
+        };
+
+        // The session, over whatever the host wraps the roster in. The
+        // screen goes on last: it replays what warm start and resume put
+        // into the evaluation cache.
+        let tuner = self.strategy.tuner(self.tuner_params, self.grid_steps);
+        let drive = |evaluator: &dyn Evaluator| {
+            let mut session = TuningSession::new(tuning_space.clone(), evaluator)
+                .with_batch(self.batch)
+                .with_label(p.region.name.clone())
+                .with_obs(obs.clone());
+            if let Some(budget) = self.budget {
+                session = session.with_budget(budget);
+            }
+            session = session
+                .with_hooks(hooks.session)
+                .map_err(|e| e.to_string())?;
+            if let Some(screen) = screen {
+                session = session.with_surrogate(screen);
+            }
+            let report = session.run(tuner.as_ref());
+            let stats = session.surrogate_stats().cloned();
+            Ok::<_, String>((report, session.cancelled(), stats))
+        };
+        let mut driven = None;
+        match hooks.wrap {
+            Some(wrap) => wrap(evaluator, Box::new(|e| driven = Some(drive(e)))),
+            None => driven = Some(drive(evaluator)),
         }
+        let (mut report, cancelled, stats) =
+            driven.ok_or("the evaluator wrapper never ran the session")??;
 
-        let mut result = session.run(self.make_tuner().as_ref());
-
-        // Multi-backend runs: project the product-space front back onto the
-        // logical space, tagging every point with its backend's provenance.
-        // Front membership/order are objective-driven and thus preserved.
-        if let Some(set) = &backend_set {
-            result.front = set.annotate_front(&result.front);
+        // Front membership and order are objective-driven, so projecting
+        // the product-space front back keeps both.
+        if let Some(set) = &roster {
+            report.front = set.annotate_front(&report.front);
         }
-        let result = result;
-
-        // Record the (merged) outcome for future runs. Multi-backend fronts
-        // carry provenance; the archive refuses to merge them into records
-        // with a different backend roster unless asked explicitly.
         if let Some(archive) = &archive {
-            let record = ArchiveRecord::from_report(
-                region.name.clone(),
-                skeleton,
-                &space,
-                &self.machine,
-                OBJECTIVE_NAMES.iter().map(|s| s.to_string()).collect(),
-                &result,
-            );
-            archive.insert(&record).map_err(|e| e.to_string())?;
+            archive
+                .insert(&self.record(p, &report))
+                .map_err(|e| e.to_string())?;
         }
+        Ok(RunOutcome {
+            report,
+            cancelled,
+            warm_start,
+            surrogate: stats.map(|s| (primed, s)),
+        })
+    }
 
-        // (5) Backend: one specialized version per Pareto point + table.
-        let threads_param = skeleton.steps.iter().find_map(|s| match s {
+    /// The mergeable archive record of a run's report. Roster fronts carry
+    /// provenance; the archive refuses to merge them into records of a
+    /// different roster unless asked explicitly.
+    pub fn record(&self, p: &Prepared, report: &TuningReport) -> ArchiveRecord {
+        ArchiveRecord::from_report(
+            p.region.name.clone(),
+            p.skeleton(),
+            &p.space,
+            &self.machine,
+            self.objective_names(),
+            report,
+        )
+    }
+
+    /// Stage 3 — the version table (Fig. 6) of a tuned front, capped at
+    /// [`max_versions`](Self::max_versions).
+    pub fn table(&self, p: &Prepared, front: &ParetoFront) -> VersionTable {
+        let threads_param = p.skeleton().steps.iter().find_map(|s| match s {
             Step::Parallelize { threads_param } => Some(*threads_param),
             _ => None,
         });
         let mut table = VersionTable::from_front(
-            region.name.clone(),
-            skeleton,
-            &result.front,
-            OBJECTIVE_NAMES.iter().map(|s| s.to_string()).collect(),
+            p.region.name.clone(),
+            p.skeleton(),
+            front,
+            self.objective_names(),
             threads_param,
         );
         if let Some(k) = self.max_versions {
             table.prune_to(k);
         }
-        // Instantiate each version with the skeleton its backend actually
-        // used, so the emitted code matches the recorded provenance: alt-
-        // tagged versions get the alternative skeleton (values projected),
-        // unroll-tagged versions the baked-in factor.
+        table
+    }
+
+    /// Stage 3 — one specialized variant per table entry and the
+    /// multi-versioned C around them (5). Each version is instantiated
+    /// with the skeleton its backend actually used, so the emitted code
+    /// matches the recorded provenance: alt-tagged versions get the
+    /// alternative skeleton (values projected), unroll-tagged versions the
+    /// baked-in factor.
+    pub fn emit(
+        &self,
+        p: &Prepared,
+        table: &VersionTable,
+    ) -> Result<(Vec<Variant>, String), String> {
         let variants: Vec<Variant> = table
             .versions
             .iter()
@@ -488,38 +613,23 @@ impl Framework {
                     .provenance
                     .as_ref()
                     .and_then(|p| parse_backend_spec(&p.backend.variant).ok());
-                match spec {
+                let mut variant = match spec {
                     Some(BackendSpec::AltSkeleton(k)) => {
-                        let sk = &region.skeletons[k];
+                        let sk = &p.region.skeletons[k];
                         let n = sk.params.len().min(v.values.len());
-                        let values = sk.nearest_values(&v.values[..n]);
-                        sk.instantiate(&region.nest, &values)
-                            .map_err(|e| e.to_string())
+                        sk.instantiate(&p.region.nest, &sk.nearest_values(&v.values[..n]))
                     }
-                    Some(BackendSpec::Unroll(f)) => skeleton
-                        .instantiate(&region.nest, &v.values)
-                        .map(|mut variant| {
-                            variant.unroll = f.max(1) as u32;
-                            variant
-                        })
-                        .map_err(|e| e.to_string()),
-                    _ => skeleton
-                        .instantiate(&region.nest, &v.values)
-                        .map_err(|e| e.to_string()),
+                    _ => p.skeleton().instantiate(&p.region.nest, &v.values),
                 }
+                .map_err(|e| e.to_string())?;
+                if let Some(BackendSpec::Unroll(factor)) = spec {
+                    variant.unroll = factor.max(1) as u32;
+                }
+                Ok(variant)
             })
-            .collect::<Result<_, _>>()?;
-        let source_c = emit_multiversioned_c(&region, &table, &variants);
-
-        Ok(TunedRegion {
-            region,
-            skeleton_index,
-            result,
-            table,
-            variants,
-            source_c,
-            warm_start: warm_source,
-        })
+            .collect::<Result<_, String>>()?;
+        let source_c = emit_multiversioned_c(&p.region, table, &variants);
+        Ok((variants, source_c))
     }
 }
 

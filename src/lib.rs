@@ -58,13 +58,33 @@ pub mod serve_backend;
 pub mod sim;
 
 pub use features::IrFeatures;
-pub use framework::{parse_backend_spec, run_observed, BackendSpec, Framework, TunedRegion};
+pub use framework::{
+    parse_backend_spec, run_observed, BackendSpec, Framework, Hooks, Prepared, RunOutcome,
+    TunedRegion,
+};
 pub use program::{ProgramTuner, ProgramTuningResult, RegionOutcome};
 pub use serve_backend::TuneBackend;
 pub use sim::{
     ir_space, AltSkeletonEvaluator, FixedUnrollEvaluator, MultiObjectiveEvaluator, Objective,
-    SimEvaluator, SkeletonChoiceEvaluator, OBJECTIVE_NAMES,
+    SimEvaluator, SkeletonChoiceEvaluator,
 };
+
+/// The usage text of a binary: what the header comment of its `source`
+/// holds between the ```` ```text ```` fences, comment markers stripped.
+/// Each binary passes `include_str!` of its own file, so its help neither
+/// truncates nor leaks when the header changes.
+pub fn usage_text(source: &str) -> String {
+    let lines = source
+        .lines()
+        .skip_while(|l| !l.starts_with("//! ```text"))
+        .skip(1)
+        .take_while(|l| !l.starts_with("//! ```"))
+        .map(|l| {
+            let l = l.strip_prefix("//!").unwrap_or(l);
+            l.strip_prefix(' ').unwrap_or(l)
+        });
+    lines.collect::<Vec<_>>().join("\n")
+}
 
 // Re-export the sub-crates under stable names.
 pub use moat_archive as archive;

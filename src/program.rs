@@ -9,11 +9,12 @@
 //! joint *program executions*, so tuning a whole program costs roughly as
 //! many executions as tuning its slowest region — not the sum.
 
-use crate::sim::{ir_space, SimEvaluator, OBJECTIVE_NAMES};
+use crate::framework::{Framework, Prepared};
+use crate::sim::SimEvaluator;
 use moat_core::roughset::{enclose_points, reduce_search_space};
 use moat_core::{Config, Evaluator, FrontSignature, Gde3, ParetoFront, RsGde3Params, TuningResult};
-use moat_ir::{analyze, Region, Step};
-use moat_machine::{CostModel, MachineDesc, NoiseModel};
+use moat_ir::Region;
+use moat_machine::{MachineDesc, NoiseModel};
 use moat_multiversion::VersionTable;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,7 +44,7 @@ pub struct RegionOutcome {
 
 /// Per-region search state.
 struct RegionState {
-    region: Region,
+    prepared: Prepared,
     gde3: Gde3,
     population: Vec<moat_core::Point>,
     archive: ParetoFront,
@@ -66,6 +67,16 @@ pub struct ProgramTuner {
     pub noise: Option<NoiseModel>,
 }
 
+impl RegionState {
+    fn evaluator(&self) -> SimEvaluator<'_> {
+        SimEvaluator {
+            region: &self.prepared.region,
+            skeleton: self.prepared.skeleton(),
+            model: &self.prepared.model,
+        }
+    }
+}
+
 impl ProgramTuner {
     /// Paper-default tuner.
     pub fn new(machine: MachineDesc) -> Self {
@@ -78,29 +89,24 @@ impl ProgramTuner {
 
     /// Tune all `regions` simultaneously.
     pub fn tune(&self, regions: Vec<Region>) -> Result<ProgramTuningResult, String> {
-        let cfg =
-            moat_ir::AnalyzerConfig::for_threads((1..=self.machine.total_cores() as i64).collect());
-        let model = match self.noise {
-            Some(n) => CostModel::with_noise(self.machine.clone(), n),
-            None => CostModel::new(self.machine.clone()),
+        // Each region is prepared like a single-region run: analyzed unless
+        // it carries skeletons, with its own cost model and search space.
+        let fw = Framework {
+            noise: self.noise,
+            ..Framework::new(self.machine.clone())
         };
         let mut rng = StdRng::seed_from_u64(self.params.seed);
         let mut program_executions = 0u64;
 
-        // Analyze and initialize every region. The initial populations are
-        // evaluated jointly: execution i measures config i of every region.
+        // The initial populations are evaluated jointly: execution i
+        // measures config i of every region.
         let mut states: Vec<RegionState> = Vec::new();
         for region in regions {
-            let region = if region.skeletons.is_empty() {
-                analyze(region, &cfg)?
-            } else {
-                region
-            };
-            let space = ir_space(&region.skeletons[0]);
-            let gde3 = Gde3::new(space.clone(), self.params.gde3);
-            let bbox = space.full_box();
+            let prepared = fw.prepare(region)?;
+            let gde3 = Gde3::new(prepared.space.clone(), self.params.gde3);
+            let bbox = prepared.space.full_box();
             states.push(RegionState {
-                region,
+                prepared,
                 gde3,
                 population: Vec::new(),
                 archive: ParetoFront::new(),
@@ -130,13 +136,8 @@ impl ProgramTuner {
             .collect();
         program_executions += pop_size as u64;
         for (s, configs) in states.iter_mut().zip(init_configs) {
-            let ev = SimEvaluator {
-                region: &s.region,
-                skeleton: &s.region.skeletons[0],
-                model: &model,
-            };
             for cfg_vec in configs {
-                if let Some(objs) = ev.evaluate(&cfg_vec) {
+                if let Some(objs) = s.evaluator().evaluate(&cfg_vec) {
                     s.evaluations += 1;
                     let p = moat_core::Point::new(cfg_vec, objs);
                     s.archive.insert(p.clone());
@@ -146,7 +147,7 @@ impl ProgramTuner {
             assert!(
                 s.population.len() >= 4,
                 "region {} infeasible",
-                s.region.name
+                s.prepared.region.name
             );
             s.last_sig = FrontSignature::of(&s.population);
             s.hv_history.push(s.last_sig.hv);
@@ -180,11 +181,7 @@ impl ProgramTuner {
 
             for (s, proposal) in states.iter_mut().zip(proposals) {
                 let Some(trials) = proposal else { continue };
-                let ev = SimEvaluator {
-                    region: &s.region,
-                    skeleton: &s.region.skeletons[0],
-                    model: &model,
-                };
+                let ev = s.evaluator();
                 let objs: Vec<Option<Vec<f64>>> = trials.iter().map(|t| ev.evaluate(t)).collect();
                 s.evaluations += objs.iter().filter(|o| o.is_some()).count() as u64;
                 s.gde3.select(&mut s.population, &trials, &objs);
@@ -215,19 +212,9 @@ impl ProgramTuner {
         let outcomes = states
             .into_iter()
             .map(|s| {
-                let threads_param = s.region.skeletons[0].steps.iter().find_map(|st| match st {
-                    Step::Parallelize { threads_param } => Some(*threads_param),
-                    _ => None,
-                });
-                let table = VersionTable::from_front(
-                    s.region.name.clone(),
-                    &s.region.skeletons[0],
-                    &s.archive,
-                    OBJECTIVE_NAMES.iter().map(|x| x.to_string()).collect(),
-                    threads_param,
-                );
+                let table = fw.table(&s.prepared, &s.archive);
                 RegionOutcome {
-                    region: s.region,
+                    region: s.prepared.region,
                     result: TuningResult {
                         front: s.archive,
                         evaluations: s.evaluations,

@@ -46,9 +46,6 @@ fn measure_nearest(
     })
 }
 
-/// The two objectives of the paper's instantiation, both minimized.
-pub const OBJECTIVE_NAMES: [&str; 2] = ["time_s", "cpu_seconds"];
-
 /// A tunable objective (all minimized). The paper instantiates the
 /// framework with (time, resource usage) and names energy consumption as a
 /// further candidate (§III-B.1); the optimizer is objective-agnostic.

@@ -277,3 +277,192 @@ fn job_trace_is_the_sessions_own_at_any_pool_width() {
         (report.stop.name(), report.evaluations)
     );
 }
+
+/// `moat-tune` with `args`, run in `dir`; its exit code and stderr.
+fn moat_tune(dir: &std::path::Path, args: &[&str]) -> (Option<i32>, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_moat-tune"))
+        .current_dir(dir)
+        .args(args)
+        .output()
+        .expect("moat-tune runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into(),
+    )
+}
+
+/// One pipeline, three hosts: the library facade, the `moat-tune` binary
+/// and a job served by the daemon are the same prepare/run stages under
+/// different hooks, so for the same options they must produce the same
+/// front — compared as archive-record bytes and version-table JSON — and
+/// the binary's `--trace` must be the served job's trace file.
+#[test]
+fn three_hosts_one_front() {
+    use moat::{Archive, Framework, Kernel, MachineDesc, StrategyKind};
+
+    let (seed, budget, size) = (7u64, 96u64, 64);
+    let mut cases: Vec<(StrategyKind, &str)> =
+        StrategyKind::all().into_iter().map(|s| (s, "")).collect();
+    cases.push((StrategyKind::RsGde3, "model,alt1"));
+    cases.push((StrategyKind::Random, "model,unroll4"));
+
+    let state = temp_dir("hosts");
+    let handle = serve(ServeConfig::new(&state), Arc::new(TuneBackend::default())).unwrap();
+    let addr = handle.addr();
+    for (strategy, roster) in cases {
+        let case = format!("{strategy} [{roster}]");
+        let backends: Vec<String> = roster
+            .split(',')
+            .filter(|s| !s.is_empty())
+            .map(str::to_string)
+            .collect();
+
+        // Host 1: `Framework::tune`.
+        let mut fw = Framework::new(MachineDesc::westmere());
+        fw.strategy = strategy;
+        fw.tuner_params.seed = seed;
+        fw.budget = Some(budget);
+        fw.backends = backends.clone();
+        let prepared = fw.prepare_kernel(Kernel::Mm, Some(size)).unwrap();
+        let tuned = fw.tune(prepared.region.clone()).unwrap();
+        let record = fw.record(&prepared, &tuned.result);
+        let record_json = serde_json::to_string_pretty(&record).unwrap();
+        assert!(!record.front.is_empty(), "{case}: empty front");
+
+        // Host 2: the `moat-tune` binary.
+        let dir = temp_dir("hosts-cli");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (size_arg, seed_arg, budget_arg) =
+            (size.to_string(), seed.to_string(), budget.to_string());
+        let mut args = vec![
+            "--kernel",
+            "mm",
+            "--size",
+            &size_arg,
+            "--strategy",
+            strategy.name(),
+            "--seed",
+            &seed_arg,
+            "--budget",
+            &budget_arg,
+            "--quiet",
+            "--emit-json",
+            "table.json",
+            "--trace",
+            "trace.jsonl",
+            "--archive",
+            "archive",
+            "--checkpoint",
+            "ck.json",
+        ];
+        if !roster.is_empty() {
+            args.extend(["--backends", roster]);
+        }
+        let (code, stderr) = moat_tune(&dir, &args);
+        assert_eq!(code, Some(0), "{case}: {stderr}");
+        assert_eq!(
+            std::fs::read_to_string(dir.join("table.json")).unwrap(),
+            tuned.table.to_json(),
+            "{case}: binary and facade tables differ"
+        );
+        let archived = Archive::open(dir.join("archive"))
+            .unwrap()
+            .get(&prepared.key)
+            .unwrap()
+            .expect("the binary archived its run");
+        assert_eq!(
+            serde_json::to_string_pretty(&archived).unwrap(),
+            record_json,
+            "{case}: binary and facade records differ"
+        );
+
+        // Host 3: `TuneBackend` under the daemon.
+        let job = submit(
+            addr,
+            &serde_json::to_string(&moat::serve::JobSpec {
+                tenant: "t".into(),
+                kernel: "mm".into(),
+                size: Some(size as usize),
+                machine: "westmere".into(),
+                strategy: strategy.name().into(),
+                backends,
+                budget: Some(budget),
+                seed,
+                warm_start: false,
+            })
+            .unwrap(),
+        )
+        .job;
+        wait_done(addr, &job);
+        assert_eq!(
+            String::from_utf8(result_bytes(addr, &job)).unwrap(),
+            record_json,
+            "{case}: served and facade records differ"
+        );
+        // The binary banked its run (the daemon deposits into its own
+        // sharded archive, off the job's handle): those records trail the
+        // session's and are the only difference.
+        let cli_trace: String = std::fs::read_to_string(dir.join("trace.jsonl"))
+            .unwrap()
+            .lines()
+            .take_while(|l| !l.contains("\"ArchiveRead\""))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_eq!(
+            std::fs::read_to_string(state.join(format!("traces/{job}.jsonl"))).unwrap(),
+            cli_trace,
+            "{case}: served job's trace and the binary's --trace differ"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    shutdown(addr, handle);
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+/// Input every host used to take as far as `BackendSet::register`'s
+/// assertion (a roster naming one backend twice) or `Kernel::region`'s (a
+/// problem size under 4) is refused by the shared prepare stage: an `Err`
+/// from the facade, exit code 2 from the binary, 400 from the daemon.
+#[test]
+fn bad_roster_and_size_are_refused_by_every_host() {
+    let mut fw = moat::Framework::new(moat::MachineDesc::westmere());
+    fw.backends = vec!["unroll4".into(), "unroll4".into()];
+    let err = fw.tune(moat::Kernel::Mm.region(64)).unwrap_err();
+    assert_eq!(err, "duplicate backend 'unroll4'");
+    let err = fw.prepare_kernel(moat::Kernel::Mm, Some(3)).unwrap_err();
+    assert!(err.contains("too small"), "{err}");
+
+    let cwd = std::env::temp_dir();
+    let (code, stderr) = moat_tune(&cwd, &["--backends", "model,model"]);
+    assert_eq!(
+        (code, stderr.trim()),
+        (Some(2), "duplicate backend 'model'")
+    );
+    for size in ["2", "3"] {
+        let (code, stderr) = moat_tune(&cwd, &["--size", size]);
+        assert_eq!(code, Some(2), "--size {size}: {stderr}");
+        assert!(stderr.contains("too small"), "--size {size}: {stderr}");
+    }
+
+    let state = temp_dir("refused");
+    let handle = serve(ServeConfig::new(&state), Arc::new(TuneBackend::default())).unwrap();
+    let addr = handle.addr();
+    for (field, message) in [
+        (
+            "\"backends\":[\"model\",\"model\"]",
+            "duplicate backend 'model'",
+        ),
+        ("\"size\":3", "too small"),
+    ] {
+        let body = format!(
+            "{{\"tenant\":\"t\",\"kernel\":\"mm\",\"machine\":\"westmere\",\
+             \"strategy\":\"random\",\"seed\":1,{field}}}"
+        );
+        let resp = send(addr, &Request::json("POST", "/jobs", body.into_bytes()));
+        let text = String::from_utf8_lossy(&resp.body).to_string();
+        assert_eq!(resp.status, 400, "{field}: {text}");
+        assert!(text.contains(message), "{field}: {text}");
+    }
+    shutdown(addr, handle);
+    let _ = std::fs::remove_dir_all(&state);
+}
