@@ -1,58 +1,72 @@
-//! Crash-safe session checkpoints: atomic data file + write-ahead journal.
+//! Crash-safe session checkpoints: one self-verifying file, replaced
+//! atomically.
 //!
 //! A [`CheckpointStore`] persists [`SessionCheckpoint`]s for
-//! `moat-tune --resume`. Every save follows a strict order:
+//! `moat-tune --resume` and the serve daemon. The file is two lines:
 //!
-//! 1. append an intent entry (`seq`, byte length, FNV-64 checksum) to the
-//!    journal at `<path>.wal` and fsync it,
-//! 2. write the serialized checkpoint to `<path>.tmp` and fsync it,
-//! 3. `rename` the temp file over `<path>`.
+//! ```text
+//! {"seq":7,"bytes":36914,"fnv":"9c1f03a2b4d5e6f7"}    header
+//! {"format_version":1,"strategy":"rs-gde3",...}        body
+//! ```
 //!
-//! The rename is atomic, so `<path>` always holds a *complete* checkpoint
-//! — either the previous one or the new one — even under `kill -9` at any
-//! instant. Because the journal entry lands (durably) before the rename
-//! can happen, every version that can ever appear at `<path>` has a
-//! matching journal entry; [`CheckpointStore::load`] verifies the
-//! checksum against the journal and rejects anything torn or tampered.
-//! Stale temp files from a crashed writer are swept on
+//! The header states what the body must be: its byte length (trailing
+//! newline included), its FNV-64 checksum and the checkpoint's `seq`. A
+//! save writes both lines to `<path>.tmp`, fsyncs that file once and
+//! `rename`s it over `<path>`. The rename is atomic and comes after the
+//! fsync, so `<path>` always holds a *complete* checkpoint — the previous
+//! one or the new one — under `kill -9` at any instant, and because the
+//! header travels inside the file it vouches for, no second file has to
+//! reach the disk first. [`CheckpointStore::load`] refuses a file whose
+//! body does not match its header (torn, truncated or tampered); a file
+//! with no header line — a hand-written checkpoint — is accepted on its
+//! contents alone. A stale temp file from a crashed writer is swept on
 //! [`create`](CheckpointStore::create).
 
 use crate::store::ArchiveError;
 use moat_core::{CheckpointSink, SessionCheckpoint};
-use std::fs::{self, OpenOptions};
+use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// FNV-1a over `bytes` — the same cheap, dependency-free checksum family
 /// used elsewhere in the workspace; plenty to detect torn writes.
-fn fnv64(bytes: &[u8]) -> u64 {
+fn fnv64(bytes: &[u8]) -> String {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x100000001b3);
     }
-    h
+    format!("{h:016x}")
 }
 
 fn io_err(path: &Path, e: std::io::Error) -> ArchiveError {
     ArchiveError::Io(format!("{}: {e}", path.display()))
 }
 
-/// One line of the write-ahead journal.
+fn format_err(path: &Path, e: impl std::fmt::Display) -> ArchiveError {
+    ArchiveError::Format(format!("{}: {e}", path.display()))
+}
+
+fn tmp_of(path: &Path) -> PathBuf {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(".tmp");
+    path.with_file_name(name)
+}
+
+/// The first line of a checkpoint file: what the body below it must be.
 #[derive(serde::Serialize, serde::Deserialize)]
-struct WalEntry {
+struct Header {
     seq: u64,
     bytes: u64,
     fnv: String,
 }
 
-/// Durable checkpoint file with a write-ahead journal, for
-/// `moat-tune --checkpoint <FILE>` / `--resume <FILE>`.
+/// Durable, self-verifying checkpoint file, for `moat-tune --checkpoint
+/// <FILE>` / `--resume <FILE>` and the daemon's `<state>/ckpt/`.
 #[derive(Debug)]
 pub struct CheckpointStore {
     path: PathBuf,
     tmp: PathBuf,
-    wal: PathBuf,
     last_error: Option<ArchiveError>,
     obs: moat_obs::Obs,
 }
@@ -67,15 +81,13 @@ impl CheckpointStore {
                 fs::create_dir_all(parent).map_err(|e| io_err(parent, e))?;
             }
         }
-        let tmp = Self::sibling(&path, "tmp");
-        let wal = Self::sibling(&path, "wal");
+        let tmp = tmp_of(&path);
         if tmp.exists() {
             fs::remove_file(&tmp).map_err(|e| io_err(&tmp, e))?;
         }
         Ok(CheckpointStore {
             path,
             tmp,
-            wal,
             last_error: None,
             obs: moat_obs::Obs::default(),
         })
@@ -88,112 +100,78 @@ impl CheckpointStore {
         self
     }
 
-    fn sibling(path: &Path, ext: &str) -> PathBuf {
-        let mut name = path.file_name().unwrap_or_default().to_os_string();
-        name.push(".");
-        name.push(ext);
-        path.with_file_name(name)
-    }
-
     /// The checkpoint file.
     pub fn path(&self) -> &Path {
         &self.path
     }
 
-    /// The write-ahead journal next to the checkpoint file.
-    pub fn wal_path(&self) -> &Path {
-        &self.wal
-    }
-
-    /// The error from the most recent failed save, if any. The
+    /// The error of the most recent save, if it failed. The
     /// [`CheckpointSink`] contract is infallible — a failing disk must
-    /// not abort a tuning run — so failures are parked here (and printed
+    /// not abort a tuning run — so a failure is parked here (and printed
     /// to stderr) instead of propagating.
     pub fn last_error(&self) -> Option<&ArchiveError> {
         self.last_error.as_ref()
     }
 
-    /// Durably write `checkpoint`: journal entry first, then atomic
-    /// temp-file + rename. See the module docs for the crash-safety
+    /// Durably write `checkpoint`: header and body to the temp file, one
+    /// fsync, atomic rename. See the module docs for the crash-safety
     /// argument.
     pub fn write(&self, checkpoint: &SessionCheckpoint) -> Result<(), ArchiveError> {
-        let mut body =
-            serde_json::to_string(checkpoint).map_err(|e| ArchiveError::Format(e.to_string()))?;
+        let mut body = serde_json::to_string(checkpoint).map_err(|e| format_err(&self.path, e))?;
         body.push('\n');
-
-        // 1. Journal the intent, durably, before the data file can move.
-        let entry = WalEntry {
+        let header = Header {
             seq: checkpoint.seq,
             bytes: body.len() as u64,
-            fnv: format!("{:016x}", fnv64(body.as_bytes())),
+            fnv: fnv64(body.as_bytes()),
         };
-        let line =
-            serde_json::to_string(&entry).map_err(|e| ArchiveError::Format(e.to_string()))?;
-        {
-            let mut f = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&self.wal)
-                .map_err(|e| io_err(&self.wal, e))?;
-            f.write_all(line.as_bytes())
-                .and_then(|()| f.write_all(b"\n"))
-                .and_then(|()| f.sync_all())
-                .map_err(|e| io_err(&self.wal, e))?;
-        }
-
-        // 2. + 3. Full temp write, fsync, atomic rename.
-        {
-            let mut f = fs::File::create(&self.tmp).map_err(|e| io_err(&self.tmp, e))?;
-            f.write_all(body.as_bytes())
-                .and_then(|()| f.sync_all())
-                .map_err(|e| io_err(&self.tmp, e))?;
-        }
+        let header = serde_json::to_string(&header).map_err(|e| format_err(&self.path, e))?;
+        let mut f = fs::File::create(&self.tmp).map_err(|e| io_err(&self.tmp, e))?;
+        f.write_all(format!("{header}\n{body}").as_bytes())
+            .and_then(|()| f.sync_all())
+            .map_err(|e| io_err(&self.tmp, e))?;
         fs::rename(&self.tmp, &self.path).map_err(|e| io_err(&self.path, e))
     }
 
-    /// Load and verify the checkpoint at `path`.
-    ///
-    /// When a journal exists next to the file, the checkpoint's byte
-    /// length and FNV-64 checksum must match one of its entries —
-    /// anything else means a torn or tampered file. Torn trailing journal
-    /// lines (a crash during the journal append itself) are skipped; the
-    /// data file is then still the previous, already-journaled version.
+    /// Load and verify the checkpoint at `path`: the body's byte length
+    /// and FNV-64 checksum must be the ones its header line states, and
+    /// the header's `seq` the checkpoint's own. A file whose first line
+    /// is not a header is a bare checkpoint and is parsed as one;
+    /// `TuningSession::with_resume` validates the contents either way.
     pub fn load(path: impl AsRef<Path>) -> Result<SessionCheckpoint, ArchiveError> {
         let path = path.as_ref();
-        let body = fs::read_to_string(path).map_err(|e| io_err(path, e))?;
-        let wal = Self::sibling(path, "wal");
-        match fs::read_to_string(&wal) {
-            Ok(journal) => {
-                let sum = format!("{:016x}", fnv64(body.as_bytes()));
-                let len = body.len() as u64;
-                let ok = journal
-                    .lines()
-                    .filter_map(|l| serde_json::from_str::<WalEntry>(l).ok())
-                    .any(|e| e.bytes == len && e.fnv == sum);
-                if !ok {
-                    return Err(ArchiveError::Format(format!(
-                        "{}: checkpoint does not match any journal entry in {} \
-                         (torn or tampered file)",
-                        path.display(),
-                        wal.display()
-                    )));
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                // No journal (e.g. a hand-copied checkpoint): accept the
-                // file on its own; `TuningSession::with_resume` still
-                // validates the contents.
-            }
-            Err(e) => return Err(io_err(&wal, e)),
+        let text = fs::read_to_string(path).map_err(|e| io_err(path, e))?;
+        let header = text
+            .split_once('\n')
+            .and_then(|(first, body)| Some((serde_json::from_str::<Header>(first).ok()?, body)));
+        let Some((header, body)) = header else {
+            return serde_json::from_str(&text).map_err(|e| format_err(path, e));
+        };
+        if header.bytes != body.len() as u64 || header.fnv != fnv64(body.as_bytes()) {
+            return Err(format_err(
+                path,
+                "checkpoint does not match its header (torn or tampered file)",
+            ));
         }
-        serde_json::from_str(&body)
-            .map_err(|e| ArchiveError::Format(format!("{}: {e}", path.display())))
+        let checkpoint: SessionCheckpoint =
+            serde_json::from_str(body).map_err(|e| format_err(path, e))?;
+        if checkpoint.seq != header.seq {
+            return Err(format_err(path, "header and checkpoint disagree on seq"));
+        }
+        Ok(checkpoint)
+    }
+
+    /// Remove the checkpoint at `path` and a temp file a failed save may
+    /// have left beside it. Missing files are fine.
+    pub fn remove(path: impl AsRef<Path>) {
+        let _ = fs::remove_file(path.as_ref());
+        let _ = fs::remove_file(tmp_of(path.as_ref()));
     }
 }
 
 impl CheckpointSink for CheckpointStore {
     fn save(&mut self, checkpoint: &SessionCheckpoint) {
-        if let Err(e) = self.write(checkpoint) {
+        self.last_error = self.write(checkpoint).err();
+        if let Some(e) = &self.last_error {
             eprintln!("moat-archive: checkpoint save failed: {e}");
             // Surface the degradation the moment it happens, not on the
             // next save: operators scraping the trace (or the serve
@@ -203,7 +181,6 @@ impl CheckpointSink for CheckpointStore {
                 path: self.path.display().to_string(),
                 error: e.to_string(),
             });
-            self.last_error = Some(e);
         }
     }
 }
@@ -244,11 +221,22 @@ mod tests {
         store.save(&checkpoint(1, 10));
         store.save(&checkpoint(2, 20));
         assert!(store.last_error().is_none());
-        let loaded = CheckpointStore::load(&path).unwrap();
-        assert_eq!(loaded, checkpoint(2, 20));
-        // The journal holds one entry per save.
-        let journal = fs::read_to_string(store.wal_path()).unwrap();
-        assert_eq!(journal.lines().count(), 2);
+        assert_eq!(CheckpointStore::load(&path).unwrap(), checkpoint(2, 20));
+        // One file, whatever the number of saves: a header line, then the
+        // body it vouches for.
+        let names: Vec<_> = fs::read_dir(&dir).unwrap().flatten().collect();
+        assert_eq!(names.len(), 1, "{names:?}");
+        let text = fs::read_to_string(&path).unwrap();
+        let (header, body) = text.split_once('\n').unwrap();
+        assert_eq!(
+            header,
+            format!(
+                "{{\"seq\":2,\"bytes\":{},\"fnv\":\"{}\"}}",
+                body.len(),
+                fnv64(body.as_bytes())
+            )
+        );
+        assert_eq!(body.lines().count(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -267,34 +255,87 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// The bytes a completed save of `ckpt` leaves at its path.
+    fn saved_bytes(dir: &Path, ckpt: &SessionCheckpoint) -> Vec<u8> {
+        let path = dir.join("scratch.ckpt");
+        CheckpointStore::create(&path).unwrap().write(ckpt).unwrap();
+        let bytes = fs::read(&path).unwrap();
+        fs::remove_file(&path).unwrap();
+        bytes
+    }
+
+    /// A save is create-temp, write, fsync, rename. Whatever instant the
+    /// writer dies at — temp file absent, empty, cut at any byte, complete
+    /// (synced or not, the bytes are the same) or already renamed — `load`
+    /// yields the previous checkpoint or the new one, never a third thing,
+    /// and the next incarnation sweeps the leftovers and saves normally.
     #[test]
-    fn torn_data_file_is_rejected_by_the_journal() {
-        let dir = tmpdir("torn");
+    fn every_crash_point_loads_the_old_or_the_new_checkpoint() {
+        let dir = tmpdir("crashpoints");
+        let (old, new) = (checkpoint(1, 10), checkpoint(2, 20));
+        fs::create_dir_all(&dir).unwrap();
+        let new_bytes = saved_bytes(&dir, &new);
         let path = dir.join("run.ckpt");
-        let mut store = CheckpointStore::create(&path).unwrap();
-        store.save(&checkpoint(1, 10));
-        // Truncate the data file as a torn write would.
-        let body = fs::read_to_string(&path).unwrap();
-        fs::write(&path, &body[..body.len() / 2]).unwrap();
-        assert!(matches!(
-            CheckpointStore::load(&path),
-            Err(ArchiveError::Format(_))
-        ));
+        let tmp = dir.join("run.ckpt.tmp");
+        for has_old in [false, true] {
+            let _ = fs::remove_file(&path);
+            if has_old {
+                CheckpointStore::create(&path).unwrap().write(&old).unwrap();
+            }
+            let before_rename = |what: &str| match CheckpointStore::load(&path) {
+                Ok(loaded) => assert!(has_old && loaded == old, "{what}: a third thing"),
+                Err(e) => assert!(!has_old && matches!(e, ArchiveError::Io(_)), "{what}: {e}"),
+            };
+            before_rename("temp file absent");
+            for cut in 0..=new_bytes.len() {
+                fs::write(&tmp, &new_bytes[..cut]).unwrap();
+                before_rename(&format!("temp file cut at {cut}"));
+                CheckpointStore::create(&path).unwrap();
+                assert!(!tmp.exists(), "stale temp swept");
+            }
+            fs::write(&tmp, &new_bytes).unwrap();
+            fs::rename(&tmp, &path).unwrap();
+            assert_eq!(CheckpointStore::load(&path).unwrap(), new, "renamed");
+            let store = CheckpointStore::create(&path).unwrap();
+            store.write(&checkpoint(3, 30)).unwrap();
+            assert_eq!(CheckpointStore::load(&path).unwrap(), checkpoint(3, 30));
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// What `load` refuses: every strict prefix of a saved file, the file
+    /// with any one byte flipped, and one checkpoint's header over
+    /// another's body.
     #[test]
-    fn torn_journal_tail_is_tolerated() {
-        let dir = tmpdir("waltail");
+    fn torn_flipped_and_mismatched_files_are_refused() {
+        let dir = tmpdir("refused");
+        fs::create_dir_all(&dir).unwrap();
+        let bytes = saved_bytes(&dir, &checkpoint(12, 10));
         let path = dir.join("run.ckpt");
-        let mut store = CheckpointStore::create(&path).unwrap();
-        store.save(&checkpoint(1, 10));
-        // A crash mid-append leaves a half line; the previous entry still
-        // vouches for the data file.
-        let mut journal = fs::read_to_string(store.wal_path()).unwrap();
-        journal.push_str("{\"seq\":2,\"byt");
-        fs::write(store.wal_path(), journal).unwrap();
-        assert_eq!(CheckpointStore::load(&path).unwrap(), checkpoint(1, 10));
+        let refused = |content: &[u8], what: &str| {
+            fs::write(&path, content).unwrap();
+            assert!(
+                matches!(CheckpointStore::load(&path), Err(ArchiveError::Format(_))),
+                "{what} must be refused"
+            );
+        };
+        for cut in 0..bytes.len() {
+            refused(&bytes[..cut], &format!("prefix of {cut} bytes"));
+        }
+        for at in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 1;
+            refused(&flipped, &format!("byte {at} flipped"));
+        }
+        let other = saved_bytes(&dir, &checkpoint(12, 11));
+        let newline = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let other_newline = other.iter().position(|&b| b == b'\n').unwrap() + 1;
+        refused(
+            &[&bytes[..newline], &other[other_newline..]].concat(),
+            "header over another checkpoint's body",
+        );
+        fs::write(&path, &bytes).unwrap();
+        assert_eq!(CheckpointStore::load(&path).unwrap(), checkpoint(12, 10));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -306,9 +347,9 @@ mod tests {
         let mut store = CheckpointStore::create(&path)
             .unwrap()
             .with_obs(obs.clone());
-        // Make the journal unwritable even for root: a directory cannot
-        // be opened for append, so the very first save fails and parks.
-        fs::create_dir_all(store.wal_path()).unwrap();
+        // Make the save fail even for root: a file cannot be renamed over
+        // a directory, so the very first save fails and parks.
+        fs::create_dir_all(&path).unwrap();
         store.save(&checkpoint(1, 10));
         // The event must be drainable *now* — before any further save —
         // so monitors see the degradation the moment it happens.
@@ -322,19 +363,44 @@ mod tests {
             )),
             "checkpoint_parked event emitted at parking time: {records:?}"
         );
+        // Once the disk recovers, so does the store.
+        fs::remove_dir(&path).unwrap();
+        store.save(&checkpoint(2, 20));
+        assert!(store.last_error().is_none());
+        assert_eq!(CheckpointStore::load(&path).unwrap(), checkpoint(2, 20));
+        CheckpointStore::remove(&path);
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "file and temp gone");
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A file with no header line — a hand-written checkpoint — is
+    /// accepted on its contents; a hand-*copied* one carries its header
+    /// with it and is verified like any other.
     #[test]
-    fn checkpoint_without_journal_is_accepted() {
-        let dir = tmpdir("nowal");
+    fn bare_checkpoints_load_and_copies_stay_verified() {
+        let dir = tmpdir("bare");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bare.ckpt");
+        let json = serde_json::to_string(&checkpoint(1, 10)).unwrap();
+        let pretty = serde_json::to_string_pretty(&checkpoint(1, 10)).unwrap();
+        for bare in [json.clone(), format!("{json}\n"), pretty] {
+            fs::write(&path, bare).unwrap();
+            assert_eq!(CheckpointStore::load(&path).unwrap(), checkpoint(1, 10));
+        }
         let src = dir.join("run.ckpt");
-        let mut store = CheckpointStore::create(&src).unwrap();
-        store.save(&checkpoint(1, 10));
-        // Hand-copy the checkpoint elsewhere, without its journal.
+        CheckpointStore::create(&src)
+            .unwrap()
+            .write(&checkpoint(1, 10))
+            .unwrap();
         let copy = dir.join("copied.ckpt");
         fs::copy(&src, &copy).unwrap();
         assert_eq!(CheckpointStore::load(&copy).unwrap(), checkpoint(1, 10));
+        let saved = fs::read(&copy).unwrap();
+        fs::write(&copy, &saved[..saved.len() - 2]).unwrap();
+        assert!(
+            CheckpointStore::load(&copy).is_err(),
+            "a cut copy is caught"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -7,8 +7,8 @@
 //! [`TuningSession::checkpoint`](crate::tuner::TuningSession::checkpoint)
 //! at safe boundaries (after initialization and at the end of each
 //! iteration); the session assembles the record and hands it to a
-//! [`CheckpointSink`]. The file-backed sink with atomic rename plus a
-//! write-ahead journal lives in `moat-archive`
+//! [`CheckpointSink`]. The file-backed sink — a self-verifying file
+//! replaced by atomic rename — lives in `moat-archive`
 //! (`CheckpointStore`), keeping this crate free of I/O.
 //!
 //! # Format versioning

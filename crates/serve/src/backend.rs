@@ -6,7 +6,7 @@
 //! [`JobSpec`] into a [`PreparedJob`] — the content-addressed identity of
 //! the problem plus whatever the backend needs to tune it — and its
 //! [`run`] executes one tuning session under the daemon-provided
-//! [`JobContext`] (cancel flag, shared pool, checkpoint path, warm-start
+//! [`JobContext`] (cancel flag, shared pool, checkpointer, warm-start
 //! hints). The context turns itself into session wiring
 //! ([`JobContext::session_hooks`], [`JobContext::pooled`]), so every
 //! backend is cancelled, checkpointed, resumed and metered the same way.
@@ -17,15 +17,15 @@
 //! [`prepare`]: JobBackend::prepare
 //! [`run`]: PreparedJob::run
 
+use crate::checkpointer::{Checkpointer, GaugedStore};
 use crate::pool::{FairPool, PooledEvaluator};
 use crate::spec::JobSpec;
-use moat_archive::{ArchiveKey, ArchiveRecord, CheckpointStore, FORMAT_VERSION};
+use moat_archive::{ArchiveKey, ArchiveRecord, FORMAT_VERSION};
 use moat_core::{
     BatchEval, Config, Evaluator, EventLog, RandomTuner, SessionCheckpoint, SessionHooks,
     StopReason, TuningEvent, TuningReport, TuningSession, WarmStart,
 };
 use moat_machine::{MachineDesc, MachineFeatures};
-use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
@@ -66,13 +66,14 @@ pub struct JobContext {
     /// The shared evaluation pool; every evaluation must hold one slot
     /// (wrap the evaluator in [`PooledEvaluator`]).
     pub pool: Arc<FairPool>,
-    /// The job fingerprint — the pool's fairness identity.
+    /// The job fingerprint — the pool's fairness identity and the name of
+    /// the job's checkpoint file.
     pub job_fp: u64,
     /// `BatchEval::parallel` width for the session.
     pub slots: usize,
-    /// Checkpoint file for crash/shutdown resilience (`None` disables
-    /// checkpointing).
-    pub checkpoint_path: Option<PathBuf>,
+    /// The daemon's checkpointer, for crash/shutdown resilience (`None`
+    /// disables checkpointing).
+    pub checkpoints: Option<Arc<Checkpointer>>,
     /// Checkpoint cadence (every N-th opportunity).
     pub checkpoint_every: u32,
     /// Resume state from a previous incarnation of this job.
@@ -201,63 +202,10 @@ pub trait PreparedJob: Send {
     fn run(self: Box<Self>, ctx: JobContext) -> Result<JobOutcome, String>;
 }
 
-/// A [`CheckpointSink`](moat_core::CheckpointSink) over a
-/// [`CheckpointStore`] that bumps the daemon's `serve_parked_checkpoints`
-/// gauge the moment a save fails and parks — the serve-side twin of the
-/// `checkpoint_parked` obs event the store itself emits into the job's
-/// trace. Backends should checkpoint through this rather than the bare
-/// store so operators see the degradation on the next `/metrics` scrape.
-pub struct GaugedStore {
-    store: CheckpointStore,
-    metrics: Option<Arc<crate::metrics::ServeMetrics>>,
-    parked: bool,
-}
-
-impl GaugedStore {
-    /// Wrap `store`; `metrics` may be absent (tests, CLI use).
-    pub fn new(store: CheckpointStore, metrics: Option<Arc<crate::metrics::ServeMetrics>>) -> Self {
-        GaugedStore {
-            store,
-            metrics,
-            parked: false,
-        }
-    }
-}
-
-impl moat_core::CheckpointSink for GaugedStore {
-    fn save(&mut self, checkpoint: &SessionCheckpoint) {
-        moat_core::CheckpointSink::save(&mut self.store, checkpoint);
-        if !self.parked && self.store.last_error().is_some() {
-            self.parked = true;
-            if let Some(m) = &self.metrics {
-                m.parked_checkpoints
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-/// Open the job's checkpoint store, degrading to an uncheckpointed run
-/// when the store cannot even be created: a sick checkpoint disk costs
-/// restart-resumability, never an otherwise-healthy job. The failure is
-/// counted into `serve_persist_errors_total` and the parked gauge so the
-/// degradation shows on the next `/metrics` scrape.
+/// Open the job's slot with the daemon's checkpointer and return the
+/// sink its session checkpoints through (see [`Checkpointer::open`]).
 pub fn open_checkpoint_store(ctx: &JobContext) -> Option<GaugedStore> {
-    let path = ctx.checkpoint_path.as_ref()?;
-    match CheckpointStore::create(path) {
-        Ok(store) => Some(GaugedStore::new(
-            store.with_obs(ctx.obs.clone()),
-            ctx.metrics.clone(),
-        )),
-        Err(_) => {
-            if let Some(m) = &ctx.metrics {
-                use std::sync::atomic::Ordering;
-                m.persist_errors.fetch_add(1, Ordering::Relaxed);
-                m.parked_checkpoints.fetch_add(1, Ordering::Relaxed);
-            }
-            None
-        }
-    }
+    ctx.checkpoints.as_ref()?.open(ctx.job_fp, ctx.obs.clone())
 }
 
 /// FNV-1a over a string, for synthetic fingerprints.
@@ -426,7 +374,7 @@ mod tests {
             pool,
             job_fp: 1,
             slots: 2,
-            checkpoint_path: None,
+            checkpoints: None,
             checkpoint_every: 1,
             resume: None,
             warm: None,
@@ -488,10 +436,11 @@ mod tests {
         // A *file* where the store needs a directory: create() must fail.
         std::fs::write(dir.join("blocker"), b"not a dir").unwrap();
         let metrics = Arc::new(crate::metrics::ServeMetrics::default());
+        let checkpointer = Checkpointer::start(dir.join("blocker"), Arc::clone(&metrics));
         let mut c = ctx(pool);
-        c.checkpoint_path = Some(dir.join("blocker").join("job.ckpt"));
-        c.metrics = Some(Arc::clone(&metrics));
+        c.checkpoints = Some(Arc::clone(&checkpointer));
         let out = run("mm", c).expect("job survives");
+        checkpointer.shutdown();
         assert!(!out.cancelled);
         assert_eq!(out.evaluations, 40, "full run, just uncheckpointed");
         assert_eq!(
@@ -515,10 +464,13 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("moat-serve-backend-cancel-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        let checkpointer = Checkpointer::start(&dir, Arc::default());
         let mut c = ctx(Arc::clone(&pool));
         c.cancel.store(true, std::sync::atomic::Ordering::Relaxed);
-        c.checkpoint_path = Some(dir.join("job.ckpt"));
+        c.checkpoints = Some(Arc::clone(&checkpointer));
         let out = run("mm", c).unwrap();
+        assert!(checkpointer.settle(1, true).is_empty(), "nothing to flush");
+        checkpointer.shutdown();
         assert!(out.cancelled);
         assert_eq!(out.stop, StopReason::Cancelled);
         assert_eq!(out.evaluations, 0, "pre-set flag cuts before any batch");

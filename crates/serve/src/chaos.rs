@@ -34,8 +34,8 @@ pub struct ChaosConfig {
     pub error_per_mille: u32,
     /// ‰ of fingerprints whose run is delayed a few milliseconds.
     pub slow_per_mille: u32,
-    /// ‰ of fingerprints whose checkpoint WAL path is replaced by a
-    /// directory, so every checkpoint save fails and parks.
+    /// ‰ of fingerprints whose checkpoint path is taken by a directory,
+    /// so every checkpoint save fails and parks.
     pub ckpt_deny_per_mille: u32,
 }
 
@@ -95,9 +95,8 @@ pub enum Fate {
     Panic,
     /// Return a backend error.
     Error,
-    /// Plant a directory at the checkpoint WAL path so every save fails
-    /// and parks, then delegate — the job survives on a stale resume
-    /// point.
+    /// Plant a directory at the checkpoint path so every save fails and
+    /// parks, then delegate — the job survives without a resume point.
     CheckpointDeny,
 }
 
@@ -155,11 +154,12 @@ impl PreparedJob for ChaosJob {
             Fate::Error => return Err(format!("chaos: injected backend error (fp {fp:016x})")),
             Fate::Panic => panic!("chaos: injected backend panic (fp {fp:016x})"),
             Fate::CheckpointDeny => {
-                if let Some(path) = &ctx.checkpoint_path {
-                    // A directory where the WAL file should be: the
+                if let Some(checkpointer) = &ctx.checkpoints {
+                    // A directory where the checkpoint should be: the
                     // store's `create` succeeds (it only sweeps `.tmp`),
-                    // but every `save` fails to open the WAL and parks.
-                    let _ = std::fs::create_dir_all(path.with_extension("ckpt.wal"));
+                    // but no `save` can rename its temp file over a
+                    // directory, so each one fails and parks.
+                    let _ = std::fs::create_dir_all(checkpointer.path(fp));
                 }
             }
         }
@@ -222,7 +222,7 @@ mod tests {
             pool: FairPool::new(2),
             job_fp: spec.fingerprint(),
             slots: 1,
-            checkpoint_path: None,
+            checkpoints: None,
             checkpoint_every: 1,
             resume: None,
             warm: None,

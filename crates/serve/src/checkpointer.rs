@@ -1,0 +1,335 @@
+//! Write-behind session checkpoints: one daemon-lifetime thread owns
+//! `<state>/ckpt/`.
+//!
+//! A session offers a checkpoint at every safe boundary; making one
+//! durable costs a serialisation and an fsync, several times what the
+//! iteration it follows took. So [`GaugedStore::save`] — the sink a
+//! job's session checkpoints through — only clones the checkpoint into
+//! the job's slot, where a newer one replaces an older one still
+//! waiting, and the [`Checkpointer`] thread writes whatever is newest
+//! for each running job through [`CheckpointStore`]. When the session
+//! has returned, the daemon [`settle`](Checkpointer::settle)s the slot: a
+//! parking run waits until its last checkpoint is on disk; a finished or
+//! failed one drops what is pending, waits out a write in flight and
+//! removes the files. The first save of every run is always written, so
+//! a sick checkpoint directory parks and is gauged even under a job
+//! shorter than one write.
+//!
+//! What the file holds is always a complete, verified checkpoint of a
+//! safe boundary (the store's guarantee), so a restart resumes
+//! bit-identically from whichever write completed last: SIGTERM loses
+//! nothing, `kill -9` re-does the iterations since that write.
+
+use crate::metrics::ServeMetrics;
+use moat_archive::CheckpointStore;
+use moat_core::{CheckpointSink, SessionCheckpoint};
+use parking_lot::{Condvar, Mutex};
+use std::collections::HashMap;
+use std::path::PathBuf;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Instant;
+
+/// One running job's slot.
+struct Slot {
+    /// `None` while the thread is writing through it.
+    store: Option<CheckpointStore>,
+    /// The newest checkpoint not yet written, and when it was handed off.
+    pending: Option<(Instant, SessionCheckpoint)>,
+    /// A write has been started for this run.
+    attempted: bool,
+    /// A write has failed for this run (gauged once).
+    parked: bool,
+    /// What each `save` cost the session, in µs, in save order.
+    handoffs_us: Vec<u64>,
+}
+
+#[derive(Default)]
+struct State {
+    slots: HashMap<u64, Slot>,
+    stop: bool,
+}
+
+/// The owner of a checkpoint directory: names the files, writes them
+/// behind the sessions, removes them.
+pub struct Checkpointer {
+    dir: PathBuf,
+    metrics: Arc<ServeMetrics>,
+    state: Mutex<State>,
+    /// Signalled on every hand-off, finished write and stop request.
+    changed: Condvar,
+    thread: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl Checkpointer {
+    /// Start the writer thread over `dir`; [`shutdown`](Self::shutdown)
+    /// joins it.
+    pub fn start(dir: impl Into<PathBuf>, metrics: Arc<ServeMetrics>) -> Arc<Checkpointer> {
+        let checkpointer = Arc::new(Checkpointer {
+            dir: dir.into(),
+            metrics,
+            state: Mutex::default(),
+            changed: Condvar::new(),
+            thread: Mutex::new(None),
+        });
+        let writer = Arc::clone(&checkpointer);
+        let thread = std::thread::Builder::new()
+            .name("serve-checkpointer".into())
+            .spawn(move || writer.run())
+            .expect("spawn checkpointer");
+        *checkpointer.thread.lock() = Some(thread);
+        checkpointer
+    }
+
+    /// The checkpoint file of the job with fingerprint `fp`.
+    pub fn path(&self, fp: u64) -> PathBuf {
+        self.dir.join(format!("{fp:016x}.ckpt"))
+    }
+
+    /// Open job `fp`'s slot and return the sink its session checkpoints
+    /// through; failed saves are reported on `obs`. A store that cannot
+    /// even be created degrades the run to an uncheckpointed one (`None`):
+    /// a sick checkpoint disk costs restart-resumability, never an
+    /// otherwise-healthy job. The failure is counted into
+    /// `serve_persist_errors_total` and the parked gauge.
+    pub fn open(self: &Arc<Self>, fp: u64, obs: moat_obs::Obs) -> Option<GaugedStore> {
+        let Ok(store) = CheckpointStore::create(self.path(fp)) else {
+            self.metrics.persist_errors.fetch_add(1, Ordering::Relaxed);
+            self.metrics
+                .parked_checkpoints
+                .fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
+        let slot = Slot {
+            store: Some(store.with_obs(obs)),
+            pending: None,
+            attempted: false,
+            parked: false,
+            handoffs_us: Vec::new(),
+        };
+        self.state.lock().slots.insert(fp, slot);
+        Some(GaugedStore {
+            checkpointer: Arc::clone(self),
+            fp,
+        })
+    }
+
+    /// Job `fp`'s session has returned. With `keep` (the run was cancelled
+    /// and parks) wait until its last checkpoint is on disk; without
+    /// (Done, Failed, replayed) drop what is pending — unless nothing was
+    /// written yet — wait out a write in flight and remove the files.
+    /// Returns what each save of the run cost its session, in µs.
+    pub fn settle(&self, fp: u64, keep: bool) -> Vec<u64> {
+        let mut state = self.state.lock();
+        if let Some(slot) = state.slots.get_mut(&fp) {
+            if !keep && slot.attempted && slot.pending.take().is_some() {
+                self.count_superseded();
+            }
+        }
+        while state
+            .slots
+            .get(&fp)
+            .is_some_and(|slot| slot.pending.is_some() || slot.store.is_none())
+        {
+            self.changed.wait(&mut state);
+        }
+        // The slot goes under the lock the writer looks for work under:
+        // nothing can be written for this run after the removal below.
+        let slot = state.slots.remove(&fp);
+        drop(state);
+        if !keep {
+            CheckpointStore::remove(self.path(fp));
+        }
+        slot.map(|slot| slot.handoffs_us).unwrap_or_default()
+    }
+
+    /// Write what is pending, then stop and join the thread.
+    pub fn shutdown(&self) {
+        self.state.lock().stop = true;
+        self.changed.notify_all();
+        if let Some(thread) = self.thread.lock().take() {
+            let _ = thread.join();
+        }
+    }
+
+    fn count_superseded(&self) {
+        self.metrics
+            .checkpoints_superseded
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The writer: always the checkpoint that has waited longest.
+    fn run(&self) {
+        let mut state = self.state.lock();
+        loop {
+            let oldest = state
+                .slots
+                .iter()
+                .filter_map(|(fp, slot)| Some((slot.pending.as_ref()?.0, *fp)))
+                .min();
+            let Some((_, fp)) = oldest else {
+                if state.stop {
+                    return;
+                }
+                self.changed.wait(&mut state);
+                continue;
+            };
+            let slot = state.slots.get_mut(&fp).expect("found under this lock");
+            let (handed, checkpoint) = slot.pending.take().expect("found under this lock");
+            let mut store = slot.store.take().expect("one writer");
+            slot.attempted = true;
+            drop(state);
+
+            store.save(&checkpoint);
+            let written = store.last_error().is_none();
+            if written {
+                self.metrics
+                    .checkpoints_written
+                    .fetch_add(1, Ordering::Relaxed);
+                self.metrics
+                    .checkpoint_write
+                    .observe(handed.elapsed().as_micros() as u64, None);
+            }
+
+            state = self.state.lock();
+            // `settle` waits for the store to come back, so the slot is
+            // still this run's.
+            if let Some(slot) = state.slots.get_mut(&fp) {
+                slot.store = Some(store);
+                if !written && !std::mem::replace(&mut slot.parked, true) {
+                    self.metrics
+                        .parked_checkpoints
+                        .fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            self.changed.notify_all();
+        }
+    }
+}
+
+impl std::fmt::Debug for Checkpointer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Checkpointer")
+            .field("dir", &self.dir)
+            .field("slots", &self.state.lock().slots.len())
+            .finish()
+    }
+}
+
+/// The [`CheckpointSink`] of one served job: `save` hands the checkpoint
+/// to the [`Checkpointer`] and returns. A write that fails behind it
+/// parks — the store emits `checkpoint_parked` into the job's trace and
+/// the daemon's `serve_parked_checkpoints` gauge is bumped the moment it
+/// happens, so operators see the degradation on the next `/metrics`
+/// scrape.
+pub struct GaugedStore {
+    checkpointer: Arc<Checkpointer>,
+    fp: u64,
+}
+
+impl CheckpointSink for GaugedStore {
+    fn save(&mut self, checkpoint: &SessionCheckpoint) {
+        let handed = Instant::now();
+        let checkpoint = checkpoint.clone();
+        let mut state = self.checkpointer.state.lock();
+        let Some(slot) = state.slots.get_mut(&self.fp) else {
+            return;
+        };
+        if slot.pending.replace((handed, checkpoint)).is_some() {
+            self.checkpointer.count_superseded();
+        }
+        slot.handoffs_us.push(handed.elapsed().as_micros() as u64);
+        drop(state);
+        self.checkpointer.changed.notify_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use moat_core::{TunerState, CHECKPOINT_FORMAT_VERSION};
+
+    fn checkpoint(seq: u64) -> SessionCheckpoint {
+        SessionCheckpoint {
+            format_version: CHECKPOINT_FORMAT_VERSION,
+            strategy: "random".into(),
+            dims: 2,
+            num_objectives: 2,
+            evaluations: 10 * seq,
+            primed: 0,
+            budget: Some(100),
+            iteration: seq as u32,
+            budget_exhausted: false,
+            seq,
+            cache: vec![(vec![1, 2], Some(vec![0.5, 2.0]))],
+            tuner: TunerState::for_strategy("random"),
+        }
+    }
+
+    fn started(tag: &str) -> (Arc<Checkpointer>, Arc<ServeMetrics>) {
+        let dir = std::env::temp_dir().join(format!("moat-ckptr-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let metrics = Arc::new(ServeMetrics::default());
+        (Checkpointer::start(dir, Arc::clone(&metrics)), metrics)
+    }
+
+    fn finish(checkpointer: Arc<Checkpointer>) {
+        checkpointer.shutdown();
+        let _ = std::fs::remove_dir_all(&checkpointer.dir);
+    }
+
+    #[test]
+    fn a_parking_run_flushes_its_newest_checkpoint() {
+        let (checkpointer, metrics) = started("park");
+        let mut sink = checkpointer.open(7, moat_obs::Obs::default()).unwrap();
+        for seq in 1..=5 {
+            sink.save(&checkpoint(seq));
+        }
+        assert_eq!(
+            checkpointer.settle(7, true).len(),
+            5,
+            "one hand-off per save"
+        );
+        let on_disk = CheckpointStore::load(checkpointer.path(7)).unwrap();
+        assert_eq!(on_disk, checkpoint(5), "latest wins");
+        let written = metrics.checkpoints_written.load(Ordering::Relaxed);
+        let superseded = metrics.checkpoints_superseded.load(Ordering::Relaxed);
+        assert!(written >= 1);
+        assert_eq!(written + superseded, 5, "every hand-off is accounted for");
+        finish(checkpointer);
+    }
+
+    #[test]
+    fn a_finished_run_still_writes_its_first_checkpoint_then_retires_the_file() {
+        let (checkpointer, metrics) = started("finish");
+        let mut sink = checkpointer.open(7, moat_obs::Obs::default()).unwrap();
+        sink.save(&checkpoint(1));
+        checkpointer.settle(7, false);
+        assert_eq!(metrics.checkpoints_written.load(Ordering::Relaxed), 1);
+        assert_eq!(std::fs::read_dir(&checkpointer.dir).unwrap().count(), 0);
+        finish(checkpointer);
+    }
+
+    #[test]
+    fn a_sick_directory_parks_once_and_leaves_nothing_behind() {
+        let (checkpointer, metrics) = started("sick");
+        let obs = moat_obs::Obs::new(moat_obs::TimestampMode::Logical);
+        let mut sink = checkpointer.open(7, obs.clone()).unwrap();
+        std::fs::create_dir_all(checkpointer.path(7)).unwrap();
+        sink.save(&checkpoint(1));
+        checkpointer.settle(7, true);
+        assert_eq!(metrics.parked_checkpoints.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.checkpoints_written.load(Ordering::Relaxed), 0);
+        let parked =
+            |r: &moat_obs::Record| matches!(r.event, moat_obs::Event::CheckpointParked { .. });
+        assert!(
+            obs.drain().iter().any(parked),
+            "reported on the job's handle"
+        );
+        std::fs::remove_dir(checkpointer.path(7)).unwrap();
+        checkpointer.settle(7, false);
+        assert_eq!(std::fs::read_dir(&checkpointer.dir).unwrap().count(), 0);
+        finish(checkpointer);
+    }
+}

@@ -14,6 +14,7 @@
 //!                            emitted on its own handle (what `moat-tune
 //!                            --trace` writes for the same spec and seed)
 //! <state>/ckpt/<fp>.ckpt     session checkpoints, named by fingerprint
+//!                            (see [`crate::checkpointer`])
 //! <state>/archive/           the sharded archive
 //! <state>/serve.jsonl        service-level obs events (sheds, breaker
 //!                            transitions, contained panics)
@@ -28,7 +29,8 @@
 //!
 //! **Admission.** Accepted submissions enter a bounded queue drained by a
 //! fixed pool of [`ServeConfig::workers`] session threads — nothing
-//! spawns per job. The shed ladder runs under the job-table lock, in
+//! spawns per job; their checkpoints are written behind them by the one
+//! [`Checkpointer`] thread. The shed ladder runs under the job-table lock, in
 //! order: shutdown → per-tenant token bucket → (for new primaries only)
 //! circuit breaker → per-tenant max-in-flight → queue depth. Sheds
 //! answer `429`/`503` with a `Retry-After` hint, bump
@@ -50,8 +52,9 @@
 //! running `TuningSession`. Setting it (SIGTERM in the binary, `POST
 //! /shutdown` in tests) wakes the accept thread out of `accept()` with one
 //! loopback connection, stops accepting, winds sessions down at their
-//! next batch boundary (they have been checkpointing all along, so they
-//! park losslessly) and [`ServeHandle::join`] reaps everything. Jobs
+//! next batch boundary (each worker then waits until its session's last
+//! checkpoint is on disk, so they park losslessly) and
+//! [`ServeHandle::join`] reaps everything, the checkpointer last. Jobs
 //! still waiting in the queue stay `Queued` in the persisted table. On
 //! the next start, parked and interrupted jobs are re-enqueued with
 //! `with_resume(...)` from their fingerprint-named checkpoint, which the
@@ -59,6 +62,7 @@
 
 use crate::admission::{AdmissionPolicy, AdmissionState, BreakerDecision, ShedReason};
 use crate::backend::JobBackend;
+use crate::checkpointer::Checkpointer;
 use crate::journal::Journal;
 use crate::metrics::ServeMetrics;
 use crate::pool::FairPool;
@@ -301,6 +305,7 @@ struct Daemon {
     backend: Arc<dyn JobBackend>,
     pool: Arc<FairPool>,
     metrics: Arc<ServeMetrics>,
+    checkpointer: Arc<Checkpointer>,
     archive: ShardedArchive,
     stop: Arc<AtomicBool>,
     jobs: Mutex<Jobs>,
@@ -330,13 +335,6 @@ impl Daemon {
             .state_dir
             .join("traces")
             .join(format!("{id}.jsonl"))
-    }
-
-    fn ckpt_path(&self, fingerprint: &str) -> PathBuf {
-        self.config
-            .state_dir
-            .join("ckpt")
-            .join(format!("{fingerprint}.ckpt"))
     }
 
     /// Append one service-level event to `serve.jsonl` (and the flight
@@ -616,7 +614,7 @@ impl Daemon {
             pool: Arc::clone(&self.pool),
             job_fp: fp,
             slots: self.config.session_width,
-            checkpoint_path: Some(self.ckpt_path(&fingerprint)),
+            checkpoints: Some(Arc::clone(&self.checkpointer)),
             checkpoint_every: self.config.checkpoint_every,
             resume,
             warm,
@@ -630,6 +628,13 @@ impl Daemon {
         self.metrics
             .phase_eval
             .observe(eval_us, trace_hex.as_deref());
+
+        // The session has returned: a parking run's last checkpoint goes
+        // to disk before the row says Parked; any other outcome retires
+        // the checkpoint, whichever incarnation wrote it.
+        let persist_started = Instant::now();
+        let parks = run.as_ref().is_ok_and(|outcome| outcome.cancelled);
+        let handoffs_us = self.checkpointer.settle(fp, parks);
 
         match run {
             Ok(outcome) => {
@@ -686,7 +691,7 @@ impl Daemon {
                                     id,
                                     &tenant,
                                     format!("seq={seq}"),
-                                    0,
+                                    handoffs_us.get(ck as usize).copied().unwrap_or(0),
                                 );
                                 ck += 1;
                             }
@@ -694,7 +699,6 @@ impl Daemon {
                         }
                     }
                 }
-                let persist_started = Instant::now();
                 let _ = std::fs::write(
                     self.trace_path(id),
                     moat_obs::export::to_jsonl(&obs.drain()),
@@ -740,9 +744,6 @@ impl Daemon {
                 let pretty =
                     serde_json::to_string_pretty(&outcome.record).expect("record serializes");
                 let _ = std::fs::write(self.result_path(id), pretty);
-                let ckpt = self.ckpt_path(&fingerprint);
-                let _ = std::fs::remove_file(&ckpt);
-                let _ = std::fs::remove_file(ckpt.with_extension("ckpt.wal"));
                 let mut jobs = self.jobs.lock();
                 if let Some(state) = jobs.states.get_mut(id) {
                     state.status = JobStatus::Done;
@@ -820,9 +821,7 @@ impl Daemon {
         );
         let pretty = serde_json::to_string_pretty(record).expect("record serializes");
         let _ = std::fs::write(self.result_path(id), pretty);
-        let ckpt = self.ckpt_path(fingerprint);
-        let _ = std::fs::remove_file(&ckpt);
-        let _ = std::fs::remove_file(ckpt.with_extension("ckpt.wal"));
+        self.checkpointer.settle(spec.fingerprint(), false);
         let mut jobs = self.jobs.lock();
         if let Some(state) = jobs.states.get_mut(id) {
             state.status = JobStatus::Done;
@@ -1333,6 +1332,8 @@ impl ServeHandle {
         for h in workers {
             let _ = h.join();
         }
+        // Every session has settled its slot by now.
+        self.daemon.checkpointer.shutdown();
         // In-flight connection threads only touch metrics and the job
         // table; give them a short grace window rather than blocking
         // shutdown on a slow client.
@@ -1411,6 +1412,8 @@ pub fn serve(config: ServeConfig, backend: Arc<dyn JobBackend>) -> std::io::Resu
         policy,
         backend,
         pool,
+        // Started once nothing below can fail: `join()` is what stops it.
+        checkpointer: Checkpointer::start(config.state_dir.join("ckpt"), Arc::clone(&metrics)),
         metrics,
         archive,
         stop: Arc::new(AtomicBool::new(false)),
@@ -1457,7 +1460,8 @@ pub fn serve(config: ServeConfig, backend: Arc<dyn JobBackend>) -> std::io::Resu
                     JobStatus::Queued | JobStatus::Running | JobStatus::Parked
                 );
             if interrupted {
-                let resume = CheckpointStore::load(daemon.ckpt_path(&row.fingerprint)).ok();
+                let path = daemon.checkpointer.path(row.spec.fingerprint());
+                let resume = CheckpointStore::load(path).ok();
                 if resume.is_some() {
                     daemon.metrics.jobs_resumed.fetch_add(1, Ordering::Relaxed);
                 }

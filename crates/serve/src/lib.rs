@@ -22,6 +22,7 @@
 pub mod admission;
 pub mod backend;
 pub mod chaos;
+pub mod checkpointer;
 pub mod daemon;
 pub mod journal;
 pub mod metrics;
@@ -32,10 +33,11 @@ pub mod wire;
 
 pub use admission::{AdmissionPolicy, ShedReason};
 pub use backend::{
-    open_checkpoint_store, GaugedStore, JobBackend, JobContext, JobInfo, JobOutcome, PreparedJob,
-    SurrogateJob, SyntheticBackend,
+    open_checkpoint_store, JobBackend, JobContext, JobInfo, JobOutcome, PreparedJob, SurrogateJob,
+    SyntheticBackend,
 };
 pub use chaos::{ChaosBackend, ChaosConfig, Fate};
+pub use checkpointer::{Checkpointer, GaugedStore};
 pub use daemon::{serve, JobState, JobStatus, ServeConfig, ServeHandle};
 pub use journal::load_job_table;
 pub use metrics::ServeMetrics;

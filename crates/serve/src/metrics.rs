@@ -4,15 +4,16 @@
 //!
 //! * **serve-native counters** (`serve_*` families) — live atomics bumped
 //!   by the daemon itself: submissions, dedupe hits, warm replays,
-//!   completions, pool evaluations, compaction sweeps, parked
-//!   checkpoints;
+//!   completions, pool evaluations, compaction sweeps, checkpoints
+//!   written, superseded and parked;
 //! * **the PR 5 tuning metrics** (`moat_*` families) — rendered by
 //!   [`moat_obs::metrics::render`] over the records every finished job's
 //!   session emitted, so the same families a single `moat-tune` run
 //!   exports stay scrapeable in service mode.
 //!
-//! The phase-latency histograms keep live atomics (they are observed on
-//! the request path) but search buckets and render through the one
+//! The phase-latency and checkpoint-write histograms keep live atomics
+//! (they are observed on the request path and the checkpointer thread)
+//! but search buckets and render through the one
 //! [`moat_obs::metrics::Histogram`].
 
 use crate::admission::ShedReason;
@@ -28,7 +29,7 @@ const PHASE_BUCKETS_US: [u64; 8] = [
     1_000, 5_000, 25_000, 100_000, 500_000, 2_500_000, 10_000_000, 60_000_000,
 ];
 
-/// One phase's latency histogram plus its most recent exemplar: the
+/// One latency histogram plus its most recent exemplar: the
 /// trace id (and observed value) of the last *traced* request that went
 /// through the phase, attached to the `+Inf` bucket OpenMetrics-style so
 /// a dashboard can jump from a latency spike to a concrete trace.
@@ -65,7 +66,7 @@ impl PhaseLatency {
         }
     }
 
-    fn render(&self, phase: &str, out: &mut String) {
+    fn render(&self, name: &str, labels: &str, out: &mut String) {
         let snapshot = Histogram::from_parts(
             &PHASE_BUCKETS_US,
             self.buckets
@@ -76,12 +77,8 @@ impl PhaseLatency {
             self.sum_us.load(Ordering::Relaxed),
         );
         let exemplar = self.exemplar.lock();
-        snapshot.render(
-            "serve_phase_seconds",
-            &format!("phase=\"{phase}\""),
-            exemplar.as_ref().map(|(t, us)| (t.as_str(), *us)),
-            out,
-        );
+        let exemplar = exemplar.as_ref().map(|(t, us)| (t.as_str(), *us));
+        snapshot.render(name, labels, exemplar, out);
     }
 }
 
@@ -137,8 +134,17 @@ pub struct ServeMetrics {
     pub phase_queue: PhaseLatency,
     /// Backend run time (the evaluation phase of a job).
     pub phase_eval: PhaseLatency,
-    /// Result/trace/archive/state persistence after a run.
+    /// Result/trace/archive/state persistence after a run, the wait for
+    /// its checkpoint slot to settle included.
     pub phase_persist: PhaseLatency,
+    /// Checkpoints the checkpointer made durable.
+    pub checkpoints_written: AtomicU64,
+    /// Checkpoints handed off but never written: replaced by a newer one
+    /// of the same run, or dropped because the run finished first.
+    pub checkpoints_superseded: AtomicU64,
+    /// Hand-off to durable, per written checkpoint: how far the file on
+    /// disk lags the session it can restart.
+    pub checkpoint_write: PhaseLatency,
 }
 
 /// Render order of the shed-reason label set — must cover every
@@ -256,6 +262,16 @@ impl ServeMetrics {
             "Failed job-table journal/snapshot writes.",
             self.persist_errors.load(Ordering::Relaxed),
         );
+        counter(
+            "serve_checkpoints_written_total",
+            "Session checkpoints made durable.",
+            self.checkpoints_written.load(Ordering::Relaxed),
+        );
+        counter(
+            "serve_checkpoints_superseded_total",
+            "Session checkpoints replaced or dropped before being written.",
+            self.checkpoints_superseded.load(Ordering::Relaxed),
+        );
         out.push_str(
             "# HELP serve_shed_total Requests shed at admission, by reason.\n\
              # TYPE serve_shed_total counter\n",
@@ -297,10 +313,25 @@ impl ServeMetrics {
              (exemplar: last traced request).\n\
              # TYPE serve_phase_seconds histogram\n",
         );
-        self.phase_submit.render("submit", &mut out);
-        self.phase_queue.render("queue", &mut out);
-        self.phase_eval.render("eval", &mut out);
-        self.phase_persist.render("persist", &mut out);
+        for (phase, latency) in [
+            ("submit", &self.phase_submit),
+            ("queue", &self.phase_queue),
+            ("eval", &self.phase_eval),
+            ("persist", &self.phase_persist),
+        ] {
+            latency.render(
+                "serve_phase_seconds",
+                &format!("phase=\"{phase}\""),
+                &mut out,
+            );
+        }
+        out.push_str(
+            "# HELP serve_checkpoint_write_seconds Hand-off to durable, per written \
+             session checkpoint.\n\
+             # TYPE serve_checkpoint_write_seconds histogram\n",
+        );
+        self.checkpoint_write
+            .render("serve_checkpoint_write_seconds", "", &mut out);
         out.push_str(&moat_obs::metrics::render(job_records));
         out
     }
@@ -343,6 +374,8 @@ mod tests {
         assert!(text.contains("serve_queue_depth 3\n"));
         assert!(text.contains("serve_breaker_state 1\n"));
         assert!(text.contains("serve_persist_errors_total 0\n"));
+        assert!(text.contains("serve_checkpoints_written_total 0\n"));
+        assert!(text.contains("serve_checkpoints_superseded_total 0\n"));
         assert_eq!(m.sheds_total(), 3);
         assert_eq!(m.sheds_for(ShedReason::Queue), 2);
     }
@@ -370,6 +403,11 @@ mod tests {
         assert!(text.contains("serve_phase_seconds_bucket{phase=\"eval\",le=\"+Inf\"} 1\n"));
         // Untouched phases render zeroed series (fixed label set).
         assert!(text.contains("serve_phase_seconds_count{phase=\"queue\"} 0\n"));
+        // The checkpoint lag is the same histogram under its own name.
+        m.checkpoint_write.observe(700, None);
+        let text = m.render(&[]);
+        assert!(text.contains("serve_checkpoint_write_seconds_bucket{le=\"0.001\"} 1\n"));
+        assert!(text.contains("serve_checkpoint_write_seconds_count 1\n"));
     }
 
     /// Unit-suffix audit over every family both layers expose (`# TYPE`

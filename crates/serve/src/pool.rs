@@ -70,6 +70,11 @@ impl FairPool {
         self.state.lock().in_use
     }
 
+    /// Evaluations queued for a slot right now.
+    pub fn waiting(&self) -> usize {
+        self.state.lock().waiting.len()
+    }
+
     /// Block until `job` is granted a slot. The returned guard releases
     /// it on drop.
     pub fn acquire(self: &Arc<Self>, job: u64) -> SlotGuard {

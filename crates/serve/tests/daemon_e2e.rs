@@ -1,12 +1,12 @@
 //! End-to-end daemon tests over real sockets with the synthetic backend:
 //! dedupe, archive replay at E = 0, malformed/oversized rejection,
-//! 1-vs-8-clients archive determinism, and shutdown → restart resume
-//! byte-identity.
+//! 1-vs-8-clients archive determinism, shutdown → restart resume
+//! byte-identity, and what the checkpointer leaves in `ckpt/`.
 
 use moat_serve::daemon::{serve, JobState, JobStatus, ServeConfig, ServeHandle};
-use moat_serve::spec::SubmitResponse;
+use moat_serve::spec::{JobSpec, SubmitResponse};
 use moat_serve::wire::{self, Request, Response};
-use moat_serve::SyntheticBackend;
+use moat_serve::{JobBackend, JobContext, JobInfo, JobOutcome, PreparedJob, SyntheticBackend};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -52,7 +52,7 @@ fn wait_done(addr: SocketAddr, id: &str) -> JobState {
             return state;
         }
         assert!(Instant::now() < deadline, "job {id} stuck: {state:?}");
-        std::thread::sleep(Duration::from_millis(10));
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -182,6 +182,23 @@ fn dedupe_replay_and_routes() {
     // deduped submission subscribed instead of running.
     assert!(text.contains("serve_jobs_completed_total 2"), "{text}");
     assert!(text.contains("moat_evaluations_total"), "{text}");
+    // Every checkpoint the one session offered was either written behind
+    // it or superseded, and each write has its lag in the histogram.
+    let count = |family: &str| -> usize {
+        let line = text.lines().find(|l| l.starts_with(family)).unwrap();
+        line[family.len()..].trim().parse().unwrap()
+    };
+    let offered = records
+        .iter()
+        .filter(|r| matches!(r.event, moat_obs::Event::Checkpointed { .. }))
+        .count();
+    let written = count("serve_checkpoints_written_total");
+    assert!(written >= 1 && offered >= 1, "{text}");
+    assert_eq!(
+        written + count("serve_checkpoints_superseded_total"),
+        offered
+    );
+    assert_eq!(count("serve_checkpoint_write_seconds_count"), written);
 
     shutdown(addr, handle);
 }
@@ -425,4 +442,161 @@ fn connection_after_stop_is_closed_not_served() {
     handle.join().expect("clean shutdown");
     assert!(asked.elapsed() < Duration::from_secs(1));
     assert_eq!(metrics.http_requests.load(Ordering::Relaxed), 0);
+}
+
+/// A synthetic backend whose `late-*` kernels run their whole session —
+/// checkpoints and all — and only then error out or panic.
+struct FailsLate;
+
+struct LateJob {
+    inner: Box<dyn PreparedJob>,
+    kernel: String,
+}
+
+impl JobBackend for FailsLate {
+    fn prepare(&self, spec: &JobSpec) -> Result<Box<dyn PreparedJob>, String> {
+        Ok(Box::new(LateJob {
+            inner: SyntheticBackend::default().prepare(spec)?,
+            kernel: spec.kernel.clone(),
+        }))
+    }
+}
+
+impl PreparedJob for LateJob {
+    fn info(&self) -> &JobInfo {
+        self.inner.info()
+    }
+
+    fn run(self: Box<Self>, ctx: JobContext) -> Result<JobOutcome, String> {
+        let outcome = self.inner.run(ctx)?;
+        if self.kernel.starts_with("late-error") {
+            return Err("late: the session ran, the job fails".into());
+        }
+        if self.kernel.starts_with("late-panic") {
+            panic!("late: the session ran, the job panics");
+        }
+        Ok(outcome)
+    }
+}
+
+/// However a job ends — Done, Failed by error, Failed by panic, served
+/// from the archive — its checkpoint and any temp file are gone by the
+/// time the row says so, a stale file of an earlier incarnation included,
+/// and nothing is written after the removal: `ckpt/` is empty after every
+/// job and still empty once the checkpointer has been joined.
+#[test]
+fn ckpt_dir_is_empty_after_done_failed_and_replay() {
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let late = |m: &&str| m.starts_with("late:");
+        if !info.payload().downcast_ref::<&str>().is_some_and(late) {
+            default_hook(info);
+        }
+    }));
+    let state_dir = temp_dir("retire");
+    let ckpt = state_dir.join("ckpt");
+    let handle = serve(ServeConfig::new(&state_dir), Arc::new(FailsLate)).unwrap();
+    let addr = handle.addr();
+    let files = || -> Vec<_> { std::fs::read_dir(&ckpt).unwrap().flatten().collect() };
+    for round in 0..200 {
+        for (kernel, warm, ends) in [
+            (format!("k{round}"), false, JobStatus::Done),
+            (format!("late-error{round}"), false, JobStatus::Failed),
+            (format!("late-panic{round}"), false, JobStatus::Failed),
+            (format!("k{round}"), true, JobStatus::Done),
+        ] {
+            let body = spec(&kernel, 1 + warm as u64, "t", warm, 160);
+            let parsed: JobSpec = serde_json::from_str(&body).unwrap();
+            let stale = ckpt.join(format!("{}.ckpt", parsed.fingerprint_hex()));
+            std::fs::write(&stale, "left by an earlier incarnation").unwrap();
+            std::fs::write(stale.with_extension("ckpt.tmp"), "torn").unwrap();
+            let job = submit(addr, &body);
+            let state = wait_done(addr, &job.job);
+            assert_eq!(state.status, ends, "{kernel}: {state:?}");
+            assert_eq!(state.replayed, warm);
+            assert!(files().is_empty(), "{kernel} round {round}: {:?}", files());
+        }
+    }
+    let metrics = handle.metrics();
+    assert!(metrics.checkpoints_written.load(Ordering::Relaxed) >= 600);
+    shutdown(addr, handle);
+    assert!(files().is_empty(), "after the join: {:?}", files());
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+/// Eight sessions cut by one shutdown: every worker waits until its own
+/// session's last checkpoint is on disk before its row says Parked, and a
+/// restart finishes all eight with the uninterrupted results.
+#[test]
+fn eight_jobs_parking_at_once_all_flush() {
+    let kernels: Vec<String> = (0..8).map(|k| format!("park{k}")).collect();
+    let body = |kernel: &String| spec(kernel, 4, "t", false, 1536);
+
+    let reference_dir = temp_dir("park-ref");
+    let handle = serve(
+        ServeConfig::new(&reference_dir),
+        Arc::new(SyntheticBackend::default()),
+    )
+    .unwrap();
+    let addr = handle.addr();
+    let ids: Vec<String> = kernels.iter().map(|k| submit(addr, &body(k)).job).collect();
+    wait_all_done(addr, 8);
+    let result = |addr, id: &String| {
+        let resp = send(addr, &Request::new("GET", &format!("/jobs/{id}/result")));
+        assert_eq!(resp.status, 200);
+        resp.body
+    };
+    let reference: Vec<Vec<u8>> = ids.iter().map(|id| result(addr, id)).collect();
+    shutdown(addr, handle);
+
+    let state_dir = temp_dir("park");
+    let slow = Arc::new(SyntheticBackend { eval_delay_us: 300 });
+    let handle = serve(ServeConfig::new(&state_dir), slow).unwrap();
+    let addr = handle.addr();
+    let jobs: Vec<SubmitResponse> = kernels.iter().map(|k| submit(addr, &body(k))).collect();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while std::fs::read_dir(state_dir.join("ckpt")).unwrap().count() < 8 {
+        assert!(
+            Instant::now() < deadline,
+            "eight sessions never checkpointed"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    shutdown(addr, handle);
+
+    let table = std::fs::read_to_string(state_dir.join("jobs.json")).unwrap();
+    let rows: Vec<JobState> = serde_json::from_str(&table).unwrap();
+    assert_eq!(rows.len(), 8);
+    for (row, job) in rows.iter().zip(&jobs) {
+        assert_eq!(row.status, JobStatus::Parked, "{row:?}");
+        let path = state_dir
+            .join("ckpt")
+            .join(format!("{}.ckpt", job.fingerprint));
+        let on_disk = moat_archive::CheckpointStore::load(&path).expect("flushed");
+        assert_eq!(on_disk.evaluations, row.evaluations, "{}", row.id);
+        let trace =
+            std::fs::read_to_string(state_dir.join("traces").join(format!("{}.jsonl", row.id)))
+                .unwrap();
+        let last = format!("{{\"Checkpointed\":{{\"seq\":{}}}}}", on_disk.seq);
+        let offered: Vec<&str> = trace
+            .lines()
+            .filter(|l| l.contains("Checkpointed"))
+            .collect();
+        assert!(offered.last().unwrap().contains(&last), "{offered:?}");
+    }
+
+    let handle = serve(
+        ServeConfig::new(&state_dir),
+        Arc::new(SyntheticBackend::default()),
+    )
+    .unwrap();
+    let addr = handle.addr();
+    wait_all_done(addr, 8);
+    for (id, expected) in ids.iter().zip(&reference) {
+        assert!(get_job(addr, id).resumed);
+        assert_eq!(&result(addr, id), expected, "{id}");
+    }
+    shutdown(addr, handle);
+    let _ = std::fs::remove_dir_all(&reference_dir);
+    let _ = std::fs::remove_dir_all(&state_dir);
 }

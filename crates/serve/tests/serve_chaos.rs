@@ -565,8 +565,9 @@ fn slowloris_cut_and_connection_cap_sheds() {
 
 /// Disk faults: a directory planted where the job-table journal is
 /// opened, where the snapshot's tmp file is written and where the
-/// checkpoint WAL should be makes every row append, every snapshot and
-/// every checkpoint save fail — all are counted, none kills the job.
+/// checkpoint is renamed to makes every row append, every snapshot and
+/// every checkpoint save fail — all are counted, none kills the job, and
+/// its result is the quiet run's.
 #[test]
 fn disk_faults_are_counted_not_fatal() {
     silence_chaos_panics();
@@ -576,13 +577,14 @@ fn disk_faults_are_counted_not_fatal() {
     std::fs::create_dir_all(state_dir.join("jobs.journal")).unwrap();
     // Sabotage the start/shutdown snapshot: fs::write into a directory fails.
     std::fs::create_dir_all(state_dir.join("jobs.json.tmp")).unwrap();
-    // Sabotage the checkpoint WAL of the one spec this test submits.
+    // Sabotage the checkpoint of the one spec this test submits: the
+    // store opens, and no save can rename its temp file over a directory.
     let body = spec("jacobi2d", 3, "disk", 32);
     let jspec: JobSpec = serde_json::from_str(&body).unwrap();
     std::fs::create_dir_all(
         state_dir
             .join("ckpt")
-            .join(format!("{}.ckpt.wal", jspec.fingerprint_hex())),
+            .join(format!("{}.ckpt", jspec.fingerprint_hex())),
     )
     .unwrap();
 
@@ -617,10 +619,39 @@ fn disk_faults_are_counted_not_fatal() {
         metric(&text, "serve_parked_checkpoints") >= 1,
         "failed checkpoint saves park and are gauged: {text}"
     );
+    assert_eq!(metric(&text, "serve_checkpoints_written_total"), 0);
+    let trace = send(
+        addr,
+        &Request::new("GET", &format!("/jobs/{}/trace", sub.job)),
+    );
+    assert!(
+        String::from_utf8_lossy(&trace.body).contains("\"CheckpointParked\""),
+        "the parked save is in the job's own trace"
+    );
+    let result = send(
+        addr,
+        &Request::new("GET", &format!("/jobs/{}/result", sub.job)),
+    );
+    assert_eq!(result.status, 200);
     assert_eq!(send(addr, &Request::new("GET", "/healthz")).status, 200);
     handle.stop();
     handle.join().expect("shutdown survives persist failures");
     let _ = std::fs::remove_dir_all(&state_dir);
+
+    let quiet_dir = temp_dir("disk-quiet");
+    let quiet = serve(
+        ServeConfig::new(&quiet_dir),
+        Arc::new(SyntheticBackend::default()),
+    )
+    .unwrap();
+    let quiet_job = submit(quiet.addr(), &body);
+    wait_done(quiet.addr(), &quiet_job.job);
+    let path = format!("/jobs/{}/result", quiet_job.job);
+    let quiet_result = send(quiet.addr(), &Request::new("GET", &path));
+    assert_eq!(result.body, quiet_result.body, "faults change no byte");
+    quiet.stop();
+    quiet.join().unwrap();
+    let _ = std::fs::remove_dir_all(&quiet_dir);
 }
 
 /// `/readyz` flips to 503 once shutdown is requested, while `/healthz`

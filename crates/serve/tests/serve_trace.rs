@@ -134,6 +134,16 @@ fn traced_run(workers: usize) -> LogicalTree {
     }
     shutdown(addr, handle);
     let tree = logical_tree(&state_dir);
+    // A checkpoint span is what the hand-off cost the session, not a
+    // literal zero.
+    let text = std::fs::read_to_string(state_dir.join("spans.jsonl")).unwrap();
+    let handoff_us: u64 = moat_obs::export::parse_jsonl(&text)
+        .unwrap()
+        .iter()
+        .filter(|r| matches!(&r.event, moat_obs::Event::JobStage { stage, .. } if stage == "checkpoint"))
+        .map(|r| r.dur_us)
+        .sum();
+    assert!(handoff_us > 0, "six hand-offs took no time at all");
     let _ = std::fs::remove_dir_all(&state_dir);
     tree
 }
@@ -148,7 +158,7 @@ fn span_trees_are_parallelism_invariant() {
     assert_eq!(reference.len(), 6, "one trace per submission");
     for (trace, spans) in &reference {
         let stages: BTreeSet<&str> = spans.iter().map(|s| s.0.as_str()).collect();
-        for required in ["admission", "queue", "run", "eval", "persist"] {
+        for required in ["admission", "queue", "run", "eval", "checkpoint", "persist"] {
             assert!(stages.contains(required), "trace {trace} lacks {required}");
         }
     }

@@ -84,7 +84,7 @@ awk -v ce="$cold_e" -v se="$sur_e" -v ch="$cold_hv" -v sh="$sur_hv" 'BEGIN {
     if (sh + 1e-9 < ch) { print "ERROR: surrogate hv (" sh ") below cold hv (" ch ")"; exit 1 }
 }'
 
-echo "== serve smoke (dedupe -> metrics -> SIGTERM -> resume byte-identity -> kill -9 recovery) =="
+echo "== serve smoke (dedupe -> metrics -> SIGTERM -> resume byte-identity -> kill -9 recovery, before and after a checkpoint) =="
 ssmoke="target/serve-smoke"
 rm -rf "$ssmoke"
 mkdir -p "$ssmoke"
@@ -175,6 +175,30 @@ wait_done "$kill2_addr" j0001 && wait_done "$kill2_addr" j0003
 "$lg" --addr "$kill2_addr" --get /jobs/j0002/result | cmp "$ssmoke/ref-result.json" -
 "$lg" --addr "$kill2_addr" --post /shutdown > /dev/null
 wait "$kill2_pid"
+# kill -9 once the long job has a checkpoint on disk: whichever write
+# completed last is a whole, verified checkpoint, so the restart resumes
+# from it and still ends on the reference result.
+"$serve_bin" --listen 127.0.0.1:0 --state "$ssmoke/kill-mid" \
+    --port-file "$ssmoke/kill-mid.port" 2> "$ssmoke/kill-mid.log" &
+mid_pid=$!
+mid_addr=$(wait_port "$ssmoke/kill-mid.port")
+"$lg" --addr "$mid_addr" --post /jobs "$spec_big" > /dev/null
+for _ in $(seq 600); do
+    ls "$ssmoke/kill-mid/ckpt/"*.ckpt > /dev/null 2>&1 && break
+    sleep 0.02
+done
+kill -KILL "$mid_pid"
+wait "$mid_pid" || true
+ls "$ssmoke/kill-mid/ckpt/"*.ckpt > /dev/null
+"$serve_bin" --listen 127.0.0.1:0 --state "$ssmoke/kill-mid" \
+    --port-file "$ssmoke/kill-mid2.port" 2> "$ssmoke/kill-mid2.log" &
+mid2_pid=$!
+mid2_addr=$(wait_port "$ssmoke/kill-mid2.port")
+"$lg" --addr "$mid2_addr" --get /jobs/j0001 | grep -q '"resumed":true'
+wait_done "$mid2_addr" j0001
+"$lg" --addr "$mid2_addr" --get /jobs/j0001/result | cmp "$ssmoke/ref-result.json" -
+"$lg" --addr "$mid2_addr" --post /shutdown > /dev/null
+wait "$mid2_pid"
 
 echo "== serve chaos smoke (seeded faults -> SIGTERM -> restart -> all terminal) =="
 csmoke="target/serve-chaos-smoke"

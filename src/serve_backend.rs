@@ -130,7 +130,7 @@ mod tests {
             pool,
             job_fp: 1,
             slots: 2,
-            checkpoint_path: None,
+            checkpoints: None,
             checkpoint_every: 1,
             resume: None,
             warm: None,

@@ -3,10 +3,13 @@
 //! archive record) instead of the synthetic test double.
 
 use moat::serve::wire::{read_response, write_request, Request, Response};
-use moat::serve::{serve, ServeConfig, SubmitResponse};
+use moat::serve::{
+    serve, FairPool, JobBackend, JobContext, JobInfo, JobOutcome, JobSpec, JobState, JobStatus,
+    PreparedJob, ServeConfig, SubmitResponse, SyntheticBackend,
+};
 use moat::TuneBackend;
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -197,6 +200,187 @@ fn real_backend_restart_resumes_byte_identically() {
 
     let _ = std::fs::remove_dir_all(&ref_state);
     let _ = std::fs::remove_dir_all(&state);
+}
+
+/// A backend whose sessions evaluate one configuration at a time through
+/// the test's own one-slot pool: the test holds the slot and lets a
+/// session through evaluation by evaluation.
+struct Stepped {
+    inner: Arc<dyn JobBackend>,
+    gate: Arc<FairPool>,
+}
+
+struct SteppedJob {
+    inner: Box<dyn PreparedJob>,
+    gate: Arc<FairPool>,
+}
+
+impl JobBackend for Stepped {
+    fn prepare(&self, spec: &JobSpec) -> Result<Box<dyn PreparedJob>, String> {
+        Ok(Box::new(SteppedJob {
+            inner: self.inner.prepare(spec)?,
+            gate: Arc::clone(&self.gate),
+        }))
+    }
+}
+
+impl PreparedJob for SteppedJob {
+    fn info(&self) -> &JobInfo {
+        self.inner.info()
+    }
+
+    fn run(self: Box<Self>, mut ctx: JobContext) -> Result<JobOutcome, String> {
+        ctx.pool = self.gate;
+        ctx.slots = 1;
+        self.inner.run(ctx)
+    }
+}
+
+/// The `seq` of every checkpoint the job's last incarnation offered,
+/// from its own trace.
+fn checkpoints_offered(state: &Path) -> Vec<u64> {
+    let text = std::fs::read_to_string(state.join("traces").join("j0001.jsonl")).unwrap();
+    let records = moat::obs::export::parse_jsonl(&text).unwrap();
+    let seq = |r: &moat::obs::Record| match r.event {
+        moat::obs::Event::Checkpointed { seq } => Some(seq),
+        _ => None,
+    };
+    records.iter().filter_map(seq).collect()
+}
+
+/// The one row of a stopped daemon's job table.
+fn sole_row(state: &Path) -> JobState {
+    let rows = std::fs::read_to_string(state.join("jobs.json")).unwrap();
+    let mut rows: Vec<JobState> = serde_json::from_str(&rows).unwrap();
+    assert_eq!(rows.len(), 1);
+    rows.remove(0)
+}
+
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap().flatten() {
+        let target = to.join(entry.file_name());
+        if entry.path().is_dir() {
+            copy_dir(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), target).unwrap();
+        }
+    }
+}
+
+/// The resume guarantee under write-behind checkpoints, cut by cut. One
+/// job is carried through a chain of daemons, each stopped while the
+/// session sits inside the first batch it started — past that batch's
+/// cancellation check, queued for its first evaluation at a gate the test
+/// holds — so every incarnation advances the job by one safe boundary and
+/// parks. Each time, the file on disk must be the checkpoint of exactly
+/// that boundary (`seq` of the last `Checkpointed` event, `evaluations`
+/// of the row), and a copy of the state directory, its row put back to
+/// `Running` as a `kill -9` after that write would have left it, must run
+/// to the uninterrupted result byte for byte — as must the chain itself,
+/// and a copy whose checkpoint never reached the disk at all.
+fn resumes_from_every_cut(backend: fn() -> Arc<dyn JobBackend>, body: &str) -> Vec<u64> {
+    let reference_state = temp_dir("cut-ref");
+    let handle = serve(ServeConfig::new(&reference_state), backend()).unwrap();
+    let addr = handle.addr();
+    let fingerprint = submit(addr, body).fingerprint;
+    wait_done(addr, "j0001");
+    let reference = result_bytes(addr, "j0001");
+    shutdown(addr, handle);
+    let offered = checkpoints_offered(&reference_state);
+    let left = std::fs::read_dir(reference_state.join("ckpt"))
+        .unwrap()
+        .count();
+    assert_eq!(left, 0, "completion retires the checkpoint");
+    let _ = std::fs::remove_dir_all(&reference_state);
+
+    let killed_here = |parked: &Path, with_checkpoint: bool| {
+        let state = temp_dir("cut-kill");
+        copy_dir(parked, &state);
+        let mut row = sole_row(&state);
+        row.status = JobStatus::Running;
+        std::fs::write(
+            state.join("jobs.json"),
+            serde_json::to_string(&vec![row]).unwrap(),
+        )
+        .unwrap();
+        if !with_checkpoint {
+            std::fs::remove_file(state.join("ckpt").join(format!("{fingerprint}.ckpt"))).unwrap();
+        }
+        let handle = serve(ServeConfig::new(&state), backend()).unwrap();
+        let addr = handle.addr();
+        wait_done(addr, "j0001");
+        assert_eq!(
+            job_field(addr, "j0001", "resumed"),
+            with_checkpoint.to_string()
+        );
+        assert_eq!(result_bytes(addr, "j0001"), reference, "resume is exact");
+        shutdown(addr, handle);
+        assert_eq!(std::fs::read_dir(state.join("ckpt")).unwrap().count(), 0);
+        let _ = std::fs::remove_dir_all(&state);
+    };
+
+    let state = temp_dir("cut-chain");
+    let gate = FairPool::new(1);
+    let mut parked_at = Vec::new();
+    loop {
+        let hold = gate.acquire(u64::MAX);
+        let stepped = Arc::new(Stepped {
+            inner: backend(),
+            gate: Arc::clone(&gate),
+        });
+        let handle = serve(ServeConfig::new(&state), stepped).unwrap();
+        if parked_at.is_empty() {
+            submit(handle.addr(), body);
+        }
+        while gate.waiting() == 0 && job_field(handle.addr(), "j0001", "status") != "Done" {
+            std::thread::yield_now();
+        }
+        handle.stop();
+        drop(hold);
+        handle.join().unwrap();
+
+        let row = sole_row(&state);
+        if row.status == JobStatus::Done {
+            let result = std::fs::read(state.join("results").join("j0001.json")).unwrap();
+            assert_eq!(result, reference, "a chain of resumes is exact");
+            break;
+        }
+        assert_eq!(row.status, JobStatus::Parked);
+        let file = state.join("ckpt").join(format!("{fingerprint}.ckpt"));
+        let on_disk = moat::CheckpointStore::load(&file).expect("parked with a checkpoint");
+        assert_eq!(
+            Some(&on_disk.seq),
+            checkpoints_offered(&state).last(),
+            "the last checkpoint offered is the one on disk"
+        );
+        assert_eq!(on_disk.evaluations, row.evaluations);
+        if parked_at.is_empty() {
+            killed_here(&state, false);
+        }
+        killed_here(&state, true);
+        parked_at.push(on_disk.seq);
+    }
+    assert!(parked_at.windows(2).all(|w| w[0] < w[1]), "{parked_at:?}");
+    assert!(parked_at.iter().all(|seq| offered.contains(seq)));
+    let _ = std::fs::remove_dir_all(&state);
+    parked_at
+}
+
+#[test]
+fn synthetic_job_resumes_from_every_cut() {
+    let body = "{\"tenant\":\"cut\",\"kernel\":\"mm\",\"machine\":\"westmere\",\
+                \"strategy\":\"random\",\"budget\":400,\"seed\":5}";
+    let parked_at = resumes_from_every_cut(|| Arc::new(SyntheticBackend::default()), body);
+    assert_eq!(parked_at, [1, 2, 3, 4, 5, 6], "every boundary but the last");
+}
+
+#[test]
+fn rs_gde3_job_resumes_from_every_cut() {
+    let body = "{\"tenant\":\"cut\",\"kernel\":\"mm\",\"size\":64,\"machine\":\"westmere\",\
+                \"strategy\":\"rs-gde3\",\"budget\":256,\"seed\":3}";
+    let parked_at = resumes_from_every_cut(|| Arc::new(TuneBackend::default()), body);
+    assert_eq!(parked_at, [1, 2, 3, 4, 5, 6, 7, 8]);
 }
 
 /// A served job's trace is what its own session emitted — the assertion
