@@ -6,8 +6,9 @@
 //! population, Pareto archive, trace and loop cursor. Tuners call
 //! [`TuningSession::checkpoint`](crate::tuner::TuningSession::checkpoint)
 //! at safe boundaries (after initialization and at the end of each
-//! iteration); the session assembles the record and hands it to a
-//! [`CheckpointSink`]. The file-backed sink — a self-verifying file
+//! iteration); for each boundary the [`CheckpointSink`] says is
+//! [`due`](CheckpointSink::due) the session assembles the record and hands
+//! it over. The file-backed sink — a self-verifying file
 //! replaced by atomic rename — lives in `moat-archive`
 //! (`CheckpointStore`), keeping this crate free of I/O.
 //!
@@ -161,6 +162,15 @@ pub fn rng_from_state(state: &[u64]) -> Option<StdRng> {
 /// abort a tuning run); the file-backed implementation lives in
 /// `moat-archive`.
 pub trait CheckpointSink {
+    /// Whether the opportunity the session has just reached is worth a
+    /// checkpoint. The session asks once per offer, before it assembles
+    /// anything; on `false` nothing is assembled and `save` is not called.
+    /// A cancelled run's last boundary is saved without asking. The
+    /// default wants every offer.
+    fn due(&mut self) -> bool {
+        true
+    }
+
     /// Persist (or record) one checkpoint.
     fn save(&mut self, checkpoint: &SessionCheckpoint);
 }

@@ -13,6 +13,7 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 /// An objective vector (all components minimized).
 pub type ObjVec = Vec<f64>;
@@ -261,6 +262,12 @@ impl Evaluator for ConstrainedEvaluator<'_> {
     }
 }
 
+/// What starting and joining one helper thread costs, rounded up (70–180 µs
+/// measured): how long [`BatchEval::run`]'s caller works a batch alone
+/// before it starts any, and how long a batch must keep a session's caller
+/// busy for the next one to start them at once.
+const THREAD_START: Duration = Duration::from_micros(200);
+
 /// Batch evaluation helper.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchEval {
@@ -299,59 +306,117 @@ impl BatchEval {
 
     /// Evaluate all configurations, preserving order.
     ///
-    /// The calling thread is worker 0: it and up to `parallelism − 1`
-    /// scoped helpers claim configurations one at a time from a shared
-    /// cursor and store each result in the slot of its index. A batch
-    /// cheaper than a thread start is therefore finished by the caller
-    /// before a helper gets to claim anything, and none is spawned for a
-    /// batch of one.
+    /// The calling thread is worker 0 and claims configurations one at a
+    /// time from a shared cursor, storing each result in the slot of its
+    /// index. It starts its scoped helpers (up to `parallelism − 1`, never
+    /// more than the indices left for them) only once it has itself spent
+    /// `THREAD_START` (200 µs) on the batch and work remains — renting until the
+    /// rent has cost what buying would have. A batch cheaper than a thread
+    /// start is therefore finished by the caller alone and starts no
+    /// thread. An evaluation cannot be interrupted, so an expensive
+    /// evaluator runs alone for 200 µs or one evaluation, whichever is
+    /// longer: `n ≤ parallelism` slow configurations take two evaluations'
+    /// time here, not one. A [`TuningSession`](crate::tuner::TuningSession)
+    /// pays that on its first slow batch only — it remembers that a batch
+    /// was dear and starts the next one's helpers before its first claim.
     pub fn run(&self, ev: &dyn Evaluator, configs: &[Config]) -> Vec<Option<ObjVec>> {
-        self.run_traced(&Obs::default(), ev, configs)
+        self.run_traced(&Obs::default(), ev, configs, &mut false)
     }
 
     /// [`run`](Self::run) on behalf of a traced session: each worker's
     /// share is recorded on `obs` as a `worker_span` — a timing-class
     /// record, so it only exists in wall-timestamp mode and never
     /// perturbs deterministic traces.
+    ///
+    /// `dear` is the session's memory between batches. Coming in, it says
+    /// the last batch kept some worker claiming for `THREAD_START` or more,
+    /// and the helpers are started at once rather than after a first
+    /// evaluation alone; going out, it says the same of this batch (time in
+    /// claims only — starting and joining threads is left out, or a cheap
+    /// batch after a dear one would look dear for ever). A batch with no
+    /// helper to start reads no clock and leaves it as it was.
     pub(crate) fn run_traced(
         &self,
         obs: &Obs,
         ev: &dyn Evaluator,
         configs: &[Config],
+        dear: &mut bool,
     ) -> Vec<Option<ObjVec>> {
         let helpers = self.parallelism.min(configs.len()).saturating_sub(1);
         let slots: Vec<OnceLock<Option<ObjVec>>> =
             configs.iter().map(|_| OnceLock::new()).collect();
         let cursor = AtomicUsize::new(0);
-        let work = |worker: u64| {
-            let span = obs.span_start();
+        // Claim and evaluate the next index; false once none is left.
+        // Relaxed: the cursor only hands out indices; results are
+        // published by the scope's join.
+        let claim = || {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some((cfg, slot)) = configs.get(i).zip(slots.get(i)) else {
+                return false;
+            };
+            slot.set(ev.evaluate(cfg))
+                .expect("each index is claimed once");
+            true
+        };
+        let drain = || {
             let mut claimed = 0u64;
-            // Relaxed: the cursor only hands out indices; results are
-            // published by the scope's join.
-            while let Some((cfg, slot)) = {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                configs.get(i).zip(slots.get(i))
-            } {
-                slot.set(ev.evaluate(cfg))
-                    .expect("each index is claimed once");
+            while claim() {
                 claimed += 1;
             }
-            obs.emit_span(span, || Event::WorkerSpan {
-                worker,
-                configs: claimed,
-            });
+            claimed
         };
-        if helpers == 0 {
-            work(0);
+
+        // The longest any one worker has spent claiming, in µs.
+        let longest = AtomicU64::new(0);
+        let timed_drain = || {
+            let started = Instant::now();
+            let claimed = drain();
+            longest.fetch_max(started.elapsed().as_micros() as u64, Ordering::Relaxed);
+            claimed
+        };
+
+        let span = obs.span_start();
+        let mut claimed = 0u64;
+        let mut team = if *dear { helpers } else { 0 };
+        if helpers > 0 && team == 0 {
+            let started = Instant::now();
+            let mut alone = Duration::ZERO;
+            while alone < THREAD_START && claim() {
+                claimed += 1;
+                alone = started.elapsed();
+            }
+            if alone >= THREAD_START {
+                // What nobody has claimed yet, less the index the caller
+                // takes next.
+                let spare = configs
+                    .len()
+                    .saturating_sub(cursor.load(Ordering::Relaxed) + 1);
+                team = helpers.min(spare);
+            }
+            longest.store(alone.as_micros() as u64, Ordering::Relaxed);
+        }
+        if team == 0 {
+            claimed += drain();
         } else {
             std::thread::scope(|scope| {
-                for helper in 1..=helpers {
-                    let work = &work;
-                    scope.spawn(move || work(helper as u64));
+                for worker in 1..=team as u64 {
+                    let timed_drain = &timed_drain;
+                    scope.spawn(move || {
+                        let span = obs.span_start();
+                        let configs = timed_drain();
+                        obs.emit_span(span, || Event::WorkerSpan { worker, configs });
+                    });
                 }
-                work(0);
+                claimed += timed_drain();
             });
         }
+        if helpers > 0 {
+            *dear = longest.into_inner() >= THREAD_START.as_micros() as u64;
+        }
+        obs.emit_span(span, || Event::WorkerSpan {
+            worker: 0,
+            configs: claimed,
+        });
         slots
             .into_iter()
             .map(|slot| slot.into_inner().expect("every index was claimed"))
@@ -503,6 +568,68 @@ mod tests {
             .map(|n| n.get())
             .unwrap_or(1);
         assert_eq!(BatchEval::default().parallelism, expected);
+    }
+
+    /// Eight 20 ms configurations on eight workers: two evaluations' time
+    /// when nothing is known of the batch, one when the last was dear.
+    #[test]
+    fn a_dear_batch_starts_the_next_ones_helpers_at_once() {
+        let eval = Duration::from_millis(20);
+        let ev = (1usize, |cfg: &Config| {
+            std::thread::sleep(eval);
+            Some(vec![cfg[0] as f64])
+        });
+        let configs: Vec<Config> = (0..8).map(|i| vec![i]).collect();
+        let timed = |dear: &mut bool| {
+            let started = Instant::now();
+            let out = BatchEval::parallel(8).run_traced(&Obs::default(), &ev, &configs, dear);
+            assert_eq!(out[7], Some(vec![7.0]));
+            started.elapsed()
+        };
+        let mut dear = false;
+        let alone_first = timed(&mut dear);
+        assert!(dear);
+        assert!(alone_first >= 2 * eval, "{alone_first:?}");
+        let at_once: Vec<Duration> = (0..3).map(|_| timed(&mut dear)).collect();
+        assert!(dear);
+        let best = at_once.iter().min().unwrap();
+        assert!(*best < eval * 8 / 5, "{at_once:?}");
+    }
+
+    /// Starting and joining the helpers is not counted as the batch's
+    /// cost, so a cheap batch after a dear one is the last to start any. A
+    /// caller preempted mid-batch may rightly find it dear: a few attempts.
+    #[test]
+    fn a_cheap_batch_after_a_dear_one_is_not_dear() {
+        let ev = sphere();
+        let configs: Vec<Config> = (0..50).map(|i| vec![i]).collect();
+        let seq = BatchEval::sequential().run(&ev, &configs);
+        let forgot = (0..20).any(|_| {
+            let mut dear = true;
+            let out = BatchEval::parallel(8).run_traced(&Obs::default(), &ev, &configs, &mut dear);
+            assert_eq!(out, seq);
+            !dear
+        });
+        assert!(forgot);
+        // Dear is dear whichever worker met the one slow configuration.
+        let one_slow = (1usize, |cfg: &Config| {
+            if cfg[0] == 5 {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            Some(vec![cfg[0] as f64])
+        });
+        for _ in 0..5 {
+            let mut dear = true;
+            BatchEval::parallel(8).run_traced(&Obs::default(), &one_slow, &configs, &mut dear);
+            assert!(dear);
+        }
+        // With no helper to start, no clock is read and nothing is learnt.
+        for mut dear in [false, true] {
+            let was = dear;
+            BatchEval::sequential().run_traced(&Obs::default(), &ev, &configs, &mut dear);
+            BatchEval::parallel(8).run_traced(&Obs::default(), &ev, &configs[..1], &mut dear);
+            assert_eq!(dear, was);
+        }
     }
 
     #[test]

@@ -106,16 +106,13 @@ impl Tuner for GridTuner {
                 break;
             }
             // Safe boundary: chunk `ci` is complete.
-            if session.checkpointing() {
-                let state = TunerState {
-                    strategy: self.name().to_string(),
-                    cursor: (ci + 1) as u64,
-                    archive: front.to_front().points().to_vec(),
-                    all: all.clone(),
-                    ..TunerState::default()
-                };
-                session.checkpoint(state);
-            }
+            session.checkpoint(|| TunerState {
+                strategy: self.name().to_string(),
+                cursor: (ci + 1) as u64,
+                archive: front.to_front().points().to_vec(),
+                all: all.clone(),
+                ..TunerState::default()
+            });
         }
         let sig = FrontSignature::of(front.points());
         session.front_updated(&sig);

@@ -175,11 +175,9 @@ impl Tuner for Nsga2Tuner {
                 };
             }
             start_gen = 0;
-            if session.checkpointing() {
-                let state =
-                    self.snapshot(&rng, &population, &archive, &all_points, &trace, &bounds, 0);
-                session.checkpoint(state);
-            }
+            session.checkpoint(|| {
+                self.snapshot(&rng, &population, &archive, &all_points, &trace, &bounds, 0)
+            });
         }
 
         let mut stop = StopReason::Completed;
@@ -250,8 +248,8 @@ impl Tuner for Nsga2Tuner {
                 break;
             }
             // Safe boundary: generation `gen` is complete.
-            if session.checkpointing() {
-                let state = self.snapshot(
+            session.checkpoint(|| {
+                self.snapshot(
                     &rng,
                     &population,
                     &archive,
@@ -259,9 +257,8 @@ impl Tuner for Nsga2Tuner {
                     &trace,
                     &bounds,
                     gen + 1,
-                );
-                session.checkpoint(state);
-            }
+                )
+            });
         }
 
         TuningReport {

@@ -104,16 +104,13 @@ impl Tuner for RandomTuner {
             }
             // Safe boundary: the next chunk depends only on the RNG and
             // archive captured here.
-            if session.checkpointing() {
-                let state = TunerState {
-                    strategy: self.name().to_string(),
-                    rng: rng.state().to_vec(),
-                    archive: archive.to_front().points().to_vec(),
-                    all: all.clone(),
-                    ..TunerState::default()
-                };
-                session.checkpoint(state);
-            }
+            session.checkpoint(|| TunerState {
+                strategy: self.name().to_string(),
+                rng: rng.state().to_vec(),
+                archive: archive.to_front().points().to_vec(),
+                all: all.clone(),
+                ..TunerState::default()
+            });
         }
         if stop == StopReason::Completed
             && session.budget().is_some_and(|b| session.evaluations() >= b)

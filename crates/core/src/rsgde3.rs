@@ -200,10 +200,9 @@ impl Tuner for RsGde3Tuner {
             session.front_updated(&last);
             trace.push(last.clone());
             stall = 0;
-            if session.checkpointing() {
-                let state = self.snapshot(&rng, &population, &archive, &all, &trace, stall, &bbox);
-                session.checkpoint(state);
-            }
+            session.checkpoint(|| {
+                self.snapshot(&rng, &population, &archive, &all, &trace, stall, &bbox)
+            });
         }
         let mut stop = StopReason::MaxIterations;
 
@@ -247,10 +246,9 @@ impl Tuner for RsGde3Tuner {
             }
             // Safe boundary: the next iteration depends only on the state
             // captured here, so a resumed run continues bit-identically.
-            if session.checkpointing() {
-                let state = self.snapshot(&rng, &population, &archive, &all, &trace, stall, &bbox);
-                session.checkpoint(state);
-            }
+            session.checkpoint(|| {
+                self.snapshot(&rng, &population, &archive, &all, &trace, stall, &bbox)
+            });
         }
         if stop != StopReason::BudgetExhausted && stall >= self.params.patience {
             stop = StopReason::Converged;

@@ -69,8 +69,9 @@ pub enum StopReason {
     TimeBudgetExhausted,
     /// The run was cancelled cooperatively (see
     /// [`TuningSession::with_cancel`]): a shutdown flag flipped while the
-    /// strategy was running, so it wound down at the next batch boundary.
-    /// The last checkpoint written before the cut is the resume point.
+    /// strategy was running, so it wound down at a batch boundary — with
+    /// checkpointing on, the one whose checkpoint it saved last, which is
+    /// the resume point.
     Cancelled,
 }
 
@@ -150,8 +151,9 @@ pub enum TuningEvent {
         /// The new per-dimension bounding box.
         bbox: Vec<(i64, i64)>,
     },
-    /// A checkpoint was written (only emitted when checkpointing is
-    /// enabled via [`TuningSession::with_checkpointing`]).
+    /// A checkpoint was offered to the sink, which saved it if it was due
+    /// (only emitted when checkpointing is enabled via
+    /// [`TuningSession::with_checkpointing`]).
     Checkpointed {
         /// The checkpoint's event cursor (checkpoint opportunities seen).
         seq: u64,
@@ -338,7 +340,14 @@ pub struct TuningSession<'a> {
     time_budget: Option<Duration>,
     started: Option<Instant>,
     time_exhausted: bool,
+    /// Whether the last batch kept this thread evaluating for a thread
+    /// start's worth of time; such a session's next batch starts its
+    /// helpers before its first claim (see [`BatchEval::run`]).
+    batch_dear: bool,
     cancel: Option<Arc<AtomicBool>>,
+    /// What `cancel` read at the last checkpoint offer (`None` before the
+    /// first): from then on the flag is honoured at boundaries only.
+    cancel_latch: Option<bool>,
     cancelled: bool,
     sink: Option<&'a mut dyn EventSink>,
     ckpt_sink: Option<&'a mut dyn CheckpointSink>,
@@ -367,7 +376,9 @@ impl<'a> TuningSession<'a> {
             time_budget: None,
             started: None,
             time_exhausted: false,
+            batch_dear: false,
             cancel: None,
+            cancel_latch: None,
             cancelled: false,
             sink: None,
             ckpt_sink: None,
@@ -432,12 +443,16 @@ impl<'a> TuningSession<'a> {
     /// Attach a cooperative cancellation flag. Once `flag` turns true the
     /// session refuses further batches wholesale — the cut lands on a
     /// batch boundary, exactly like the wall-clock budget — so the
-    /// strategy winds down, the run stops with [`StopReason::Cancelled`],
-    /// and (with checkpointing enabled) the last checkpoint written before
-    /// the cut is a valid resume point: resuming it reproduces the
-    /// uninterrupted run byte-identically, the same guarantee crash
-    /// recovery has. This is how `moat-serve` parks in-flight sessions on
-    /// SIGTERM.
+    /// strategy winds down and the run stops with
+    /// [`StopReason::Cancelled`]. With checkpointing enabled the flag is
+    /// read where a checkpoint is offered (see
+    /// [`checkpoint`](Self::checkpoint)): a set flag forces that
+    /// checkpoint to be saved whatever the sink thinks is due and refuses
+    /// the next batch, so the run stops *at* a saved boundary and resuming
+    /// it reproduces the uninterrupted run byte-identically, the same
+    /// guarantee crash recovery has. Before the first offer, and without a
+    /// sink, each batch start reads the flag itself. This is how
+    /// `moat-serve` parks in-flight sessions on SIGTERM.
     pub fn with_cancel(mut self, flag: Arc<AtomicBool>) -> Self {
         self.cancel = Some(flag);
         self
@@ -462,8 +477,9 @@ impl<'a> TuningSession<'a> {
 
     /// Enable crash-safe checkpointing: every `every`-th checkpoint
     /// opportunity (tuners offer one after initialization and at the end
-    /// of each iteration) assembles a [`SessionCheckpoint`] and hands it
-    /// to `sink`.
+    /// of each iteration) is offered to `sink`, and those it says are
+    /// [`due`](CheckpointSink::due) are assembled into a
+    /// [`SessionCheckpoint`] and saved.
     pub fn with_checkpointing(mut self, sink: &'a mut dyn CheckpointSink, every: u32) -> Self {
         self.ckpt_sink = Some(sink);
         self.ckpt_every = every.max(1);
@@ -650,13 +666,6 @@ impl<'a> TuningSession<'a> {
         self.cancelled
     }
 
-    /// Whether a checkpoint sink is attached. Tuners use this to skip
-    /// assembling [`TunerState`] (which clones populations) when nobody
-    /// is listening.
-    pub fn checkpointing(&self) -> bool {
-        self.ckpt_sink.is_some()
-    }
-
     /// Take the strategy-private resume state installed by
     /// [`with_resume`](Self::with_resume), if any. The owning tuner calls
     /// this once at the start of `tune` and skips its initialization phase
@@ -665,38 +674,51 @@ impl<'a> TuningSession<'a> {
         self.resume.take()
     }
 
-    /// Offer a checkpoint opportunity with the tuner's current private
-    /// state. A no-op without a sink; otherwise every
-    /// `every`-th opportunity (see
-    /// [`with_checkpointing`](Self::with_checkpointing)) assembles the
-    /// full [`SessionCheckpoint`] — session counters plus a sorted
-    /// evaluation-cache snapshot plus `state` — hands it to the sink and
-    /// emits [`TuningEvent::Checkpointed`]. Must be called at a batch
-    /// boundary (no evaluation in flight).
-    pub fn checkpoint(&mut self, state: TunerState) {
-        if self.ckpt_sink.is_none() {
+    /// Offer a checkpoint opportunity; `state` assembles the tuner's
+    /// current private state if it comes to a save. A no-op without a
+    /// sink. Otherwise the opportunity is counted, and every `every`-th
+    /// one (see [`with_checkpointing`](Self::with_checkpointing)) emits
+    /// [`TuningEvent::Checkpointed`] — whether or not the sink wants it,
+    /// so the event stream does not depend on the sink's timing. Only if
+    /// the sink says the offer is [`due`](CheckpointSink::due) is the full
+    /// [`SessionCheckpoint`] — session counters plus a sorted
+    /// evaluation-cache snapshot plus `state()` — assembled and saved.
+    ///
+    /// This is also where a cancel flag is honoured once checkpointing is
+    /// on: it is read here, once per opportunity, and a set flag forces
+    /// the save (off cadence and undue included) and refuses every later
+    /// batch, so a cancelled run's last saved checkpoint is the boundary
+    /// it stopped at. Must be called at a batch boundary (no evaluation
+    /// in flight).
+    pub fn checkpoint(&mut self, state: impl FnOnce() -> TunerState) {
+        let Some(sink) = self.ckpt_sink.as_mut() else {
             return;
-        }
-        self.ckpt_seq += 1;
-        if !self.ckpt_seq.is_multiple_of(self.ckpt_every as u64) {
-            return;
-        }
-        let ckpt = SessionCheckpoint {
-            format_version: CHECKPOINT_FORMAT_VERSION,
-            strategy: state.strategy.clone(),
-            dims: self.space.dims(),
-            num_objectives: self.num_objectives,
-            evaluations: self.evaluations(),
-            primed: self.evaluator.primed(),
-            budget: self.budget,
-            iteration: self.iteration,
-            budget_exhausted: self.budget_exhausted,
-            seq: self.ckpt_seq,
-            cache: self.evaluator.snapshot(),
-            tuner: state,
         };
-        if let Some(sink) = self.ckpt_sink.as_mut() {
-            sink.save(&ckpt);
+        self.ckpt_seq += 1;
+        let cancelling = self
+            .cancel
+            .as_ref()
+            .is_some_and(|f| f.load(Ordering::Relaxed));
+        self.cancel_latch = Some(cancelling);
+        if !cancelling && !self.ckpt_seq.is_multiple_of(self.ckpt_every as u64) {
+            return;
+        }
+        if cancelling || sink.due() {
+            let state = state();
+            sink.save(&SessionCheckpoint {
+                format_version: CHECKPOINT_FORMAT_VERSION,
+                strategy: state.strategy.clone(),
+                dims: self.space.dims(),
+                num_objectives: self.num_objectives,
+                evaluations: self.evaluator.evaluations(),
+                primed: self.evaluator.primed(),
+                budget: self.budget,
+                iteration: self.iteration,
+                budget_exhausted: self.budget_exhausted,
+                seq: self.ckpt_seq,
+                cache: self.evaluator.snapshot(),
+                tuner: state,
+            });
         }
         let seq = self.ckpt_seq;
         self.emit(TuningEvent::Checkpointed { seq });
@@ -821,14 +843,15 @@ impl<'a> TuningSession<'a> {
     /// fixed seed regardless of thread count.
     pub fn evaluate(&mut self, configs: &[Config]) -> Vec<Option<ObjVec>> {
         // Cooperative cancellation: like the wall-clock budget, whole
-        // batches are refused once the flag flips, so the cut never lands
-        // inside a batch and the last checkpoint stays a valid resume
-        // point.
-        if self
-            .cancel
-            .as_ref()
-            .is_some_and(|f| f.load(Ordering::Relaxed))
-        {
+        // batches are refused, so the cut never lands inside a batch. Once
+        // a checkpoint has been offered the answer is the one latched
+        // there, so the boundary the run stops at is one it saved.
+        let cancelling = self.cancel_latch.unwrap_or_else(|| {
+            self.cancel
+                .as_ref()
+                .is_some_and(|f| f.load(Ordering::Relaxed))
+        });
+        if cancelling {
             self.cancelled = true;
             self.budget_exhausted = true;
             self.emit(TuningEvent::BatchEvaluated {
@@ -890,9 +913,12 @@ impl<'a> TuningSession<'a> {
         // runs stay on the exact instruction path they had before
         // tracing existed.
         let t0 = self.batch_clock();
-        let mut results = self
-            .batch
-            .run_traced(&self.obs, &self.evaluator, &configs[..admitted]);
+        let mut results = self.batch.run_traced(
+            &self.obs,
+            &self.evaluator,
+            &configs[..admitted],
+            &mut self.batch_dear,
+        );
         let elapsed = t0.map(|t| t.elapsed());
         results.resize(configs.len(), None);
         self.emit(TuningEvent::BatchEvaluated {
@@ -957,11 +983,15 @@ impl<'a> TuningSession<'a> {
         let t0 = self.batch_clock();
         // A fully-open plan (ratio 1.0, untrained model, …) forwards the
         // batch as-is — no per-config clone on the overhead-critical path.
+        let dear = &mut self.batch_dear;
         let results = if forwarded.len() == configs.len() {
-            self.batch.run_traced(&self.obs, &self.evaluator, configs)
+            self.batch
+                .run_traced(&self.obs, &self.evaluator, configs, dear)
         } else {
             let gathered: Vec<Config> = forwarded.iter().map(|&i| configs[i].clone()).collect();
-            let evaluated = self.batch.run_traced(&self.obs, &self.evaluator, &gathered);
+            let evaluated = self
+                .batch
+                .run_traced(&self.obs, &self.evaluator, &gathered, dear);
             let mut scattered: Vec<Option<ObjVec>> = vec![None; configs.len()];
             for (&slot, r) in forwarded.iter().zip(evaluated) {
                 scattered[slot] = r;

@@ -161,10 +161,7 @@ impl Tuner for WeightedSumTuner {
             }
             lo = plo;
             hi = phi;
-            if session.checkpointing() {
-                let state = self.snapshot(&rng, &winners, &all, &trace, &lo, &hi, 0);
-                session.checkpoint(state);
-            }
+            session.checkpoint(|| self.snapshot(&rng, &winners, &all, &trace, &lo, &hi, 0));
         }
         let scalar = |objs: &[f64], w: &[f64]| -> f64 {
             objs.iter()
@@ -267,10 +264,7 @@ impl Tuner for WeightedSumTuner {
             }
             // Safe boundary: weight `wi` is complete and the next sweep
             // depends only on the state captured here.
-            if session.checkpointing() {
-                let state = self.snapshot(&rng, &winners, &all, &trace, &lo, &hi, wi + 1);
-                session.checkpoint(state);
-            }
+            session.checkpoint(|| self.snapshot(&rng, &winners, &all, &trace, &lo, &hi, wi + 1));
         }
 
         TuningReport {

@@ -4,12 +4,14 @@
 use moat_core::fault::FaultTolerantEvaluator;
 use moat_core::pareto::dominates;
 use moat_core::{
-    BatchEval, Domain, FaultInjector, FaultPolicy, FaultSchedule, GridTuner, MemorySink,
-    Nsga2Params, Nsga2Tuner, ParamSpace, RandomTuner, RsGde3Params, RsGde3Tuner, SessionCheckpoint,
-    StopReason, Tuner, TuningEvent, TuningReport, TuningSession, WeightedSumTuner,
-    WeightedSweepParams,
+    BatchEval, CheckpointSink, Domain, EventLog, FaultInjector, FaultPolicy, FaultSchedule,
+    GridTuner, MemorySink, Nsga2Params, Nsga2Tuner, ParamSpace, RandomTuner, RsGde3Params,
+    RsGde3Tuner, SessionCheckpoint, StopReason, Tuner, TuningEvent, TuningReport, TuningSession,
+    WeightedSumTuner, WeightedSweepParams,
 };
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 type Config = Vec<i64>;
@@ -136,6 +138,134 @@ fn resume_matches_uninterrupted_for_every_strategy() {
                 &resumed,
                 &format!("{} from checkpoint {k}", tuner.name()),
             );
+        }
+    }
+}
+
+/// A sink that answers `due` from a script (cycled) and, on its
+/// `cancel_at`-th answer, flips a cancel flag — which the session reads at
+/// the next boundary.
+struct Scripted {
+    script: &'static [bool],
+    asked: usize,
+    cancel_at: Option<(usize, Arc<AtomicBool>)>,
+    saved: Vec<SessionCheckpoint>,
+}
+
+impl Scripted {
+    fn new(script: &'static [bool]) -> Scripted {
+        Scripted {
+            script,
+            asked: 0,
+            cancel_at: None,
+            saved: Vec::new(),
+        }
+    }
+}
+
+impl CheckpointSink for Scripted {
+    fn due(&mut self) -> bool {
+        self.asked += 1;
+        if let Some((at, flag)) = &self.cancel_at {
+            if self.asked == *at {
+                flag.store(true, Ordering::Relaxed);
+            }
+        }
+        self.script[(self.asked - 1) % self.script.len()]
+    }
+
+    fn save(&mut self, checkpoint: &SessionCheckpoint) {
+        self.saved.push(checkpoint.clone());
+    }
+}
+
+/// One run checkpointing through `sink` (cancellable when the sink holds
+/// a flag): its report and its whole event stream.
+fn run_through(
+    tuner: &dyn Tuner,
+    budget: Option<u64>,
+    sink: &mut Scripted,
+) -> (TuningReport, Vec<TuningEvent>) {
+    let ev = evaluator();
+    let mut log = EventLog::new();
+    let mut session = TuningSession::new(space(), &ev)
+        .with_batch(BatchEval::sequential())
+        .with_sink(&mut log);
+    if let Some(b) = budget {
+        session = session.with_budget(b);
+    }
+    if let Some((_, flag)) = &sink.cancel_at {
+        session = session.with_cancel(Arc::clone(flag));
+    }
+    let report = session.with_checkpointing(sink, 1).run(tuner);
+    (report, log.events)
+}
+
+fn offers(events: &[TuningEvent]) -> Vec<u64> {
+    let seq = |e: &TuningEvent| match e {
+        TuningEvent::Checkpointed { seq } => Some(*seq),
+        _ => None,
+    };
+    events.iter().filter_map(seq).collect()
+}
+
+/// Which offers a sink takes changes what is saved and nothing else: the
+/// event stream and the report are the same whether it wants all, none or
+/// every other one, and every checkpoint it did save resumes to the
+/// uninterrupted run.
+#[test]
+fn the_sink_decides_what_is_saved_and_nothing_else() {
+    for (tuner, budget) in tuners() {
+        let name = tuner.name();
+        let mut always = Scripted::new(&[true]);
+        let (reference, events) = run_through(tuner.as_ref(), budget, &mut always);
+        let offered = offers(&events);
+        assert!(!offered.is_empty(), "{name}: no checkpoint offered");
+        let seqs = |sink: &Scripted| sink.saved.iter().map(|c| c.seq).collect::<Vec<_>>();
+        assert_eq!(seqs(&always), offered, "{name}: every offer saved");
+
+        for script in [&[false][..], &[false, true][..]] {
+            let mut sink = Scripted::new(script);
+            let (report, stream) = run_through(tuner.as_ref(), budget, &mut sink);
+            assert_eq!(stream, events, "{name} {script:?}: event stream differs");
+            assert_reports_equal(&reference, &report, &format!("{name} {script:?}"));
+            assert_eq!(sink.asked, offered.len(), "{name}: asked once per offer");
+            let wanted: Vec<u64> = (offered.iter().zip(script.iter().cycle()))
+                .filter_map(|(seq, due)| due.then_some(*seq))
+                .collect();
+            assert_eq!(seqs(&sink), wanted, "{name} {script:?}");
+            for ckpt in sink.saved {
+                let from = format!("{name} {script:?} from seq {}", ckpt.seq);
+                assert_reports_equal(&reference, &resume_from(tuner.as_ref(), ckpt), &from);
+            }
+        }
+    }
+}
+
+/// Cancellation is latched where a checkpoint is offered. Under a sink
+/// that wants nothing, with the flag flipped at each boundary in turn, the
+/// run saves exactly one checkpoint — the next boundary, which is where
+/// it stops — and resuming from it reproduces the uninterrupted run.
+#[test]
+fn a_cancelled_run_saves_the_boundary_it_stops_at() {
+    for (tuner, budget) in tuners() {
+        let name = tuner.name();
+        let (reference, events) = run_through(tuner.as_ref(), budget, &mut Scripted::new(&[true]));
+        for k in 1..offers(&events).len() {
+            let what = format!("{name} cancelled at boundary {k}");
+            let mut sink = Scripted::new(&[false]);
+            sink.cancel_at = Some((k, Arc::new(AtomicBool::new(false))));
+            let (report, stream) = run_through(tuner.as_ref(), budget, &mut sink);
+            assert_eq!(sink.saved.len(), 1, "{what}: {:?}", offers(&stream));
+            let ckpt = sink.saved.remove(0);
+            assert_eq!(Some(&ckpt.seq), offers(&stream).last(), "{what}");
+            assert_eq!(ckpt.seq, k as u64 + 1, "{what}");
+            assert_eq!(ckpt.evaluations, report.evaluations, "{what}");
+            if report.stop != StopReason::Cancelled {
+                // Nothing was left to refuse after the last boundary.
+                assert_reports_equal(&reference, &report, &what);
+            }
+            assert_reports_equal(&reference, &resume_from(tuner.as_ref(), ckpt), &what);
         }
     }
 }

@@ -36,10 +36,6 @@ pub struct JobInfo {
     pub key: ArchiveKey,
     /// The target machine's features (drives nearest-machine transfer).
     pub machine: MachineFeatures,
-    /// Tunable parameter names, for job listings.
-    pub param_names: Vec<String>,
-    /// Objective names, for job listings.
-    pub objective_names: Vec<String>,
 }
 
 /// Daemon-level surrogate screening handed to a backend: the screening
@@ -60,8 +56,9 @@ pub struct SurrogateJob {
 /// Everything the daemon injects into one job run.
 #[derive(Debug, Clone)]
 pub struct JobContext {
-    /// Cooperative shutdown flag: when set, the session winds down at the
-    /// next batch boundary and the outcome reports `cancelled`.
+    /// Cooperative shutdown flag: when set, the session saves the next
+    /// boundary it reaches, stops there and the outcome reports
+    /// `cancelled`.
     pub cancel: Arc<AtomicBool>,
     /// The shared evaluation pool; every evaluation must hold one slot
     /// (wrap the evaluator in [`PooledEvaluator`]).
@@ -120,7 +117,7 @@ impl JobContext {
     }
 
     /// The daemon's session wiring: the stop flag cuts the run at the next
-    /// batch boundary, a traced job times its batches, events go to `log`
+    /// checkpointed boundary, a traced job times its batches, events go to `log`
     /// (the daemon derives spans from them), the session checkpoints
     /// through `store` (from [`open_checkpoint_store`]) and starts from
     /// the archive-derived warm start or the previous incarnation's
@@ -272,8 +269,6 @@ impl JobBackend for SyntheticBackend {
             info: JobInfo {
                 key: ArchiveKey::new(fnv(&spec.kernel), space.signature(), machine.fingerprint()),
                 machine,
-                param_names: space.names.clone(),
-                objective_names: vec!["f0".into(), "f1".into()],
             },
             space,
             eval_delay_us: self.eval_delay_us,
@@ -335,8 +330,8 @@ impl PreparedJob for SyntheticJob {
             region: spec.kernel.clone(),
             skeleton: spec.kernel,
             machine: info.machine,
-            param_names: info.param_names,
-            objective_names: info.objective_names,
+            param_names: space.names,
+            objective_names: vec!["f0".into(), "f1".into()],
             evaluations: report.evaluations,
             runs: 1,
             front: report.front.points().to_vec(),

@@ -1,24 +1,31 @@
 //! Write-behind session checkpoints: one daemon-lifetime thread owns
 //! `<state>/ckpt/`.
 //!
-//! A session offers a checkpoint at every safe boundary; making one
-//! durable costs a serialisation and an fsync, several times what the
-//! iteration it follows took. So [`GaugedStore::save`] — the sink a
-//! job's session checkpoints through — only clones the checkpoint into
-//! the job's slot, where a newer one replaces an older one still
-//! waiting, and the [`Checkpointer`] thread writes whatever is newest
-//! for each running job through [`CheckpointStore`]. When the session
-//! has returned, the daemon [`settle`](Checkpointer::settle)s the slot: a
-//! parking run waits until its last checkpoint is on disk; a finished or
-//! failed one drops what is pending, waits out a write in flight and
-//! removes the files. The first save of every run is always written, so
-//! a sick checkpoint directory parks and is gauged even under a job
-//! shorter than one write.
+//! A session offers a checkpoint at every safe boundary; assembling one
+//! and making it durable costs a cache snapshot, a serialisation and an
+//! fsync, several times what the iteration it follows took. Two things
+//! keep that off a job's bill. The sink decides which offers are worth
+//! it: [`GaugedStore::due`] wants a run's first offer — so a sick
+//! checkpoint directory parks and is gauged even under a job shorter
+//! than one write — and after that one only once the run has worked
+//! `WORK_PER_WRITE` (16) times as long as this daemon's last durable write
+//! took; what it declines is never even assembled, and a job that
+//! finishes in a few milliseconds pays for one checkpoint. And what is
+//! wanted is written behind the session: [`GaugedStore::save`] only
+//! clones the checkpoint into the job's slot, where a newer one replaces
+//! an older one still waiting, and the [`Checkpointer`] thread writes
+//! whatever is newest for each running job through [`CheckpointStore`].
+//! When the session has returned, the daemon
+//! [`settle`](Checkpointer::settle)s the slot: a parking run waits until
+//! its last checkpoint — the boundary it stopped at, which the session
+//! saves without asking — is on disk; a finished or failed one drops
+//! what is pending, waits out a write in flight and removes the files.
 //!
 //! What the file holds is always a complete, verified checkpoint of a
 //! safe boundary (the store's guarantee), so a restart resumes
 //! bit-identically from whichever write completed last: SIGTERM loses
-//! nothing, `kill -9` re-does the iterations since that write.
+//! nothing, `kill -9` re-does the work since that write — at most
+//! that many writes' worth plus one iteration and the write in progress.
 
 use crate::metrics::ServeMetrics;
 use moat_archive::CheckpointStore;
@@ -26,10 +33,15 @@ use moat_core::{CheckpointSink, SessionCheckpoint};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
+
+/// How many times the duration of a durable write a run works between
+/// two checkpoints it asks for: insurance costs a long run at most a
+/// sixteenth of the writer thread's time on top of its own.
+const WORK_PER_WRITE: u64 = 16;
 
 /// One running job's slot.
 struct Slot {
@@ -41,7 +53,8 @@ struct Slot {
     attempted: bool,
     /// A write has failed for this run (gauged once).
     parked: bool,
-    /// What each `save` cost the session, in µs, in save order.
+    /// What each checkpoint offer cost the session, in µs, in offer
+    /// order: a save's hand-off, 0 for an offer declined.
     handoffs_us: Vec<u64>,
 }
 
@@ -57,6 +70,8 @@ pub struct Checkpointer {
     dir: PathBuf,
     metrics: Arc<ServeMetrics>,
     state: Mutex<State>,
+    /// What the last durable write took, in µs (0 until one has finished).
+    last_write_us: AtomicU64,
     /// Signalled on every hand-off, finished write and stop request.
     changed: Condvar,
     thread: Mutex<Option<JoinHandle<()>>>,
@@ -70,6 +85,7 @@ impl Checkpointer {
             dir: dir.into(),
             metrics,
             state: Mutex::default(),
+            last_write_us: AtomicU64::new(0),
             changed: Condvar::new(),
             thread: Mutex::new(None),
         });
@@ -112,6 +128,7 @@ impl Checkpointer {
         Some(GaugedStore {
             checkpointer: Arc::clone(self),
             fp,
+            wanted: None,
         })
     }
 
@@ -119,7 +136,8 @@ impl Checkpointer {
     /// and parks) wait until its last checkpoint is on disk; without
     /// (Done, Failed, replayed) drop what is pending — unless nothing was
     /// written yet — wait out a write in flight and remove the files.
-    /// Returns what each save of the run cost its session, in µs.
+    /// Returns what each checkpoint offer of the run cost its session, in
+    /// µs.
     pub fn settle(&self, fp: u64, keep: bool) -> Vec<u64> {
         let mut state = self.state.lock();
         if let Some(slot) = state.slots.get_mut(&fp) {
@@ -181,9 +199,15 @@ impl Checkpointer {
             slot.attempted = true;
             drop(state);
 
+            let started = Instant::now();
             store.save(&checkpoint);
             let written = store.last_error().is_none();
             if written {
+                // Never 0, which says that no write has finished.
+                self.last_write_us.store(
+                    (started.elapsed().as_micros() as u64).max(1),
+                    Ordering::Relaxed,
+                );
                 self.metrics
                     .checkpoints_written
                     .fetch_add(1, Ordering::Relaxed);
@@ -217,18 +241,42 @@ impl std::fmt::Debug for Checkpointer {
     }
 }
 
-/// The [`CheckpointSink`] of one served job: `save` hands the checkpoint
-/// to the [`Checkpointer`] and returns. A write that fails behind it
-/// parks — the store emits `checkpoint_parked` into the job's trace and
-/// the daemon's `serve_parked_checkpoints` gauge is bumped the moment it
-/// happens, so operators see the degradation on the next `/metrics`
-/// scrape.
+/// The [`CheckpointSink`] of one served job: `due` picks the offers worth
+/// a write (see the module docs), `save` hands the checkpoint to the
+/// [`Checkpointer`] and returns. A write that fails behind it parks — the
+/// store emits `checkpoint_parked` into the job's trace and the daemon's
+/// `serve_parked_checkpoints` gauge is bumped the moment it happens, so
+/// operators see the degradation on the next `/metrics` scrape.
 pub struct GaugedStore {
     checkpointer: Arc<Checkpointer>,
     fp: u64,
+    /// When this run last wanted an offer (`None` before its first).
+    wanted: Option<Instant>,
 }
 
 impl CheckpointSink for GaugedStore {
+    fn due(&mut self) -> bool {
+        let now = Instant::now();
+        let due = self.wanted.is_none_or(|at| {
+            // Until a write has finished nobody knows what one costs, and
+            // this run's first is on its way.
+            let write_us = self.checkpointer.last_write_us.load(Ordering::Relaxed);
+            write_us > 0 && now.duration_since(at).as_micros() as u64 >= WORK_PER_WRITE * write_us
+        });
+        if due {
+            self.wanted = Some(now);
+            return true;
+        }
+        self.checkpointer
+            .metrics
+            .checkpoints_declined
+            .fetch_add(1, Ordering::Relaxed);
+        if let Some(slot) = self.checkpointer.state.lock().slots.get_mut(&self.fp) {
+            slot.handoffs_us.push(0);
+        }
+        false
+    }
+
     fn save(&mut self, checkpoint: &SessionCheckpoint) {
         let handed = Instant::now();
         let checkpoint = checkpoint.clone();
@@ -297,6 +345,40 @@ mod tests {
         let superseded = metrics.checkpoints_superseded.load(Ordering::Relaxed);
         assert!(written >= 1);
         assert_eq!(written + superseded, 5, "every hand-off is accounted for");
+        finish(checkpointer);
+    }
+
+    #[test]
+    fn a_run_wants_its_first_offer_then_only_work_worth_a_write() {
+        let (checkpointer, metrics) = started("due");
+        let mut sink = checkpointer.open(7, moat_obs::Obs::default()).unwrap();
+        assert!(sink.due(), "the first offer, whatever a write costs");
+        sink.save(&checkpoint(1));
+        // Its write may or may not have finished: a first write costs more
+        // than no time at all either way.
+        assert!(!sink.due());
+        let mut other = checkpointer.open(8, moat_obs::Obs::default()).unwrap();
+        assert!(other.due(), "every run's first offer");
+        let handoffs = checkpointer.settle(7, true);
+        assert_eq!((handoffs.len(), handoffs[1]), (2, 0), "saved, declined");
+        assert!(checkpointer.last_write_us.load(Ordering::Relaxed) > 0);
+
+        // A write that took a minute: nothing this test does earns one.
+        checkpointer
+            .last_write_us
+            .store(60_000_000, Ordering::Relaxed);
+        assert!(!other.due());
+        // One that took 100 µs is earned by 1.6 ms of work, counted from
+        // the last offer the run wanted.
+        checkpointer.last_write_us.store(100, Ordering::Relaxed);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        assert!(other.due());
+        checkpointer
+            .last_write_us
+            .store(60_000_000, Ordering::Relaxed);
+        assert!(!other.due());
+        assert_eq!(metrics.checkpoints_declined.load(Ordering::Relaxed), 3);
+        assert_eq!(checkpointer.settle(8, false), [0, 0], "the two it declined");
         finish(checkpointer);
     }
 

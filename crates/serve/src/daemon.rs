@@ -28,9 +28,11 @@
 //! the map so the next identical submission retries fresh.
 //!
 //! **Admission.** Accepted submissions enter a bounded queue drained by a
-//! fixed pool of [`ServeConfig::workers`] session threads — nothing
-//! spawns per job; their checkpoints are written behind them by the one
-//! [`Checkpointer`] thread. The shed ladder runs under the job-table lock, in
+//! fixed pool of [`ServeConfig::workers`] session threads; the
+//! checkpoints they ask for are written behind them by the one
+//! [`Checkpointer`] thread; and the accept thread hands each connection to
+//! a parked handler thread, starting one only when none is idle — so
+//! nothing spawns per job or per request. The shed ladder runs under the job-table lock, in
 //! order: shutdown → per-tenant token bucket → (for new primaries only)
 //! circuit breaker → per-tenant max-in-flight → queue depth. Sheds
 //! answer `429`/`503` with a `Retry-After` hint, bump
@@ -51,10 +53,11 @@
 //! compactor, the workers and — as the session cancel flag — every
 //! running `TuningSession`. Setting it (SIGTERM in the binary, `POST
 //! /shutdown` in tests) wakes the accept thread out of `accept()` with one
-//! loopback connection, stops accepting, winds sessions down at their
-//! next batch boundary (each worker then waits until its session's last
-//! checkpoint is on disk, so they park losslessly) and
-//! [`ServeHandle::join`] reaps everything, the checkpointer last. Jobs
+//! loopback connection, stops accepting, winds sessions down at the next
+//! boundary they reach, whose checkpoint they save whatever the sink
+//! thought was due (each worker then waits until it is on disk, so they
+//! park losslessly) and [`ServeHandle::join`] reaps everything, the
+//! checkpointer and the connection handlers last. Jobs
 //! still waiting in the queue stay `Queued` in the persisted table. On
 //! the next start, parked and interrupted jobs are re-enqueued with
 //! `with_resume(...)` from their fingerprint-named checkpoint, which the
@@ -120,8 +123,9 @@ pub struct ServeConfig {
     /// Bounded job-queue depth (default 256); a submission finding it
     /// full is shed `503 Retry-After`.
     pub queue_depth: usize,
-    /// Concurrently handled connections (default 64); excess connections
-    /// are answered `503 Retry-After` straight off the accept loop.
+    /// Concurrently handled connections (default 64), hence also the most
+    /// handler threads the daemon ever starts; excess connections are
+    /// answered `503 Retry-After` straight off the accept loop.
     pub max_connections: usize,
     /// Per-read socket timeout (default 10 s — the old hard-coded value).
     /// An idle peer is cut (408) after this long with no bytes.
@@ -299,6 +303,17 @@ struct JobTrace {
 
 type QueueItem = (String, Option<SessionCheckpoint>);
 
+/// Where the accept thread leaves connections for the handler threads.
+#[derive(Default)]
+struct Handoff {
+    /// Accepted, not yet picked up.
+    waiting: VecDeque<TcpStream>,
+    /// Handlers parked on [`Daemon::conn_cv`].
+    idle: usize,
+    /// Every handler started so far; they live until shutdown.
+    handlers: Vec<JoinHandle<()>>,
+}
+
 struct Daemon {
     config: ServeConfig,
     policy: AdmissionPolicy,
@@ -313,6 +328,8 @@ struct Daemon {
     queue_cv: Condvar,
     workers: Mutex<Vec<JoinHandle<()>>>,
     conns_active: AtomicUsize,
+    conns: Mutex<Handoff>,
+    conn_cv: Condvar,
     obs: Mutex<ObsLog>,
     spans: Mutex<SpanLog>,
     traces: Mutex<HashMap<String, JobTrace>>,
@@ -1066,12 +1083,17 @@ impl Daemon {
         self.queue_cv.notify_one();
     }
 
-    /// Set the stop flag, wake every worker blocked on the queue and get
-    /// the accept thread out of `accept()` with one throwaway connection
-    /// (refused, harmlessly, once the listener is gone).
+    /// Set the stop flag, wake every worker blocked on the queue and every
+    /// parked connection handler, and get the accept thread out of
+    /// `accept()` with one throwaway connection (refused, harmlessly, once
+    /// the listener is gone).
     fn request_stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
         self.queue_cv.notify_all();
+        // A handler checks `stop` and parks under this lock: taking it
+        // means each one has either seen the flag or hears the notify.
+        drop(self.conns.lock());
+        self.conn_cv.notify_all();
         let _ = TcpStream::connect_timeout(&self.wake, Duration::from_millis(250));
     }
 
@@ -1256,6 +1278,66 @@ impl Daemon {
         let _ = wire::write_response(&mut stream, &resp);
     }
 
+    /// Give an accepted connection to a handler thread: a parked one if
+    /// one is to spare, a new one otherwise — up to the connection cap,
+    /// beyond which the next handler to finish picks it up. Once `stop` is
+    /// set the handlers are leaving (they check it under this lock), so the
+    /// connection is closed instead: nobody would take it from the queue.
+    fn hand_off(self: &Arc<Self>, stream: TcpStream) {
+        let mut conns = self.conns.lock();
+        if self.stop.load(Ordering::SeqCst) {
+            drop(conns);
+            self.conn_closed();
+            return;
+        }
+        conns.waiting.push_back(stream);
+        let cap = self.config.max_connections.max(1);
+        if conns.waiting.len() > conns.idle && conns.handlers.len() < cap {
+            let d = Arc::clone(self);
+            let handler = std::thread::Builder::new()
+                .name(format!("serve-conn-{}", conns.handlers.len()))
+                .spawn(move || d.handler_loop())
+                .expect("spawn connection handler");
+            conns.handlers.push(handler);
+            self.metrics.conn_handlers.fetch_add(1, Ordering::Relaxed);
+        }
+        drop(conns);
+        self.conn_cv.notify_one();
+    }
+
+    /// One connection handler: serve what the accept thread hands over,
+    /// park in between, leave at stop.
+    fn handler_loop(self: &Arc<Self>) {
+        loop {
+            let stream = {
+                let mut conns = self.conns.lock();
+                loop {
+                    if let Some(stream) = conns.waiting.pop_front() {
+                        break stream;
+                    }
+                    if self.stop.load(Ordering::SeqCst) {
+                        self.metrics.conn_handlers.fetch_sub(1, Ordering::Relaxed);
+                        return;
+                    }
+                    conns.idle += 1;
+                    self.conn_cv.wait(&mut conns);
+                    conns.idle -= 1;
+                }
+            };
+            self.handle_conn(stream);
+            self.conn_closed();
+        }
+    }
+
+    /// An admitted connection is gone: one fewer against the cap.
+    fn conn_closed(&self) {
+        self.conns_active.fetch_sub(1, Ordering::Relaxed);
+        self.metrics.connections_active.store(
+            self.conns_active.load(Ordering::Relaxed) as u64,
+            Ordering::Relaxed,
+        );
+    }
+
     /// One worker thread: drain the queue until stop.
     fn worker_loop(self: &Arc<Self>) {
         loop {
@@ -1334,12 +1416,19 @@ impl ServeHandle {
         }
         // Every session has settled its slot by now.
         self.daemon.checkpointer.shutdown();
-        // In-flight connection threads only touch metrics and the job
-        // table; give them a short grace window rather than blocking
-        // shutdown on a slow client.
+        // Parked handlers left when `stop` was set. One still serving only
+        // touches metrics and the job table: it gets a short grace window
+        // and is otherwise left behind rather than letting a slow client
+        // block shutdown.
         let grace = Instant::now() + Duration::from_millis(500);
-        while self.daemon.conns_active.load(Ordering::Relaxed) > 0 && Instant::now() < grace {
-            std::thread::sleep(Duration::from_millis(5));
+        let handlers = std::mem::take(&mut self.daemon.conns.lock().handlers);
+        for handler in handlers {
+            while !handler.is_finished() && Instant::now() < grace {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            if handler.is_finished() {
+                let _ = handler.join();
+            }
         }
         if let Some(h) = self.compactor.take() {
             let _ = h.join();
@@ -1428,6 +1517,8 @@ pub fn serve(config: ServeConfig, backend: Arc<dyn JobBackend>) -> std::io::Resu
         queue_cv: Condvar::new(),
         workers: Mutex::new(Vec::new()),
         conns_active: AtomicUsize::new(0),
+        conns: Mutex::default(),
+        conn_cv: Condvar::new(),
         obs: Mutex::new(ObsLog {
             seq: obs_seq,
             file: obs_file,
@@ -1506,7 +1597,7 @@ pub fn serve(config: ServeConfig, backend: Arc<dyn JobBackend>) -> std::io::Resu
             match accepted {
                 Ok((stream, _)) => {
                     // Connection cap: refuse excess connections right
-                    // here so slow clients can't pile up handler threads.
+                    // here so slow clients can't pile up on the handlers.
                     if d.conns_active.load(Ordering::Relaxed) >= d.config.max_connections.max(1) {
                         d.metrics.http_requests.fetch_add(1, Ordering::Relaxed);
                         d.metrics.http_errors.fetch_add(1, Ordering::Relaxed);
@@ -1521,15 +1612,7 @@ pub fn serve(config: ServeConfig, backend: Arc<dyn JobBackend>) -> std::io::Resu
                         d.conns_active.load(Ordering::Relaxed) as u64,
                         Ordering::Relaxed,
                     );
-                    let dd = Arc::clone(&d);
-                    std::thread::spawn(move || {
-                        dd.handle_conn(stream);
-                        dd.conns_active.fetch_sub(1, Ordering::Relaxed);
-                        dd.metrics.connections_active.store(
-                            dd.conns_active.load(Ordering::Relaxed) as u64,
-                            Ordering::Relaxed,
-                        );
-                    });
+                    d.hand_off(stream);
                 }
                 // A failing accept (fd exhaustion, …) must not spin.
                 Err(_) => std::thread::sleep(Duration::from_millis(10)),
@@ -1574,4 +1657,41 @@ pub fn serve(config: ServeConfig, backend: Arc<dyn JobBackend>) -> std::io::Resu
         accept: Some(accept),
         compactor: Some(compactor),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read as _;
+
+    /// The accept thread can read `stop` just before it is set and hand its
+    /// connection over after every handler has left.
+    #[test]
+    fn a_connection_handed_over_after_stop_is_closed_not_queued() {
+        let state = std::env::temp_dir().join(format!("moat-serve-handoff-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&state);
+        let handle = serve(
+            ServeConfig::new(state),
+            Arc::new(crate::SyntheticBackend::default()),
+        )
+        .unwrap();
+        handle.stop();
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        let d = &handle.daemon;
+        d.conns_active.fetch_add(1, Ordering::Relaxed);
+        d.hand_off(accepted);
+        assert_eq!(d.conns_active.load(Ordering::Relaxed), 0);
+        {
+            let conns = d.conns.lock();
+            assert!(conns.waiting.is_empty() && conns.handlers.is_empty());
+        }
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(client.read(&mut [0u8; 1]).unwrap(), 0, "closed, not held");
+        handle.join().unwrap();
+    }
 }

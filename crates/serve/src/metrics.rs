@@ -5,7 +5,7 @@
 //! * **serve-native counters** (`serve_*` families) — live atomics bumped
 //!   by the daemon itself: submissions, dedupe hits, warm replays,
 //!   completions, pool evaluations, compaction sweeps, checkpoints
-//!   written, superseded and parked;
+//!   written, superseded, declined and parked;
 //! * **the PR 5 tuning metrics** (`moat_*` families) — rendered by
 //!   [`moat_obs::metrics::render`] over the records every finished job's
 //!   session emitted, so the same families a single `moat-tune` run
@@ -142,6 +142,11 @@ pub struct ServeMetrics {
     /// Checkpoints handed off but never written: replaced by a newer one
     /// of the same run, or dropped because the run finished first.
     pub checkpoints_superseded: AtomicU64,
+    /// Checkpoint offers the job's sink declined: never assembled, never
+    /// handed off.
+    pub checkpoints_declined: AtomicU64,
+    /// Connection handler threads alive, parked or serving (gauge).
+    pub conn_handlers: AtomicU64,
     /// Hand-off to durable, per written checkpoint: how far the file on
     /// disk lags the session it can restart.
     pub checkpoint_write: PhaseLatency,
@@ -272,6 +277,11 @@ impl ServeMetrics {
             "Session checkpoints replaced or dropped before being written.",
             self.checkpoints_superseded.load(Ordering::Relaxed),
         );
+        counter(
+            "serve_checkpoints_declined_total",
+            "Checkpoint offers a job's sink declined before anything was assembled.",
+            self.checkpoints_declined.load(Ordering::Relaxed),
+        );
         out.push_str(
             "# HELP serve_shed_total Requests shed at admission, by reason.\n\
              # TYPE serve_shed_total counter\n",
@@ -302,6 +312,11 @@ impl ServeMetrics {
             "serve_connections_active",
             "Connections currently being handled.",
             self.connections_active.load(Ordering::Relaxed),
+        );
+        gauge(
+            "serve_conn_handlers",
+            "Connection handler threads alive, parked or serving.",
+            self.conn_handlers.load(Ordering::Relaxed),
         );
         gauge(
             "serve_parked_checkpoints",
@@ -376,6 +391,8 @@ mod tests {
         assert!(text.contains("serve_persist_errors_total 0\n"));
         assert!(text.contains("serve_checkpoints_written_total 0\n"));
         assert!(text.contains("serve_checkpoints_superseded_total 0\n"));
+        assert!(text.contains("serve_checkpoints_declined_total 0\n"));
+        assert!(text.contains("serve_conn_handlers 0\n"));
         assert_eq!(m.sheds_total(), 3);
         assert_eq!(m.sheds_for(ShedReason::Queue), 2);
     }

@@ -1,7 +1,8 @@
 //! End-to-end daemon tests over real sockets with the synthetic backend:
 //! dedupe, archive replay at E = 0, malformed/oversized rejection,
 //! 1-vs-8-clients archive determinism, shutdown → restart resume
-//! byte-identity, and what the checkpointer leaves in `ckpt/`.
+//! byte-identity, what the checkpointer leaves in `ckpt/`, which
+//! checkpoints a job pays for, and how many threads serve its connections.
 
 use moat_serve::daemon::{serve, JobState, JobStatus, ServeConfig, ServeHandle};
 use moat_serve::spec::{JobSpec, SubmitResponse};
@@ -9,7 +10,7 @@ use moat_serve::wire::{self, Request, Response};
 use moat_serve::{JobBackend, JobContext, JobInfo, JobOutcome, PreparedJob, SyntheticBackend};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -599,4 +600,207 @@ fn eight_jobs_parking_at_once_all_flush() {
     shutdown(addr, handle);
     let _ = std::fs::remove_dir_all(&reference_dir);
     let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+/// One counter or gauge of a `/metrics` scrape.
+fn metric(addr: SocketAddr, name: &str) -> u64 {
+    let text = send(addr, &Request::new("GET", "/metrics")).body;
+    let text = String::from_utf8_lossy(&text).into_owned();
+    let line = text.lines().find_map(|l| l.strip_prefix(name));
+    let value = line.unwrap_or_else(|| panic!("{name} not in /metrics"));
+    value.trim().parse().unwrap()
+}
+
+/// A job of a few hundred microseconds is offered a checkpoint at every
+/// boundary and pays for one: its first, which is always wanted. The
+/// others are declined before anything is assembled — counted, so that
+/// written + superseded + declined is every offer made — and show in a
+/// traced job's span log as the 0 µs `checkpoint` spans of exactly those
+/// offers.
+#[test]
+fn a_short_job_pays_for_one_checkpoint() {
+    let state_dir = temp_dir("short");
+    let handle = serve(
+        ServeConfig::new(&state_dir),
+        Arc::new(SyntheticBackend::default()),
+    )
+    .unwrap();
+    let addr = handle.addr();
+    let mut req = Request::json("POST", "/jobs", spec("mm", 3, "t", false, 256).into_bytes());
+    req.headers.push((
+        "x-moat-trace".into(),
+        "00000000000000aa-00000000000000ab".into(),
+    ));
+    assert_eq!(send(addr, &req).status, 202);
+    assert_eq!(wait_done(addr, "j0001").status, JobStatus::Done);
+
+    let offers = metric(addr, "moat_records_total{kind=\"checkpointed\"}");
+    assert_eq!(offers, 4, "budget 256 in chunks of 64");
+    let written = metric(addr, "serve_checkpoints_written_total");
+    let superseded = metric(addr, "serve_checkpoints_superseded_total");
+    let declined = metric(addr, "serve_checkpoints_declined_total");
+    assert_eq!((written, superseded, declined), (1, 0, 3));
+    assert_eq!(written + superseded + declined, offers);
+
+    let spans = std::fs::read_to_string(state_dir.join("spans.jsonl")).unwrap();
+    let spans = moat_obs::export::parse_jsonl(&spans).unwrap();
+    let checkpoint_spans: Vec<(String, u64)> = spans
+        .iter()
+        .filter_map(|r| match &r.event {
+            moat_obs::Event::JobStage { stage, detail, .. } if stage == "checkpoint" => {
+                Some((detail.clone(), r.dur_us))
+            }
+            _ => None,
+        })
+        .collect();
+    let details: Vec<&str> = checkpoint_spans.iter().map(|s| s.0.as_str()).collect();
+    assert_eq!(details, ["seq=1", "seq=2", "seq=3", "seq=4"]);
+    let declined_spans: Vec<u64> = checkpoint_spans[1..].iter().map(|s| s.1).collect();
+    assert_eq!(declined_spans, [0, 0, 0], "{checkpoint_spans:?}");
+    shutdown(addr, handle);
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap().flatten() {
+        let target = to.join(entry.file_name());
+        if entry.path().is_dir() {
+            copy_dir(&entry.path(), &target);
+        } else {
+            // A temp file may be renamed away between the listing and the copy.
+            let _ = std::fs::copy(entry.path(), target);
+        }
+    }
+}
+
+/// One run of the long job at `delay_us` per evaluation: its id and result,
+/// and up to three copies of the state directory taken from under the running
+/// daemon, each with the `seq` of the checkpoint it caught — provided the
+/// job lived long enough to have two checkpoints written and seen.
+type Cut = (u64, PathBuf);
+
+fn long_job_cuts(body: &str, delay_us: u64) -> Option<(String, Vec<u8>, Vec<Cut>)> {
+    let state_dir = temp_dir("long");
+    let backend = Arc::new(SyntheticBackend {
+        eval_delay_us: delay_us,
+    });
+    let handle = serve(ServeConfig::new(&state_dir), backend).unwrap();
+    let addr = handle.addr();
+    let job = submit(addr, body);
+    let file = Path::new("ckpt").join(format!("{}.ckpt", job.fingerprint));
+    let mut cuts: Vec<Cut> = Vec::new();
+    while get_job(addr, &job.job).status != JobStatus::Done {
+        let newest = cuts.last().map_or(0, |cut| cut.0);
+        let on_disk = moat_archive::CheckpointStore::load(state_dir.join(&file)).ok();
+        if cuts.len() < 3 && on_disk.is_some_and(|ckpt| ckpt.seq > newest) {
+            let cut = temp_dir("long-cut");
+            copy_dir(&state_dir, &cut);
+            // The copy may have caught a later write than the one seen.
+            if let Ok(copied) = moat_archive::CheckpointStore::load(cut.join(&file)) {
+                cuts.push((copied.seq, cut));
+            }
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let quiet = job_result(addr, &job.job);
+    let offers = metric(addr, "moat_records_total{kind=\"checkpointed\"}");
+    let written = metric(addr, "serve_checkpoints_written_total");
+    let superseded = metric(addr, "serve_checkpoints_superseded_total");
+    let declined = metric(addr, "serve_checkpoints_declined_total");
+    assert!(written >= 1, "a run's first offer is always wanted");
+    assert_eq!(written + superseded + declined, offers);
+    shutdown(addr, handle);
+    let _ = std::fs::remove_dir_all(&state_dir);
+    if written >= 2 && cuts.len() >= 2 {
+        return Some((job.job, quiet, cuts));
+    }
+    for (_, cut) in cuts {
+        let _ = std::fs::remove_dir_all(&cut);
+    }
+    None
+}
+
+fn job_result(addr: SocketAddr, id: &str) -> Vec<u8> {
+    let resp = send(addr, &Request::new("GET", &format!("/jobs/{id}/result")));
+    assert_eq!(resp.status, 200);
+    resp.body
+}
+
+/// A job that runs long enough earns further checkpoints as it goes, and
+/// whichever of them is on disk when the daemon is killed — here: when its
+/// state directory is copied from under it — restarts to the quiet run's
+/// result. How long is long enough is the daemon's to say (16× what a
+/// write costs on this disk), so the job is lengthened until it is: 0.3 s
+/// of evaluations does on a disk that syncs in a few milliseconds.
+#[test]
+fn a_long_job_earns_further_checkpoints_and_restarts_from_each() {
+    let body = spec("mm", 5, "t", false, 2048);
+    let (delay_us, (id, quiet, cuts)) = [300, 1500, 7500]
+        .into_iter()
+        .find_map(|delay_us| Some((delay_us, long_job_cuts(&body, delay_us)?)))
+        .expect("a job of 2048 evaluations at 7.5 ms each earned no second checkpoint");
+
+    let seqs: Vec<u64> = cuts.iter().map(|cut| cut.0).collect();
+    assert!(seqs.windows(2).all(|w| w[0] < w[1]), "{seqs:?}");
+    for (seq, cut) in cuts {
+        let backend = Arc::new(SyntheticBackend {
+            eval_delay_us: delay_us,
+        });
+        let handle = serve(ServeConfig::new(&cut), backend).unwrap();
+        let addr = handle.addr();
+        let state = wait_done(addr, &id);
+        assert!(state.resumed, "restart from seq {seq}: {state:?}");
+        assert_eq!(job_result(addr, &id), quiet, "restart from seq {seq}");
+        shutdown(addr, handle);
+        let _ = std::fs::remove_dir_all(&cut);
+    }
+}
+
+/// Requests that follow one another share a handler thread (two, when a
+/// client is back before the handler has parked again); connections held
+/// open side by side get one each up to the cap, beyond which the next is
+/// shed; and none is left once the daemon has been joined.
+#[test]
+fn handlers_start_on_demand_and_none_outlives_the_join() {
+    let handle = serve(
+        ServeConfig::new(temp_dir("handlers")),
+        Arc::new(SyntheticBackend::default()),
+    )
+    .unwrap();
+    let addr = handle.addr();
+    let metrics = handle.metrics();
+    for _ in 0..200 {
+        assert_eq!(send(addr, &Request::new("GET", "/healthz")).status, 200);
+    }
+    let handlers = metrics.conn_handlers.load(Ordering::Relaxed);
+    assert!((1..=2).contains(&handlers), "{handlers} handlers");
+    assert_eq!(metric(addr, "serve_conn_handlers"), handlers);
+
+    // 64 clients that connect and say nothing yet: each holds a handler.
+    let mut held: Vec<TcpStream> = (0..64)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while metrics.connections_active.load(Ordering::Relaxed) < 64 {
+        assert!(Instant::now() < deadline, "64 connections never accepted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let over = send(addr, &Request::new("GET", "/healthz"));
+    assert_eq!(over.status, 503, "the 65th connection is shed");
+    assert!(over.header("retry-after").is_some());
+    for stream in &mut held {
+        wire::write_request(stream, &Request::new("GET", "/healthz")).unwrap();
+    }
+    for stream in &mut held {
+        assert_eq!(wire::read_response(stream).expect("served").status, 200);
+    }
+    drop(held);
+    assert_eq!(metrics.conn_handlers.load(Ordering::Relaxed), 64);
+
+    let asked = Instant::now();
+    handle.stop();
+    handle.join().expect("clean shutdown");
+    assert!(asked.elapsed() < Duration::from_secs(1));
+    assert_eq!(metrics.conn_handlers.load(Ordering::Relaxed), 0);
 }

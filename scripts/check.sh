@@ -24,6 +24,20 @@ for _ in $(seq 20); do
     cargo test -q --test observability
 done
 
+# `BatchEval::run` starts no thread before its caller has claimed work, so
+# the caller is a worker of every such batch however the scheduler treats it; a
+# second process spinning beside the tests is what used to make that rare
+# interleaving happen.
+echo "== cargo test --test analytic_allocations x200, beside a busy process =="
+( while :; do :; done ) &
+busy=$!
+trap 'kill "$busy" 2> /dev/null || true' EXIT
+for _ in $(seq 200); do
+    cargo test -q --test analytic_allocations
+done
+kill "$busy"
+trap - EXIT
+
 echo "== trace smoke (moat-tune --trace -> moat-report --validate) =="
 smoke="target/trace-smoke"
 mkdir -p "$smoke"

@@ -59,8 +59,6 @@ impl JobBackend for TuneBackend {
         let info = JobInfo {
             key: prepared.key,
             machine: fw.machine.features(),
-            param_names: prepared.space.names.clone(),
-            objective_names: fw.objective_names(),
         };
         Ok(Box::new(TuneJob { fw, prepared, info }))
     }
@@ -147,8 +145,6 @@ mod tests {
         let job = backend.prepare(&spec("mm", "random")).unwrap();
         let info = job.info();
         assert_eq!(info.machine.name, "Westmere");
-        assert_eq!(info.objective_names, vec!["time_s", "cpu_seconds"]);
-        assert!(!info.param_names.is_empty());
         assert!(backend.prepare(&spec("nope", "random")).is_err());
         assert!(backend.prepare(&spec("mm", "nope")).is_err());
         let mut bad = spec("mm", "random");

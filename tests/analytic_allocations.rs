@@ -1,11 +1,15 @@
 //! What the evaluation hot path may cost per call: one allocation per
 //! analytic evaluation (the returned objective vector), and no thread for a
-//! batch the caller can finish itself.
+//! batch the caller can finish itself — a batch of one, or one cheaper
+//! than a thread start — while an expensive batch still gets its helpers,
+//! after one evaluation alone, and a session's later ones at once.
 //!
 //! Allocations are counted per thread by a counting global allocator, so
 //! the tests of this file can run side by side.
 
-use moat::core::{BatchEval, Config, Evaluator, ObjVec};
+use moat::core::{
+    BatchEval, CachingEvaluator, Config, Domain, Evaluator, ObjVec, ParamSpace, TuningSession,
+};
 use moat::ir::{analyze, AnalyzerConfig};
 use moat::machine::{CostModel, NoiseModel};
 use moat::{Kernel, MachineDesc, SimEvaluator};
@@ -14,6 +18,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread::ThreadId;
+use std::time::{Duration, Instant};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -100,14 +105,23 @@ fn an_analytic_evaluation_allocates_only_its_result() {
     }
 }
 
-/// Squares its input (rejecting some) and remembers which threads it ran on.
+/// Squares its input (rejecting some), taking `delay` over it, and
+/// remembers which threads it ran on.
 #[derive(Default)]
 struct Recording {
     threads: Mutex<Vec<ThreadId>>,
     calls: AtomicUsize,
+    delay: Duration,
 }
 
 impl Recording {
+    fn slow(delay: Duration) -> Recording {
+        Recording {
+            delay,
+            ..Recording::default()
+        }
+    }
+
     fn threads(&self) -> Vec<ThreadId> {
         self.threads.lock().unwrap().clone()
     }
@@ -124,24 +138,42 @@ impl Evaluator for Recording {
         if !threads.contains(&id) {
             threads.push(id);
         }
+        drop(threads);
         self.calls.fetch_add(1, Ordering::Relaxed);
+        if !self.delay.is_zero() {
+            std::thread::sleep(self.delay);
+        }
         (cfg[0] % 5 != 3).then(|| vec![(cfg[0] * cfg[0]) as f64])
     }
 }
 
+/// By value and call for call, whether the batch is cheaper than a thread
+/// start (the caller finishes it alone), dearer (helpers join in), or
+/// turns dear after a first configuration served from the cache.
 #[test]
 fn parallel_batches_equal_sequential_ones() {
-    for n in [0, 1, 2, 7, 50] {
-        let configs: Vec<Config> = (0..n).map(|i| vec![i]).collect();
-        let (seq, par) = (Recording::default(), Recording::default());
-        let expect = BatchEval::sequential().run(&seq, &configs);
-        let got = BatchEval::parallel(8).run(&par, &configs);
-        assert_eq!(got, expect, "{n} configurations");
-        assert_eq!(expect.len(), n as usize);
-        // Every configuration is evaluated exactly once.
-        assert_eq!(par.calls.load(Ordering::Relaxed), n as usize);
-        assert_eq!(seq.threads().len(), usize::from(n > 0));
-        assert!(par.threads().len() <= 8.min(n as usize));
+    let slow = Duration::from_micros(300);
+    for (delay, first_cached) in [(Duration::ZERO, false), (slow, false), (slow, true)] {
+        for n in [0, 1, 2, 7, 50] {
+            let what = format!("{n} configurations, {delay:?} each, cached first: {first_cached}");
+            let configs: Vec<Config> = (0..n).map(|i| vec![i]).collect();
+            let (seq, par) = (Recording::slow(delay), Recording::slow(delay));
+            let (seq_cache, par_cache) = (CachingEvaluator::new(&seq), CachingEvaluator::new(&par));
+            let mut fresh = n as usize;
+            if let (true, Some(first)) = (first_cached, configs.first()) {
+                seq_cache.prime(first.clone(), Some(vec![-1.0]));
+                par_cache.prime(first.clone(), Some(vec![-1.0]));
+                fresh -= 1;
+            }
+            let expect = BatchEval::sequential().run(&seq_cache, &configs);
+            let got = BatchEval::parallel(8).run(&par_cache, &configs);
+            assert_eq!(got, expect, "{what}");
+            assert_eq!(expect.len(), n as usize);
+            // Every configuration is evaluated exactly once.
+            assert_eq!(par.calls.load(Ordering::Relaxed), fresh, "{what}");
+            assert_eq!(seq.threads().len(), usize::from(fresh > 0));
+            assert!(par.threads().len() <= 8.min(n as usize), "{what}");
+        }
     }
 }
 
@@ -164,6 +196,127 @@ fn a_batch_of_one_runs_on_the_caller_and_spawns_nothing() {
     let many: Vec<Config> = (0..50).map(|i| vec![i]).collect();
     BatchEval::parallel(2).run(&ev, &many);
     assert!(ev.threads().contains(&me));
+}
+
+/// Fifty evaluations that together cost less than starting one thread stay
+/// on the caller at any width. A helper would show as a second thread id
+/// only if it won a claim, but as allocations on the caller (scope,
+/// handle, packet, closure) always — so the count is what is asserted, on
+/// the best of a few attempts since a preempted caller may rightly decide
+/// the batch has become worth a helper.
+#[test]
+fn a_batch_cheaper_than_a_thread_start_stays_on_the_caller() {
+    let me: ThreadId = std::thread::current().id();
+    // Every one is rejected, so no objective vector is allocated either.
+    let configs: Vec<Config> = (0..50).map(|i| vec![5 * i + 3]).collect();
+    let mut seen = Vec::new();
+    for _ in 0..20 {
+        let ev = Recording::default();
+        // The first call makes `Recording` allocate its thread list.
+        BatchEval::parallel(8).run(&ev, &configs[..1]);
+        let (count, out) = allocations(|| BatchEval::parallel(8).run(&ev, &configs));
+        assert_eq!(out, vec![None; 50]);
+        assert_eq!(ev.calls.load(Ordering::Relaxed), 51);
+        seen.push((count, ev.threads()));
+        // The slots and the result vector.
+        if count <= 3 {
+            assert_eq!(ev.threads(), vec![me]);
+            return;
+        }
+    }
+    panic!("every attempt started a thread: {seen:?}");
+}
+
+/// A batch whose evaluations each outlast a thread start is parallel from
+/// the caller's second claim on: thirty 1 ms evaluations are one alone and
+/// four rounds of eight, not thirty.
+#[test]
+fn an_expensive_batch_gets_its_helpers() {
+    let configs: Vec<Config> = (0..30).map(|i| vec![i]).collect();
+    let mut walls = Vec::new();
+    for _ in 0..3 {
+        let ev = Recording::slow(Duration::from_millis(1));
+        let started = Instant::now();
+        let out = BatchEval::parallel(8).run(&ev, &configs);
+        walls.push(started.elapsed());
+        assert_eq!(out.len(), 30);
+        assert_eq!(ev.calls.load(Ordering::Relaxed), 30);
+        // The caller's first evaluation outlasts the rent, 29 remain.
+        let threads = ev.threads();
+        assert!(threads.len() > 1 && threads.len() <= 8, "{threads:?}");
+        assert_eq!(threads[0], std::thread::current().id());
+    }
+    let best = walls.iter().min().unwrap();
+    assert!(*best < Duration::from_millis(12), "{walls:?}");
+}
+
+/// An evaluation cannot be interrupted, so a session's first dear batch
+/// costs one evaluation alone before it is parallel — and only the first:
+/// of eight 5 ms configurations on eight workers, the first batch's first
+/// is evaluated with no helper in existence, a later batch's first with
+/// the others already under way.
+#[test]
+fn a_session_works_alone_through_its_first_dear_batch_only() {
+    let eval = Duration::from_millis(5);
+    let (started, finished) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let first_had_company = Mutex::new(Vec::new());
+    let ev = (1usize, |cfg: &Config| -> Option<ObjVec> {
+        let before_me = started.fetch_add(1, Ordering::SeqCst);
+        let in_flight = before_me > finished.load(Ordering::SeqCst);
+        std::thread::sleep(eval);
+        let joined_me = started.load(Ordering::SeqCst) > before_me + 1;
+        finished.fetch_add(1, Ordering::SeqCst);
+        if cfg[0] % 8 == 0 {
+            first_had_company
+                .lock()
+                .unwrap()
+                .push(in_flight || joined_me);
+        }
+        Some(vec![cfg[0] as f64])
+    });
+    let space = ParamSpace::new(vec!["x".into()], vec![Domain::Range { lo: 0, hi: 99 }]);
+    let mut session = TuningSession::new(space, &ev).with_batch(BatchEval::parallel(8));
+    let mut walls = Vec::new();
+    for batch in 0..4 {
+        let configs: Vec<Config> = (0..8).map(|i| vec![8 * batch + i]).collect();
+        let started = Instant::now();
+        assert_eq!(session.evaluate(&configs).len(), 8);
+        walls.push(started.elapsed());
+    }
+    assert!(walls[0] >= 2 * eval, "{walls:?}");
+    let company = first_had_company.into_inner().unwrap();
+    assert!(!company[0], "no helper exists during the first claim");
+    // A helper that needs over 5 ms to start misses one batch, not three.
+    assert!(company[1..].contains(&true), "{company:?} {walls:?}");
+}
+
+/// ... from the caller before any helper exists, and from a helper started
+/// mid-batch while the caller carries on.
+#[test]
+fn a_panic_propagates_from_the_caller_and_from_a_late_helper() {
+    let me: ThreadId = std::thread::current().id();
+    let configs: Vec<Config> = (0..50).map(|i| vec![i]).collect();
+
+    let first = (1usize, |cfg: &Config| -> Option<ObjVec> {
+        assert!(cfg[0] != 0, "the caller's first claim blew up");
+        Some(vec![cfg[0] as f64])
+    });
+    let outcome = std::panic::catch_unwind(|| BatchEval::parallel(8).run(&first, &configs));
+    assert!(outcome.is_err());
+
+    let helpers_ran = AtomicUsize::new(0);
+    let late = (1usize, |cfg: &Config| -> Option<ObjVec> {
+        if std::thread::current().id() != me {
+            helpers_ran.fetch_add(1, Ordering::Relaxed);
+            panic!("a helper blew up on {cfg:?}");
+        }
+        // Dear enough that the caller starts helpers after this one.
+        std::thread::sleep(Duration::from_millis(1));
+        Some(vec![cfg[0] as f64])
+    });
+    let outcome = std::panic::catch_unwind(|| BatchEval::parallel(2).run(&late, &configs));
+    assert!(outcome.is_err());
+    assert_eq!(helpers_ran.load(Ordering::Relaxed), 1);
 }
 
 #[test]
