@@ -91,7 +91,8 @@ pub struct JobContext {
     pub trace: Option<moat_obs::TraceContext>,
     /// The job's own observability handle. Backends hand it to the
     /// session (and the evaluator layers and stores under it); whatever
-    /// the run emits on it *is* `traces/<job>.jsonl` — the same records
+    /// the run emits on it *is* the job's trace (`GET /jobs/<id>/trace`,
+    /// kept in `artifacts.log`) — the same records
     /// `moat-tune --trace` writes for the same spec and seed.
     pub obs: moat_obs::Obs,
 }

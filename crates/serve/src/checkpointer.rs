@@ -2,19 +2,23 @@
 //! `<state>/ckpt/`.
 //!
 //! A session offers a checkpoint at every safe boundary; assembling one
-//! and making it durable costs a cache snapshot, a serialisation and an
-//! fsync, several times what the iteration it follows took. Two things
-//! keep that off a job's bill. The sink decides which offers are worth
-//! it: [`GaugedStore::due`] wants a run's first offer — so a sick
-//! checkpoint directory parks and is gauged even under a job shorter
-//! than one write — and after that one only once the run has worked
-//! `WORK_PER_WRITE` (16) times as long as this daemon's last durable write
-//! took; what it declines is never even assembled, and a job that
-//! finishes in a few milliseconds pays for one checkpoint. And what is
-//! wanted is written behind the session: [`GaugedStore::save`] only
-//! clones the checkpoint into the job's slot, where a newer one replaces
-//! an older one still waiting, and the [`Checkpointer`] thread writes
-//! whatever is newest for each running job through [`CheckpointStore`].
+//! and making it durable costs a cache snapshot, a serialisation, a file
+//! creation and an fsync, several times what the iteration it follows
+//! took. Two things keep that off a job's bill. The sink decides which
+//! offers are worth it: [`GaugedStore::due`] wants one once the run has
+//! worked `WORK_PER_WRITE` (16) times as long as this daemon's last
+//! durable write took, counted from its start or from the last offer it
+//! wanted — so a job of a few milliseconds writes nothing, and what is
+//! declined is never even assembled. Only while nobody knows what a write
+//! costs here — none has finished yet in this daemon, or the last one
+//! failed, which forgets the cost — is a run's first offer wanted
+//! whatever it has worked: a sick checkpoint directory is found, parked
+//! and gauged by every job until a write succeeds, even under jobs
+//! shorter than one write. And what is wanted is written behind the
+//! session: [`GaugedStore::save`] only clones the checkpoint into the
+//! job's slot, where a newer one replaces an older one still waiting, and
+//! the [`Checkpointer`] thread writes whatever is newest for each running
+//! job through [`CheckpointStore`].
 //! When the session has returned, the daemon
 //! [`settle`](Checkpointer::settle)s the slot: a parking run waits until
 //! its last checkpoint — the boundary it stopped at, which the session
@@ -70,7 +74,8 @@ pub struct Checkpointer {
     dir: PathBuf,
     metrics: Arc<ServeMetrics>,
     state: Mutex<State>,
-    /// What the last durable write took, in µs (0 until one has finished).
+    /// What the last durable write took, in µs; 0 while that is unknown
+    /// (none has finished yet, or the last one failed).
     last_write_us: AtomicU64,
     /// Signalled on every hand-off, finished write and stop request.
     changed: Condvar,
@@ -128,7 +133,8 @@ impl Checkpointer {
         Some(GaugedStore {
             checkpointer: Arc::clone(self),
             fp,
-            wanted: None,
+            since: Instant::now(),
+            offered: false,
         })
     }
 
@@ -203,7 +209,7 @@ impl Checkpointer {
             store.save(&checkpoint);
             let written = store.last_error().is_none();
             if written {
-                // Never 0, which says that no write has finished.
+                // Never 0, which says that nobody knows.
                 self.last_write_us.store(
                     (started.elapsed().as_micros() as u64).max(1),
                     Ordering::Relaxed,
@@ -214,6 +220,10 @@ impl Checkpointer {
                 self.metrics
                     .checkpoint_write
                     .observe(handed.elapsed().as_micros() as u64, None);
+            } else {
+                // What a write costs here is anyone's guess again: the
+                // next runs' first offers find out.
+                self.last_write_us.store(0, Ordering::Relaxed);
             }
 
             state = self.state.lock();
@@ -250,21 +260,24 @@ impl std::fmt::Debug for Checkpointer {
 pub struct GaugedStore {
     checkpointer: Arc<Checkpointer>,
     fp: u64,
-    /// When this run last wanted an offer (`None` before its first).
-    wanted: Option<Instant>,
+    /// When this run started or last wanted an offer.
+    since: Instant,
+    /// This run has been offered a checkpoint before.
+    offered: bool,
 }
 
 impl CheckpointSink for GaugedStore {
     fn due(&mut self) -> bool {
         let now = Instant::now();
-        let due = self.wanted.is_none_or(|at| {
-            // Until a write has finished nobody knows what one costs, and
-            // this run's first is on its way.
-            let write_us = self.checkpointer.last_write_us.load(Ordering::Relaxed);
-            write_us > 0 && now.duration_since(at).as_micros() as u64 >= WORK_PER_WRITE * write_us
-        });
+        let first = !std::mem::replace(&mut self.offered, true);
+        let due = match self.checkpointer.last_write_us.load(Ordering::Relaxed) {
+            0 => first,
+            write_us => {
+                now.duration_since(self.since).as_micros() as u64 >= WORK_PER_WRITE * write_us
+            }
+        };
         if due {
-            self.wanted = Some(now);
+            self.since = now;
             return true;
         }
         self.checkpointer
@@ -349,36 +362,64 @@ mod tests {
     }
 
     #[test]
-    fn a_run_wants_its_first_offer_then_only_work_worth_a_write() {
+    fn a_first_offer_is_wanted_unearned_only_while_nobody_knows_what_a_write_costs() {
         let (checkpointer, metrics) = started("due");
         let mut sink = checkpointer.open(7, moat_obs::Obs::default()).unwrap();
-        assert!(sink.due(), "the first offer, whatever a write costs");
-        sink.save(&checkpoint(1));
-        // Its write may or may not have finished: a first write costs more
-        // than no time at all either way.
-        assert!(!sink.due());
+        assert!(sink.due(), "the first offer finds out what a write costs");
+        assert!(!sink.due(), "only the first");
         let mut other = checkpointer.open(8, moat_obs::Obs::default()).unwrap();
-        assert!(other.due(), "every run's first offer");
+        assert!(other.due(), "every run's, until a write has finished");
+        sink.save(&checkpoint(1));
         let handoffs = checkpointer.settle(7, true);
-        assert_eq!((handoffs.len(), handoffs[1]), (2, 0), "saved, declined");
+        assert_eq!((handoffs.len(), handoffs[0]), (2, 0), "declined, saved");
         assert!(checkpointer.last_write_us.load(Ordering::Relaxed) > 0);
 
-        // A write that took a minute: nothing this test does earns one.
+        // Now that it is known, a first offer is earned like any other. A
+        // write that took a minute: nothing this test does earns one.
+        let mut third = checkpointer.open(9, moat_obs::Obs::default()).unwrap();
         checkpointer
             .last_write_us
             .store(60_000_000, Ordering::Relaxed);
-        assert!(!other.due());
+        assert!(!third.due());
         // One that took 100 µs is earned by 1.6 ms of work, counted from
-        // the last offer the run wanted.
+        // the start of the run or the last offer it wanted.
         checkpointer.last_write_us.store(100, Ordering::Relaxed);
         std::thread::sleep(std::time::Duration::from_millis(2));
-        assert!(other.due());
+        assert!(third.due());
+        assert!(!third.due(), "counted from the offer just wanted");
+        assert_eq!(metrics.checkpoints_declined.load(Ordering::Relaxed), 3);
+        assert_eq!(checkpointer.settle(8, false), [], "wanted, never saved");
+        assert_eq!(checkpointer.settle(9, false), [0, 0], "the two it declined");
+        finish(checkpointer);
+    }
+
+    #[test]
+    fn a_failed_write_makes_the_next_first_offer_due_again() {
+        let (checkpointer, metrics) = started("forget");
+        let mut sink = checkpointer.open(7, moat_obs::Obs::default()).unwrap();
+        sink.save(&checkpoint(1));
+        checkpointer.settle(7, false);
+        assert_eq!(metrics.checkpoints_written.load(Ordering::Relaxed), 1);
         checkpointer
             .last_write_us
             .store(60_000_000, Ordering::Relaxed);
-        assert!(!other.due());
-        assert_eq!(metrics.checkpoints_declined.load(Ordering::Relaxed), 3);
-        assert_eq!(checkpointer.settle(8, false), [0, 0], "the two it declined");
+        let mut healthy = checkpointer.open(8, moat_obs::Obs::default()).unwrap();
+        assert!(!healthy.due(), "a write's cost is known and not earned");
+
+        // The boundary save of a parking run, into a directory gone bad.
+        let mut sick = checkpointer.open(9, moat_obs::Obs::default()).unwrap();
+        std::fs::create_dir_all(checkpointer.path(9)).unwrap();
+        sick.save(&checkpoint(1));
+        checkpointer.settle(9, true);
+        assert_eq!(metrics.parked_checkpoints.load(Ordering::Relaxed), 1);
+        assert_eq!(checkpointer.last_write_us.load(Ordering::Relaxed), 0);
+        let mut next = checkpointer.open(10, moat_obs::Obs::default()).unwrap();
+        assert!(next.due(), "whatever it has worked");
+        assert!(!healthy.due(), "but no run's second");
+        std::fs::remove_dir(checkpointer.path(9)).unwrap();
+        for fp in [8, 9, 10] {
+            checkpointer.settle(fp, false);
+        }
         finish(checkpointer);
     }
 

@@ -9,11 +9,13 @@
 //!                            outgrown it)
 //! <state>/jobs.journal       one row per job-table change since the
 //!                            snapshot (see [`crate::journal`])
-//! <state>/results/<id>.json  final ArchiveRecord per completed job
-//! <state>/traces/<id>.jsonl  per-job obs trace: what the job's session
-//!                            emitted on its own handle (what `moat-tune
-//!                            --trace` writes for the same spec and seed)
-//! <state>/ckpt/<fp>.ckpt     session checkpoints, named by fingerprint
+//! <state>/artifacts.log     one record per settled run: its obs trace —
+//!                            what the job's session emitted on its own
+//!                            handle, what `moat-tune --trace` writes for
+//!                            the same spec and seed — and, once Done, its
+//!                            final ArchiveRecord (see [`crate::artifacts`])
+//! <state>/ckpt/<fp>.ckpt     session checkpoints, named by fingerprint,
+//!                            of runs long enough to earn one
 //!                            (see [`crate::checkpointer`])
 //! <state>/archive/           the sharded archive
 //! <state>/serve.jsonl        service-level obs events (sheds, breaker
@@ -64,6 +66,7 @@
 //! core guarantees continues bit-identically to an uninterrupted run.
 
 use crate::admission::{AdmissionPolicy, AdmissionState, BreakerDecision, ShedReason};
+use crate::artifacts::ArtifactLog;
 use crate::backend::JobBackend;
 use crate::checkpointer::Checkpointer;
 use crate::journal::Journal;
@@ -322,6 +325,7 @@ struct Daemon {
     metrics: Arc<ServeMetrics>,
     checkpointer: Arc<Checkpointer>,
     archive: ShardedArchive,
+    artifacts: ArtifactLog,
     stop: Arc<AtomicBool>,
     jobs: Mutex<Jobs>,
     queue: Mutex<VecDeque<QueueItem>>,
@@ -340,18 +344,14 @@ struct Daemon {
 }
 
 impl Daemon {
-    fn result_path(&self, id: &str) -> PathBuf {
-        self.config
-            .state_dir
-            .join("results")
-            .join(format!("{id}.json"))
-    }
-
-    fn trace_path(&self, id: &str) -> PathBuf {
-        self.config
-            .state_dir
-            .join("traces")
-            .join(format!("{id}.jsonl"))
+    /// Append what job `id`'s run leaves behind to the artifact log.
+    /// Callers do this before the row that says so is journaled.
+    fn leave(&self, id: &str, obs: &Obs, result: &str) {
+        let trace = moat_obs::export::to_jsonl(&obs.drain());
+        let written = self
+            .artifacts
+            .append(id, trace.as_bytes(), result.as_bytes());
+        self.count_persist(written);
     }
 
     /// Append one service-level event to `serve.jsonl` (and the flight
@@ -449,9 +449,10 @@ impl Daemon {
         self.count_persist(written);
     }
 
-    /// A failed table write is counted (`serve_persist_errors_total`) —
-    /// the in-memory table stays authoritative, but a crash before the
-    /// next successful snapshot would lose the unwritten rows.
+    /// A failed table or artifact write is counted
+    /// (`serve_persist_errors_total`) — the in-memory table stays
+    /// authoritative, but a crash before the next successful snapshot
+    /// would lose the unwritten rows.
     fn count_persist(&self, written: std::io::Result<()>) {
         if written.is_err() {
             self.metrics.persist_errors.fetch_add(1, Ordering::Relaxed);
@@ -481,7 +482,7 @@ impl Daemon {
         Some(view)
     }
 
-    /// The id whose on-disk artifacts (result, trace) serve `id`.
+    /// The id whose artifacts (result, trace) serve `id`.
     fn artifact_id(&self, jobs: &Jobs, id: &str) -> Option<String> {
         let state = jobs.states.get(id)?;
         Some(state.serves_as.clone().unwrap_or_else(|| state.id.clone()))
@@ -716,11 +717,8 @@ impl Daemon {
                         }
                     }
                 }
-                let _ = std::fs::write(
-                    self.trace_path(id),
-                    moat_obs::export::to_jsonl(&obs.drain()),
-                );
                 if outcome.cancelled {
+                    self.leave(id, &obs, "");
                     if let Some(rc) = &run_ctx {
                         self.span_event(
                             rc,
@@ -745,6 +743,7 @@ impl Daemon {
                 }
                 let archive_started = Instant::now();
                 if let Err(e) = self.archive.deposit(&outcome.record, &fingerprint) {
+                    self.leave(id, &obs, "");
                     self.fail(id, fp, format!("archive deposit failed: {e}"));
                     return;
                 }
@@ -760,7 +759,7 @@ impl Daemon {
                 }
                 let pretty =
                     serde_json::to_string_pretty(&outcome.record).expect("record serializes");
-                let _ = std::fs::write(self.result_path(id), pretty);
+                self.leave(id, &obs, &pretty);
                 let mut jobs = self.jobs.lock();
                 if let Some(state) = jobs.states.get_mut(id) {
                     state.status = JobStatus::Done;
@@ -832,12 +831,8 @@ impl Daemon {
             reason: moat_core::StopReason::Completed.name().to_string(),
             evaluations: 0,
         });
-        let _ = std::fs::write(
-            self.trace_path(id),
-            moat_obs::export::to_jsonl(&obs.drain()),
-        );
         let pretty = serde_json::to_string_pretty(record).expect("record serializes");
-        let _ = std::fs::write(self.result_path(id), pretty);
+        self.leave(id, &obs, &pretty);
         self.checkpointer.settle(spec.fingerprint(), false);
         let mut jobs = self.jobs.lock();
         if let Some(state) = jobs.states.get_mut(id) {
@@ -1149,10 +1144,11 @@ impl Daemon {
                         .collect()
                 };
                 for id in ids {
-                    if let Ok(text) = std::fs::read_to_string(self.trace_path(&id)) {
-                        if let Ok(mut rs) = moat_obs::export::parse_jsonl(&text) {
-                            records.append(&mut rs);
-                        }
+                    let trace = self.artifacts.trace(&id).unwrap_or_default();
+                    if let Ok(mut rs) =
+                        moat_obs::export::parse_jsonl(&String::from_utf8_lossy(&trace))
+                    {
+                        records.append(&mut rs);
                     }
                 }
                 Response::text(200, self.metrics.render(&records).into_bytes())
@@ -1216,14 +1212,14 @@ impl Daemon {
                     let Some(artifact) = artifact else {
                         return Response::error(404, "no such job");
                     };
-                    match std::fs::read(self.trace_path(&artifact)) {
-                        Ok(bytes) => Response {
+                    match self.artifacts.trace(&artifact) {
+                        Some(bytes) => Response {
                             status: 200,
                             content_type: "application/x-ndjson".into(),
                             headers: Vec::new(),
                             body: bytes,
                         },
-                        Err(_) => Response::error(404, "no trace yet"),
+                        None => Response::error(404, "no trace yet"),
                     }
                 } else if let Some(id) = rest.strip_suffix("/result") {
                     let artifact = {
@@ -1233,9 +1229,9 @@ impl Daemon {
                     let Some(artifact) = artifact else {
                         return Response::error(404, "no such job");
                     };
-                    match std::fs::read(self.result_path(&artifact)) {
-                        Ok(bytes) => Response::json(200, bytes),
-                        Err(_) => Response::error(404, "no result yet"),
+                    match self.artifacts.result(&artifact) {
+                        Some(bytes) => Response::json(200, bytes),
+                        None => Response::error(404, "no result yet"),
                     }
                 } else {
                     let jobs = self.jobs.lock();
@@ -1456,9 +1452,20 @@ impl ServeHandle {
 /// interrupted jobs with their checkpoints, bind the listener, start the
 /// worker pool and return.
 pub fn serve(config: ServeConfig, backend: Arc<dyn JobBackend>) -> std::io::Result<ServeHandle> {
-    for sub in ["results", "traces", "ckpt"] {
-        std::fs::create_dir_all(config.state_dir.join(sub))?;
+    // The layout before the artifact log kept a file per job here; it is
+    // not imported, and serving it would answer 404 for every old result.
+    for old in ["results", "traces"] {
+        let dir = config.state_dir.join(old);
+        if dir.exists() {
+            return Err(std::io::Error::other(format!(
+                "{}: a state directory of an older moat-serve layout (a file per job); \
+                 this version keeps results and traces in artifacts.log and does not import them",
+                dir.display()
+            )));
+        }
     }
+    std::fs::create_dir_all(config.state_dir.join("ckpt"))?;
+    let artifacts = ArtifactLog::open(&config.state_dir)?;
     let archive = ShardedArchive::open(config.state_dir.join("archive"), config.shards)
         .map_err(|e| std::io::Error::other(e.to_string()))?;
     let pool = FairPool::new(config.pool_slots);
@@ -1505,6 +1512,7 @@ pub fn serve(config: ServeConfig, backend: Arc<dyn JobBackend>) -> std::io::Resu
         checkpointer: Checkpointer::start(config.state_dir.join("ckpt"), Arc::clone(&metrics)),
         metrics,
         archive,
+        artifacts,
         stop: Arc::new(AtomicBool::new(false)),
         jobs: Mutex::new(Jobs {
             states: BTreeMap::new(),

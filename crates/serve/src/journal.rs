@@ -1,4 +1,14 @@
-//! The job table on disk: a compacted snapshot plus a row journal.
+//! The daemon's append-only files, and the job table kept in one of them.
+//!
+//! [`AppendLog`] is the one way this crate grows a file: a record is
+//! acknowledged once its last byte is written, recovery walks the records
+//! from the front and stops at the first one that is not all there — a
+//! crash mid-append — and the first append after that cuts the torn tail
+//! off, so it never ends up in the middle. A record that is all there but
+//! does not parse is corruption and fails the recovery. The job-table
+//! journal here, the artifact log ([`crate::artifacts`]) and each shard's
+//! deposit log ([`crate::shard`]) are that primitive under three record
+//! shapes, so one enumeration of crash points covers all of them.
 //!
 //! ```text
 //! <state>/jobs.json     snapshot: every row, one pretty-printed JSON array
@@ -14,18 +24,168 @@
 //! **Recovery** ([`load_job_table`]) is snapshot-then-journal, last row per
 //! id wins. Replaying a journal over a snapshot that already contains its
 //! rows is a no-op, so a crash between the snapshot's rename and the
-//! journal's removal is harmless. An append is acknowledged only once its
-//! newline is written: an unterminated final line is a crash mid-append
-//! and is dropped, while a terminated line that does not parse is
-//! corruption and fails the load.
+//! journal's removal is harmless.
 
 use crate::daemon::JobState;
 use std::collections::BTreeMap;
-use std::io::Write as _;
+use std::fs::File;
+use std::io::{BufRead, BufReader, Write as _};
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 
 const SNAPSHOT_FILE: &str = "jobs.json";
 const JOURNAL_FILE: &str = "jobs.journal";
+
+/// An append-only file of self-delimiting records (see the module docs).
+pub(crate) struct AppendLog {
+    path: PathBuf,
+    /// Read-only from [`recover`](Self::recover) when the file was there;
+    /// read + append from the first append on.
+    file: Option<File>,
+    writable: bool,
+    /// Acknowledged bytes.
+    len: u64,
+}
+
+impl AppendLog {
+    /// Walk the records of `path` (absent is empty) from the front.
+    /// `record` consumes the one at the reader's position — it is told
+    /// that offset and how many bytes are left — and returns its length,
+    /// or `None` when what is left is less than a record: the torn tail,
+    /// where the walk stops. Nothing is written or cut here, so a log can
+    /// be recovered beside the process that appends to it.
+    pub(crate) fn recover(
+        path: PathBuf,
+        mut record: impl FnMut(&mut BufReader<&File>, u64, u64) -> std::io::Result<Option<u64>>,
+    ) -> std::io::Result<AppendLog> {
+        // Anything but a regular file reads as empty; appending finds out.
+        let file = File::open(&path)
+            .ok()
+            .filter(|f| f.metadata().is_ok_and(|m| m.is_file()));
+        let mut len = 0;
+        if let Some(file) = &file {
+            let size = file.metadata()?.len();
+            let mut reader = BufReader::new(file);
+            while len < size {
+                match record(&mut reader, len, size - len)? {
+                    Some(n) => len += n,
+                    None => break,
+                }
+            }
+        }
+        Ok(AppendLog {
+            path,
+            file,
+            writable: false,
+            len,
+        })
+    }
+
+    /// The record at the reader's position when records are lines: its
+    /// bytes, newline included, or `None` for an unterminated tail.
+    pub(crate) fn line(reader: &mut impl BufRead) -> std::io::Result<Option<Vec<u8>>> {
+        let mut line = Vec::new();
+        reader.read_until(b'\n', &mut line)?;
+        Ok(line.ends_with(b"\n").then_some(line))
+    }
+
+    /// A line record that is one JSON value.
+    pub(crate) fn json<T: serde::Deserialize>(line: &[u8]) -> Result<T, String> {
+        let text = std::str::from_utf8(line).map_err(|e| e.to_string())?;
+        serde_json::from_str(text.trim_end()).map_err(|e| e.to_string())
+    }
+
+    /// Acknowledged bytes: where the next record will start.
+    pub(crate) fn len(&self) -> u64 {
+        self.len
+    }
+
+    pub(crate) fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Create the file if need be and cut it back to its acknowledged
+    /// prefix now rather than at the first append.
+    pub(crate) fn cut(&mut self) -> std::io::Result<()> {
+        self.writer().map(drop)
+    }
+
+    /// The file opened for appending, created if need be and cut back to
+    /// its acknowledged prefix.
+    fn writer(&mut self) -> std::io::Result<&File> {
+        if !self.writable {
+            let file = std::fs::OpenOptions::new()
+                .read(true)
+                .append(true)
+                .create(true)
+                .open(&self.path)?;
+            file.set_len(self.len)?;
+            self.file = Some(file);
+            self.writable = true;
+        }
+        Ok(self.file.as_ref().expect("just opened"))
+    }
+
+    /// Append one record with a single `write` — durably with `sync`,
+    /// otherwise as durable as the page cache — and return its offset.
+    pub(crate) fn append(&mut self, record: &[u8], sync: bool) -> std::io::Result<u64> {
+        let mut file = self.writer()?;
+        let written = file.write_all(record);
+        let written = written.and_then(|()| if sync { file.sync_all() } else { Ok(()) });
+        if let Err(e) = written {
+            // Reopen next time: that cuts whatever part of it landed.
+            self.writable = false;
+            return Err(e);
+        }
+        let at = self.len;
+        self.len += record.len() as u64;
+        Ok(at)
+    }
+
+    /// `len` acknowledged bytes starting at `at`.
+    pub(crate) fn read_at(&self, at: u64, len: u64) -> std::io::Result<Vec<u8>> {
+        pread(
+            self.file.as_ref().ok_or(std::io::ErrorKind::NotFound)?,
+            at,
+            len,
+        )
+    }
+
+    /// A second handle on the file, for [`pread`]s that do not go through
+    /// whatever lock guards the appender.
+    pub(crate) fn reader(&self) -> Option<File> {
+        self.file.as_ref()?.try_clone().ok()
+    }
+
+    /// Empty the log in place: every record in it has been folded into
+    /// something more durable.
+    pub(crate) fn reset(&mut self) -> std::io::Result<()> {
+        self.writer()?.set_len(0)?;
+        self.len = 0;
+        Ok(())
+    }
+
+    /// Empty the log by removing its file; the next append recreates it.
+    pub(crate) fn remove(&mut self) -> std::io::Result<()> {
+        self.file = None;
+        self.writable = false;
+        match std::fs::remove_file(&self.path) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
+            _ => {
+                self.len = 0;
+                Ok(())
+            }
+        }
+    }
+}
+
+/// `len` bytes of `file` starting at `at`, without a seek: readers of one
+/// handle disturb neither each other nor the appender.
+pub(crate) fn pread(file: &File, at: u64, len: u64) -> std::io::Result<Vec<u8>> {
+    let mut bytes = vec![0; len as usize];
+    file.read_exact_at(&mut bytes, at)?;
+    Ok(bytes)
+}
 
 /// The job table a `moat-serve` state directory holds — live, cleanly
 /// shut down or crashed — in id order.
@@ -39,36 +199,33 @@ pub fn load_job_table(state_dir: &Path) -> std::io::Result<Vec<JobState>> {
     Ok(replay(state_dir)?.0)
 }
 
-/// The recovered table and the length of the journal's acknowledged
-/// prefix (everything up to and including its last newline).
-fn replay(state_dir: &Path) -> std::io::Result<(Vec<JobState>, u64)> {
+/// The recovered table and the journal behind it.
+fn replay(state_dir: &Path) -> std::io::Result<(Vec<JobState>, AppendLog)> {
     let mut rows = BTreeMap::new();
     if let Ok(text) = std::fs::read_to_string(state_dir.join(SNAPSHOT_FILE)) {
         let snapshot: Vec<JobState> = serde_json::from_str(&text)
             .map_err(|e| std::io::Error::other(format!("corrupt {SNAPSHOT_FILE}: {e}")))?;
         rows.extend(snapshot.into_iter().map(|row| (row.id.clone(), row)));
     }
-    let bytes = std::fs::read(state_dir.join(JOURNAL_FILE)).unwrap_or_default();
-    let acked = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-    for (n, line) in bytes[..acked].split_inclusive(|&b| b == b'\n').enumerate() {
-        let row: JobState = std::str::from_utf8(line)
-            .map_err(|e| e.to_string())
-            .and_then(|s| serde_json::from_str(s.trim_end()).map_err(|e| e.to_string()))
-            .map_err(|e| {
-                std::io::Error::other(format!("corrupt {JOURNAL_FILE} line {}: {e}", n + 1))
-            })?;
+    let mut n = 0;
+    let log = AppendLog::recover(state_dir.join(JOURNAL_FILE), |reader, _, _| {
+        let Some(line) = AppendLog::line(reader)? else {
+            return Ok(None);
+        };
+        n += 1;
+        let row: JobState = AppendLog::json(&line)
+            .map_err(|e| std::io::Error::other(format!("corrupt {JOURNAL_FILE} line {n}: {e}")))?;
         rows.insert(row.id.clone(), row);
-    }
-    Ok((rows.into_values().collect(), acked as u64))
+        Ok(Some(line.len() as u64))
+    })?;
+    Ok((rows.into_values().collect(), log))
 }
 
 /// The write side: owned by the daemon's job table and driven under its
 /// lock, so journal order is table order.
 pub(crate) struct Journal {
     state_dir: PathBuf,
-    file: Option<std::fs::File>,
-    /// Acknowledged journal bytes on disk.
-    journal_bytes: u64,
+    log: AppendLog,
     /// Size of the last snapshot written by this process.
     snapshot_bytes: u64,
 }
@@ -77,46 +234,27 @@ impl Journal {
     /// Recover the table of `state_dir` and the journal positioned after
     /// its last acknowledged row.
     pub(crate) fn recover(state_dir: &Path) -> std::io::Result<(Vec<JobState>, Journal)> {
-        let (rows, journal_bytes) = replay(state_dir)?;
+        let (rows, log) = replay(state_dir)?;
         let journal = Journal {
             state_dir: state_dir.to_path_buf(),
-            file: None,
-            journal_bytes,
+            log,
             snapshot_bytes: 0,
         };
         Ok((rows, journal))
     }
 
-    /// Append one row. Opening cuts the file back to its acknowledged
-    /// prefix, so a torn tail never ends up in the middle.
+    /// Append one row.
     pub(crate) fn append(&mut self, row: &JobState) -> std::io::Result<()> {
-        let file = match &mut self.file {
-            Some(file) => file,
-            None => {
-                let file = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(self.state_dir.join(JOURNAL_FILE))?;
-                file.set_len(self.journal_bytes)?;
-                self.file.insert(file)
-            }
-        };
         let mut line = serde_json::to_string(row).expect("job row serializes");
         line.push('\n');
-        if let Err(e) = file.write_all(line.as_bytes()) {
-            // Reopen next time: that cuts whatever part of the line landed.
-            self.file = None;
-            return Err(e);
-        }
-        self.journal_bytes += line.len() as u64;
-        Ok(())
+        self.log.append(line.as_bytes(), false).map(drop)
     }
 
     /// True once the journal has outgrown the last snapshot: rewriting
     /// the snapshot now costs no more than the appends since the last
     /// rewrite did, so compaction stays amortised constant per row.
     pub(crate) fn outgrown(&self) -> bool {
-        self.journal_bytes > 0 && self.journal_bytes >= self.snapshot_bytes
+        self.log.len() > 0 && self.log.len() >= self.snapshot_bytes
     }
 
     /// Atomically rewrite the snapshot from `rows` (tmp + rename), then
@@ -132,12 +270,7 @@ impl Journal {
         std::fs::write(&tmp, &json)?;
         std::fs::rename(&tmp, &path)?;
         self.snapshot_bytes = json.len() as u64;
-        self.file = None;
-        match std::fs::remove_file(self.state_dir.join(JOURNAL_FILE)) {
-            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
-            _ => self.journal_bytes = 0,
-        }
-        Ok(())
+        self.log.remove()
     }
 }
 

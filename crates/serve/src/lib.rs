@@ -20,6 +20,7 @@
 //! backends.
 
 pub mod admission;
+pub mod artifacts;
 pub mod backend;
 pub mod chaos;
 pub mod checkpointer;
@@ -32,6 +33,7 @@ pub mod spec;
 pub mod wire;
 
 pub use admission::{AdmissionPolicy, ShedReason};
+pub use artifacts::ArtifactLog;
 pub use backend::{
     open_checkpoint_store, JobBackend, JobContext, JobInfo, JobOutcome, PreparedJob, SurrogateJob,
     SyntheticBackend,

@@ -11,7 +11,7 @@ use moat_serve::{JobBackend, JobContext, JobInfo, JobOutcome, PreparedJob, Synth
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -446,8 +446,11 @@ fn connection_after_stop_is_closed_not_served() {
 }
 
 /// A synthetic backend whose `late-*` kernels run their whole session —
-/// checkpoints and all — and only then error out or panic.
-struct FailsLate;
+/// checkpoints and all — and only then error out or panic. Every
+/// evaluation takes `delay_us`, which the test can raise between jobs.
+struct FailsLate {
+    delay_us: Arc<AtomicU64>,
+}
 
 struct LateJob {
     inner: Box<dyn PreparedJob>,
@@ -457,7 +460,10 @@ struct LateJob {
 impl JobBackend for FailsLate {
     fn prepare(&self, spec: &JobSpec) -> Result<Box<dyn PreparedJob>, String> {
         Ok(Box::new(LateJob {
-            inner: SyntheticBackend::default().prepare(spec)?,
+            inner: SyntheticBackend {
+                eval_delay_us: self.delay_us.load(Ordering::Relaxed),
+            }
+            .prepare(spec)?,
             kernel: spec.kernel.clone(),
         }))
     }
@@ -484,7 +490,13 @@ impl PreparedJob for LateJob {
 /// from the archive — its checkpoint and any temp file are gone by the
 /// time the row says so, a stale file of an earlier incarnation included,
 /// and nothing is written after the removal: `ckpt/` is empty after every
-/// job and still empty once the checkpointer has been joined.
+/// job and still empty once the checkpointer has been joined. A run has to
+/// earn its writes (16× what the last one cost, in work), so the jobs take
+/// 50 ms, and after a round that earned none — one slow write raises the
+/// bar for everybody — twice as long until a round does; and their budget
+/// of two chunks and one evaluation puts the offer that crosses the bar
+/// one evaluation before the session returns, with its write still
+/// waiting or under way.
 #[test]
 fn ckpt_dir_is_empty_after_done_failed_and_replay() {
     let default_hook = std::panic::take_hook();
@@ -496,17 +508,24 @@ fn ckpt_dir_is_empty_after_done_failed_and_replay() {
     }));
     let state_dir = temp_dir("retire");
     let ckpt = state_dir.join("ckpt");
-    let handle = serve(ServeConfig::new(&state_dir), Arc::new(FailsLate)).unwrap();
+    let delay_us = Arc::new(AtomicU64::new(750));
+    let backend = Arc::new(FailsLate {
+        delay_us: Arc::clone(&delay_us),
+    });
+    let handle = serve(ServeConfig::new(&state_dir), backend).unwrap();
     let addr = handle.addr();
+    let metrics = handle.metrics();
+    let written = || metrics.checkpoints_written.load(Ordering::Relaxed);
     let files = || -> Vec<_> { std::fs::read_dir(&ckpt).unwrap().flatten().collect() };
     for round in 0..200 {
+        let before = written();
         for (kernel, warm, ends) in [
             (format!("k{round}"), false, JobStatus::Done),
             (format!("late-error{round}"), false, JobStatus::Failed),
             (format!("late-panic{round}"), false, JobStatus::Failed),
             (format!("k{round}"), true, JobStatus::Done),
         ] {
-            let body = spec(&kernel, 1 + warm as u64, "t", warm, 160);
+            let body = spec(&kernel, 1 + warm as u64, "t", warm, 129);
             let parsed: JobSpec = serde_json::from_str(&body).unwrap();
             let stale = ckpt.join(format!("{}.ckpt", parsed.fingerprint_hex()));
             std::fs::write(&stale, "left by an earlier incarnation").unwrap();
@@ -517,9 +536,12 @@ fn ckpt_dir_is_empty_after_done_failed_and_replay() {
             assert_eq!(state.replayed, warm);
             assert!(files().is_empty(), "{kernel} round {round}: {:?}", files());
         }
+        // Lengthen the job, not the rule.
+        let earned = written() > before;
+        let longer = 2 * delay_us.load(Ordering::Relaxed);
+        delay_us.store(if earned { 750 } else { longer }, Ordering::Relaxed);
     }
-    let metrics = handle.metrics();
-    assert!(metrics.checkpoints_written.load(Ordering::Relaxed) >= 600);
+    assert!(written() >= 300, "{} checkpoints written", written());
     shutdown(addr, handle);
     assert!(files().is_empty(), "after the join: {:?}", files());
     let _ = std::fs::remove_dir_all(&state_dir);
@@ -575,9 +597,8 @@ fn eight_jobs_parking_at_once_all_flush() {
             .join(format!("{}.ckpt", job.fingerprint));
         let on_disk = moat_archive::CheckpointStore::load(&path).expect("flushed");
         assert_eq!(on_disk.evaluations, row.evaluations, "{}", row.id);
-        let trace =
-            std::fs::read_to_string(state_dir.join("traces").join(format!("{}.jsonl", row.id)))
-                .unwrap();
+        let log = moat_serve::ArtifactLog::read_only(&state_dir).unwrap();
+        let trace = String::from_utf8(log.trace(&row.id).expect("a parked run's trace")).unwrap();
         let last = format!("{{\"Checkpointed\":{{\"seq\":{}}}}}", on_disk.seq);
         let offered: Vec<&str> = trace
             .lines()
@@ -612,11 +633,13 @@ fn metric(addr: SocketAddr, name: &str) -> u64 {
 }
 
 /// A job of a few hundred microseconds is offered a checkpoint at every
-/// boundary and pays for one: its first, which is always wanted. The
-/// others are declined before anything is assembled — counted, so that
-/// written + superseded + declined is every offer made — and show in a
-/// traced job's span log as the 0 µs `checkpoint` spans of exactly those
-/// offers.
+/// boundary. In a fresh daemon nobody knows what a write costs, so the
+/// first job's first offer is wanted and finds out; the others are
+/// declined before anything is assembled — counted, so that written +
+/// superseded + declined is every offer made — and show in a traced job's
+/// span log as the 0 µs `checkpoint` spans of exactly those offers. The
+/// next job of the same length has not worked 16 writes' worth at any of
+/// its boundaries and pays for no checkpoint at all.
 #[test]
 fn a_short_job_pays_for_one_checkpoint() {
     let state_dir = temp_dir("short");
@@ -657,6 +680,14 @@ fn a_short_job_pays_for_one_checkpoint() {
     assert_eq!(details, ["seq=1", "seq=2", "seq=3", "seq=4"]);
     let declined_spans: Vec<u64> = checkpoint_spans[1..].iter().map(|s| s.1).collect();
     assert_eq!(declined_spans, [0, 0, 0], "{checkpoint_spans:?}");
+
+    let second = submit(addr, &spec("mm", 4, "t", false, 256));
+    assert_eq!(wait_done(addr, &second.job).status, JobStatus::Done);
+    let offers = metric(addr, "moat_records_total{kind=\"checkpointed\"}");
+    let written = metric(addr, "serve_checkpoints_written_total");
+    let superseded = metric(addr, "serve_checkpoints_superseded_total");
+    let declined = metric(addr, "serve_checkpoints_declined_total");
+    assert_eq!((offers, written, superseded, declined), (8, 1, 0, 7));
     shutdown(addr, handle);
     let _ = std::fs::remove_dir_all(&state_dir);
 }
@@ -803,4 +834,103 @@ fn handlers_start_on_demand_and_none_outlives_the_join() {
     handle.join().expect("clean shutdown");
     assert!(asked.elapsed() < Duration::from_secs(1));
     assert_eq!(metrics.conn_handlers.load(Ordering::Relaxed), 0);
+}
+
+/// Every file under `dir`, relative to it.
+fn files_under(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap().flatten() {
+        if entry.path().is_dir() {
+            files.extend(files_under(&entry.path()));
+        } else {
+            files.push(entry.path());
+        }
+    }
+    files.sort();
+    files
+}
+
+/// A finished job creates no file. Twenty jobs over ten keys (one of them
+/// submitted twice: the subscriber reads its primary's bytes), a restart
+/// that still serves every one of their results and traces byte for byte,
+/// a hundred and eighty more on the same keys: the state directory holds
+/// the same files after 200 jobs as after 20 — the table, the two logs of
+/// what jobs left, one record and one deposit log per key and shard.
+#[test]
+fn two_hundred_jobs_leave_the_files_twenty_did() {
+    let state_dir = temp_dir("files");
+    let body = |n: u64| {
+        let machine = ["westmere", "barcelona"][n as usize % 2];
+        let kernel = ["mm", "dsyrk", "jacobi2d", "stencil3d", "nbody"][n as usize / 2 % 5];
+        spec(kernel, n, "t", false, 256).replace("westmere", machine)
+    };
+    let artifacts = |addr, id: &str| {
+        let get = |what: &str| send(addr, &Request::new("GET", &format!("/jobs/{id}/{what}")));
+        let (result, trace) = (get("result"), get("trace"));
+        assert_eq!((result.status, trace.status), (200, 200), "{id}");
+        (result.body, trace.body)
+    };
+
+    let handle = serve(
+        ServeConfig::new(&state_dir),
+        Arc::new(SyntheticBackend::default()),
+    )
+    .unwrap();
+    let addr = handle.addr();
+    let mut served = Vec::new();
+    for n in 0..20 {
+        let job = submit(addr, &body(n));
+        assert_eq!(wait_done(addr, &job.job).status, JobStatus::Done);
+        served.push((job.job.clone(), artifacts(addr, &job.job)));
+    }
+    let subscriber = submit(addr, &body(7).replace("\"t\"", "\"other\""));
+    assert_eq!(subscriber.serves_as, served[7].0);
+    assert_eq!(artifacts(addr, &subscriber.job), served[7].1);
+    shutdown(addr, handle);
+    let after_twenty = files_under(&state_dir);
+    let named = |name: &str| after_twenty.iter().filter(|f| f.ends_with(name)).count();
+    assert_eq!(named("artifacts.log"), 1);
+    assert!(after_twenty.len() <= 20, "{after_twenty:?}");
+
+    let handle = serve(
+        ServeConfig::new(&state_dir),
+        Arc::new(SyntheticBackend::default()),
+    )
+    .unwrap();
+    let addr = handle.addr();
+    for (id, bytes) in &served {
+        assert_eq!(&artifacts(addr, id), bytes, "{id} after the restart");
+    }
+    for n in 20..200 {
+        let job = submit(addr, &body(n));
+        assert_eq!(wait_done(addr, &job.job).status, JobStatus::Done);
+    }
+    shutdown(addr, handle);
+    assert_eq!(files_under(&state_dir), after_twenty);
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+/// A state directory of the layout before the artifact log — a file per
+/// job under `results/` and `traces/`, a file per deposit under
+/// `shard-NN/incoming/` — is refused with an error that names what was
+/// found, not served with 404s or with its deposits dropped.
+#[test]
+fn a_state_directory_of_the_old_layout_is_refused() {
+    let start = |state_dir: &Path| {
+        serve(
+            ServeConfig::new(state_dir),
+            Arc::new(SyntheticBackend::default()),
+        )
+    };
+    for old in ["results", "traces", "archive/shard-02/incoming"] {
+        let state_dir = temp_dir("old-layout");
+        let handle = start(&state_dir).unwrap();
+        shutdown(handle.addr(), handle);
+        std::fs::create_dir_all(state_dir.join(old)).unwrap();
+        std::fs::write(state_dir.join(old).join("j0001.json"), "{}").unwrap();
+        let err = start(&state_dir).err().expect("must not serve");
+        let found = state_dir.join(old);
+        assert!(err.to_string().contains(found.to_str().unwrap()), "{err}");
+        let _ = std::fs::remove_dir_all(&state_dir);
+    }
 }

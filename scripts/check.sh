@@ -35,6 +35,13 @@ trap 'kill "$busy" 2> /dev/null || true' EXIT
 for _ in $(seq 200); do
     cargo test -q --test analytic_allocations
 done
+# The three append logs (job journal, artifact log, deposit logs) share one
+# primitive: its crash-point enumerations, a result read while others
+# append and a deposit racing the compactor's fold, under the same squeeze.
+echo "== append-log tests x200, beside a busy process =="
+for _ in $(seq 200); do
+    cargo test -q -p moat-serve --lib -- journal:: artifacts:: a_deposit_during_a_fold
+done
 kill "$busy"
 trap - EXIT
 
@@ -168,6 +175,12 @@ cargo run -q --bin moat-report -- --from-serve "$ssmoke/run" > "$ssmoke/serve-re
 grep -q "Tenant ci2" "$ssmoke/serve-report.txt"
 "$lg" --addr "$run2_addr" --post /shutdown > /dev/null
 wait "$run2_pid"
+# What those jobs left is in the logs the daemon keeps open: no file per
+# job, no directory of the layout before.
+for state in "$ssmoke/ref" "$ssmoke/run"; do
+    [[ -s "$state/artifacts.log" ]]
+    [[ -z $(find "$state" -name results -o -name traces -o -name incoming) ]]
+done
 # kill -9 the moment the last 202 is read: every acknowledged job is in the
 # row journal, so the restart lists them all, finishes every primary, and
 # equal fingerprints still read byte-identical results.

@@ -31,7 +31,7 @@
 use moat::multiversion::VersionTable;
 use moat::obs::export::{parse_jsonl, to_chrome, validate_jsonl};
 use moat::report::{Analysis, LossMatrix, SloReport, SpanForest};
-use moat::serve::{load_job_table, JobState, JobStatus};
+use moat::serve::{load_job_table, ArtifactLog, JobState, JobStatus};
 use std::collections::BTreeMap;
 use std::process::exit;
 
@@ -71,6 +71,7 @@ fn report_trace(dir: &str, query: &str) -> Result<String, String> {
 fn report_serve(dir: &str, slo_p99_ms: Option<f64>) -> Result<String, String> {
     let root = std::path::Path::new(dir);
     let jobs = load_job_table(root).map_err(|e| format!("{dir}: {e}"))?;
+    let artifacts = ArtifactLog::read_only(root).map_err(|e| format!("{dir}: {e}"))?;
     let by_id: BTreeMap<&str, &JobState> = jobs.iter().map(|j| (j.id.as_str(), j)).collect();
     // A subscriber's lifecycle lives on its primary; resolve for display.
     let resolved = |j: &JobState| -> JobState {
@@ -168,12 +169,9 @@ fn report_serve(dir: &str, slo_p99_ms: Option<f64>) -> Result<String, String> {
             out.push('\n');
             // The trace lives under the primary's id.
             let artifact = j.serves_as.as_deref().unwrap_or(&j.id);
-            if let Ok(trace) =
-                std::fs::read_to_string(root.join("traces").join(format!("{artifact}.jsonl")))
-            {
-                if let Ok(mut recs) = parse_jsonl(&trace) {
-                    records.append(&mut recs);
-                }
+            let trace = artifacts.trace(artifact).unwrap_or_default();
+            if let Ok(mut recs) = parse_jsonl(&String::from_utf8_lossy(&trace)) {
+                records.append(&mut recs);
             }
         }
         if !records.is_empty() {

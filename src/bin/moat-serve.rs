@@ -5,9 +5,9 @@
 //!
 //!   --listen <ADDR>           bind address (default 127.0.0.1:7774;
 //!                             port 0 picks a free port)
-//!   --state <DIR>             state directory: jobs, results, traces,
-//!                             checkpoints, sharded archive (default
-//!                             ./moat-serve-state)
+//!   --state <DIR>             state directory: job table, artifact log
+//!                             (results and traces), checkpoints, sharded
+//!                             archive (default ./moat-serve-state)
 //!   --slots <N>               shared evaluation-pool slots (default 4)
 //!   --session-width <N>       per-session parallel batch width (default 2)
 //!   --shards <N>              archive shard count (default 4)

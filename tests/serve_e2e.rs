@@ -4,8 +4,8 @@
 
 use moat::serve::wire::{read_response, write_request, Request, Response};
 use moat::serve::{
-    serve, FairPool, JobBackend, JobContext, JobInfo, JobOutcome, JobSpec, JobState, JobStatus,
-    PreparedJob, ServeConfig, SubmitResponse, SyntheticBackend,
+    serve, ArtifactLog, FairPool, JobBackend, JobContext, JobInfo, JobOutcome, JobSpec, JobState,
+    JobStatus, PreparedJob, ServeConfig, SubmitResponse, SyntheticBackend,
 };
 use moat::TuneBackend;
 use std::net::{SocketAddr, TcpStream};
@@ -236,10 +236,17 @@ impl PreparedJob for SteppedJob {
     }
 }
 
+/// Job `id`'s trace as the artifact log of `state` holds it — read beside
+/// the daemon, when one is running.
+fn stored_trace(state: &Path, id: &str) -> String {
+    let log = ArtifactLog::read_only(state).unwrap();
+    String::from_utf8(log.trace(id).expect("the job left a trace")).unwrap()
+}
+
 /// The `seq` of every checkpoint the job's last incarnation offered,
 /// from its own trace.
 fn checkpoints_offered(state: &Path) -> Vec<u64> {
-    let text = std::fs::read_to_string(state.join("traces").join("j0001.jsonl")).unwrap();
+    let text = stored_trace(state, "j0001");
     let records = moat::obs::export::parse_jsonl(&text).unwrap();
     let seq = |r: &moat::obs::Record| match r.event {
         moat::obs::Event::Checkpointed { seq } => Some(seq),
@@ -342,7 +349,8 @@ fn resumes_from_every_cut(backend: fn() -> Arc<dyn JobBackend>, body: &str) -> V
 
         let row = sole_row(&state);
         if row.status == JobStatus::Done {
-            let result = std::fs::read(state.join("results").join("j0001.json")).unwrap();
+            let log = ArtifactLog::read_only(&state).unwrap();
+            let result = log.result("j0001").expect("a Done job's result");
             assert_eq!(result, reference, "a chain of resumes is exact");
             break;
         }
@@ -435,7 +443,7 @@ fn job_trace_is_the_sessions_own_at_any_pool_width() {
         wait_done(addr, "j0001");
         shutdown(addr, handle);
         assert!(state.join("spans.jsonl").exists(), "the job was traced");
-        traces.push(std::fs::read_to_string(state.join("traces/j0001.jsonl")).unwrap());
+        traces.push(stored_trace(&state, "j0001"));
         let _ = std::fs::remove_dir_all(&state);
     }
     assert_eq!(traces[0], traces[1], "trace differs between 1 and 2 slots");
@@ -593,7 +601,7 @@ fn three_hosts_one_front() {
             .map(|l| format!("{l}\n"))
             .collect();
         assert_eq!(
-            std::fs::read_to_string(state.join(format!("traces/{job}.jsonl"))).unwrap(),
+            stored_trace(&state, &job),
             cli_trace,
             "{case}: served job's trace and the binary's --trace differ"
         );
