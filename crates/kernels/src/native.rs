@@ -53,6 +53,14 @@ pub fn mm_naive(n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
 /// Tiled, collapsed and parallelized matrix multiplication: the (i, j) tile
 /// loops are collapsed and distributed; the k tile loop and the point loops
 /// run per chunk. Tile sizes are clamped to `[1, n]`.
+///
+/// Within a k tile, each row of the C tile is computed 8 adjacent columns
+/// per pass over the tile's k range, then 4, then 1: one independent
+/// accumulator per column, so the columns vectorise instead of forming one
+/// chain of dependent adds. Every element still sums `a[i,k] * b[k,j]` for
+/// k ascending from 0.0 and then adds it to C, so the result is
+/// bit-identical for any tiling and team size to computing one element at
+/// a time with the same `tk`.
 pub fn mm_tiled(
     pool: &Pool,
     n: usize,
@@ -65,6 +73,9 @@ pub fn mm_tiled(
     assert_eq!(a.len(), n * n);
     assert_eq!(b.len(), n * n);
     assert_eq!(c.len(), n * n);
+    if n == 0 {
+        return;
+    }
     let (ti, tj, tk) = (
         tiles.0.clamp(1, n),
         tiles.1.clamp(1, n),
@@ -82,20 +93,48 @@ pub fn mm_tiled(
             let mut kt = 0;
             while kt < n {
                 let k_end = (kt + tk).min(n);
+                let b_rows = &b[kt * n..k_end * n];
                 for i in it..i_end {
-                    for j in jt..j_end {
-                        let mut acc = 0.0;
-                        for k in kt..k_end {
-                            acc += a[i * n + k] * b[k * n + j];
-                        }
-                        // SAFETY: (i, j) tiles are disjoint across chunks.
-                        unsafe { *cp.0.add(i * n + j) += acc };
+                    let a_row = &a[i * n + kt..i * n + k_end];
+                    // SAFETY: row i, columns jt..j_end lie inside `c` (i < n,
+                    // j_end <= n), and (i, j) tiles are disjoint across chunks,
+                    // so no other live reference covers them.
+                    let c_row =
+                        unsafe { std::slice::from_raw_parts_mut(cp.0.add(i * n + jt), j_end - jt) };
+                    let mut j = 0;
+                    while j + 8 <= c_row.len() {
+                        mm_columns::<8>(a_row, b_rows, n, jt + j, &mut c_row[j..]);
+                        j += 8;
+                    }
+                    if j + 4 <= c_row.len() {
+                        mm_columns::<4>(a_row, b_rows, n, jt + j, &mut c_row[j..]);
+                        j += 4;
+                    }
+                    while j < c_row.len() {
+                        mm_columns::<1>(a_row, b_rows, n, jt + j, &mut c_row[j..]);
+                        j += 1;
                     }
                 }
                 kt += tk;
             }
         }
     });
+}
+
+/// `c[..W] += a_row · b_rows[.., j..j + W]`: W columns of one C row over one
+/// k tile (`b_rows` holds that tile's rows of B), each summed in k order
+/// from 0.0 in its own accumulator.
+#[inline(always)]
+fn mm_columns<const W: usize>(a_row: &[f64], b_rows: &[f64], n: usize, j: usize, c: &mut [f64]) {
+    let mut acc = [0.0; W];
+    for (&aik, b_row) in a_row.iter().zip(b_rows.chunks_exact(n)) {
+        for (acc, &b) in acc.iter_mut().zip(&b_row[j..j + W]) {
+            *acc += aik * b;
+        }
+    }
+    for (c, acc) in c[..W].iter_mut().zip(acc) {
+        *c += acc;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -126,6 +165,9 @@ pub fn dsyrk_tiled(
 ) {
     assert_eq!(a.len(), n * n);
     assert_eq!(b.len(), n * n);
+    if n == 0 {
+        return;
+    }
     let (ti, tj, tk) = (
         tiles.0.clamp(1, n),
         tiles.1.clamp(1, n),
@@ -166,7 +208,7 @@ pub fn dsyrk_tiled(
 /// Naive reference 5-point Jacobi sweep over the interior of an `n × n`
 /// grid.
 pub fn jacobi2d_naive(n: usize, a: &[f64], b: &mut [f64]) {
-    for i in 1..n - 1 {
+    for i in 1..n.saturating_sub(1) {
         for j in 1..n - 1 {
             b[i * n + j] = 0.2
                 * (a[i * n + j]
@@ -179,6 +221,12 @@ pub fn jacobi2d_naive(n: usize, a: &[f64], b: &mut [f64]) {
 }
 
 /// Tiled parallel Jacobi sweep.
+///
+/// Each tile row is one pass over the row slices above, at and below it, the
+/// middle one taken three columns at a time, written through one output row
+/// slice, with no per-point index arithmetic. The five-term sum is the naive
+/// kernel's expression in the naive kernel's order, so the result is
+/// bit-identical to [`jacobi2d_naive`] for any tiling and team size.
 pub fn jacobi2d_tiled(
     pool: &Pool,
     n: usize,
@@ -189,6 +237,9 @@ pub fn jacobi2d_tiled(
 ) {
     assert_eq!(a.len(), n * n);
     assert_eq!(b.len(), n * n);
+    if n < 3 {
+        return;
+    }
     let interior = n - 2;
     let (ti, tj) = (tiles.0.clamp(1, interior), tiles.1.clamp(1, interior));
     let (nti, ntj) = (tiles_of(interior, ti), tiles_of(interior, tj));
@@ -200,16 +251,17 @@ pub fn jacobi2d_tiled(
             let jt = 1 + (flat as usize % ntj) * tj;
             let i_end = (it + ti).min(n - 1);
             let j_end = (jt + tj).min(n - 1);
+            let w = j_end - jt;
             for i in it..i_end {
-                for j in jt..j_end {
-                    let v = 0.2
-                        * (a[i * n + j]
-                            + a[(i - 1) * n + j]
-                            + a[(i + 1) * n + j]
-                            + a[i * n + j - 1]
-                            + a[i * n + j + 1]);
-                    // SAFETY: disjoint interior tiles.
-                    unsafe { *bp.0.add(i * n + j) = v };
+                let up = &a[(i - 1) * n + jt..][..w];
+                let mid = &a[i * n + jt - 1..][..w + 2];
+                let down = &a[(i + 1) * n + jt..][..w];
+                // SAFETY: row i, columns jt..j_end lie inside `b` (i < n - 1,
+                // j_end <= n - 1), and interior tiles are disjoint across
+                // chunks, so no other live reference covers them.
+                let out = unsafe { std::slice::from_raw_parts_mut(bp.0.add(i * n + jt), w) };
+                for (((v, m), u), d) in out.iter_mut().zip(mid.windows(3)).zip(up).zip(down) {
+                    *v = 0.2 * (m[1] + u + d + m[0] + m[2]);
                 }
             }
         }
@@ -224,7 +276,7 @@ pub fn jacobi2d_tiled(
 /// of an `n³` grid.
 pub fn stencil3d_naive(n: usize, a: &[f64], b: &mut [f64]) {
     let w = 1.0 / 27.0;
-    for i in 1..n - 1 {
+    for i in 1..n.saturating_sub(1) {
         for j in 1..n - 1 {
             for k in 1..n - 1 {
                 let mut acc = 0.0;
@@ -253,6 +305,9 @@ pub fn stencil3d_tiled(
 ) {
     assert_eq!(a.len(), n * n * n);
     assert_eq!(b.len(), n * n * n);
+    if n < 3 {
+        return;
+    }
     let interior = n - 2;
     let (ti, tj, tk) = (
         tiles.0.clamp(1, interior),
@@ -338,6 +393,9 @@ pub fn nbody_tiled(
 ) {
     assert_eq!(pos.len(), force.len());
     let n = pos.len();
+    if n == 0 {
+        return;
+    }
     let (ti, tj) = (tiles.0.clamp(1, n), tiles.1.clamp(1, n));
     let nti = tiles_of(n, ti);
     let fp = SendPtr3(force.as_mut_ptr());

@@ -16,6 +16,11 @@ cargo test -q --workspace
 echo "== cargo test (workspace, --test-threads=1) =="
 cargo test -q --workspace -- --test-threads=1
 
+# The column-blocked kernel bodies vectorise only when optimised, so the
+# debug runs above check a different program than the one that is timed.
+echo "== cargo test --release -p moat-kernels =="
+cargo test -q --release -p moat-kernels
+
 # Traces are per-run handles, so a traced and an untraced test sharing a
 # process must never see each other; a scheduling-dependent relapse should
 # fail here, not in review.
