@@ -37,10 +37,22 @@ fn run(setup: &Setup, warm: Option<WarmStart>, budget: Option<u64>) -> TuningRep
     session.run(&RsGde3Tuner::new(RsGde3Params::default()))
 }
 
+/// The study's temporary archive directory, removed when dropped — also
+/// while a failed assertion unwinds out of `main`.
+struct TempDir(std::path::PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
 fn main() {
     let setup = Setup::new(Kernel::Mm, MachineDesc::westmere(), None);
-    let dir = std::env::temp_dir().join(format!("moat-warmstart-{}", std::process::id()));
-    let archive = Archive::open(&dir).expect("open archive");
+    let dir = TempDir(std::env::temp_dir().join(format!("moat-warmstart-{}", std::process::id())));
+    // The path differs per process, so it stays off the byte-stable stdout.
+    eprintln!("warm-start archive at {}", dir.0.display());
+    let archive = Archive::open(&dir.0).expect("open archive");
     let key = ArchiveKey::of(setup.skeleton(), &setup.space, &setup.machine);
 
     // --- 1. Cold run, archived --------------------------------------------
@@ -86,10 +98,7 @@ fn main() {
     let hv = |r: &TuningReport| hv_under(r.front.points(), &ideal, &nadir);
     let (cold_hv, replay_hv, warm_hv) = (hv(&cold), hv(&replay), hv(&warm));
 
-    println!(
-        "warm-start study: mm on Westmere, archive at {}",
-        dir.display()
-    );
+    println!("warm-start study: mm on Westmere");
     println!(
         "  cold run:          E={:<4} |S|={:<3} V(S)={:.4}",
         cold.evaluations,
@@ -166,6 +175,4 @@ fn main() {
         transferred.evaluations,
         hv_under(transferred.front.points(), &tideal, &tnadir)
     );
-
-    std::fs::remove_dir_all(&dir).ok();
 }

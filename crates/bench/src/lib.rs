@@ -20,6 +20,9 @@
 //! | `tri_objective`  | extension: time/resources/energy tuning (3-d HV) |
 //! | `validation`     | analytic model vs trace-driven cache simulator |
 //! | `micro`          | criterion micro-benchmarks of framework parts |
+//!
+//! `scripts/repro.sh` runs every target but `micro` and records each one's
+//! exit status and stdout in the committed `REPRO.json`.
 
 #![warn(missing_docs)]
 

@@ -293,7 +293,7 @@ t_addr=$(wait_port "$tsmoke/t.port")
 # Traced load: per-request submit latency keyed by trace id, plus the
 # exit assertion that every trace id round-tripped into the span log.
 "$lg" --addr "$t_addr" --clients 2 --jobs 3 --distinct 4 --trace \
-    --out "$tsmoke/bench.json" 2> "$tsmoke/loadgen.log" > /dev/null
+    2> "$tsmoke/loadgen.log" > /dev/null
 grep -q "trace round-trip OK" "$tsmoke/loadgen.log"
 # Keep the flight-ring snapshot and the span log as CI artifacts.
 "$lg" --addr "$t_addr" --get /debug/flight > "$tsmoke/flight.jsonl"
@@ -311,8 +311,9 @@ grep -q "SLO (end-to-end p99 target" "$tsmoke/slo-report.txt"
 # The span log is a well-formed obs trace in its own right.
 cargo run -q --bin moat-report -- "$tsmoke/state/spans.jsonl" --validate
 
-echo "== bench gates (committed baselines) =="
-scripts/bench_check.sh --smoke
+echo "== paper reproduction (twelve benches -> REPRO.json, equal to the committed file) =="
+scripts/repro.sh
+git diff --exit-code REPRO.json
 
 echo "== non-test line count (ROADMAP item 7) =="
 scripts/loc.sh
