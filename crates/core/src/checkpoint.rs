@@ -4,7 +4,7 @@
 //! continue bit-identically after an interruption: the session's spent
 //! budget and evaluation cache, and the running tuner's RNG state,
 //! population, Pareto archive, trace and loop cursor. Tuners call
-//! [`TuningSession::checkpoint`](crate::tuner::TuningSession::checkpoint)
+//! [`TuningSession::offer`](crate::tuner::TuningSession::offer)
 //! at safe boundaries (after initialization and at the end of each
 //! iteration); for each boundary the [`CheckpointSink`] says is
 //! [`due`](CheckpointSink::due) the session assembles the record and hands
@@ -49,7 +49,8 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// Strategy-private resume state, assembled by the tuner that owns it.
+/// Strategy-private resume state: the running strategy's
+/// [`Run`](crate::tuner::Run) as the session saves it.
 ///
 /// The fields form a superset of what the five strategies need; a strategy
 /// leaves the ones it does not use empty. `strategy` guards against

@@ -5,32 +5,10 @@
 //! *all* evaluated points (the per-thread-count sweeps of Table II and the
 //! scatter plots of Fig. 8 need the full data).
 
-use crate::checkpoint::TunerState;
-use crate::pareto::{ParetoArchive, ParetoFront, Point};
+use crate::pareto::Point;
 use crate::rsgde3::FrontSignature;
 use crate::space::Config;
 use crate::tuner::{StopReason, Tuner, TuningReport, TuningSession};
-
-/// Result of a brute-force sweep.
-#[derive(Debug, Clone)]
-pub struct GridResult {
-    /// Non-dominated subset of the sweep.
-    pub front: ParetoFront,
-    /// Every evaluated point (in grid order; infeasible points omitted).
-    pub all: Vec<Point>,
-    /// Number of evaluations performed.
-    pub evaluations: u64,
-}
-
-impl From<TuningReport> for GridResult {
-    fn from(report: TuningReport) -> GridResult {
-        GridResult {
-            front: report.front,
-            all: report.all,
-            evaluations: report.evaluations,
-        }
-    }
-}
 
 /// Brute-force sweep as a [`Tuner`]: either a regular grid over the
 /// session's space ([`new`](Self::new)) or an explicit configuration list
@@ -77,53 +55,31 @@ impl Tuner for GridTuner {
         };
         // Resume: the grid itself is recomputed deterministically above;
         // only the chunk cursor and accumulated results are restored.
-        let mut front: ParetoArchive;
-        let mut all: Vec<Point>;
-        let start_chunk: usize;
-        if let Some(state) = session.resume_state() {
-            front = ParetoArchive::from_points(state.archive.iter().cloned());
-            all = state.all;
-            start_chunk = state.cursor as usize;
-        } else {
-            front = ParetoArchive::new();
-            all = Vec::with_capacity(configs.len());
-            start_chunk = 0;
-        }
+        let (mut run, _) = session.start(None);
         let mut stop = StopReason::Completed;
         const CHUNK: usize = 512;
-        for (ci, chunk) in configs.chunks(CHUNK).enumerate().skip(start_chunk) {
+        for chunk in configs.chunks(CHUNK).skip(run.cursor as usize) {
             session.begin_iteration();
             let objs = session.evaluate(chunk);
             for (cfg, obj) in chunk.iter().zip(objs) {
                 if let Some(o) = obj {
                     let p = Point::new(cfg.clone(), o);
-                    front.insert(p.clone());
-                    all.push(p);
+                    run.archive.insert(p.clone());
+                    run.all.push(p);
                 }
             }
             if session.budget_exhausted() {
                 stop = StopReason::BudgetExhausted;
                 break;
             }
-            // Safe boundary: chunk `ci` is complete.
-            session.checkpoint(|| TunerState {
-                strategy: self.name().to_string(),
-                cursor: (ci + 1) as u64,
-                archive: front.to_front().points().to_vec(),
-                all: all.clone(),
-                ..TunerState::default()
-            });
+            // Safe boundary: the chunk is complete.
+            run.cursor += 1;
+            session.offer(self.name(), &run);
         }
-        let sig = FrontSignature::of(front.points());
+        let sig = FrontSignature::of(run.archive.points());
         session.front_updated(&sig);
-        TuningReport {
-            front: front.to_front(),
-            all,
-            evaluations: session.evaluations(),
-            iterations: session.iteration(),
-            stop,
-            trace: vec![sig],
-        }
+        run.trace.push(sig);
+        session.finish(run, stop)
     }
 }
 
@@ -169,9 +125,9 @@ mod tests {
         (space, ev)
     }
 
-    fn sweep(space: &ParamSpace, ev: &dyn Evaluator, steps: usize) -> GridResult {
+    fn sweep(space: &ParamSpace, ev: &dyn Evaluator, steps: usize) -> TuningReport {
         let mut session = TuningSession::new(space.clone(), ev).with_batch(BatchEval::sequential());
-        session.run(&GridTuner::new(steps)).into()
+        session.run(&GridTuner::new(steps))
     }
 
     #[test]
@@ -205,7 +161,7 @@ mod tests {
         // The explicit-points sweep never consults the space.
         let space = ParamSpace::new(vec!["_".into()], vec![Domain::Range { lo: 0, hi: 0 }]);
         let mut session = TuningSession::new(space, &ev).with_batch(BatchEval::parallel(2));
-        let r: GridResult = session.run(&GridTuner::from_points(pts)).into();
+        let r = session.run(&GridTuner::from_points(pts));
         assert_eq!(r.evaluations, 6);
         assert_eq!(r.front.len(), 1);
         assert_eq!(r.front.points()[0].config, vec![1, 10]);

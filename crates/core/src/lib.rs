@@ -61,7 +61,7 @@ pub use fault::{
     FaultTolerantEvaluator, QUARANTINE_PENALTY,
 };
 pub use gde3::{Gde3, Gde3Params};
-pub use grid::{GridResult, GridTuner};
+pub use grid::GridTuner;
 pub use metrics::{
     additive_epsilon, extend_bounds, hypervolume, hypervolume_2d, hypervolume_2d_presorted, igd,
     normalize_front, Hv2dIncremental,
@@ -72,14 +72,14 @@ pub use pareto::{
 };
 pub use random::RandomTuner;
 pub use roughset::reduce_search_space;
-pub use rsgde3::{FrontSignature, RsGde3Params, RsGde3Tuner, TuningResult};
+pub use rsgde3::{FrontSignature, RsGde3Params, RsGde3Tuner};
 pub use space::{Config, Domain, ParamSpace};
 pub use surrogate::{
     spearman, BatchError, FeatureSource, ScreenPlan, ScreeningEvaluator, ScreeningPolicy,
     SpaceFeatures, Surrogate, SurrogateScreen, SurrogateStats,
 };
 pub use tuner::{
-    EventLog, EventSink, SessionHooks, StopReason, StrategyKind, Tuner, TuningEvent, TuningReport,
-    TuningSession, WarmStart,
+    EventLog, EventSink, Run, SessionHooks, StopReason, StrategyKind, Tuner, TuningEvent,
+    TuningReport, TuningSession, WarmStart,
 };
 pub use wsum::{WeightedSumTuner, WeightedSweepParams};

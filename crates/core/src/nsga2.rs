@@ -7,15 +7,14 @@
 //! crossover, random-reset mutation, and environmental selection via
 //! non-dominated sorting + crowding (shared with GDE3's pruning).
 
-use crate::checkpoint::{rng_from_state, TunerState};
 use crate::gde3::prune;
 use crate::metrics::extend_bounds;
-use crate::pareto::{crowding_distances, fast_nondominated_sort, ParetoArchive, Point};
+use crate::pareto::{crowding_distances, fast_nondominated_sort, Point};
 use crate::rsgde3::FrontSignature;
 use crate::space::Config;
 use crate::tuner::{StopReason, Tuner, TuningReport, TuningSession};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// NSGA-II knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,36 +60,6 @@ impl Nsga2Tuner {
     pub fn new(params: Nsga2Params) -> Self {
         Nsga2Tuner { params }
     }
-
-    /// Assemble the strategy-private checkpoint state after `done`
-    /// completed generations.
-    #[allow(clippy::too_many_arguments)]
-    fn snapshot(
-        &self,
-        rng: &StdRng,
-        population: &[Point],
-        archive: &ParetoArchive,
-        all: &[Point],
-        trace: &[FrontSignature],
-        bounds: &Option<(Vec<f64>, Vec<f64>)>,
-        done: u32,
-    ) -> TunerState {
-        TunerState {
-            strategy: self.name().to_string(),
-            rng: rng.state().to_vec(),
-            cursor: done as u64,
-            stall: 0,
-            population: population.to_vec(),
-            archive: archive.to_front().points().to_vec(),
-            all: all.to_vec(),
-            trace: trace.to_vec(),
-            bbox: Vec::new(),
-            scale: bounds
-                .as_ref()
-                .map(|(ideal, nadir)| ideal.iter().copied().zip(nadir.iter().copied()).collect())
-                .unwrap_or_default(),
-        }
-    }
 }
 
 impl Tuner for Nsga2Tuner {
@@ -101,63 +70,45 @@ impl Tuner for Nsga2Tuner {
     fn tune(&self, session: &mut TuningSession<'_>) -> TuningReport {
         let params = self.params;
         let space = session.space().clone();
-        let mut rng: StdRng;
-        let mut population: Vec<Point>;
-        let mut archive: ParetoArchive;
-        let mut all_points: Vec<Point>;
-        let mut bounds: Option<(Vec<f64>, Vec<f64>)>;
-        let mut trace: Vec<FrontSignature>;
-        let start_gen: u32;
-
-        if let Some(state) = session.resume_state() {
-            // Resume: restore the mid-run state and continue from the
-            // first generation the checkpointed run had not completed.
-            rng = rng_from_state(&state.rng).unwrap_or_else(|| StdRng::seed_from_u64(params.seed));
-            population = state.population;
-            archive = ParetoArchive::from_points(state.archive.iter().cloned());
-            all_points = state.all;
-            bounds = if state.scale.is_empty() {
-                None
-            } else {
-                Some(state.scale.iter().copied().unzip())
-            };
-            trace = state.trace;
-            start_gen = state.cursor as u32;
+        let (mut run, resumed) = session.start(Some(params.seed));
+        // Running ideal/nadir over every evaluated point — same values as
+        // `objective_bounds(&run.all)` without the per-generation rescan.
+        // Checkpoints carry them in `scale`.
+        let mut bounds: Option<(Vec<f64>, Vec<f64>)> = None;
+        if resumed {
+            // Continue from the first generation the checkpointed run had
+            // not completed.
+            if !run.scale.is_empty() {
+                bounds = Some(run.scale.iter().copied().unzip());
+            }
         } else {
-            rng = StdRng::seed_from_u64(params.seed);
-
             // Initial population: warm-start seeds first (hinted seeds are
             // free cache hits, transferred seeds pay budget), then random
             // sampling fills the remainder.
-            population = crate::tuner::evaluate_seeds(session, params.pop_size);
+            run.population = crate::tuner::evaluate_seeds(session, params.pop_size);
+            let rng = run.rng.as_mut().expect("seeded");
             let mut attempts = 0;
-            while population.len() < params.pop_size && attempts < 20 && !session.budget_exhausted()
+            while run.population.len() < params.pop_size
+                && attempts < 20
+                && !session.budget_exhausted()
             {
-                let configs: Vec<Config> = (0..params.pop_size - population.len())
-                    .map(|_| space.sample(&mut rng))
+                let configs: Vec<Config> = (0..params.pop_size - run.population.len())
+                    .map(|_| space.sample(rng))
                     .collect();
                 for (cfg, obj) in configs.iter().zip(session.evaluate(&configs)) {
                     if let Some(o) = obj {
-                        population.push(Point::new(cfg.clone(), o));
+                        run.population.push(Point::new(cfg.clone(), o));
                     }
                 }
                 attempts += 1;
             }
-
-            archive = ParetoArchive::new();
-            all_points = Vec::new();
-            // Running ideal/nadir over every evaluated point — same values as
-            // `objective_bounds(&all_points)` without the per-generation
-            // rescan.
-            bounds = None;
-            for p in &population {
-                archive.insert(p.clone());
+            for p in &run.population {
+                run.archive.insert(p.clone());
                 extend_bounds(&mut bounds, p);
-                all_points.push(p.clone());
+                run.all.push(p.clone());
             }
-            trace = Vec::new();
 
-            if population.len() < 2 {
+            if run.population.len() < 2 {
                 // Tournament selection needs at least two members — out of
                 // budget or a (near-)infeasible space.
                 let stop = if session.budget_exhausted() {
@@ -165,30 +116,23 @@ impl Tuner for Nsga2Tuner {
                 } else {
                     StopReason::SpaceExhausted
                 };
-                return TuningReport {
-                    front: archive.to_front(),
-                    all: all_points,
-                    evaluations: session.evaluations(),
-                    iterations: session.iteration(),
-                    stop,
-                    trace,
-                };
+                return session.finish(run, stop);
             }
-            start_gen = 0;
-            session.checkpoint(|| {
-                self.snapshot(&rng, &population, &archive, &all_points, &trace, &bounds, 0)
-            });
+            set_scale(&mut run.scale, &bounds);
+            session.offer(self.name(), &run);
         }
 
         let mut stop = StopReason::Completed;
-        for gen in start_gen..params.generations {
+        while run.cursor < u64::from(params.generations) {
             session.begin_iteration();
+            let population = &run.population;
+            let rng = run.rng.as_mut().expect("seeded");
             // Ranks + crowding for tournament selection.
-            let fronts = fast_nondominated_sort(&population);
+            let fronts = fast_nondominated_sort(population);
             let mut rank = vec![0usize; population.len()];
             let mut crowd = vec![0.0f64; population.len()];
             for (fi, front) in fronts.iter().enumerate() {
-                let d = crowding_distances(&population, front);
+                let d = crowding_distances(population, front);
                 for (w, &i) in front.iter().enumerate() {
                     rank[i] = fi;
                     crowd[i] = d[w];
@@ -207,8 +151,8 @@ impl Tuner for Nsga2Tuner {
             // Variation.
             let mut offspring: Vec<Config> = Vec::with_capacity(params.pop_size);
             while offspring.len() < params.pop_size {
-                let p1 = &population[tournament(&mut rng)].config;
-                let p2 = &population[tournament(&mut rng)].config;
+                let p1 = &population[tournament(rng)].config;
+                let p2 = &population[tournament(rng)].config;
                 let mut child: Config = if rng.random::<f64>() < params.crossover_prob {
                     p1.iter()
                         .zip(p2)
@@ -219,7 +163,7 @@ impl Tuner for Nsga2Tuner {
                 };
                 for (k, gene) in child.iter_mut().enumerate() {
                     if rng.random::<f64>() < params.mutation_prob {
-                        *gene = space.domains[k].sample(&mut rng);
+                        *gene = space.domains[k].sample(rng);
                     }
                 }
                 offspring.push(space.nearest(&child));
@@ -230,45 +174,38 @@ impl Tuner for Nsga2Tuner {
             for (cfg, obj) in offspring.into_iter().zip(objs) {
                 if let Some(o) = obj {
                     let p = Point::new(cfg, o);
-                    archive.insert(p.clone());
+                    run.archive.insert(p.clone());
                     extend_bounds(&mut bounds, &p);
-                    all_points.push(p.clone());
-                    population.push(p);
+                    run.all.push(p.clone());
+                    run.population.push(p);
                 }
             }
-            population = prune(std::mem::take(&mut population), params.pop_size);
+            run.population = prune(std::mem::take(&mut run.population), params.pop_size);
 
-            let (ideal, nadir) = bounds.clone().expect("bounds over evaluated points");
-            let sig = FrontSignature::under_bounds(archive.points(), &ideal, &nadir);
+            let (ideal, nadir) = bounds.as_ref().expect("bounds over evaluated points");
+            let sig = FrontSignature::under_bounds(run.archive.points(), ideal, nadir);
             session.front_updated(&sig);
-            trace.push(sig);
+            run.trace.push(sig);
 
             if session.budget_exhausted() {
                 stop = StopReason::BudgetExhausted;
                 break;
             }
-            // Safe boundary: generation `gen` is complete.
-            session.checkpoint(|| {
-                self.snapshot(
-                    &rng,
-                    &population,
-                    &archive,
-                    &all_points,
-                    &trace,
-                    &bounds,
-                    gen + 1,
-                )
-            });
+            // Safe boundary: the generation is complete.
+            run.cursor += 1;
+            set_scale(&mut run.scale, &bounds);
+            session.offer(self.name(), &run);
         }
+        session.finish(run, stop)
+    }
+}
 
-        TuningReport {
-            front: archive.to_front(),
-            all: all_points,
-            evaluations: session.evaluations(),
-            iterations: session.iteration(),
-            stop,
-            trace,
-        }
+/// Write the running bounds into a checkpoint's `(ideal, nadir)` scale
+/// pairs, reusing the vector's storage.
+fn set_scale(scale: &mut Vec<(f64, f64)>, bounds: &Option<(Vec<f64>, Vec<f64>)>) {
+    scale.clear();
+    if let Some((ideal, nadir)) = bounds {
+        scale.extend(ideal.iter().copied().zip(nadir.iter().copied()));
     }
 }
 

@@ -5,14 +5,11 @@
 //! as RS-GDE3; it is "very far off the quality achieved by the other
 //! techniques" (Fig. 9) — a comparison the harness reproduces.
 
-use crate::checkpoint::{rng_from_state, TunerState};
 use crate::metrics::objective_bounds;
-use crate::pareto::{ParetoArchive, Point};
+use crate::pareto::Point;
 use crate::rsgde3::FrontSignature;
 use crate::space::Config;
 use crate::tuner::{StopReason, Tuner, TuningReport, TuningSession};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Uniform random sampling as a [`Tuner`].
 ///
@@ -62,33 +59,21 @@ impl Tuner for RandomTuner {
             (None, Some(b)) => b,
             (None, None) => Self::DEFAULT_SAMPLES,
         };
-        let mut rng: StdRng;
-        let mut archive: ParetoArchive;
-        let mut all: Vec<Point>;
-        if let Some(state) = session.resume_state() {
-            rng = rng_from_state(&state.rng).unwrap_or_else(|| StdRng::seed_from_u64(self.seed));
-            archive = ParetoArchive::from_points(state.archive.iter().cloned());
-            all = state.all;
-        } else {
-            rng = StdRng::seed_from_u64(self.seed);
-            archive = ParetoArchive::new();
-            all = Vec::new();
-        }
+        let (mut run, _) = session.start(Some(self.seed));
         let mut stop = StopReason::Completed;
 
         const CHUNK: usize = 64;
         while session.evaluations() < budget {
             session.begin_iteration();
             let want = ((budget - session.evaluations()) as usize).min(CHUNK);
-            let configs: Vec<Config> = (0..want)
-                .map(|_| session.space().sample(&mut rng))
-                .collect();
+            let rng = run.rng.as_mut().expect("seeded");
+            let configs: Vec<Config> = (0..want).map(|_| session.space().sample(rng)).collect();
             let objs = session.evaluate(&configs);
             for (cfg, obj) in configs.into_iter().zip(objs) {
                 if let Some(o) = obj {
                     let p = Point::new(cfg, o);
-                    all.push(p.clone());
-                    archive.insert(p);
+                    run.all.push(p.clone());
+                    run.archive.insert(p);
                 }
             }
             if session.budget_exhausted() {
@@ -104,13 +89,7 @@ impl Tuner for RandomTuner {
             }
             // Safe boundary: the next chunk depends only on the RNG and
             // archive captured here.
-            session.checkpoint(|| TunerState {
-                strategy: self.name().to_string(),
-                rng: rng.state().to_vec(),
-                archive: archive.to_front().points().to_vec(),
-                all: all.clone(),
-                ..TunerState::default()
-            });
+            session.offer(self.name(), &run);
         }
         if stop == StopReason::Completed
             && session.budget().is_some_and(|b| session.evaluations() >= b)
@@ -118,26 +97,19 @@ impl Tuner for RandomTuner {
             stop = StopReason::BudgetExhausted;
         }
 
-        let sig = if all.is_empty() {
+        let sig = if run.all.is_empty() {
             FrontSignature {
                 size: 0,
                 ideal: Vec::new(),
                 hv: 0.0,
             }
         } else {
-            let (ideal, nadir) = objective_bounds(&all);
-            FrontSignature::under_bounds(archive.points(), &ideal, &nadir)
+            let (ideal, nadir) = objective_bounds(&run.all);
+            FrontSignature::under_bounds(run.archive.points(), &ideal, &nadir)
         };
         session.front_updated(&sig);
-
-        TuningReport {
-            front: archive.to_front(),
-            all,
-            evaluations: session.evaluations(),
-            iterations: session.iteration(),
-            stop,
-            trace: vec![sig],
-        }
+        run.trace.push(sig);
+        session.finish(run, stop)
     }
 }
 

@@ -78,25 +78,6 @@ pub fn enclose_points(bbox: &[(i64, i64)], points: &[crate::pareto::Point]) -> V
     out
 }
 
-/// Intersection of two per-dimension boxes (used when gradually shrinking
-/// the search space across iterations); empty dimensions collapse to the
-/// lower bound.
-pub fn intersect_boxes(a: &[(i64, i64)], b: &[(i64, i64)]) -> Vec<(i64, i64)> {
-    assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b)
-        .map(|(&(alo, ahi), &(blo, bhi))| {
-            let lo = alo.max(blo);
-            let hi = ahi.min(bhi);
-            if lo <= hi {
-                (lo, hi)
-            } else {
-                (lo, lo)
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,16 +179,5 @@ mod tests {
                 assert!(x >= b.0 && x <= b.1, "ND point escapes the box");
             }
         }
-    }
-
-    #[test]
-    fn intersect_boxes_works() {
-        let a = vec![(0, 10), (5, 20)];
-        let b = vec![(5, 15), (0, 10)];
-        assert_eq!(intersect_boxes(&a, &b), vec![(5, 10), (5, 10)]);
-        // Disjoint dimension collapses.
-        let c = vec![(0, 3), (0, 10)];
-        let d = vec![(5, 9), (0, 10)];
-        assert_eq!(intersect_boxes(&c, &d)[0], (5, 5));
     }
 }

@@ -7,15 +7,12 @@
 //! improved for a configurable number of consecutive iterations (the paper
 //! uses three).
 
-use crate::checkpoint::{rng_from_state, TunerState};
 use crate::gde3::{Gde3, Gde3Params};
 use crate::metrics::{hypervolume, normalize_front, objective_bounds};
-use crate::pareto::{ParetoArchive, ParetoFront, Point};
+use crate::pareto::{ParetoArchive, Point};
 use crate::roughset::{enclose_points, reduce_search_space};
-use crate::space::Config;
+use crate::space::{Config, ParamSpace};
 use crate::tuner::{StopReason, Tuner, TuningReport, TuningSession};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// RS-GDE3 knobs.
@@ -50,21 +47,37 @@ impl Default for RsGde3Params {
     }
 }
 
-/// Result of one tuning run (any of the search strategies).
-#[derive(Debug, Clone)]
-pub struct TuningResult {
-    /// The Pareto set returned by the method: the non-dominated subset of
-    /// all evaluated configurations. (A trial rejected by GDE3's selection
-    /// is dominated by its parent, so archiving the population state after
-    /// every generation yields exactly this set.)
-    pub front: ParetoFront,
-    /// `E` — number of distinct configurations evaluated.
-    pub evaluations: u64,
-    /// Iterations (GDE3 generations) executed.
-    pub generations: u32,
-    /// Archive hypervolume after each iteration (normalized over the points
-    /// seen so far; diagnostic).
-    pub hv_history: Vec<f64>,
+impl RsGde3Params {
+    /// RS-GDE3's step after one GDE3 generation (Fig. 4): archive the
+    /// population; under [`use_roughset`](Self::use_roughset), reduce the
+    /// search space from the population (Fig. 5), widened to keep every
+    /// archived non-dominated solution inside it (mitigating the
+    /// reduction's acknowledged risk of cutting off Pareto-optimal
+    /// regions); and count the iteration as stalled unless the
+    /// population's front signature improved over `last`. Returns that
+    /// signature and the reduced box.
+    pub fn step(
+        &self,
+        space: &ParamSpace,
+        population: &[Point],
+        archive: &mut ParetoArchive,
+        last: &FrontSignature,
+        stall: &mut u32,
+    ) -> (FrontSignature, Option<Vec<(i64, i64)>>) {
+        for p in population {
+            archive.insert(p.clone());
+        }
+        let bbox = self
+            .use_roughset
+            .then(|| enclose_points(&reduce_search_space(space, population), archive.points()));
+        let sig = FrontSignature::of(population);
+        if sig.improved_over(last, self.hv_tolerance) {
+            *stall = 0;
+        } else {
+            *stall += 1;
+        }
+        (sig, bbox)
+    }
 }
 
 /// The paper's algorithm as a [`Tuner`]: GDE3 generations inside a
@@ -86,32 +99,6 @@ impl RsGde3Tuner {
     pub fn new(params: RsGde3Params) -> Self {
         RsGde3Tuner { params }
     }
-
-    /// Assemble the strategy-private checkpoint state at a safe boundary.
-    #[allow(clippy::too_many_arguments)]
-    fn snapshot(
-        &self,
-        rng: &StdRng,
-        population: &[Point],
-        archive: &ParetoArchive,
-        all: &[Point],
-        trace: &[FrontSignature],
-        stall: u32,
-        bbox: &[(i64, i64)],
-    ) -> TunerState {
-        TunerState {
-            strategy: self.name().to_string(),
-            rng: rng.state().to_vec(),
-            cursor: 0,
-            stall,
-            population: population.to_vec(),
-            archive: archive.to_front().points().to_vec(),
-            all: all.to_vec(),
-            trace: trace.to_vec(),
-            bbox: bbox.to_vec(),
-            scale: Vec::new(),
-        }
-    }
 }
 
 impl Tuner for RsGde3Tuner {
@@ -125,53 +112,37 @@ impl Tuner for RsGde3Tuner {
 
     fn tune(&self, session: &mut TuningSession<'_>) -> TuningReport {
         let gde3 = Gde3::new(session.space().clone(), self.params.gde3);
-        let mut rng: StdRng;
-        let mut all: Vec<Point>;
-        let mut bbox: Vec<(i64, i64)>;
-        let mut population: Vec<Point>;
-        let mut archive: ParetoArchive;
-        let mut trace: Vec<FrontSignature>;
+        let (mut run, resumed) = session.start(Some(self.params.seed));
+        if run.bbox.is_empty() {
+            run.bbox = session.space().full_box();
+        }
         let mut last: FrontSignature;
-        let mut stall: u32;
-
-        if let Some(state) = session.resume_state() {
-            // Resume: restore the exact mid-run state — initialization and
-            // seeding already happened in the checkpointed run.
-            rng = rng_from_state(&state.rng)
-                .unwrap_or_else(|| StdRng::seed_from_u64(self.params.seed));
-            all = state.all;
-            bbox = if state.bbox.is_empty() {
-                session.space().full_box()
-            } else {
-                state.bbox
-            };
-            population = state.population;
-            archive = ParetoArchive::from_points(state.archive.iter().cloned());
-            trace = state.trace;
-            stall = state.stall;
-            last = trace
+        if resumed {
+            // Initialization and seeding already happened in the
+            // checkpointed run.
+            last = run
+                .trace
                 .last()
                 .cloned()
-                .unwrap_or_else(|| FrontSignature::of(&population));
+                .unwrap_or_else(|| FrontSignature::of(&run.population));
         } else {
-            rng = StdRng::seed_from_u64(self.params.seed);
-            all = Vec::new();
-            bbox = session.space().full_box();
             // Warm start: archived seed configurations occupy the leading
             // population slots (hinted ones are served from the primed cache,
             // transferred ones are re-evaluated and pay budget), then random
             // sampling fills the remainder.
-            population = crate::tuner::evaluate_seeds(session, self.params.gde3.pop_size);
-            all.extend(population.iter().cloned());
-            {
-                let mut eval = |cfgs: &[Config]| {
-                    let objs = session.evaluate(cfgs);
-                    crate::tuner::record_feasible(&mut all, cfgs, &objs);
-                    objs
-                };
-                gde3.fill_population_with(&mut population, &mut eval, &bbox, &mut rng);
+            run.population = crate::tuner::evaluate_seeds(session, self.params.gde3.pop_size);
+            run.all.extend(run.population.iter().cloned());
+            let rng = run.rng.as_mut().expect("seeded");
+            let mut eval = |cfgs: &[Config]| {
+                let objs = session.evaluate(cfgs);
+                crate::tuner::record_feasible(&mut run.all, cfgs, &objs);
+                objs
+            };
+            gde3.fill_population_with(&mut run.population, &mut eval, &run.bbox, rng);
+            for p in &run.population {
+                run.archive.insert(p.clone());
             }
-            if population.len() < 4 {
+            if run.population.len() < 4 {
                 // Not enough feasible members for DE variation — out of budget
                 // or a (near-)infeasible space.
                 let stop = if session.budget_exhausted() {
@@ -179,66 +150,38 @@ impl Tuner for RsGde3Tuner {
                 } else {
                     StopReason::SpaceExhausted
                 };
-                let front = ParetoFront::from_points(population);
-                return TuningReport {
-                    front,
-                    all,
-                    evaluations: session.evaluations(),
-                    iterations: session.iteration(),
-                    stop,
-                    trace: Vec::new(),
-                };
+                return session.finish(run, stop);
             }
-
-            archive = ParetoArchive::new();
-            for p in &population {
-                archive.insert(p.clone());
-            }
-
-            trace = Vec::new();
-            last = FrontSignature::of(&population);
+            last = FrontSignature::of(&run.population);
             session.front_updated(&last);
-            trace.push(last.clone());
-            stall = 0;
-            session.checkpoint(|| {
-                self.snapshot(&rng, &population, &archive, &all, &trace, stall, &bbox)
-            });
+            run.trace.push(last.clone());
+            session.offer(self.name(), &run);
         }
         let mut stop = StopReason::MaxIterations;
 
-        while stall < self.params.patience && session.iteration() < self.params.max_generations {
+        while run.stall < self.params.patience && session.iteration() < self.params.max_generations
+        {
             session.begin_iteration();
-            {
-                let mut eval = |cfgs: &[Config]| {
-                    let objs = session.evaluate(cfgs);
-                    crate::tuner::record_feasible(&mut all, cfgs, &objs);
-                    objs
-                };
-                gde3.generation_with(&mut population, &mut eval, &bbox, &mut rng);
-            }
-            for p in &population {
-                archive.insert(p.clone());
-            }
-            // Rough-Set reduction from the current population (Fig. 5),
-            // widened to keep every archived non-dominated solution inside
-            // the search space (mitigating the reduction's acknowledged
-            // risk of cutting off Pareto-optimal regions).
-            if self.params.use_roughset {
-                bbox = enclose_points(
-                    &reduce_search_space(session.space(), &population),
-                    archive.points(),
-                );
+            let rng = run.rng.as_mut().expect("seeded");
+            let mut eval = |cfgs: &[Config]| {
+                let objs = session.evaluate(cfgs);
+                crate::tuner::record_feasible(&mut run.all, cfgs, &objs);
+                objs
+            };
+            gde3.generation_with(&mut run.population, &mut eval, &run.bbox, rng);
+            let (sig, bbox) = self.params.step(
+                session.space(),
+                &run.population,
+                &mut run.archive,
+                &last,
+                &mut run.stall,
+            );
+            if let Some(bbox) = bbox {
                 session.space_reduced(&bbox);
+                run.bbox = bbox;
             }
-
-            let sig = FrontSignature::of(&population);
             session.front_updated(&sig);
-            trace.push(sig.clone());
-            if sig.improved_over(&last, self.params.hv_tolerance) {
-                stall = 0;
-            } else {
-                stall += 1;
-            }
+            run.trace.push(sig.clone());
             last = sig;
             if session.budget_exhausted() {
                 stop = StopReason::BudgetExhausted;
@@ -246,22 +189,12 @@ impl Tuner for RsGde3Tuner {
             }
             // Safe boundary: the next iteration depends only on the state
             // captured here, so a resumed run continues bit-identically.
-            session.checkpoint(|| {
-                self.snapshot(&rng, &population, &archive, &all, &trace, stall, &bbox)
-            });
+            session.offer(self.name(), &run);
         }
-        if stop != StopReason::BudgetExhausted && stall >= self.params.patience {
+        if stop != StopReason::BudgetExhausted && run.stall >= self.params.patience {
             stop = StopReason::Converged;
         }
-
-        TuningReport {
-            front: archive.to_front(),
-            all,
-            evaluations: session.evaluations(),
-            iterations: session.iteration(),
-            stop,
-            trace,
-        }
+        session.finish(run, stop)
     }
 }
 

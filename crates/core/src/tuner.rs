@@ -31,19 +31,22 @@
 //! ```
 
 use crate::checkpoint::{
-    CheckpointError, CheckpointSink, SessionCheckpoint, TunerState, CHECKPOINT_FORMAT_VERSION,
+    rng_from_state, CheckpointError, CheckpointSink, SessionCheckpoint, TunerState,
+    CHECKPOINT_FORMAT_VERSION,
 };
 use crate::evaluate::{BatchEval, CachingEvaluator, Evaluator, ObjVec};
 use crate::fault::FaultStats;
 use crate::grid::GridTuner;
 use crate::nsga2::{Nsga2Params, Nsga2Tuner};
-use crate::pareto::{ParetoFront, Point};
+use crate::pareto::{ParetoArchive, ParetoFront, Point};
 use crate::random::RandomTuner;
-use crate::rsgde3::{FrontSignature, RsGde3Params, RsGde3Tuner, TuningResult};
+use crate::rsgde3::{FrontSignature, RsGde3Params, RsGde3Tuner};
 use crate::space::{Config, ParamSpace};
 use crate::surrogate::{SurrogateScreen, SurrogateStats};
 use crate::wsum::{WeightedSumTuner, WeightedSweepParams};
 use moat_obs::Obs;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -225,18 +228,32 @@ pub struct TuningReport {
     pub trace: Vec<FrontSignature>,
 }
 
-impl From<TuningReport> for TuningResult {
-    /// Downgrade to the legacy result type: `generations` becomes the
-    /// iteration count and `hv_history` the hypervolume component of the
-    /// trace.
-    fn from(report: TuningReport) -> TuningResult {
-        TuningResult {
-            front: report.front,
-            evaluations: report.evaluations,
-            generations: report.iterations,
-            hv_history: report.trace.iter().map(|s| s.hv).collect(),
-        }
-    }
+/// The live state of one strategy run: what a checkpoint saves, a resume
+/// restores and the report is made of. [`TuningSession::start`] hands it
+/// out, [`TuningSession::offer`] checkpoints it and
+/// [`TuningSession::finish`] turns it into the [`TuningReport`]. A
+/// strategy leaves the fields it has no use for empty; their meaning is
+/// that of the [`TunerState`] field of the same name.
+#[derive(Debug, Clone, Default)]
+pub struct Run {
+    /// The strategy's RNG (`None` for RNG-free strategies).
+    pub rng: Option<StdRng>,
+    /// Current population (GDE3/NSGA-II) or accumulated winners (wsum).
+    pub population: Vec<Point>,
+    /// Non-dominated subset of what the strategy kept; the report's front.
+    pub archive: ParetoArchive,
+    /// Every feasible point recorded so far ([`TuningReport::all`]).
+    pub all: Vec<Point>,
+    /// Per-iteration front signatures ([`TuningReport::trace`]).
+    pub trace: Vec<FrontSignature>,
+    /// Loop cursor: completed generations / weight sweeps / grid chunks.
+    pub cursor: u64,
+    /// Non-improving-iteration counter (RS-GDE3 convergence state).
+    pub stall: u32,
+    /// Reduced search-space box (RS-GDE3).
+    pub bbox: Vec<(i64, i64)>,
+    /// Per-objective scale pairs (NSGA-II bounds, wsum probe bounds).
+    pub scale: Vec<(f64, f64)>,
 }
 
 /// Seed material for warm-starting a [`TuningSession`] from previously
@@ -302,7 +319,10 @@ pub trait Tuner {
     /// Run the strategy to completion inside `session`. Implementations
     /// must request all evaluations through [`TuningSession::evaluate`]
     /// (so budgets and the `E` metric are enforced uniformly) and should
-    /// stop once [`TuningSession::budget_exhausted`] turns true.
+    /// stop once [`TuningSession::budget_exhausted`] turns true. They keep
+    /// their state in the [`Run`] from [`TuningSession::start`], offer it
+    /// at safe boundaries ([`TuningSession::offer`]) and end with
+    /// [`TuningSession::finish`].
     fn tune(&self, session: &mut TuningSession<'_>) -> TuningReport;
 }
 
@@ -446,7 +466,7 @@ impl<'a> TuningSession<'a> {
     /// strategy winds down and the run stops with
     /// [`StopReason::Cancelled`]. With checkpointing enabled the flag is
     /// read where a checkpoint is offered (see
-    /// [`checkpoint`](Self::checkpoint)): a set flag forces that
+    /// [`offer`](Self::offer)): a set flag forces that
     /// checkpoint to be saved whatever the sink thinks is due and refuses
     /// the next batch, so the run stops *at* a saved boundary and resuming
     /// it reproduces the uninterrupted run byte-identically, the same
@@ -489,7 +509,7 @@ impl<'a> TuningSession<'a> {
     /// Resume from a checkpoint: restores the evaluation cache, spent
     /// budget, iteration counter and checkpoint cursor, and holds the
     /// strategy-private state for the tuner to pick up via
-    /// [`resume_state`](Self::resume_state). The checkpoint's budget is
+    /// [`start`](Self::start). The checkpoint's budget is
     /// authoritative (it overrides any [`with_budget`](Self::with_budget)),
     /// so a resumed fixed-seed run reproduces the uninterrupted run
     /// byte-identically. Combining resume with
@@ -666,23 +686,57 @@ impl<'a> TuningSession<'a> {
         self.cancelled
     }
 
-    /// Take the strategy-private resume state installed by
-    /// [`with_resume`](Self::with_resume), if any. The owning tuner calls
-    /// this once at the start of `tune` and skips its initialization phase
-    /// when state is returned.
-    pub fn resume_state(&mut self) -> Option<TunerState> {
-        self.resume.take()
+    /// Begin a strategy's run: the state a resumed checkpoint holds (see
+    /// [`with_resume`](Self::with_resume)), or a fresh [`Run`] whose RNG
+    /// is seeded from `seed` (`None`: the strategy draws no random
+    /// numbers). The flag says which; a resumed strategy skips its
+    /// initialization phase.
+    pub fn start(&mut self, seed: Option<u64>) -> (Run, bool) {
+        let Some(state) = self.resume.take() else {
+            let rng = seed.map(StdRng::seed_from_u64);
+            let run = Run {
+                rng,
+                ..Run::default()
+            };
+            return (run, false);
+        };
+        let run = Run {
+            rng: seed
+                .map(|s| rng_from_state(&state.rng).unwrap_or_else(|| StdRng::seed_from_u64(s))),
+            population: state.population,
+            archive: ParetoArchive::from_points(state.archive),
+            all: state.all,
+            trace: state.trace,
+            cursor: state.cursor,
+            stall: state.stall,
+            bbox: state.bbox,
+            scale: state.scale,
+        };
+        (run, true)
     }
 
-    /// Offer a checkpoint opportunity; `state` assembles the tuner's
-    /// current private state if it comes to a save. A no-op without a
-    /// sink. Otherwise the opportunity is counted, and every `every`-th
-    /// one (see [`with_checkpointing`](Self::with_checkpointing)) emits
-    /// [`TuningEvent::Checkpointed`] — whether or not the sink wants it,
-    /// so the event stream does not depend on the sink's timing. Only if
-    /// the sink says the offer is [`due`](CheckpointSink::due) is the full
-    /// [`SessionCheckpoint`] — session counters plus a sorted
-    /// evaluation-cache snapshot plus `state()` — assembled and saved.
+    /// End a strategy's run: the report of `run`'s archive, points and
+    /// trace at the session's counters.
+    pub fn finish(&self, run: Run, stop: StopReason) -> TuningReport {
+        TuningReport {
+            front: run.archive.to_front(),
+            all: run.all,
+            evaluations: self.evaluations(),
+            iterations: self.iteration,
+            stop,
+            trace: run.trace,
+        }
+    }
+
+    /// Offer `run`, written by strategy `name`, as a checkpoint. A no-op
+    /// without a sink. Otherwise the opportunity is counted, and every
+    /// `every`-th one (see [`with_checkpointing`](Self::with_checkpointing))
+    /// emits [`TuningEvent::Checkpointed`] — whether or not the sink wants
+    /// it, so the event stream does not depend on the sink's timing. Only
+    /// if the sink says the offer is [`due`](CheckpointSink::due) is the
+    /// full [`SessionCheckpoint`] — session counters plus a sorted
+    /// evaluation-cache snapshot plus `run`'s [`TunerState`] — assembled
+    /// and saved.
     ///
     /// This is also where a cancel flag is honoured once checkpointing is
     /// on: it is read here, once per opportunity, and a set flag forces
@@ -690,7 +744,7 @@ impl<'a> TuningSession<'a> {
     /// batch, so a cancelled run's last saved checkpoint is the boundary
     /// it stopped at. Must be called at a batch boundary (no evaluation
     /// in flight).
-    pub fn checkpoint(&mut self, state: impl FnOnce() -> TunerState) {
+    pub fn offer(&mut self, name: &str, run: &Run) {
         let Some(sink) = self.ckpt_sink.as_mut() else {
             return;
         };
@@ -704,10 +758,9 @@ impl<'a> TuningSession<'a> {
             return;
         }
         if cancelling || sink.due() {
-            let state = state();
             sink.save(&SessionCheckpoint {
                 format_version: CHECKPOINT_FORMAT_VERSION,
-                strategy: state.strategy.clone(),
+                strategy: name.to_string(),
                 dims: self.space.dims(),
                 num_objectives: self.num_objectives,
                 evaluations: self.evaluator.evaluations(),
@@ -717,7 +770,21 @@ impl<'a> TuningSession<'a> {
                 budget_exhausted: self.budget_exhausted,
                 seq: self.ckpt_seq,
                 cache: self.evaluator.snapshot(),
-                tuner: state,
+                tuner: TunerState {
+                    strategy: name.to_string(),
+                    rng: run
+                        .rng
+                        .as_ref()
+                        .map_or_else(Vec::new, |r| r.state().to_vec()),
+                    cursor: run.cursor,
+                    stall: run.stall,
+                    population: run.population.clone(),
+                    archive: run.archive.to_front().points().to_vec(),
+                    all: run.all.clone(),
+                    trace: run.trace.clone(),
+                    bbox: run.bbox.clone(),
+                    scale: run.scale.clone(),
+                },
             });
         }
         let seq = self.ckpt_seq;
@@ -886,28 +953,7 @@ impl<'a> TuningSession<'a> {
         if self.surrogate.is_some() {
             return self.evaluate_screened(configs);
         }
-        let admitted = match self.budget {
-            None => configs.len(),
-            Some(budget) => {
-                let mut remaining = budget.saturating_sub(self.evaluations());
-                let mut fresh: HashSet<&Config> = HashSet::new();
-                let mut admitted = 0;
-                for cfg in configs {
-                    if !self.evaluator.is_cached(cfg) && !fresh.contains(cfg) {
-                        if remaining == 0 {
-                            break;
-                        }
-                        remaining -= 1;
-                        fresh.insert(cfg);
-                    }
-                    admitted += 1;
-                }
-                admitted
-            }
-        };
-        if admitted < configs.len() {
-            self.budget_exhausted = true;
-        }
+        let admitted = self.admit(configs, |_| true);
         // Batch wall time is observability payload only: the clock is
         // read solely when someone will see the duration, so untraced
         // runs stay on the exact instruction path they had before
@@ -930,6 +976,32 @@ impl<'a> TuningSession<'a> {
         results
     }
 
+    /// Budget admission: walk `configs` in order; each one `keep(i)` that
+    /// is neither cached nor a duplicate of an earlier admitted config
+    /// consumes one unit of remaining budget. Returns how many leading
+    /// configs are admitted — all of them, or up to the first that finds
+    /// the budget spent, in which case
+    /// [`budget_exhausted`](Self::budget_exhausted) turns true. Computed
+    /// from the cache state before anything is evaluated.
+    fn admit(&mut self, configs: &[Config], keep: impl Fn(usize) -> bool) -> usize {
+        let Some(budget) = self.budget else {
+            return configs.len();
+        };
+        let mut remaining = budget.saturating_sub(self.evaluations());
+        let mut fresh: HashSet<&Config> = HashSet::new();
+        for (i, cfg) in configs.iter().enumerate() {
+            if keep(i) && !self.evaluator.is_cached(cfg) && !fresh.contains(cfg) {
+                if remaining == 0 {
+                    self.budget_exhausted = true;
+                    return i;
+                }
+                remaining -= 1;
+                fresh.insert(cfg);
+            }
+        }
+        configs.len()
+    }
+
     /// Start of a batch's wall time, when anyone will see it (see
     /// [`TuningEvent::BatchEvaluated`]).
     fn batch_clock(&self) -> Option<Instant> {
@@ -948,31 +1020,10 @@ impl<'a> TuningSession<'a> {
     fn evaluate_screened(&mut self, configs: &[Config]) -> Vec<Option<ObjVec>> {
         let mut screen = self.surrogate.take().expect("screening enabled");
         let plan = screen.plan(configs, |cfg| self.evaluator.is_cached(cfg));
-        // Budget admission mirrors the unscreened path (walk in order,
-        // fresh configs consume budget, cut before evaluation from cache
-        // state) — but screened-out slots are skipped entirely: a config
-        // the surrogate withheld never counts against the hard budget.
-        let mut admitted = configs.len();
-        if let Some(budget) = self.budget {
-            let mut remaining = budget.saturating_sub(self.evaluations());
-            let mut fresh: HashSet<&Config> = HashSet::new();
-            for (i, cfg) in configs.iter().enumerate() {
-                if !plan.keep[i] {
-                    continue;
-                }
-                if !self.evaluator.is_cached(cfg) && !fresh.contains(cfg) {
-                    if remaining == 0 {
-                        admitted = i;
-                        break;
-                    }
-                    remaining -= 1;
-                    fresh.insert(cfg);
-                }
-            }
-        }
-        if admitted < configs.len() {
-            self.budget_exhausted = true;
-        }
+        // The unscreened path's budget admission, except that screened-out
+        // slots are skipped: a config the surrogate withheld never counts
+        // against the hard budget.
+        let admitted = self.admit(configs, |i| plan.keep[i]);
         let forwarded: Vec<usize> = (0..admitted).filter(|&i| plan.keep[i]).collect();
         self.emit(TuningEvent::BatchScreened {
             requested: configs.len(),
@@ -1100,6 +1151,9 @@ pub(crate) fn evaluate_seeds(session: &mut TuningSession<'_>, cap: usize) -> Vec
     points
 }
 
+/// Grid points per `Range` dimension of [`StrategyKind::Grid`].
+const GRID_STEPS: usize = 10;
+
 /// The built-in search strategies, for CLI/facade strategy selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrategyKind {
@@ -1157,12 +1211,12 @@ impl StrategyKind {
 
     /// Build this strategy's [`Tuner`]. `params` are RS-GDE3's own (plain
     /// GDE3 runs them without the rough-set step; the other stochastic
-    /// strategies take only their seed); `grid_steps` is the number of
-    /// grid points per `Range` dimension for [`StrategyKind::Grid`].
-    pub fn tuner(self, params: RsGde3Params, grid_steps: usize) -> Box<dyn Tuner> {
+    /// strategies take only their seed); the grid has ten points per
+    /// `Range` dimension.
+    pub fn tuner(self, params: RsGde3Params) -> Box<dyn Tuner> {
         let seed = params.seed;
         match self {
-            StrategyKind::Grid => Box::new(GridTuner::new(grid_steps)),
+            StrategyKind::Grid => Box::new(GridTuner::new(GRID_STEPS)),
             StrategyKind::Random => Box::new(RandomTuner::new(seed)),
             StrategyKind::Gde3 => Box::new(RsGde3Tuner::new(RsGde3Params {
                 use_roughset: false,

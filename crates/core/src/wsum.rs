@@ -9,13 +9,11 @@
 //! unreachable for *any* weights, and evaluations are not shared between
 //! the sweeps — makes it a meaningful baseline for the ablation study.
 
-use crate::checkpoint::{rng_from_state, TunerState};
-use crate::pareto::{ParetoArchive, ParetoFront, Point};
+use crate::pareto::{ParetoArchive, Point};
 use crate::rsgde3::FrontSignature;
 use crate::space::Config;
 use crate::tuner::{StopReason, Tuner, TuningReport, TuningSession};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// Knobs for the weighted-sum sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,31 +64,6 @@ impl WeightedSumTuner {
     pub fn new(params: WeightedSweepParams) -> Self {
         WeightedSumTuner { params }
     }
-
-    /// Assemble the strategy-private checkpoint state after `done`
-    /// completed weight sweeps.
-    #[allow(clippy::too_many_arguments)]
-    fn snapshot(
-        &self,
-        rng: &StdRng,
-        winners: &[Point],
-        all: &[Point],
-        trace: &[FrontSignature],
-        lo: &[f64],
-        hi: &[f64],
-        done: usize,
-    ) -> TunerState {
-        TunerState {
-            strategy: self.name().to_string(),
-            rng: rng.state().to_vec(),
-            cursor: done as u64,
-            population: winners.to_vec(),
-            all: all.to_vec(),
-            trace: trace.to_vec(),
-            scale: lo.iter().copied().zip(hi.iter().copied()).collect(),
-            ..TunerState::default()
-        }
-    }
 }
 
 impl Tuner for WeightedSumTuner {
@@ -102,38 +75,17 @@ impl Tuner for WeightedSumTuner {
         let params = self.params;
         let m = session.num_objectives();
         let space = session.space().clone();
-        let mut rng: StdRng;
-        let mut all: Vec<Point>;
-        let mut trace: Vec<FrontSignature>;
-        let mut winners: Vec<Point>;
-        let lo: Vec<f64>;
-        let hi: Vec<f64>;
-        let start_weight: usize;
-
-        if let Some(state) = session.resume_state() {
-            // Resume: the probe already ran before the checkpoint; its
-            // normalization bounds travel in `scale`.
-            rng = rng_from_state(&state.rng).unwrap_or_else(|| StdRng::seed_from_u64(params.seed));
-            all = state.all;
-            trace = state.trace;
-            winners = state.population;
-            let (l, h): (Vec<f64>, Vec<f64>) = state.scale.iter().copied().unzip();
-            lo = l;
-            hi = h;
-            start_weight = state.cursor as usize;
-        } else {
-            rng = StdRng::seed_from_u64(params.seed);
-            all = Vec::new();
-            trace = Vec::new();
-            winners = Vec::new();
-            start_weight = 0;
-
+        // The winners of the completed weight sweeps are the run's
+        // population; the probe's normalization bounds travel in `scale`.
+        let (mut run, resumed) = session.start(Some(params.seed));
+        if !resumed {
             // Normalization bounds from an initial random sample (a
             // scalarizing tuner needs *some* scale; this mirrors common
             // practice).
-            let probe: Vec<Config> = (0..30).map(|_| space.sample(&mut rng)).collect();
+            let rng = run.rng.as_mut().expect("seeded");
+            let probe: Vec<Config> = (0..30).map(|_| space.sample(rng)).collect();
             let probe_results = session.evaluate(&probe);
-            crate::tuner::record_feasible(&mut all, &probe, &probe_results);
+            crate::tuner::record_feasible(&mut run.all, &probe, &probe_results);
             let probe_objs: Vec<Vec<f64>> = probe_results.into_iter().flatten().collect();
             if probe_objs.is_empty() {
                 // No feasible probe — out of budget or an infeasible space.
@@ -142,27 +94,18 @@ impl Tuner for WeightedSumTuner {
                 } else {
                     StopReason::SpaceExhausted
                 };
-                return TuningReport {
-                    front: ParetoFront::new(),
-                    all,
-                    evaluations: session.evaluations(),
-                    iterations: session.iteration(),
-                    stop,
-                    trace,
-                };
+                return session.finish(run, stop);
             }
-            let mut plo = vec![f64::INFINITY; m];
-            let mut phi = vec![f64::NEG_INFINITY; m];
+            run.scale = vec![(f64::INFINITY, f64::NEG_INFINITY); m];
             for o in &probe_objs {
-                for c in 0..m {
-                    plo[c] = plo[c].min(o[c]);
-                    phi[c] = phi[c].max(o[c]);
+                for (c, (lo, hi)) in run.scale.iter_mut().enumerate() {
+                    *lo = lo.min(o[c]);
+                    *hi = hi.max(o[c]);
                 }
             }
-            lo = plo;
-            hi = phi;
-            session.checkpoint(|| self.snapshot(&rng, &winners, &all, &trace, &lo, &hi, 0));
+            session.offer(self.name(), &run);
         }
+        let (lo, hi): (Vec<f64>, Vec<f64>) = run.scale.iter().copied().unzip();
         let scalar = |objs: &[f64], w: &[f64]| -> f64 {
             objs.iter()
                 .enumerate()
@@ -174,8 +117,10 @@ impl Tuner for WeightedSumTuner {
         };
 
         let mut stop = StopReason::Completed;
-        for wi in start_weight..params.num_weights {
+        while run.cursor < params.num_weights as u64 {
+            let wi = run.cursor as usize;
             session.begin_iteration();
+            let rng = run.rng.as_mut().expect("seeded");
             // Evenly spread weights; for m > 2 the remaining mass is split
             // uniformly over the other objectives.
             let t = if params.num_weights > 1 {
@@ -187,11 +132,9 @@ impl Tuner for WeightedSumTuner {
             w[0] = t;
 
             // Single-objective DE/rand/1/bin.
-            let init: Vec<Config> = (0..params.pop_size)
-                .map(|_| space.sample(&mut rng))
-                .collect();
+            let init: Vec<Config> = (0..params.pop_size).map(|_| space.sample(rng)).collect();
             let objs = session.evaluate(&init);
-            crate::tuner::record_feasible(&mut all, &init, &objs);
+            crate::tuner::record_feasible(&mut run.all, &init, &objs);
             let mut pop: Vec<(Config, Vec<f64>, f64)> = init
                 .into_iter()
                 .zip(objs)
@@ -202,6 +145,7 @@ impl Tuner for WeightedSumTuner {
                     stop = StopReason::BudgetExhausted;
                     break;
                 }
+                run.cursor += 1;
                 continue;
             }
             for _ in 0..params.generations {
@@ -236,7 +180,7 @@ impl Tuner for WeightedSumTuner {
                     })
                     .collect();
                 let objs = session.evaluate(&trials);
-                crate::tuner::record_feasible(&mut all, &trials, &objs);
+                crate::tuner::record_feasible(&mut run.all, &trials, &objs);
                 for i in 0..n {
                     if let Some(o) = &objs[i] {
                         let s = scalar(o, &w);
@@ -253,28 +197,22 @@ impl Tuner for WeightedSumTuner {
                 .into_iter()
                 .min_by(|a, b| a.2.partial_cmp(&b.2).expect("NaN fitness"))
             {
-                winners.push(Point::new(best.0, best.1));
+                run.population.push(Point::new(best.0, best.1));
             }
-            let sig = FrontSignature::of(&winners);
+            let sig = FrontSignature::of(&run.population);
             session.front_updated(&sig);
-            trace.push(sig);
+            run.trace.push(sig);
             if session.budget_exhausted() {
                 stop = StopReason::BudgetExhausted;
                 break;
             }
             // Safe boundary: weight `wi` is complete and the next sweep
             // depends only on the state captured here.
-            session.checkpoint(|| self.snapshot(&rng, &winners, &all, &trace, &lo, &hi, wi + 1));
+            run.cursor += 1;
+            session.offer(self.name(), &run);
         }
-
-        TuningReport {
-            front: ParetoArchive::from_points(winners).to_front(),
-            all,
-            evaluations: session.evaluations(),
-            iterations: session.iteration(),
-            stop,
-            trace,
-        }
+        run.archive = ParetoArchive::from_points(std::mem::take(&mut run.population));
+        session.finish(run, stop)
     }
 }
 

@@ -118,27 +118,40 @@ fn assert_reports_equal(a: &TuningReport, b: &TuningReport, what: &str) {
 }
 
 /// Resuming from ANY checkpoint of an uninterrupted run reproduces that
-/// run's report exactly, for every strategy.
+/// run's report exactly, for every strategy — and so does resuming from
+/// the strategy's committed checkpoint file, which today's run writes at
+/// the same offer byte for byte.
 #[test]
 fn resume_matches_uninterrupted_for_every_strategy() {
     for (tuner, budget) in tuners() {
+        let name = tuner.name();
         let (reference, checkpoints) = run_with_checkpoints(tuner.as_ref(), budget);
         assert!(
             !checkpoints.is_empty(),
-            "{}: no checkpoints were written",
-            tuner.name()
+            "{name}: no checkpoints were written"
         );
         // First, middle, and last checkpoint — the budget comes from the
         // checkpoint itself, not the resuming session.
         let picks = [0, checkpoints.len() / 2, checkpoints.len() - 1];
         for &k in &picks {
             let resumed = resume_from(tuner.as_ref(), checkpoints[k].clone());
-            assert_reports_equal(
-                &reference,
-                &resumed,
-                &format!("{} from checkpoint {k}", tuner.name()),
-            );
+            assert_reports_equal(&reference, &resumed, &format!("{name} from checkpoint {k}"));
         }
+        // The fixture holds the second offer (grid's only one). Every
+        // offer is saved here, so offer `seq` is checkpoint `seq - 1`.
+        let path = format!(
+            "{}/tests/fixtures/ckpt-{name}.json",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let bytes = std::fs::read_to_string(&path).expect("checkpoint fixture");
+        let fixture: SessionCheckpoint = serde_json::from_str(&bytes).unwrap();
+        let written = serde_json::to_string(&checkpoints[fixture.seq as usize - 1]).unwrap();
+        assert!(
+            written == bytes,
+            "{name}: checkpoint bytes differ from {path}"
+        );
+        let resumed = resume_from(tuner.as_ref(), fixture);
+        assert_reports_equal(&reference, &resumed, &format!("{name} from {path}"));
     }
 }
 

@@ -315,7 +315,7 @@ echo "== paper reproduction (twelve benches -> REPRO.json, equal to the committe
 scripts/repro.sh
 git diff --exit-code REPRO.json
 
-echo "== non-test line count (ROADMAP item 7) =="
+echo "== non-test line count (the figure ROADMAP tracks) =="
 scripts/loc.sh
 
 echo "All checks passed."

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Non-test source lines, the number ROADMAP item 7 tracks: over every .rs
+# Non-test source lines, the number ROADMAP tracks: over every .rs
 # file under crates/*/src and src, the lines before the file's first
 # `#[cfg(test)]` (the whole file when it has none).
 #   scripts/loc.sh            total

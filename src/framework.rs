@@ -154,8 +154,6 @@ pub struct Framework {
     /// RS-GDE3 parameters (the seed is shared with the other stochastic
     /// strategies).
     pub tuner_params: RsGde3Params,
-    /// Grid points per `Range` dimension for [`StrategyKind::Grid`].
-    pub grid_steps: usize,
     /// Optional hard cap on distinct evaluations, enforced by the
     /// [`TuningSession`] regardless of strategy.
     pub budget: Option<u64>,
@@ -283,7 +281,6 @@ impl Framework {
             objectives: vec![Objective::Time, Objective::Resources],
             strategy: StrategyKind::RsGde3,
             tuner_params: RsGde3Params::default(),
-            grid_steps: 10,
             budget: None,
             batch: BatchEval::default(),
             max_versions: None,
@@ -515,7 +512,7 @@ impl Framework {
         // The session, over whatever the host wraps the roster in. The
         // screen goes on last: it replays what warm start and resume put
         // into the evaluation cache.
-        let tuner = self.strategy.tuner(self.tuner_params, self.grid_steps);
+        let tuner = self.strategy.tuner(self.tuner_params);
         let drive = |evaluator: &dyn Evaluator| {
             let mut session = TuningSession::new(tuning_space.clone(), evaluator)
                 .with_batch(self.batch)

@@ -62,7 +62,7 @@ pub use framework::{
     parse_backend_spec, run_observed, BackendSpec, Framework, Hooks, Prepared, RunOutcome,
     TunedRegion,
 };
-pub use program::{ProgramTuner, ProgramTuningResult, RegionOutcome};
+pub use program::{ProgramReport, ProgramTuner, RegionOutcome};
 pub use serve_backend::TuneBackend;
 pub use sim::{
     ir_space, AltSkeletonEvaluator, FixedUnrollEvaluator, MultiObjectiveEvaluator, Objective,
@@ -105,8 +105,7 @@ pub use moat_core::{
     FaultInjector, FaultPolicy, FaultSchedule, FaultStats, FaultTolerantEvaluator, FeatureSource,
     ParetoFront, Provenance, RsGde3Params, RsGde3Tuner, ScreeningEvaluator, ScreeningPolicy,
     SessionCheckpoint, SpaceFeatures, StopReason, StrategyKind, Surrogate, SurrogateScreen,
-    SurrogateStats, Tuner, TuningEvent, TuningReport, TuningResult, TuningSession, WarmStart,
-    BACKEND_PARAM,
+    SurrogateStats, Tuner, TuningEvent, TuningReport, TuningSession, WarmStart, BACKEND_PARAM,
 };
 pub use moat_ir::Region;
 pub use moat_kernels::Kernel;

@@ -4,15 +4,18 @@
 //! the resulting program is sufficient to obtain measurements for all
 //! simultaneously tuned regions."* Each region keeps its own independent
 //! multi-objective problem (own GDE3 population, rough-set boundary,
-//! stopping state), but evaluation is amortized: in every iteration, the
-//! candidate configurations of all still-active regions are combined into
-//! joint *program executions*, so tuning a whole program costs roughly as
-//! many executions as tuning its slowest region — not the sum.
+//! stopping state — after each generation it takes the same RS-GDE3 step
+//! as a single-region run, [`RsGde3Params::step`]), but evaluation is
+//! amortized: in every iteration, the candidate configurations of all
+//! still-active regions are combined into joint *program executions*, so
+//! tuning a whole program costs roughly as many executions as tuning its
+//! slowest region — not the sum.
 
 use crate::framework::{Framework, Prepared};
 use crate::sim::SimEvaluator;
-use moat_core::roughset::{enclose_points, reduce_search_space};
-use moat_core::{Config, Evaluator, FrontSignature, Gde3, ParetoFront, RsGde3Params, TuningResult};
+use moat_core::{
+    Config, Evaluator, FrontSignature, Gde3, Point, RsGde3Params, Run, StopReason, TuningReport,
+};
 use moat_ir::Region;
 use moat_machine::{MachineDesc, NoiseModel};
 use moat_multiversion::VersionTable;
@@ -21,7 +24,7 @@ use rand::SeedableRng;
 
 /// Result of tuning one program (several regions) together.
 #[derive(Debug, Clone)]
-pub struct ProgramTuningResult {
+pub struct ProgramReport {
     /// Per-region results, in input order.
     pub regions: Vec<RegionOutcome>,
     /// Number of joint program executions performed. Compare with the sum
@@ -34,27 +37,23 @@ pub struct ProgramTuningResult {
 pub struct RegionOutcome {
     /// The analyzed region.
     pub region: Region,
-    /// Its tuning result (front = non-dominated archive, `evaluations` =
-    /// configurations this region measured — each piggybacked on a program
-    /// execution).
-    pub result: TuningResult,
+    /// Its tuning report: front = non-dominated archive, `all` and
+    /// `evaluations` = the configurations this region measured (each
+    /// piggybacked on a program execution, repeats included), `iterations`
+    /// = its generations, `trace` = the population's front signature
+    /// after initialization and after each generation.
+    pub result: TuningReport,
     /// Version table for the backend.
     pub table: VersionTable,
 }
 
-/// Per-region search state.
+/// Per-region search state: RS-GDE3's run state (the shared RNG lives in
+/// the tuner; `cursor` counts generations) plus whether it still searches.
 struct RegionState {
     prepared: Prepared,
     gde3: Gde3,
-    population: Vec<moat_core::Point>,
-    archive: ParetoFront,
-    bbox: Vec<(i64, i64)>,
-    last_sig: FrontSignature,
-    stall: u32,
+    run: Run,
     active: bool,
-    evaluations: u64,
-    generations: u32,
-    hv_history: Vec<f64>,
 }
 
 /// Tuner for multiple regions of one program on one machine.
@@ -88,7 +87,7 @@ impl ProgramTuner {
     }
 
     /// Tune all `regions` simultaneously.
-    pub fn tune(&self, regions: Vec<Region>) -> Result<ProgramTuningResult, String> {
+    pub fn tune(&self, regions: Vec<Region>) -> Result<ProgramReport, String> {
         // Each region is prepared like a single-region run: analyzed unless
         // it carries skeletons, with its own cost model and search space.
         let fw = Framework {
@@ -108,19 +107,11 @@ impl ProgramTuner {
             states.push(RegionState {
                 prepared,
                 gde3,
-                population: Vec::new(),
-                archive: ParetoFront::new(),
-                bbox,
-                last_sig: FrontSignature {
-                    size: 0,
-                    ideal: Vec::new(),
-                    hv: 0.0,
+                run: Run {
+                    bbox,
+                    ..Run::default()
                 },
-                stall: 0,
                 active: true,
-                evaluations: 0,
-                generations: 0,
-                hv_history: Vec::new(),
             });
         }
 
@@ -130,27 +121,26 @@ impl ProgramTuner {
             .iter_mut()
             .map(|s| {
                 (0..pop_size)
-                    .map(|_| s.gde3.space.sample_within(&s.bbox, &mut rng))
+                    .map(|_| s.gde3.space.sample_within(&s.run.bbox, &mut rng))
                     .collect()
             })
             .collect();
-        program_executions += pop_size as u64;
+        program_executions += init_configs.iter().map(Vec::len).max().unwrap_or(0) as u64;
         for (s, configs) in states.iter_mut().zip(init_configs) {
             for cfg_vec in configs {
                 if let Some(objs) = s.evaluator().evaluate(&cfg_vec) {
-                    s.evaluations += 1;
-                    let p = moat_core::Point::new(cfg_vec, objs);
-                    s.archive.insert(p.clone());
-                    s.population.push(p);
+                    let p = Point::new(cfg_vec, objs);
+                    s.run.archive.insert(p.clone());
+                    s.run.all.push(p.clone());
+                    s.run.population.push(p);
                 }
             }
             assert!(
-                s.population.len() >= 4,
+                s.run.population.len() >= 4,
                 "region {} infeasible",
                 s.prepared.region.name
             );
-            s.last_sig = FrontSignature::of(&s.population);
-            s.hv_history.push(s.last_sig.hv);
+            s.run.trace.push(FrontSignature::of(&s.run.population));
         }
 
         // Joint generations: one program execution evaluates one trial of
@@ -163,11 +153,8 @@ impl ProgramTuner {
             let proposals: Vec<Option<Vec<Config>>> = states
                 .iter_mut()
                 .map(|s| {
-                    if s.active {
-                        Some(s.gde3.propose(&s.population, &s.bbox, &mut rng))
-                    } else {
-                        None
-                    }
+                    s.active
+                        .then(|| s.gde3.propose(&s.run.population, &s.run.bbox, &mut rng))
                 })
                 .collect();
             // One batch of program executions covers the longest proposal
@@ -183,50 +170,56 @@ impl ProgramTuner {
                 let Some(trials) = proposal else { continue };
                 let ev = s.evaluator();
                 let objs: Vec<Option<Vec<f64>>> = trials.iter().map(|t| ev.evaluate(t)).collect();
-                s.evaluations += objs.iter().filter(|o| o.is_some()).count() as u64;
-                s.gde3.select(&mut s.population, &trials, &objs);
-                s.generations += 1;
-                for p in &s.population {
-                    s.archive.insert(p.clone());
+                let run = &mut s.run;
+                for (t, o) in trials.iter().zip(&objs) {
+                    if let Some(o) = o {
+                        run.all.push(Point::new(t.clone(), o.clone()));
+                    }
                 }
-                if self.params.use_roughset {
-                    s.bbox = enclose_points(
-                        &reduce_search_space(&s.gde3.space, &s.population),
-                        s.archive.points(),
-                    );
+                s.gde3.select(&mut run.population, &trials, &objs);
+                run.cursor += 1;
+                let last = run.trace.last().expect("initial signature");
+                let (sig, bbox) = self.params.step(
+                    &s.gde3.space,
+                    &run.population,
+                    &mut run.archive,
+                    last,
+                    &mut run.stall,
+                );
+                if let Some(bbox) = bbox {
+                    run.bbox = bbox;
                 }
-                let sig = FrontSignature::of(&s.population);
-                s.hv_history.push(sig.hv);
-                if sig.improved_over(&s.last_sig, self.params.hv_tolerance) {
-                    s.stall = 0;
-                } else {
-                    s.stall += 1;
-                }
-                s.last_sig = sig;
-                if s.stall >= self.params.patience {
-                    s.active = false;
-                }
+                run.trace.push(sig);
+                s.active = run.stall < self.params.patience;
             }
         }
 
         let outcomes = states
             .into_iter()
             .map(|s| {
-                let table = fw.table(&s.prepared, &s.archive);
+                let front = s.run.archive.to_front();
+                let table = fw.table(&s.prepared, &front);
+                let stop = if s.active {
+                    StopReason::MaxIterations
+                } else {
+                    StopReason::Converged
+                };
                 RegionOutcome {
                     region: s.prepared.region,
-                    result: TuningResult {
-                        front: s.archive,
-                        evaluations: s.evaluations,
-                        generations: s.generations,
-                        hv_history: s.hv_history,
+                    result: TuningReport {
+                        front,
+                        evaluations: s.run.all.len() as u64,
+                        all: s.run.all,
+                        iterations: s.run.cursor as u32,
+                        stop,
+                        trace: s.run.trace,
                     },
                     table,
                 }
             })
             .collect();
 
-        Ok(ProgramTuningResult {
+        Ok(ProgramReport {
             regions: outcomes,
             program_executions,
         })
@@ -288,11 +281,7 @@ mod tests {
             .tune(vec![Kernel::Mm.region(96), Kernel::Stencil3d.region(32)])
             .unwrap();
         // Generations may differ between regions (independent stopping).
-        let gens: Vec<u32> = result
-            .regions
-            .iter()
-            .map(|r| r.result.generations)
-            .collect();
+        let gens: Vec<u32> = result.regions.iter().map(|r| r.result.iterations).collect();
         assert!(gens.iter().all(|&g| g >= 3));
         // Both tables usable.
         for r in &result.regions {
@@ -308,5 +297,12 @@ mod tests {
         let r = &result.regions[0];
         assert!(r.result.evaluations <= result.program_executions * 2);
         assert!(!r.table.is_empty());
+    }
+
+    #[test]
+    fn empty_program_executes_nothing() {
+        let result = tuner().tune(Vec::new()).unwrap();
+        assert!(result.regions.is_empty());
+        assert_eq!(result.program_executions, 0);
     }
 }
