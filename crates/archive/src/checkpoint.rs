@@ -11,46 +11,31 @@
 //!
 //! The header states what the body must be: its byte length (trailing
 //! newline included), its FNV-64 checksum and the checkpoint's `seq`. A
-//! save writes both lines to `<path>.tmp`, fsyncs that file once and
-//! `rename`s it over `<path>`. The rename is atomic and comes after the
-//! fsync, so `<path>` always holds a *complete* checkpoint — the previous
-//! one or the new one — under `kill -9` at any instant, and because the
-//! header travels inside the file it vouches for, no second file has to
-//! reach the disk first. [`CheckpointStore::load`] refuses a file whose
-//! body does not match its header (torn, truncated or tampered); a file
-//! with no header line — a hand-written checkpoint — is accepted on its
-//! contents alone. A stale temp file from a crashed writer is swept on
+//! save is one synced [`file::replace`]: both lines go to `<path>.tmp`,
+//! which is fsynced once and `rename`d over `<path>`. The rename is atomic
+//! and comes after the fsync, so `<path>` always holds a *complete*
+//! checkpoint — the previous one or the new one — under `kill -9` at any
+//! instant, and because the header travels inside the file it vouches
+//! for, no second file has to reach the disk first.
+//! [`CheckpointStore::load`] refuses a file whose body does not match its
+//! header (torn, truncated or tampered); a file with no header line — a
+//! hand-written checkpoint — is accepted on its contents alone. A stale
+//! temp file from a crashed writer is swept on
 //! [`create`](CheckpointStore::create).
 
+use crate::file::{self, io_err, temp_of};
 use crate::store::ArchiveError;
 use moat_core::{CheckpointSink, SessionCheckpoint};
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-/// FNV-1a over `bytes` — the same cheap, dependency-free checksum family
-/// used elsewhere in the workspace; plenty to detect torn writes.
+/// FNV-1a over `bytes`, as hex: plenty to detect torn writes.
 fn fnv64(bytes: &[u8]) -> String {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    format!("{h:016x}")
-}
-
-fn io_err(path: &Path, e: std::io::Error) -> ArchiveError {
-    ArchiveError::Io(format!("{}: {e}", path.display()))
+    format!("{:016x}", moat_obs::fnv1a(moat_obs::FNV_OFFSET, bytes))
 }
 
 fn format_err(path: &Path, e: impl std::fmt::Display) -> ArchiveError {
     ArchiveError::Format(format!("{}: {e}", path.display()))
-}
-
-fn tmp_of(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
 }
 
 /// The first line of a checkpoint file: what the body below it must be.
@@ -66,7 +51,6 @@ struct Header {
 #[derive(Debug)]
 pub struct CheckpointStore {
     path: PathBuf,
-    tmp: PathBuf,
     last_error: Option<ArchiveError>,
     obs: moat_obs::Obs,
 }
@@ -81,13 +65,12 @@ impl CheckpointStore {
                 fs::create_dir_all(parent).map_err(|e| io_err(parent, e))?;
             }
         }
-        let tmp = tmp_of(&path);
+        let tmp = temp_of(&path);
         if tmp.exists() {
             fs::remove_file(&tmp).map_err(|e| io_err(&tmp, e))?;
         }
         Ok(CheckpointStore {
             path,
-            tmp,
             last_error: None,
             obs: moat_obs::Obs::default(),
         })
@@ -113,8 +96,8 @@ impl CheckpointStore {
         self.last_error.as_ref()
     }
 
-    /// Durably write `checkpoint`: header and body to the temp file, one
-    /// fsync, atomic rename. See the module docs for the crash-safety
+    /// Durably write `checkpoint`: header and body in one synced
+    /// [`file::replace`]. See the module docs for the crash-safety
     /// argument.
     pub fn write(&self, checkpoint: &SessionCheckpoint) -> Result<(), ArchiveError> {
         let mut body = serde_json::to_string(checkpoint).map_err(|e| format_err(&self.path, e))?;
@@ -125,11 +108,8 @@ impl CheckpointStore {
             fnv: fnv64(body.as_bytes()),
         };
         let header = serde_json::to_string(&header).map_err(|e| format_err(&self.path, e))?;
-        let mut f = fs::File::create(&self.tmp).map_err(|e| io_err(&self.tmp, e))?;
-        f.write_all(format!("{header}\n{body}").as_bytes())
-            .and_then(|()| f.sync_all())
-            .map_err(|e| io_err(&self.tmp, e))?;
-        fs::rename(&self.tmp, &self.path).map_err(|e| io_err(&self.path, e))
+        let bytes = format!("{header}\n{body}");
+        file::replace(&self.path, bytes.as_bytes(), true).map_err(|e| io_err(&self.path, e))
     }
 
     /// Load and verify the checkpoint at `path`: the body's byte length
@@ -164,7 +144,7 @@ impl CheckpointStore {
     /// have left beside it. Missing files are fine.
     pub fn remove(path: impl AsRef<Path>) {
         let _ = fs::remove_file(path.as_ref());
-        let _ = fs::remove_file(tmp_of(path.as_ref()));
+        let _ = fs::remove_file(temp_of(path.as_ref()));
     }
 }
 

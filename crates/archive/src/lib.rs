@@ -22,10 +22,16 @@
 //! versioned JSON layout ([`FORMAT_VERSION`]): fronts are kept sorted, so
 //! serialize → deserialize → serialize is byte-identical and archives can
 //! be diffed and deduplicated by content.
+//!
+//! Every state file the workspace keeps — these records, checkpoints and
+//! the serve daemon's logs and snapshots — is written through [`file`]:
+//! appended by whole records or replaced atomically. The crate is
+//! unix-only (`pread`).
 
 #![warn(missing_docs)]
 
 pub mod checkpoint;
+pub mod file;
 pub mod key;
 pub mod record;
 pub mod store;

@@ -1,12 +1,12 @@
 //! On-disk archive: one JSON file per [`ArchiveKey`], atomic merges.
 
+use crate::file::{self, io_err};
 use crate::key::ArchiveKey;
 use crate::record::{ArchiveRecord, MergeStats};
 use moat_core::gde3::prune;
 use moat_core::WarmStart;
 use moat_machine::MachineFeatures;
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Errors from archive operations.
@@ -46,34 +46,28 @@ pub enum WarmStartSource {
 }
 
 /// A directory of tuning results, one JSON file per key
-/// (`<root>/<key-id>.json`). All mutations write a temp file in the same
-/// directory and `rename` it into place, so readers never observe a
-/// half-written record and concurrent writers lose cleanly rather than
-/// corrupting.
+/// (`<root>/<key-id>.json`). Every mutation is a synced
+/// [`file::replace`], so readers never observe a half-written record and
+/// concurrent writers lose cleanly rather than corrupting.
 #[derive(Debug, Clone)]
 pub struct Archive {
     root: PathBuf,
     obs: moat_obs::Obs,
 }
 
-fn io_err(path: &Path, e: std::io::Error) -> ArchiveError {
-    ArchiveError::Io(format!("{}: {e}", path.display()))
-}
-
 impl Archive {
     /// Open (creating if needed) an archive directory. Temp files left
     /// behind by a writer that crashed mid-[`insert`](Self::insert) are
-    /// swept here: a `.{id}.tmp` that never reached its `rename` is dead
-    /// weight, never a record readers could have observed.
+    /// swept here ([`file::sweep`]): a temp that never reached its
+    /// `rename` is dead weight, never a record readers could have observed.
     pub fn open(root: impl Into<PathBuf>) -> Result<Archive, ArchiveError> {
         let root = root.into();
         fs::create_dir_all(&root).map_err(|e| io_err(&root, e))?;
-        let archive = Archive {
+        file::sweep(&root);
+        Ok(Archive {
             root,
             obs: moat_obs::Obs::default(),
-        };
-        archive.sweep_stale_temps();
-        Ok(archive)
+        })
     }
 
     /// Report reads and writes on `obs` (the handle of the run consulting
@@ -81,22 +75,6 @@ impl Archive {
     pub fn with_obs(mut self, obs: moat_obs::Obs) -> Self {
         self.obs = obs;
         self
-    }
-
-    /// Remove leftover `.*.tmp` files from a crashed writer. Best-effort:
-    /// a concurrent writer may legitimately rename its temp away between
-    /// the listing and the unlink.
-    fn sweep_stale_temps(&self) {
-        let Ok(entries) = fs::read_dir(&self.root) else {
-            return;
-        };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.starts_with('.') && name.ends_with(".tmp") {
-                let _ = fs::remove_file(entry.path());
-            }
-        }
     }
 
     /// The archive directory.
@@ -145,9 +123,9 @@ impl Archive {
     /// [`ArchiveRecord::merge`]); use
     /// [`insert_across_backends`](Self::insert_across_backends) for that.
     /// Returns the merge stats (a first insert counts every front point as
-    /// inserted). The write is atomic: temp file + rename.
+    /// inserted). It is a one-record [`merge_batch`](Self::merge_batch).
     pub fn insert(&self, record: &ArchiveRecord) -> Result<MergeStats, ArchiveError> {
-        self.insert_with(record, false)
+        Ok(self.merge_batch(std::slice::from_ref(record), false)?[0])
     }
 
     /// Like [`insert`](Self::insert), but deliberately merges fronts from
@@ -157,40 +135,7 @@ impl Archive {
         &self,
         record: &ArchiveRecord,
     ) -> Result<MergeStats, ArchiveError> {
-        self.insert_with(record, true)
-    }
-
-    fn insert_with(
-        &self,
-        record: &ArchiveRecord,
-        across_backends: bool,
-    ) -> Result<MergeStats, ArchiveError> {
-        let (merged, stats) = match self.get(&record.key)? {
-            Some(mut existing) => {
-                let stats = if across_backends {
-                    existing.merge_across_backends(record)?
-                } else {
-                    existing.merge(record)?
-                };
-                (existing, stats)
-            }
-            None => {
-                let mut rec = record.clone();
-                rec.canonicalize();
-                let stats = MergeStats {
-                    inserted: rec.front.len(),
-                    rejected: record.front.len() - rec.front.len(),
-                };
-                (rec, stats)
-            }
-        };
-        self.write_atomic(&merged)?;
-        self.obs.emit(|| moat_obs::Event::ArchiveWrite {
-            key: record.key.id(),
-            added: stats.inserted as u64,
-            dropped: stats.rejected as u64,
-        });
-        Ok(stats)
+        Ok(self.merge_batch(std::slice::from_ref(record), true)?[0])
     }
 
     /// Merge a whole batch of records with one read and one atomic write
@@ -272,15 +217,9 @@ impl Archive {
 
     fn write_atomic(&self, record: &ArchiveRecord) -> Result<(), ArchiveError> {
         let path = self.path_for(&record.key);
-        let tmp = self.root.join(format!(".{}.tmp", record.key.id()));
-        {
-            let mut f = fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-            f.write_all(record.to_json().as_bytes())
-                .and_then(|()| f.write_all(b"\n"))
-                .and_then(|()| f.sync_all())
-                .map_err(|e| io_err(&tmp, e))?;
-        }
-        fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))
+        let mut json = record.to_json();
+        json.push('\n');
+        file::replace(&path, json.as_bytes(), true).map_err(|e| io_err(&path, e))
     }
 
     /// All stored keys, sorted by id for deterministic listings.
@@ -721,7 +660,7 @@ mod tests {
 
         // Simulate a writer killed mid-insert: a half-written temp file
         // that never reached its rename.
-        let stale = dir.join(format!(".{}.tmp", key.id()));
+        let stale = crate::file::temp_of(&archive.path_for(&key));
         fs::write(&stale, "{\"format_version\": 1, \"key\": trunc").unwrap();
         let foreign = dir.join("notes.txt");
         fs::write(&foreign, "keep me").unwrap();

@@ -636,18 +636,9 @@ fn solve_linear(a: &mut [f64], b: &mut [f64], n: usize) -> bool {
 /// or batch position, which is what makes exploration parallelism- and
 /// schedule-invariant.
 pub fn config_hash(seed: u64, cfg: &Config) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut eat = |bytes: &[u8]| {
-        for b in bytes {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
-    eat(&seed.to_le_bytes());
-    for v in cfg {
-        eat(&v.to_le_bytes());
-    }
-    h
+    let seeded = moat_obs::fnv1a(moat_obs::FNV_OFFSET, &seed.to_le_bytes());
+    cfg.iter()
+        .fold(seeded, |h, v| moat_obs::fnv1a(h, &v.to_le_bytes()))
 }
 
 /// Screening knobs: how much of a batch survives, and how much is explored

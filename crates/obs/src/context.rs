@@ -13,16 +13,6 @@
 //! and re-runs. That is what lets the serve daemon's span trees keep the
 //! parallelism-invariance contract of the logical obs mode.
 
-/// FNV-1a over a byte slice (the same constants the job fingerprint uses).
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// One request's position in its causal tree (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
@@ -55,7 +45,7 @@ impl TraceContext {
         key.extend_from_slice(&index.to_be_bytes());
         TraceContext {
             trace: self.trace,
-            span: fnv(&key),
+            span: crate::fnv1a(crate::FNV_OFFSET, &key),
             parent: self.span,
         }
     }

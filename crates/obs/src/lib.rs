@@ -51,3 +51,38 @@ pub use context::TraceContext;
 pub use flight::FlightRecorder;
 pub use record::{Class, Event, Record};
 pub use subscriber::{Obs, TimestampMode};
+
+/// The FNV-1a offset basis: the state to start [`fnv1a`] from.
+pub const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
+/// FNV-1a: fold `bytes` into `state` (start from [`FNV_OFFSET`]). The
+/// workspace's one hash for stable ids — job fingerprints, shard routing,
+/// span ids, checkpoint checksums, exploration coins — so every value it
+/// yields is persisted or observable and must never change.
+pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(state, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The published FNV-1a 64-bit test vectors.
+    #[test]
+    fn fnv1a_matches_the_published_vectors() {
+        for (input, want) in [
+            ("", 0xcbf29ce484222325),
+            ("a", 0xaf63dc4c8601ec8c),
+            ("foobar", 0x85944171f73967e8),
+        ] {
+            assert_eq!(fnv1a(FNV_OFFSET, input.as_bytes()), want, "{input:?}");
+        }
+        assert_eq!(
+            fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"),
+            fnv1a(FNV_OFFSET, b"foobar"),
+            "folding in pieces is folding the whole"
+        );
+    }
+}

@@ -23,7 +23,7 @@
 //! when it looked and never cuts or writes, so it is safe beside a live
 //! daemon.
 
-use crate::journal::{pread, AppendLog};
+use moat_archive::file::{pread, AppendLog};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::fs::File;

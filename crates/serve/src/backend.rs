@@ -208,12 +208,7 @@ pub fn open_checkpoint_store(ctx: &JobContext) -> Option<GaugedStore> {
 
 /// FNV-1a over a string, for synthetic fingerprints.
 fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    moat_obs::fnv1a(moat_obs::FNV_OFFSET, s.as_bytes())
 }
 
 /// A self-contained backend over a deterministic synthetic 2-objective

@@ -75,13 +75,13 @@ use crate::pool::FairPool;
 use crate::shard::ShardedArchive;
 use crate::spec::{JobSpec, SubmitResponse};
 use crate::wire::{self, Request, Response, WireError};
+use moat_archive::file::{self, AppendLog};
 use moat_archive::CheckpointStore;
 use moat_core::SessionCheckpoint;
 use moat_obs::{FlightRecorder, Obs, TimestampMode, TraceContext};
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::Write as _;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
@@ -275,22 +275,51 @@ struct Jobs {
     journal: Journal,
 }
 
-/// The service-level obs log (`<state>/serve.jsonl`): sheds, breaker
-/// transitions and contained panics, one `moat_obs::Record` per line.
-struct ObsLog {
+/// A service log: one `moat_obs::Record` per line, its `seq` numbering
+/// the lines from 1 across restarts. Two of them: `<state>/serve.jsonl`
+/// (sheds, breaker transitions and contained panics; created at start)
+/// and `<state>/spans.jsonl` (one `JobStage` record per completed span of
+/// a traced job; created by the first traced request, so an untraced
+/// daemon's state directory has none).
+struct ServiceLog {
+    log: AppendLog,
     seq: u64,
-    file: Option<std::fs::File>,
 }
 
-/// The span log (`<state>/spans.jsonl`): one `JobStage` record per
-/// completed span of a traced job. The file is created lazily on the
-/// first traced request, so an untraced daemon's state directory is
-/// byte-identical to the pre-tracing layout; its sequence continues
-/// across restarts like `serve.jsonl`.
-struct SpanLog {
-    path: PathBuf,
-    seq: u64,
-    file: Option<std::fs::File>,
+impl ServiceLog {
+    /// Recover the log at `path`: `seq` continues from its complete lines,
+    /// and a torn last line is cut by the first append.
+    fn recover(path: PathBuf) -> std::io::Result<ServiceLog> {
+        let mut seq = 0;
+        let log = AppendLog::recover(path, |reader, _, _| {
+            let Some(line) = AppendLog::line(reader)? else {
+                return Ok(None);
+            };
+            seq += 1;
+            Ok(Some(line.len() as u64))
+        })?;
+        Ok(ServiceLog { log, seq })
+    }
+
+    /// Append `event` as the next record; `dur_us` rides its envelope.
+    fn append(&mut self, event: moat_obs::Event, dur_us: u64) -> std::io::Result<()> {
+        let record = moat_obs::Record {
+            seq: self.seq + 1,
+            ts_us: 0,
+            dur_us,
+            tid: 0,
+            event,
+        };
+        let line = moat_obs::export::to_jsonl(&[record]);
+        self.log.append(line.as_bytes(), false)?;
+        self.seq += 1;
+        Ok(())
+    }
+
+    /// Every acknowledged byte (none when the file was never made).
+    fn bytes(&self) -> Vec<u8> {
+        self.log.read_at(0, self.log.len()).unwrap_or_default()
+    }
 }
 
 /// Per-job in-memory tracing state: the client's root span (for traced
@@ -334,8 +363,8 @@ struct Daemon {
     conns_active: AtomicUsize,
     conns: Mutex<Handoff>,
     conn_cv: Condvar,
-    obs: Mutex<ObsLog>,
-    spans: Mutex<SpanLog>,
+    obs: Mutex<ServiceLog>,
+    spans: Mutex<ServiceLog>,
     traces: Mutex<HashMap<String, JobTrace>>,
     flight: FlightRecorder,
     /// Where one throwaway connection reaches the listener: the bound
@@ -359,18 +388,7 @@ impl Daemon {
     /// transitions leading up to the failure).
     fn obs_event(&self, event: moat_obs::Event) {
         self.flight.record(event.clone(), 0);
-        let mut log = self.obs.lock();
-        log.seq += 1;
-        let record = moat_obs::Record {
-            seq: log.seq,
-            ts_us: 0,
-            dur_us: 0,
-            tid: 0,
-            event,
-        };
-        if let Some(file) = log.file.as_mut() {
-            let _ = file.write_all(moat_obs::export::to_jsonl(&[record]).as_bytes());
-        }
+        let _ = self.obs.lock().append(event, 0);
     }
 
     /// Append one completed span of a traced job to `spans.jsonl` (and
@@ -398,30 +416,12 @@ impl Daemon {
             detail,
         };
         self.flight.record(event.clone(), dur_us);
-        let mut log = self.spans.lock();
-        if log.file.is_none() {
-            log.file = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&log.path)
-                .ok();
-        }
-        log.seq += 1;
-        let record = moat_obs::Record {
-            seq: log.seq,
-            ts_us: 0,
-            dur_us,
-            tid: 0,
-            event,
-        };
-        if let Some(file) = log.file.as_mut() {
-            let _ = file.write_all(moat_obs::export::to_jsonl(&[record]).as_bytes());
-        }
+        let _ = self.spans.lock().append(event, dur_us);
     }
 
-    /// Dump the flight recorder's ring to `<state>/flight/<name>.jsonl`.
-    /// Fixed names overwrite: the latest incident of each kind wins, so
-    /// a crash loop cannot fill the disk.
+    /// Dump the flight recorder's ring to `<state>/flight/<name>.jsonl`,
+    /// an unsynced [`file::replace`]. Fixed names overwrite: the latest
+    /// incident of each kind wins, so a crash loop cannot fill the disk.
     fn flight_dump(&self, name: &str) {
         if !self.flight.enabled() {
             return;
@@ -429,7 +429,7 @@ impl Daemon {
         let dir = self.config.state_dir.join("flight");
         let _ = std::fs::create_dir_all(&dir);
         let text = moat_obs::export::to_jsonl(&self.flight.snapshot());
-        let _ = std::fs::write(dir.join(format!("{name}.jsonl")), text);
+        let _ = file::replace(&dir.join(format!("{name}.jsonl")), text.as_bytes(), false);
     }
 
     /// Journal row `id`, the one row a table change touched. Callers hold
@@ -1166,11 +1166,11 @@ impl Daemon {
                 }
             }
             ("GET", "/debug/spans") => {
-                // The full span log — unlike the flight ring this never
-                // evicts, so clients can assert their trace ids round-
-                // tripped. Empty when no traced request ever arrived.
-                let body =
-                    std::fs::read(self.config.state_dir.join("spans.jsonl")).unwrap_or_default();
+                // The full span log, acknowledged records only — unlike
+                // the flight ring this never evicts, so clients can assert
+                // their trace ids round-tripped. Empty when no traced
+                // request ever arrived.
+                let body = self.spans.lock().bytes();
                 Response {
                     status: 200,
                     content_type: "application/x-ndjson".into(),
@@ -1465,6 +1465,10 @@ pub fn serve(config: ServeConfig, backend: Arc<dyn JobBackend>) -> std::io::Resu
         }
     }
     std::fs::create_dir_all(config.state_dir.join("ckpt"))?;
+    // A temp no rename claimed is a write that never happened.
+    for dir in ["", "archive", "ckpt", "flight"] {
+        file::sweep(&config.state_dir.join(dir));
+    }
     let artifacts = ArtifactLog::open(&config.state_dir)?;
     let archive = ShardedArchive::open(config.state_dir.join("archive"), config.shards)
         .map_err(|e| std::io::Error::other(e.to_string()))?;
@@ -1480,25 +1484,9 @@ pub fn serve(config: ServeConfig, backend: Arc<dyn JobBackend>) -> std::io::Resu
         });
     }
     let (rows, journal) = Journal::recover(&config.state_dir)?;
-
-    // The service-level obs log survives restarts; continue its sequence
-    // from the lines already present.
-    let obs_path = config.state_dir.join("serve.jsonl");
-    let obs_seq = std::fs::read_to_string(&obs_path)
-        .map(|t| t.lines().count() as u64)
-        .unwrap_or(0);
-    let obs_file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&obs_path)
-        .ok();
-
-    // The span log also survives restarts; its file is only created when
-    // the first traced request arrives.
-    let spans_path = config.state_dir.join("spans.jsonl");
-    let spans_seq = std::fs::read_to_string(&spans_path)
-        .map(|t| t.lines().count() as u64)
-        .unwrap_or(0);
+    let mut obs = ServiceLog::recover(config.state_dir.join("serve.jsonl"))?;
+    obs.log.cut()?;
+    let spans = ServiceLog::recover(config.state_dir.join("spans.jsonl"))?;
 
     let flight = FlightRecorder::default();
     flight.set_enabled(config.flight);
@@ -1527,15 +1515,8 @@ pub fn serve(config: ServeConfig, backend: Arc<dyn JobBackend>) -> std::io::Resu
         conns_active: AtomicUsize::new(0),
         conns: Mutex::default(),
         conn_cv: Condvar::new(),
-        obs: Mutex::new(ObsLog {
-            seq: obs_seq,
-            file: obs_file,
-        }),
-        spans: Mutex::new(SpanLog {
-            path: spans_path,
-            seq: spans_seq,
-            file: None,
-        }),
+        obs: Mutex::new(obs),
+        spans: Mutex::new(spans),
         traces: Mutex::new(HashMap::new()),
         flight,
         wake,
@@ -1701,5 +1682,58 @@ mod tests {
             .unwrap();
         assert_eq!(client.read(&mut [0u8; 1]).unwrap(), 0, "closed, not held");
         handle.join().unwrap();
+    }
+
+    fn shed(n: u64) -> moat_obs::Event {
+        moat_obs::Event::ServeShed {
+            reason: "rate_limit".into(),
+            tenant: format!("t{n}"),
+        }
+    }
+
+    /// A service log cut at every byte of its last record — a crash
+    /// mid-append — recovers the records before it, numbers the next one
+    /// after them and starts it on its own line: the file parses and its
+    /// seqs run 1..n.
+    #[test]
+    fn every_cut_of_a_service_logs_last_record_recovers_and_continues() {
+        let dir = std::env::temp_dir().join(format!("moat-service-log-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("serve.jsonl");
+        let mut log = ServiceLog::recover(path.clone()).unwrap();
+        assert!(
+            log.bytes().is_empty() && !path.exists(),
+            "made by the first append"
+        );
+        for n in 1..=3 {
+            log.append(shed(n), 0).unwrap();
+        }
+        let full = std::fs::read(&path).unwrap();
+        assert_eq!(log.bytes(), full);
+        let last = full[..full.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .unwrap()
+            + 1;
+        for cut in last..=full.len() {
+            std::fs::write(&path, &full[..cut]).unwrap();
+            let mut log = ServiceLog::recover(path.clone()).unwrap();
+            let kept = if cut == full.len() { 3 } else { 2 };
+            assert_eq!(log.seq, kept, "cut at byte {cut}");
+            assert_eq!(log.bytes(), full[..if kept == 3 { cut } else { last }]);
+            log.append(shed(9), 0).unwrap();
+            let text = std::fs::read_to_string(&path).unwrap();
+            let records = moat_obs::export::parse_jsonl(&text)
+                .unwrap_or_else(|e| panic!("cut at byte {cut}: {e}\n{text}"));
+            let seqs: Vec<u64> = records.iter().map(|r| r.seq).collect();
+            assert_eq!(
+                seqs,
+                (1..=kept + 1).collect::<Vec<_>>(),
+                "cut at byte {cut}"
+            );
+            assert_eq!(records.last().unwrap().event, shed(9));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,14 +1,4 @@
-//! The daemon's append-only files, and the job table kept in one of them.
-//!
-//! [`AppendLog`] is the one way this crate grows a file: a record is
-//! acknowledged once its last byte is written, recovery walks the records
-//! from the front and stops at the first one that is not all there — a
-//! crash mid-append — and the first append after that cuts the torn tail
-//! off, so it never ends up in the middle. A record that is all there but
-//! does not parse is corruption and fails the recovery. The job-table
-//! journal here, the artifact log ([`crate::artifacts`]) and each shard's
-//! deposit log ([`crate::shard`]) are that primitive under three record
-//! shapes, so one enumeration of crash points covers all of them.
+//! The daemon's job table on disk.
 //!
 //! ```text
 //! <state>/jobs.json     snapshot: every row, one pretty-printed JSON array
@@ -16,10 +6,12 @@
 //!                       the snapshot (absent after a clean shutdown)
 //! ```
 //!
+//! Both files go through [`moat_archive::file`]: the journal is an
+//! [`AppendLog`] of lines, the snapshot an unsynced [`file::replace`].
 //! Every change to the table touches exactly one row, so the hot path
 //! appends that row ([`Journal::append`], one `write` — the same no-fsync
-//! durability as the snapshot's tmp+rename). The whole table is only
-//! serialised by [`Journal::snapshot`], which then retires the journal.
+//! durability as the snapshot). The whole table is only serialised by
+//! [`Journal::snapshot`], which then retires the journal.
 //!
 //! **Recovery** ([`load_job_table`]) is snapshot-then-journal, last row per
 //! id wins. Replaying a journal over a snapshot that already contains its
@@ -27,165 +19,12 @@
 //! journal's removal is harmless.
 
 use crate::daemon::JobState;
+use moat_archive::file::{self, AppendLog};
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::{BufRead, BufReader, Write as _};
-use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 
 const SNAPSHOT_FILE: &str = "jobs.json";
 const JOURNAL_FILE: &str = "jobs.journal";
-
-/// An append-only file of self-delimiting records (see the module docs).
-pub(crate) struct AppendLog {
-    path: PathBuf,
-    /// Read-only from [`recover`](Self::recover) when the file was there;
-    /// read + append from the first append on.
-    file: Option<File>,
-    writable: bool,
-    /// Acknowledged bytes.
-    len: u64,
-}
-
-impl AppendLog {
-    /// Walk the records of `path` (absent is empty) from the front.
-    /// `record` consumes the one at the reader's position — it is told
-    /// that offset and how many bytes are left — and returns its length,
-    /// or `None` when what is left is less than a record: the torn tail,
-    /// where the walk stops. Nothing is written or cut here, so a log can
-    /// be recovered beside the process that appends to it.
-    pub(crate) fn recover(
-        path: PathBuf,
-        mut record: impl FnMut(&mut BufReader<&File>, u64, u64) -> std::io::Result<Option<u64>>,
-    ) -> std::io::Result<AppendLog> {
-        // Anything but a regular file reads as empty; appending finds out.
-        let file = File::open(&path)
-            .ok()
-            .filter(|f| f.metadata().is_ok_and(|m| m.is_file()));
-        let mut len = 0;
-        if let Some(file) = &file {
-            let size = file.metadata()?.len();
-            let mut reader = BufReader::new(file);
-            while len < size {
-                match record(&mut reader, len, size - len)? {
-                    Some(n) => len += n,
-                    None => break,
-                }
-            }
-        }
-        Ok(AppendLog {
-            path,
-            file,
-            writable: false,
-            len,
-        })
-    }
-
-    /// The record at the reader's position when records are lines: its
-    /// bytes, newline included, or `None` for an unterminated tail.
-    pub(crate) fn line(reader: &mut impl BufRead) -> std::io::Result<Option<Vec<u8>>> {
-        let mut line = Vec::new();
-        reader.read_until(b'\n', &mut line)?;
-        Ok(line.ends_with(b"\n").then_some(line))
-    }
-
-    /// A line record that is one JSON value.
-    pub(crate) fn json<T: serde::Deserialize>(line: &[u8]) -> Result<T, String> {
-        let text = std::str::from_utf8(line).map_err(|e| e.to_string())?;
-        serde_json::from_str(text.trim_end()).map_err(|e| e.to_string())
-    }
-
-    /// Acknowledged bytes: where the next record will start.
-    pub(crate) fn len(&self) -> u64 {
-        self.len
-    }
-
-    pub(crate) fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Create the file if need be and cut it back to its acknowledged
-    /// prefix now rather than at the first append.
-    pub(crate) fn cut(&mut self) -> std::io::Result<()> {
-        self.writer().map(drop)
-    }
-
-    /// The file opened for appending, created if need be and cut back to
-    /// its acknowledged prefix.
-    fn writer(&mut self) -> std::io::Result<&File> {
-        if !self.writable {
-            let file = std::fs::OpenOptions::new()
-                .read(true)
-                .append(true)
-                .create(true)
-                .open(&self.path)?;
-            file.set_len(self.len)?;
-            self.file = Some(file);
-            self.writable = true;
-        }
-        Ok(self.file.as_ref().expect("just opened"))
-    }
-
-    /// Append one record with a single `write` — durably with `sync`,
-    /// otherwise as durable as the page cache — and return its offset.
-    pub(crate) fn append(&mut self, record: &[u8], sync: bool) -> std::io::Result<u64> {
-        let mut file = self.writer()?;
-        let written = file.write_all(record);
-        let written = written.and_then(|()| if sync { file.sync_all() } else { Ok(()) });
-        if let Err(e) = written {
-            // Reopen next time: that cuts whatever part of it landed.
-            self.writable = false;
-            return Err(e);
-        }
-        let at = self.len;
-        self.len += record.len() as u64;
-        Ok(at)
-    }
-
-    /// `len` acknowledged bytes starting at `at`.
-    pub(crate) fn read_at(&self, at: u64, len: u64) -> std::io::Result<Vec<u8>> {
-        pread(
-            self.file.as_ref().ok_or(std::io::ErrorKind::NotFound)?,
-            at,
-            len,
-        )
-    }
-
-    /// A second handle on the file, for [`pread`]s that do not go through
-    /// whatever lock guards the appender.
-    pub(crate) fn reader(&self) -> Option<File> {
-        self.file.as_ref()?.try_clone().ok()
-    }
-
-    /// Empty the log in place: every record in it has been folded into
-    /// something more durable.
-    pub(crate) fn reset(&mut self) -> std::io::Result<()> {
-        self.writer()?.set_len(0)?;
-        self.len = 0;
-        Ok(())
-    }
-
-    /// Empty the log by removing its file; the next append recreates it.
-    pub(crate) fn remove(&mut self) -> std::io::Result<()> {
-        self.file = None;
-        self.writable = false;
-        match std::fs::remove_file(&self.path) {
-            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
-            _ => {
-                self.len = 0;
-                Ok(())
-            }
-        }
-    }
-}
-
-/// `len` bytes of `file` starting at `at`, without a seek: readers of one
-/// handle disturb neither each other nor the appender.
-pub(crate) fn pread(file: &File, at: u64, len: u64) -> std::io::Result<Vec<u8>> {
-    let mut bytes = vec![0; len as usize];
-    file.read_exact_at(&mut bytes, at)?;
-    Ok(bytes)
-}
 
 /// The job table a `moat-serve` state directory holds — live, cleanly
 /// shut down or crashed — in id order.
@@ -254,21 +93,18 @@ impl Journal {
     /// the snapshot now costs no more than the appends since the last
     /// rewrite did, so compaction stays amortised constant per row.
     pub(crate) fn outgrown(&self) -> bool {
-        self.log.len() > 0 && self.log.len() >= self.snapshot_bytes
+        !self.log.is_empty() && self.log.len() >= self.snapshot_bytes
     }
 
-    /// Atomically rewrite the snapshot from `rows` (tmp + rename), then
-    /// retire the journal it supersedes.
+    /// Atomically rewrite the snapshot from `rows`, then retire the
+    /// journal it supersedes.
     pub(crate) fn snapshot<'a>(
         &mut self,
         rows: impl Iterator<Item = &'a JobState>,
     ) -> std::io::Result<()> {
         let rows: Vec<&JobState> = rows.collect();
         let json = serde_json::to_string_pretty(&rows).expect("job table serializes");
-        let path = self.state_dir.join(SNAPSHOT_FILE);
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, &json)?;
-        std::fs::rename(&tmp, &path)?;
+        file::replace(&self.state_dir.join(SNAPSHOT_FILE), json.as_bytes(), false)?;
         self.snapshot_bytes = json.len() as u64;
         self.log.remove()
     }

@@ -35,7 +35,7 @@
 //! record with any pending records in memory, so results are visible
 //! immediately after deposit, before any compaction ran.
 
-use crate::journal::AppendLog;
+use moat_archive::file::{self, io_err, AppendLog};
 use moat_archive::{Archive, ArchiveError, ArchiveKey, ArchiveRecord};
 use moat_core::WarmStart;
 use moat_machine::MachineFeatures;
@@ -43,7 +43,6 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::Write as _;
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
 
@@ -57,13 +56,7 @@ struct ShardMeta {
 /// FNV-1a over a key id — the routing fingerprint. Uniform enough to
 /// spread keys, stable across runs and processes.
 fn route_fp(key: &ArchiveKey) -> u64 {
-    let id = key.id();
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in id.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    moat_obs::fnv1a(moat_obs::FNV_OFFSET, key.id().as_bytes())
 }
 
 /// One shard's deposit log and what is pending in it.
@@ -108,10 +101,6 @@ pub struct ShardedArchive {
     /// still pending would otherwise transiently double its counters in
     /// the read view).
     fold: Mutex<()>,
-}
-
-fn io_err(path: &Path, e: std::io::Error) -> ArchiveError {
-    ArchiveError::Io(format!("{}: {e}", path.display()))
 }
 
 /// Recover the deposit log of the shard at `dir`. A non-empty `incoming/`
@@ -166,14 +155,10 @@ impl ShardedArchive {
                     format_version: 1,
                     shards: count,
                 };
-                let tmp = root.join(".shards.json.tmp");
                 let body = serde_json::to_string_pretty(&meta)
                     .map_err(|e| ArchiveError::Format(e.to_string()))?;
-                let mut f = fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-                f.write_all(body.as_bytes())
-                    .and_then(|()| f.sync_all())
-                    .map_err(|e| io_err(&tmp, e))?;
-                fs::rename(&tmp, &meta_path).map_err(|e| io_err(&meta_path, e))?;
+                let written = file::replace(&meta_path, body.as_bytes(), true);
+                written.map_err(|e| io_err(&meta_path, e))?;
                 count
             }
             Err(e) => return Err(io_err(&meta_path, e)),

@@ -79,12 +79,7 @@ impl JobSpec {
         let mut canon = self.clone();
         canon.tenant = String::new();
         let json = serde_json::to_string(&canon).expect("JobSpec serializes");
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in json.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
+        moat_obs::fnv1a(moat_obs::FNV_OFFSET, json.as_bytes())
     }
 
     /// The fingerprint as the fixed-width hex token used in file names

@@ -934,3 +934,62 @@ fn a_state_directory_of_the_old_layout_is_refused() {
         let _ = std::fs::remove_dir_all(&state_dir);
     }
 }
+
+/// A crash between a replace's temp write and its rename leaves the temp
+/// behind; the next start removes every such temp — beside `jobs.json`,
+/// `shards.json`, a shard record and a checkpoint — and leaves every real
+/// file as it was.
+#[test]
+fn start_sweeps_stale_temps_and_keeps_every_real_file() {
+    let state = temp_dir("sweep");
+    let handle = serve(
+        ServeConfig::new(&state),
+        Arc::new(SyntheticBackend::default()),
+    )
+    .expect("daemon starts");
+    let sub = submit(handle.addr(), &spec("mm", 1, "sweep", false, 32));
+    wait_done(handle.addr(), &sub.job);
+    shutdown(handle.addr(), handle);
+    // A checkpoint no row resumes from stays where it is.
+    let ckpt = state.join("ckpt").join(format!("{:016x}.ckpt", 7));
+    std::fs::write(&ckpt, b"{\"seq\":1}\n{}\n").unwrap();
+    let contents = |files: Vec<PathBuf>| -> Vec<(Vec<u8>, PathBuf)> {
+        let read = |p: PathBuf| (std::fs::read(&p).unwrap(), p);
+        files.into_iter().map(read).collect()
+    };
+    let real = contents(files_under(&state));
+    let in_shard = |p: &Path| {
+        let dir = p.parent().and_then(Path::file_name).unwrap_or_default();
+        dir.to_string_lossy().starts_with("shard-")
+    };
+    let record = files_under(&state)
+        .into_iter()
+        .find(|p| in_shard(p) && p.extension().is_some_and(|e| e == "json"))
+        .expect("a shard record");
+    let temps = [
+        state.join("jobs.json.tmp"),
+        state.join("archive").join("shards.json.tmp"),
+        state.join("archive").join(".shards.json.tmp"),
+        record.with_extension("json.tmp"),
+        ckpt.with_extension("ckpt.tmp"),
+    ];
+    for temp in &temps {
+        std::fs::write(temp, b"{ torn").unwrap();
+    }
+
+    let handle = serve(
+        ServeConfig::new(&state),
+        Arc::new(SyntheticBackend::default()),
+    )
+    .expect("daemon restarts");
+    for temp in &temps {
+        assert!(!temp.exists(), "{} swept at start", temp.display());
+    }
+    shutdown(handle.addr(), handle);
+    assert_eq!(
+        contents(files_under(&state)),
+        real,
+        "every real file intact"
+    );
+    let _ = std::fs::remove_dir_all(&state);
+}

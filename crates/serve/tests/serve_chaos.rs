@@ -701,3 +701,55 @@ fn readyz_reflects_shutdown() {
     }
     handle.join().expect("clean shutdown");
 }
+
+/// A crash that tears `serve.jsonl`'s last record must not poison the
+/// log: the restarted daemon cuts the torn bytes, so its next shed starts
+/// its own line and the log still parses (`moat-report --from-serve`
+/// drops its admission section when it does not).
+#[test]
+fn a_torn_service_log_record_is_cut_before_the_next_shed() {
+    let state_dir = temp_dir("torn-log");
+    let start = || {
+        let mut config = ServeConfig::new(&state_dir);
+        config.tenant_rate = 0.001;
+        config.tenant_burst = 1.0;
+        serve(config, Arc::new(SyntheticBackend::default())).expect("daemon starts")
+    };
+    // The bucket holds one submission; the next `n` are shed.
+    let shed = |addr: SocketAddr, seed: u64, n: u64| {
+        let sub = submit(addr, &spec("mm", seed, "torn", 32));
+        wait_done(addr, &sub.job);
+        for k in 1..=n {
+            let body = spec("mm", seed + k, "torn", 32).into_bytes();
+            let resp = send(addr, &Request::json("POST", "/jobs", body));
+            assert_eq!(resp.status, 429, "{}", String::from_utf8_lossy(&resp.body));
+        }
+    };
+    let handle = start();
+    shed(handle.addr(), 1, 2);
+    shutdown(handle.addr(), handle);
+
+    // The second shed's record is the one a crash tore.
+    let path = state_dir.join("serve.jsonl");
+    let full = std::fs::read(&path).unwrap();
+    let second = full.iter().position(|&b| b == b'\n').unwrap() + 1;
+    assert!(full.len() > second + 5, "two records logged");
+    std::fs::write(&path, &full[..second + 5]).unwrap();
+
+    let handle = start();
+    shed(handle.addr(), 10, 1);
+    shutdown(handle.addr(), handle);
+
+    let text = std::fs::read_to_string(&path).unwrap();
+    let records = moat_obs::export::parse_jsonl(&text)
+        .unwrap_or_else(|e| panic!("serve.jsonl no longer parses: {e}\n{text}"));
+    let sheds: Vec<(u64, &str)> = records
+        .iter()
+        .filter_map(|r| match &r.event {
+            moat_obs::Event::ServeShed { tenant, .. } => Some((r.seq, tenant.as_str())),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(sheds, [(1, "torn"), (2, "torn")], "{text}");
+    let _ = std::fs::remove_dir_all(&state_dir);
+}

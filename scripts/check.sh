@@ -10,6 +10,23 @@ cargo fmt --check
 echo "== cargo clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Every append and every atomic replace goes through moat_archive::file, so
+# its crash points are the only ones to enumerate. Non-test code is what
+# scripts/loc.sh counts: a file's lines before its first #[cfg(test)].
+echo "== durable writes only in crates/archive/src/file.rs =="
+stray=$(find crates/*/src src -name '*.rs' ! -path crates/archive/src/file.rs | sort |
+    xargs awk '
+        FNR == 1 { counting = 1 }
+        /#\[cfg\(test\)\]/ { counting = 0 }
+        counting && /sync_all|sync_data|fs::rename|\.append\(true\)/ {
+            print FILENAME ":" FNR ": " $0
+        }')
+if [[ -n "$stray" ]]; then
+    echo "hand-rolled durable writes (use moat_archive::file):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
 echo "== cargo test (workspace, default test threads) =="
 cargo test -q --workspace
 
@@ -40,12 +57,14 @@ trap 'kill "$busy" 2> /dev/null || true' EXIT
 for _ in $(seq 200); do
     cargo test -q --test analytic_allocations
 done
-# The three append logs (job journal, artifact log, deposit logs) share one
-# primitive: its crash-point enumerations, a result read while others
-# append and a deposit racing the compactor's fold, under the same squeeze.
+# The daemon's append logs (job journal, artifact log, deposit logs, service
+# logs) share one primitive, moat_archive::file::AppendLog: its crash-point
+# enumerations, a result read while others append and a deposit racing the
+# compactor's fold, under the same squeeze.
 echo "== append-log tests x200, beside a busy process =="
 for _ in $(seq 200); do
-    cargo test -q -p moat-serve --lib -- journal:: artifacts:: a_deposit_during_a_fold
+    cargo test -q -p moat-serve --lib -- journal:: artifacts:: a_deposit_during_a_fold \
+        every_cut_of_a_service_log
 done
 kill "$busy"
 trap - EXIT

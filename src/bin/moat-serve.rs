@@ -203,9 +203,7 @@ fn main() {
     let addr = handle.addr();
     eprintln!("moat-serve: listening on {addr}");
     if let Some(path) = &port_file {
-        let tmp = format!("{path}.tmp");
-        std::fs::write(&tmp, addr.to_string())
-            .and_then(|()| std::fs::rename(&tmp, path))
+        moat::archive::file::replace(path.as_ref(), addr.to_string().as_bytes(), false)
             .unwrap_or_else(|e| fail(format!("writing port file {path}: {e}")));
     }
 
