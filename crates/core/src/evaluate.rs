@@ -9,10 +9,11 @@
 
 use crate::space::Config;
 use moat_obs::{Event, Obs};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// An objective vector (all components minimized).
@@ -56,14 +57,8 @@ where
     }
 }
 
-enum CacheEntry {
-    /// The configuration is being evaluated by some thread; requests for it
-    /// wait on [`CachingEvaluator::published`] instead of re-running the
-    /// objective function.
-    InFlight,
-    /// The evaluation finished with this result.
-    Done(Option<ObjVec>),
-}
+/// One configuration's result, set once by the thread that claimed it.
+type Cell = Arc<OnceLock<Option<ObjVec>>>;
 
 /// Wrapper adding evaluation counting and memoization.
 ///
@@ -72,18 +67,46 @@ enum CacheEntry {
 /// compiler would reuse measurements) is the cost metric of Table VI.
 ///
 /// Distinct configurations are counted *exactly* once even under concurrent
-/// evaluation: the first thread to request a configuration claims it while
-/// holding the cache lock (marking it in flight and bumping the counter
-/// atomically with the claim), then evaluates outside the lock; later
-/// threads either hit the finished entry or wait until the owner publishes
-/// the result.
+/// evaluation. A request takes the cache lock once and looks its
+/// configuration up once: a finished entry is a hit; a missing one is
+/// claimed — an empty cell inserted and the counter bumped under that
+/// lock — and evaluated outside it; an empty one is in flight, and the
+/// request waits on the cell itself. The claimant publishes into the cell
+/// without locking or looking anything up again.
 pub struct CachingEvaluator<'a> {
     inner: &'a dyn Evaluator,
-    cache: Mutex<HashMap<Config, CacheEntry>>,
-    /// Signalled whenever an in-flight entry becomes `Done`.
-    published: Condvar,
+    cache: Mutex<HashMap<Config, Cell, BuildHasherDefault<ConfigHasher>>>,
     evaluations: AtomicU64,
     primed: AtomicU64,
+}
+
+/// The cache's hash: a multiply-rotate over the configuration's words
+/// (FxHash's), where the standard SipHash spends more on a four-value
+/// configuration than the lookup it serves. Nothing iterates the map in
+/// hash order.
+#[derive(Default)]
+struct ConfigHasher(u64);
+
+impl ConfigHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for ConfigHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        }
+        for &byte in words.remainder() {
+            self.add(u64::from(byte));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl<'a> CachingEvaluator<'a> {
@@ -91,8 +114,7 @@ impl<'a> CachingEvaluator<'a> {
     pub fn new(inner: &'a dyn Evaluator) -> Self {
         CachingEvaluator {
             inner,
-            cache: Mutex::new(HashMap::new()),
-            published: Condvar::new(),
+            cache: Mutex::new(HashMap::default()),
             evaluations: AtomicU64::new(0),
             primed: AtomicU64::new(0),
         }
@@ -126,7 +148,7 @@ impl<'a> CachingEvaluator<'a> {
         if cache.contains_key(&cfg) {
             return false;
         }
-        cache.insert(cfg, CacheEntry::Done(result));
+        cache.insert(cfg, Arc::new(OnceLock::from(result)));
         self.primed.fetch_add(1, Ordering::Relaxed);
         true
     }
@@ -138,10 +160,7 @@ impl<'a> CachingEvaluator<'a> {
         let cache = self.cache.lock();
         let mut out: Vec<(Config, Option<ObjVec>)> = cache
             .iter()
-            .filter_map(|(cfg, entry)| match entry {
-                CacheEntry::Done(r) => Some((cfg.clone(), r.clone())),
-                CacheEntry::InFlight => None,
-            })
+            .filter_map(|(cfg, cell)| Some((cfg.clone(), cell.get()?.clone())))
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
@@ -154,7 +173,7 @@ impl<'a> CachingEvaluator<'a> {
     pub fn restore(&self, entries: &[(Config, Option<ObjVec>)], evaluations: u64, primed: u64) {
         let mut cache = self.cache.lock();
         for (cfg, r) in entries {
-            cache.insert(cfg.clone(), CacheEntry::Done(r.clone()));
+            cache.insert(cfg.clone(), Arc::new(OnceLock::from(r.clone())));
         }
         self.evaluations.store(evaluations, Ordering::Relaxed);
         self.primed.store(primed, Ordering::Relaxed);
@@ -167,30 +186,34 @@ impl Evaluator for CachingEvaluator<'_> {
     }
 
     fn evaluate(&self, cfg: &Config) -> Option<ObjVec> {
-        {
+        let claimed: Cell = {
             let mut cache = self.cache.lock();
-            loop {
-                match cache.get(cfg) {
-                    Some(CacheEntry::Done(hit)) => return hit.clone(),
-                    // Someone else owns this evaluation; the wait releases
-                    // the cache lock until a result is published.
-                    Some(CacheEntry::InFlight) => self.published.wait(&mut cache),
-                    None => break,
+            match cache.get(cfg) {
+                Some(cell) => match cell.get() {
+                    Some(hit) => return hit.clone(),
+                    // Someone else owns this evaluation: wait for its
+                    // result without holding the cache lock.
+                    None => {
+                        let cell = Arc::clone(cell);
+                        drop(cache);
+                        return cell.wait().clone();
+                    }
+                },
+                None => {
+                    // The claim: the counter is bumped under the lock that
+                    // inserts the entry, so each distinct config is counted
+                    // exactly once.
+                    let cell = Cell::default();
+                    cache.insert(cfg.clone(), Arc::clone(&cell));
+                    self.evaluations.fetch_add(1, Ordering::Relaxed);
+                    cell
                 }
             }
-            // Claim the configuration: the counter is bumped while still
-            // holding the lock, so each distinct config is counted exactly
-            // once.
-            cache.insert(cfg.clone(), CacheEntry::InFlight);
-            self.evaluations.fetch_add(1, Ordering::Relaxed);
-        }
+        };
         let result = self.inner.evaluate(cfg);
-        *self
-            .cache
-            .lock()
-            .get_mut(cfg)
-            .expect("claimed entries are never removed") = CacheEntry::Done(result.clone());
-        self.published.notify_all();
+        claimed
+            .set(result.clone())
+            .expect("only the claimant publishes");
         result
     }
 
@@ -310,9 +333,11 @@ impl BatchEval {
     /// time from a shared cursor, storing each result in the slot of its
     /// index. It starts its scoped helpers (up to `parallelism − 1`, never
     /// more than the indices left for them) only once it has itself spent
-    /// `THREAD_START` (200 µs) on the batch and work remains — renting until the
-    /// rent has cost what buying would have. A batch cheaper than a thread
-    /// start is therefore finished by the caller alone and starts no
+    /// `THREAD_START` (200 µs) on the batch — renting until the rent has
+    /// cost what buying would have — and then only if what nobody has
+    /// claimed yet, at the caller's rate so far, would take another thread
+    /// start. A batch cheaper than a thread start, or one whose cheap tail
+    /// is, is therefore finished by the caller alone and starts no
     /// thread. An evaluation cannot be interrupted, so an expensive
     /// evaluator runs alone for 200 µs or one evaluation, whichever is
     /// longer: `n ≤ parallelism` slow configurations take two evaluations'
@@ -385,13 +410,17 @@ impl BatchEval {
                 claimed += 1;
                 alone = started.elapsed();
             }
-            if alone >= THREAD_START {
-                // What nobody has claimed yet, less the index the caller
-                // takes next.
-                let spare = configs
-                    .len()
-                    .saturating_sub(cursor.load(Ordering::Relaxed) + 1);
-                team = helpers.min(spare);
+            // What nobody has claimed yet is worth helpers only if, at the
+            // rate the caller has claimed so far, it would outlast one
+            // thread start: a tail of a few cheap configurations is
+            // finished sooner alone than a helper is started and joined.
+            let unclaimed = configs.len().saturating_sub(cursor.load(Ordering::Relaxed));
+            if alone >= THREAD_START
+                && alone.as_nanos() * unclaimed as u128
+                    >= THREAD_START.as_nanos() * u128::from(claimed)
+            {
+                // Less the index the caller takes next.
+                team = helpers.min(unclaimed.saturating_sub(1));
             }
             longest.store(alone.as_micros() as u64, Ordering::Relaxed);
         }

@@ -18,8 +18,9 @@
 //!   pruned back to its nominal size by non-dominated sorting + crowding
 //!   distance.
 
+use crate::evaluate::ObjVec;
 use crate::evaluate::{BatchEval, Evaluator};
-use crate::pareto::{crowding_distances, dominates, fast_nondominated_sort, Point};
+use crate::pareto::{crowding_distances, dominates, Point, Ranking};
 use crate::space::{Config, ParamSpace};
 use rand::Rng;
 
@@ -130,7 +131,7 @@ impl Gde3 {
     /// decide whether that is fatal.
     pub fn init_population_with(
         &self,
-        eval: &mut dyn FnMut(&[Config]) -> Vec<Option<crate::evaluate::ObjVec>>,
+        eval: &mut dyn FnMut(&[Config]) -> Vec<Option<ObjVec>>,
         bbox: &[(i64, i64)],
         rng: &mut impl Rng,
     ) -> Vec<Point> {
@@ -145,7 +146,7 @@ impl Gde3 {
     pub fn fill_population_with(
         &self,
         population: &mut Vec<Point>,
-        eval: &mut dyn FnMut(&[Config]) -> Vec<Option<crate::evaluate::ObjVec>>,
+        eval: &mut dyn FnMut(&[Config]) -> Vec<Option<ObjVec>>,
         bbox: &[(i64, i64)],
         rng: &mut impl Rng,
     ) {
@@ -183,31 +184,28 @@ impl Gde3 {
 
     /// Apply GDE3 selection for evaluated trials (index-aligned with the
     /// population; `None` objectives mean the trial was infeasible and is
-    /// discarded). Prunes back to the nominal population size.
+    /// discarded). Prunes back to the nominal population size. A kept
+    /// trial moves into the population; nothing is cloned.
     pub fn select(
         &self,
         population: &mut Vec<Point>,
-        trials: &[Config],
-        objs: &[Option<crate::evaluate::ObjVec>],
+        trials: Vec<Config>,
+        objs: Vec<Option<ObjVec>>,
     ) {
         let n = population.len();
         assert_eq!(trials.len(), n);
         assert_eq!(objs.len(), n);
-        let mut appended = Vec::new();
-        for i in 0..n {
-            let Some(obj) = objs[i].clone() else { continue };
-            let trial = Point::new(trials[i].clone(), obj);
-            if dominates(&trial.objectives, &population[i].objectives)
-                || trial.objectives == population[i].objectives
-            {
-                population[i] = trial;
-            } else if dominates(&population[i].objectives, &trial.objectives) {
-                // discard
-            } else {
-                appended.push(trial);
+        // Trials that neither dominate nor are dominated by their parent
+        // grow the population past `n`; indices below `n` stay the parents.
+        for (i, (trial, obj)) in trials.into_iter().zip(objs).enumerate() {
+            let Some(obj) = obj else { continue };
+            let parent = &population[i].objectives;
+            if dominates(&obj, parent) || obj == *parent {
+                population[i] = Point::new(trial, obj);
+            } else if !dominates(parent, &obj) {
+                population.push(Point::new(trial, obj));
             }
         }
-        population.extend(appended);
         if population.len() > self.params.pop_size {
             *population = prune(std::mem::take(population), self.params.pop_size);
         }
@@ -236,14 +234,15 @@ impl Gde3 {
     pub fn generation_with(
         &self,
         population: &mut Vec<Point>,
-        eval: &mut dyn FnMut(&[Config]) -> Vec<Option<crate::evaluate::ObjVec>>,
+        eval: &mut dyn FnMut(&[Config]) -> Vec<Option<ObjVec>>,
         bbox: &[(i64, i64)],
         rng: &mut impl Rng,
     ) -> usize {
         let trials = self.propose(population, bbox, rng);
         let objs = eval(&trials);
-        self.select(population, &trials, &objs);
-        trials.len()
+        let n = trials.len();
+        self.select(population, trials, objs);
+        n
     }
 }
 
@@ -253,13 +252,13 @@ pub fn prune(points: Vec<Point>, target: usize) -> Vec<Point> {
     if points.len() <= target {
         return points;
     }
-    let fronts = fast_nondominated_sort(&points);
+    let ranking = Ranking::of(&points);
     let mut keep: Vec<usize> = Vec::with_capacity(target);
-    for front in fronts {
+    for front in ranking.fronts() {
         if keep.len() + front.len() <= target {
-            keep.extend(front);
+            keep.extend_from_slice(front);
         } else {
-            let dist = crowding_distances(&points, &front);
+            let dist = crowding_distances(&points, front);
             let mut order: Vec<usize> = (0..front.len()).collect();
             order.sort_by(|&a, &b| {
                 dist[b]

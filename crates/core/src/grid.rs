@@ -64,7 +64,7 @@ impl Tuner for GridTuner {
             for (cfg, obj) in chunk.iter().zip(objs) {
                 if let Some(o) = obj {
                     let p = Point::new(cfg.clone(), o);
-                    run.archive.insert(p.clone());
+                    run.archive.insert_cloned(&p);
                     run.all.push(p);
                 }
             }

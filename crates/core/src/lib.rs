@@ -69,6 +69,7 @@ pub use metrics::{
 pub use nsga2::{Nsga2Params, Nsga2Tuner};
 pub use pareto::{
     crowding_distances, dominates, fast_nondominated_sort, ParetoArchive, ParetoFront, Point,
+    Ranking,
 };
 pub use random::RandomTuner;
 pub use roughset::reduce_search_space;

@@ -103,7 +103,7 @@ impl Tuner for Nsga2Tuner {
                 attempts += 1;
             }
             for p in &run.population {
-                run.archive.insert(p.clone());
+                run.archive.insert_cloned(p);
                 extend_bounds(&mut bounds, p);
                 run.all.push(p.clone());
             }
@@ -174,7 +174,7 @@ impl Tuner for Nsga2Tuner {
             for (cfg, obj) in offspring.into_iter().zip(objs) {
                 if let Some(o) = obj {
                     let p = Point::new(cfg, o);
-                    run.archive.insert(p.clone());
+                    run.archive.insert_cloned(&p);
                     extend_bounds(&mut bounds, &p);
                     run.all.push(p.clone());
                     run.population.push(p);

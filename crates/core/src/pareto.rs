@@ -116,14 +116,33 @@ impl ParetoFront {
     /// Dominated incumbents are removed; duplicate objective vectors are
     /// kept only once.
     pub fn insert(&mut self, p: Point) -> bool {
+        let accepted = self.make_room(&p.objectives);
+        if accepted {
+            self.points.push(p);
+        }
+        accepted
+    }
+
+    /// [`insert`](Self::insert) a clone of `p`, made only if it is
+    /// accepted.
+    pub fn insert_cloned(&mut self, p: &Point) -> bool {
+        let accepted = self.make_room(&p.objectives);
+        if accepted {
+            self.points.push(p.clone());
+        }
+        accepted
+    }
+
+    /// Whether a candidate with these objectives is accepted; if it is,
+    /// the incumbents it dominates are dropped.
+    fn make_room(&mut self, objectives: &[f64]) -> bool {
         for q in &self.points {
-            if dominates(&q.objectives, &p.objectives) || q.objectives == p.objectives {
+            if dominates(&q.objectives, objectives) || q.objectives == objectives {
                 return false;
             }
         }
         self.points
-            .retain(|q| !dominates(&p.objectives, &q.objectives));
-        self.points.push(p);
+            .retain(|q| !dominates(objectives, &q.objectives));
         true
     }
 
@@ -214,23 +233,52 @@ impl ParetoArchive {
     /// Dominated incumbents are removed; duplicate objective vectors are
     /// kept only once. Decision-identical to [`ParetoFront::insert`].
     pub fn insert(&mut self, p: Point) -> bool {
-        let m = *self.m.get_or_insert(p.objectives.len());
-        assert_eq!(p.objectives.len(), m, "objective arity mismatch");
-        if m != 2 {
+        if !self.staircase(&p.objectives) {
             return self.general.insert(p);
         }
-        let (x, y) = (p.objectives[0], p.objectives[1]);
+        match self.slot(&p.objectives) {
+            Some(slot) => self.place(slot, p),
+            None => false,
+        }
+    }
+
+    /// [`insert`](Self::insert) a clone of `p`, made only if it is
+    /// accepted: a tuner re-offering a population whose members are mostly
+    /// archived already pays a dominance check for each, not a clone.
+    pub fn insert_cloned(&mut self, p: &Point) -> bool {
+        if !self.staircase(&p.objectives) {
+            return self.general.insert_cloned(p);
+        }
+        match self.slot(&p.objectives) {
+            Some(slot) => self.place(slot, p.clone()),
+            None => false,
+        }
+    }
+
+    /// Whether a candidate goes to the two-objective staircase rather than
+    /// the fallback front; the first insert fixes the arity.
+    fn staircase(&mut self, objectives: &[f64]) -> bool {
+        let m = *self.m.get_or_insert(objectives.len());
+        assert_eq!(objectives.len(), m, "objective arity mismatch");
+        m == 2
+    }
+
+    /// Where a two-objective candidate goes — the insertion index and the
+    /// end of the run of incumbents it dominates — or `None` if an
+    /// incumbent dominates or duplicates it.
+    fn slot(&self, objectives: &[f64]) -> Option<(usize, usize)> {
+        let (x, y) = (objectives[0], objectives[1]);
         let idx = self.points.partition_point(|q| q.objectives[0] < x);
         // Only the predecessor (strictly better f0, so it dominates iff
         // its f1 is no worse) and an equal-f0 incumbent can dominate or
         // duplicate the candidate; everything earlier has an even larger
         // f1, everything later a larger f0.
         if idx > 0 && self.points[idx - 1].objectives[1] <= y {
-            return false;
+            return None;
         }
         if let Some(q) = self.points.get(idx) {
             if q.objectives[0] == x && q.objectives[1] <= y {
-                return false;
+                return None;
             }
         }
         // Incumbents dominated by the candidate: the contiguous run at the
@@ -239,6 +287,10 @@ impl ParetoArchive {
         while end < self.points.len() && self.points[end].objectives[1] >= y {
             end += 1;
         }
+        Some((idx, end))
+    }
+
+    fn place(&mut self, (idx, end): (usize, usize), p: Point) -> bool {
         self.points.drain(idx..end);
         self.seqs.drain(idx..end);
         self.points.insert(idx, p);
@@ -284,40 +336,140 @@ impl ParetoArchive {
     }
 }
 
-/// Fast non-dominated sorting (Deb et al.): partition `points` into fronts
-/// `F0, F1, …` where `F0` is non-dominated, `F1` is non-dominated after
-/// removing `F0`, etc. Returns indices into `points`.
-pub fn fast_nondominated_sort(points: &[Point]) -> Vec<Vec<usize>> {
-    let n = points.len();
-    let mut dominated_by: Vec<Vec<usize>> = vec![Vec::new(); n]; // i dominates these
-    let mut dom_count = vec![0usize; n]; // how many dominate i
-    for i in 0..n {
-        for j in i + 1..n {
-            if dominates(&points[i].objectives, &points[j].objectives) {
-                dominated_by[i].push(j);
-                dom_count[j] += 1;
-            } else if dominates(&points[j].objectives, &points[i].objectives) {
-                dominated_by[j].push(i);
-                dom_count[i] += 1;
-            }
-        }
-    }
-    let mut fronts: Vec<Vec<usize>> = Vec::new();
-    let mut current: Vec<usize> = (0..n).filter(|&i| dom_count[i] == 0).collect();
-    while !current.is_empty() {
-        let mut next = Vec::new();
-        for &i in &current {
-            for &j in &dominated_by[i] {
-                dom_count[j] -= 1;
-                if dom_count[j] == 0 {
-                    next.push(j);
+/// The non-dominated fronts of a set of points, flat: every index, front
+/// by front.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Ranking {
+    /// Indices, `F0` first, then `F1`, ….
+    order: Vec<usize>,
+    /// Where each front ends in `order`.
+    ends: Vec<usize>,
+}
+
+impl Ranking {
+    /// Rank `points` (all objectives minimized): `F0` is the non-dominated
+    /// subset, `F1` the non-dominated subset of the rest, and so on.
+    ///
+    /// A dominance bitset (row `i` holds the points `i` dominates) and a
+    /// count of dominators per point come from one pass over all pairs.
+    /// `F0` is the points nobody dominates, ascending; each next front
+    /// collects, walking the current front in order and each row in
+    /// ascending bit order, the points whose last dominator this is. That
+    /// is exactly the order of Deb et al.'s fast non-dominated sort, whose
+    /// per-point dominated lists are ascending too — one algorithm for any
+    /// number of points and objectives, in five allocations.
+    pub fn of(points: &[Point]) -> Ranking {
+        let n = points.len();
+        let m = points.first().map_or(0, |p| p.objectives.len());
+        // Two and three objectives as arrays, so the comparison of a pair
+        // unrolls; any other number through slices.
+        let (beats, mut dominators) = match m {
+            2 => dominance_rows(&arrays::<2>(points)),
+            3 => dominance_rows(&arrays::<3>(points)),
+            _ => dominance_rows(
+                &points
+                    .iter()
+                    .map(|p| {
+                        assert_eq!(p.objectives.len(), m, "objective arity mismatch");
+                        p.objectives.as_slice()
+                    })
+                    .collect::<Vec<_>>(),
+            ),
+        };
+        let words = n.div_ceil(64);
+        let mut order = Vec::with_capacity(n);
+        order.extend((0..n).filter(|&i| dominators[i] == 0));
+        let mut ends = Vec::new();
+        let mut start = 0;
+        while start < order.len() {
+            let end = order.len();
+            ends.push(end);
+            for k in start..end {
+                let i = order[k];
+                for (w, &word) in beats[i * words..][..words].iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        let j = w * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        dominators[j] -= 1;
+                        if dominators[j] == 0 {
+                            order.push(j);
+                        }
+                    }
                 }
             }
+            start = end;
         }
-        fronts.push(std::mem::take(&mut current));
-        current = next;
+        Ranking { order, ends }
     }
-    fronts
+
+    /// The fronts, `F0` first.
+    pub fn fronts(&self) -> impl Iterator<Item = &[usize]> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(a, &b)| &self.order[a..b])
+    }
+
+    /// `F0`, the non-dominated indices in ascending order (empty for no
+    /// points).
+    pub fn first(&self) -> &[usize] {
+        &self.order[..self.ends.first().copied().unwrap_or(0)]
+    }
+
+    /// Every index outside `F0`.
+    pub fn dominated(&self) -> &[usize] {
+        &self.order[self.first().len()..]
+    }
+}
+
+/// `points`' objective vectors as arrays of `M`.
+fn arrays<const M: usize>(points: &[Point]) -> Vec<[f64; M]> {
+    let array = |p: &Point| p.objectives.as_slice().try_into();
+    points
+        .iter()
+        .map(|p| array(p).expect("objective arity mismatch"))
+        .collect()
+}
+
+/// For objective vectors `v`: row `i` of a bitset holding the `j` that
+/// `v[i]` dominates (64 per word), and how many vectors dominate each.
+/// Every pair is compared from both ends — twice the comparisons of the
+/// triangle, but each result lands in a register instead of in a word
+/// another iteration is about to update — and without a branch per
+/// objective or per outcome.
+fn dominance_rows<V: AsRef<[f64]>>(v: &[V]) -> (Vec<u64>, Vec<u32>) {
+    let words = v.len().div_ceil(64);
+    let mut beats = vec![0u64; v.len() * words];
+    let mut dominators = vec![0u32; v.len()];
+    for (i, a) in v.iter().enumerate() {
+        let a = a.as_ref();
+        let mut count = 0;
+        for (w, block) in v.chunks(64).enumerate() {
+            let mut word = 0;
+            for (j, b) in block.iter().enumerate() {
+                let (mut a_better, mut b_better) = (false, false);
+                for (x, y) in a.iter().zip(b.as_ref()) {
+                    a_better |= x < y;
+                    b_better |= y < x;
+                }
+                word |= u64::from(a_better & !b_better) << j;
+                count += u32::from(b_better & !a_better);
+            }
+            beats[i * words + w] = word;
+        }
+        dominators[i] = count;
+    }
+    (beats, dominators)
+}
+
+/// Non-dominated sorting: partition `points` into fronts `F0, F1, …` where
+/// `F0` is non-dominated, `F1` is non-dominated after removing `F0`, etc.
+/// Returns indices into `points`, in the order of Deb et al.'s fast
+/// non-dominated sort (see [`Ranking::of`]).
+pub fn fast_nondominated_sort(points: &[Point]) -> Vec<Vec<usize>> {
+    Ranking::of(points)
+        .fronts()
+        .map(<[usize]>::to_vec)
+        .collect()
 }
 
 /// Crowding distance of each point within one front (Deb et al.): boundary

@@ -9,7 +9,7 @@
 //! Set theory: what is certainly interesting (inside), what is certainly
 //! uninteresting (beyond a dominated witness), and the boundary in between.
 
-use crate::pareto::{fast_nondominated_sort, Point};
+use crate::pareto::{Point, Ranking};
 use crate::space::ParamSpace;
 
 /// Compute the reduced per-dimension bounding box from `population`.
@@ -17,17 +17,17 @@ use crate::space::ParamSpace;
 /// Returns the full-space box when the population contains no dominated
 /// point (nothing to learn from) or no non-dominated point (degenerate).
 pub fn reduce_search_space(space: &ParamSpace, population: &[Point]) -> Vec<(i64, i64)> {
+    reduce_ranked(space, population, &Ranking::of(population))
+}
+
+/// [`reduce_search_space`] of a population already ranked.
+pub(crate) fn reduce_ranked(
+    space: &ParamSpace,
+    population: &[Point],
+    ranking: &Ranking,
+) -> Vec<(i64, i64)> {
     let full = space.full_box();
-    if population.is_empty() {
-        return full;
-    }
-    let fronts = fast_nondominated_sort(population);
-    let nd: Vec<&Point> = fronts[0].iter().map(|&i| &population[i]).collect();
-    let dominated: Vec<&Point> = fronts[1..]
-        .iter()
-        .flatten()
-        .map(|&i| &population[i])
-        .collect();
+    let (nd, dominated) = (ranking.first(), ranking.dominated());
     if nd.is_empty() || dominated.is_empty() {
         return full;
     }
@@ -41,20 +41,21 @@ pub fn reduce_search_space(space: &ParamSpace, population: &[Point]) -> Vec<(i64
 
     (0..space.dims())
         .map(|k| {
-            let nd_min = nd.iter().map(|p| p.config[k]).min().expect("empty ND set");
-            let nd_max = nd.iter().map(|p| p.config[k]).max().expect("empty ND set");
+            let coord = |&i: &usize| population[i].config[k];
+            let nd_min = nd.iter().map(coord).min().expect("empty ND set");
+            let nd_max = nd.iter().map(coord).max().expect("empty ND set");
             // The closest dominated coordinates enclosing the ND span act as
             // the certain-outside witnesses (kept inclusive: the boundary
             // itself may still be sampled).
             let lower = dominated
                 .iter()
-                .map(|p| p.config[k])
+                .map(coord)
                 .filter(|&x| x < nd_min)
                 .max()
                 .unwrap_or(full[k].0);
             let upper = dominated
                 .iter()
-                .map(|p| p.config[k])
+                .map(coord)
                 .filter(|&x| x > nd_max)
                 .min()
                 .unwrap_or(full[k].1);
@@ -172,8 +173,7 @@ mod tests {
             pt([10, 90], [2.0, 8.0]),
         ];
         let bbox = reduce_search_space(&space2(), &pop);
-        let fronts = fast_nondominated_sort(&pop);
-        for &i in &fronts[0] {
+        for &i in Ranking::of(&pop).first() {
             for (k, b) in bbox.iter().enumerate() {
                 let x = pop[i].config[k];
                 assert!(x >= b.0 && x <= b.1, "ND point escapes the box");

@@ -8,9 +8,9 @@
 //! uses three).
 
 use crate::gde3::{Gde3, Gde3Params};
-use crate::metrics::{hypervolume, normalize_front, objective_bounds};
-use crate::pareto::{ParetoArchive, Point};
-use crate::roughset::{enclose_points, reduce_search_space};
+use crate::metrics::{hypervolume, hypervolume_2d_presorted};
+use crate::pareto::{ParetoArchive, Point, Ranking};
+use crate::roughset::{enclose_points, reduce_ranked};
 use crate::space::{Config, ParamSpace};
 use crate::tuner::{StopReason, Tuner, TuningReport, TuningSession};
 use serde::{Deserialize, Serialize};
@@ -65,12 +65,17 @@ impl RsGde3Params {
         stall: &mut u32,
     ) -> (FrontSignature, Option<Vec<(i64, i64)>>) {
         for p in population {
-            archive.insert(p.clone());
+            archive.insert_cloned(p);
         }
-        let bbox = self
-            .use_roughset
-            .then(|| enclose_points(&reduce_search_space(space, population), archive.points()));
-        let sig = FrontSignature::of(population);
+        // One ranking serves the reduction and the signature.
+        let ranking = Ranking::of(population);
+        let bbox = self.use_roughset.then(|| {
+            enclose_points(
+                &reduce_ranked(space, population, &ranking),
+                archive.points(),
+            )
+        });
+        let sig = FrontSignature::signed(population, &ranking, None);
         if sig.improved_over(last, self.hv_tolerance) {
             *stall = 0;
         } else {
@@ -140,7 +145,7 @@ impl Tuner for RsGde3Tuner {
             };
             gde3.fill_population_with(&mut run.population, &mut eval, &run.bbox, rng);
             for p in &run.population {
-                run.archive.insert(p.clone());
+                run.archive.insert_cloned(p);
             }
             if run.population.len() < 4 {
                 // Not enough feasible members for DE variation — out of budget
@@ -215,42 +220,80 @@ pub struct FrontSignature {
 
 impl FrontSignature {
     /// Compute the signature of a population's non-dominated subset.
-    pub fn of(population: &[crate::pareto::Point]) -> Self {
-        let front = ParetoArchive::from_points(population.iter().cloned());
-        if front.is_empty() {
-            return FrontSignature {
-                size: 0,
-                ideal: Vec::new(),
-                hv: 0.0,
-            };
-        }
-        let (ideal, nadir) = objective_bounds(front.points());
-        let norm = normalize_front(front.points(), &ideal, &nadir);
-        let hv = hypervolume(&norm);
-        FrontSignature {
-            size: front.len(),
-            ideal,
-            hv,
-        }
+    pub fn of(population: &[Point]) -> Self {
+        Self::signed(population, &Ranking::of(population), None)
     }
 
     /// Signature of `points`' non-dominated subset with the hypervolume
     /// measured under externally fixed normalization bounds (e.g. the
     /// bounds of *all* evaluated points), instead of the front's own.
-    pub fn under_bounds(points: &[crate::pareto::Point], ideal: &[f64], nadir: &[f64]) -> Self {
-        let front = ParetoArchive::from_points(points.iter().cloned());
-        if front.is_empty() {
+    pub fn under_bounds(points: &[Point], ideal: &[f64], nadir: &[f64]) -> Self {
+        Self::signed(points, &Ranking::of(points), Some((ideal, nadir)))
+    }
+
+    /// The signature of `points`' first front, read in place: equal
+    /// objective vectors count once, as in an archive, and the
+    /// hypervolume — under `bounds`, else the front's own — sees the
+    /// normalized points in the order [`hypervolume`] sorts them into (two
+    /// objectives) or in index order (the order a `ParetoFront` built by
+    /// insertion holds), so every bit equals that of the archived front.
+    fn signed(points: &[Point], ranking: &Ranking, bounds: Option<(&[f64], &[f64])>) -> Self {
+        let nd = ranking.first();
+        let Some(&head) = nd.first() else {
             return FrontSignature {
                 size: 0,
                 ideal: Vec::new(),
                 hv: 0.0,
             };
+        };
+        let objectives = |k: usize| points[nd[k]].objectives.as_slice();
+        // The first of equal objective vectors stands for them all.
+        let distinct: Vec<usize> = (0..nd.len())
+            .filter(|&k| (0..k).all(|e| objectives(e) != objectives(k)))
+            .map(|k| nd[k])
+            .collect();
+        let m = points[head].objectives.len();
+        let mut ideal = vec![f64::INFINITY; m];
+        let mut nadir = vec![f64::NEG_INFINITY; m];
+        for &i in &distinct {
+            for (k, &x) in points[i].objectives.iter().enumerate() {
+                ideal[k] = ideal[k].min(x);
+                nadir[k] = nadir[k].max(x);
+            }
         }
-        let (own_ideal, _) = objective_bounds(front.points());
-        let hv = hypervolume(&normalize_front(front.points(), ideal, nadir));
+        let (lo, hi) = bounds.unwrap_or((&ideal, &nadir));
+        // `normalize_front`'s map, point by point.
+        let scale = |k: usize, x: f64| {
+            let span = hi[k] - lo[k];
+            if span > 0.0 {
+                ((x - lo[k]) / span).clamp(0.0, 1.0)
+            } else {
+                0.0
+            }
+        };
+        let hv = if m == 2 {
+            let mut pts: Vec<(f64, f64)> = distinct
+                .iter()
+                .map(|&i| {
+                    let o = &points[i].objectives;
+                    (scale(0, o[0]), scale(1, o[1]))
+                })
+                .collect();
+            pts.sort_by(|a, b| a.partial_cmp(b).expect("NaN objective"));
+            hypervolume_2d_presorted(&pts)
+        } else {
+            let normalized: Vec<Vec<f64>> = distinct
+                .iter()
+                .map(|&i| {
+                    let o = points[i].objectives.iter().enumerate();
+                    o.map(|(k, &x)| scale(k, x)).collect()
+                })
+                .collect();
+            hypervolume(&normalized)
+        };
         FrontSignature {
-            size: front.len(),
-            ideal: own_ideal,
+            size: distinct.len(),
+            ideal,
             hv,
         }
     }

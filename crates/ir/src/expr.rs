@@ -26,20 +26,56 @@ impl fmt::Display for VarId {
 
 /// An affine expression `constant + Σ coeff_i * var_i`.
 ///
-/// Internally the terms are kept in a sorted map keyed by [`VarId`] so that
-/// structural equality and hashing behave as mathematical equality
-/// (zero-coefficient terms are never stored).
+/// Internally the terms are kept sorted by [`VarId`] so that structural
+/// equality and hashing behave as mathematical equality (zero-coefficient
+/// terms are never stored).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct AffineExpr {
-    terms: BTreeMap<VarId, i64>,
+    terms: Terms,
     constant: i64,
+}
+
+/// The terms of an [`AffineExpr`]: `(variable, coefficient)` pairs,
+/// ascending by variable, in one flat list. Serialized, hashed and
+/// printed exactly as the `BTreeMap<VarId, i64>` it stands for — a
+/// length, then each pair in ascending order — so every JSON byte and
+/// every hash of an expression is that of the map form.
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
+struct Terms(Vec<(VarId, i64)>);
+
+impl Terms {
+    fn position(&self, v: VarId) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&v, |&(w, _)| w)
+    }
+}
+
+impl fmt::Debug for Terms {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map()
+            .entries(self.0.iter().map(|(v, c)| (v, c)))
+            .finish()
+    }
+}
+
+impl Serialize for Terms {
+    fn to_value(&self) -> serde::Value {
+        let map: BTreeMap<VarId, i64> = self.0.iter().copied().collect();
+        map.to_value()
+    }
+}
+
+impl Deserialize for Terms {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let map = BTreeMap::<VarId, i64>::from_value(v)?;
+        Ok(Terms(map.into_iter().collect()))
+    }
 }
 
 impl AffineExpr {
     /// The constant expression `c`.
     pub fn constant(c: i64) -> Self {
         AffineExpr {
-            terms: BTreeMap::new(),
+            terms: Terms::default(),
             constant: c,
         }
     }
@@ -51,11 +87,15 @@ impl AffineExpr {
 
     /// The expression `coeff * v`.
     pub fn term(v: VarId, coeff: i64) -> Self {
-        let mut terms = BTreeMap::new();
-        if coeff != 0 {
-            terms.insert(v, coeff);
+        let terms = if coeff != 0 {
+            vec![(v, coeff)]
+        } else {
+            Vec::new()
+        };
+        AffineExpr {
+            terms: Terms(terms),
+            constant: 0,
         }
-        AffineExpr { terms, constant: 0 }
     }
 
     /// The constant part of the expression.
@@ -66,27 +106,27 @@ impl AffineExpr {
     /// Iterator over `(variable, coefficient)` pairs with non-zero
     /// coefficients, in ascending variable order.
     pub fn terms(&self) -> impl Iterator<Item = (VarId, i64)> + '_ {
-        self.terms.iter().map(|(&v, &c)| (v, c))
+        self.terms.0.iter().copied()
     }
 
     /// Coefficient of variable `v` (zero if absent).
     pub fn coeff(&self, v: VarId) -> i64 {
-        self.terms.get(&v).copied().unwrap_or(0)
+        self.terms.position(v).map_or(0, |i| self.terms.0[i].1)
     }
 
     /// True if the expression is a constant (has no variable terms).
     pub fn is_constant(&self) -> bool {
-        self.terms.is_empty()
+        self.terms.0.is_empty()
     }
 
     /// True if the expression is exactly the single variable `v`.
     pub fn is_var(&self, v: VarId) -> bool {
-        self.constant == 0 && self.terms.len() == 1 && self.coeff(v) == 1
+        self.constant == 0 && self.terms.0 == [(v, 1)]
     }
 
     /// Number of distinct variables with non-zero coefficient.
     pub fn num_vars(&self) -> usize {
-        self.terms.len()
+        self.terms.0.len()
     }
 
     /// Add another affine expression.
@@ -94,10 +134,15 @@ impl AffineExpr {
         let mut out = self.clone();
         out.constant += other.constant;
         for (v, c) in other.terms() {
-            let e = out.terms.entry(v).or_insert(0);
-            *e += c;
-            if *e == 0 {
-                out.terms.remove(&v);
+            match out.terms.position(v) {
+                Ok(i) => {
+                    out.terms.0[i].1 += c;
+                    if out.terms.0[i].1 == 0 {
+                        out.terms.0.remove(i);
+                    }
+                }
+                Err(i) if c != 0 => out.terms.0.insert(i, (v, c)),
+                Err(_) => {}
             }
         }
         out
@@ -114,7 +159,7 @@ impl AffineExpr {
             return AffineExpr::constant(0);
         }
         AffineExpr {
-            terms: self.terms.iter().map(|(&v, &c)| (v, c * k)).collect(),
+            terms: Terms(self.terms().map(|(v, c)| (v, c * k)).collect()),
             constant: self.constant * k,
         }
     }
@@ -129,17 +174,20 @@ impl AffineExpr {
     /// Evaluate the expression given an environment mapping variables to
     /// values. Variables missing from the environment evaluate to 0.
     pub fn eval(&self, env: &dyn Fn(VarId) -> i64) -> i64 {
-        self.constant + self.terms.iter().map(|(&v, &c)| c * env(v)).sum::<i64>()
+        self.constant + self.terms().map(|(v, c)| c * env(v)).sum::<i64>()
     }
 
     /// Substitute variable `v` by the expression `repl`.
     pub fn substitute(&self, v: VarId, repl: &AffineExpr) -> AffineExpr {
-        let c = self.coeff(v);
+        let Ok(i) = self.terms.position(v) else {
+            return self.clone();
+        };
+        let c = self.terms.0[i].1;
         if c == 0 {
             return self.clone();
         }
         let mut out = self.clone();
-        out.terms.remove(&v);
+        out.terms.0.remove(i);
         out.add(&repl.scale(c))
     }
 
@@ -170,7 +218,7 @@ impl AffineExpr {
     /// Greatest common divisor of all variable coefficients
     /// (0 if there are none).
     pub fn coeff_gcd(&self) -> i64 {
-        self.terms.values().fold(0i64, |g, &c| gcd(g, c.abs()))
+        self.terms().fold(0i64, |g, (_, c)| gcd(g, c.abs()))
     }
 }
 
@@ -316,6 +364,69 @@ mod tests {
         let e = AffineExpr::term(v(0), 6).add(&AffineExpr::term(v(1), 9));
         assert_eq!(e.coeff_gcd(), 3);
         assert_eq!(AffineExpr::constant(5).coeff_gcd(), 0);
+    }
+
+    /// The map form the flat terms replaced, kept to pin that the JSON,
+    /// hash and debug output of every expression stayed byte for byte.
+    #[derive(Debug, Hash, Serialize, Deserialize)]
+    struct MapForm {
+        terms: BTreeMap<VarId, i64>,
+        constant: i64,
+    }
+
+    /// Every write a hash makes, in order.
+    #[derive(Default)]
+    struct Recording(Vec<u8>);
+
+    impl std::hash::Hasher for Recording {
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.extend_from_slice(bytes);
+            self.0.push(0xff);
+        }
+        fn finish(&self) -> u64 {
+            0
+        }
+    }
+
+    fn hash_bytes(x: &impl std::hash::Hash) -> Vec<u8> {
+        let mut h = Recording::default();
+        x.hash(&mut h);
+        h.0
+    }
+
+    #[test]
+    fn flat_terms_serialize_hash_and_print_as_the_map_form() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for _ in 0..500 {
+            let mut e = AffineExpr::constant(next(21) as i64 - 10);
+            for _ in 0..next(5) {
+                let var = v(next(12) as u32);
+                let term = AffineExpr::term(var, next(7) as i64 - 3);
+                e = match next(3) {
+                    0 => e.add(&term),
+                    1 => e.sub(&term),
+                    _ => e.substitute(var, &term.offset(next(3) as i64)),
+                };
+            }
+            let map = MapForm {
+                terms: e.terms().collect(),
+                constant: e.constant_part(),
+            };
+            assert!(e.terms().all(|(_, c)| c != 0), "{e:?}");
+            assert_eq!(e.to_value(), map.to_value());
+            assert_eq!(hash_bytes(&e), hash_bytes(&map), "{e:?}");
+            assert_eq!(
+                format!("{e:?}"),
+                format!("{map:?}").replace("MapForm", "AffineExpr")
+            );
+            assert_eq!(AffineExpr::from_value(&map.to_value()).unwrap(), e);
+        }
     }
 
     #[test]

@@ -11,11 +11,16 @@
 //! point loop whose tile loop is fixed, the full extent otherwise), a
 //! *fixed* variable contributes a single point. Unions over multiple
 //! accesses to the same array (e.g. stencil neighbourhoods) are taken per
-//! dimension.
+//! dimension; accesses whose subscript has the same variable terms differ
+//! only in their constant, so they are folded into one constant range
+//! first (a 27-point stencil's reads of one array are one range per
+//! dimension).
 
 use moat_ir::nest::LoopKind;
 use moat_ir::shape::with_scratch;
-use moat_ir::{Access, ArrayDecl, ArrayId, LoopNest, LoopShape, NestShape, Stmt, VarId};
+use moat_ir::{
+    Access, AffineExpr, ArrayDecl, ArrayId, LoopNest, LoopShape, NestShape, Stmt, VarId,
+};
 
 /// Footprint of one array at one depth.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,6 +58,8 @@ impl DepthFootprint {
 const INLINE_CELLS: usize = 8 * 17;
 /// Loops and arrays whose per-item scratch is held on the stack.
 const INLINE_ITEMS: usize = 16;
+/// Accesses of a body whose per-access scratch is held on the stack.
+const INLINE_ACCESSES: usize = 64;
 
 /// `reach[d]` = span − 1 of the induction variable of loop `l`, the span
 /// being its number of distinct values when the loops at depth `>= d` are
@@ -103,12 +110,18 @@ fn accesses(body: &[Stmt]) -> impl Iterator<Item = &Access> + Clone {
     body.iter().flat_map(|s| &s.accesses)
 }
 
-/// Accessed arrays in first-touch order.
-fn touched(body: &[Stmt]) -> impl Iterator<Item = ArrayId> + '_ {
-    accesses(body)
-        .enumerate()
-        .filter(|(i, a)| !accesses(body).take(*i).any(|b| b.array == a.array))
-        .map(|(_, a)| a.array)
+/// The accessed arrays of `body` in first-touch order, handed to `f`.
+fn with_touched<R>(body: &[Stmt], f: impl FnOnce(&[ArrayId]) -> R) -> R {
+    with_scratch::<_, INLINE_ACCESSES, _>(accesses(body).count(), ArrayId(0), |ids| {
+        let mut n = 0;
+        for acc in accesses(body) {
+            if !ids[..n].contains(&acc.array) {
+                ids[n] = acc.array;
+                n += 1;
+            }
+        }
+        f(&ids[..n])
+    })
 }
 
 /// Lines and line-granular bytes of one array's footprint.
@@ -199,48 +212,87 @@ impl Footprinter<'_> {
             access_lo: 0,
             access_hi: 0,
         };
-        with_scratch::<_, { INLINE_ITEMS + 1 }, _>(out.len(), empty, |ranges| {
-            for (dim, &size) in decl.dims.iter().enumerate() {
-                ranges.fill(empty);
-                for acc in accesses(self.body).filter(|a| a.array == id) {
-                    let e = &acc.indices[dim];
-                    for r in ranges.iter_mut() {
-                        r.access_lo = e.constant_part();
-                        r.access_hi = e.constant_part();
-                    }
-                    for (v, c) in e.terms() {
-                        // A variable of no loop is a single point.
-                        let Some(l) = self.loops.iter().position(|lp| lp.var == v) else {
-                            continue;
-                        };
-                        let reach = &self.reach[l * self.rows..][..self.rows];
-                        for (r, reach) in ranges.iter_mut().zip(reach) {
-                            if c >= 0 {
-                                r.access_hi += c * reach;
-                            } else {
-                                r.access_lo += c * reach;
+        let of_array = || accesses(self.body).filter(|a| a.array == id);
+        // Per dimension, the subscripts with the same variable terms and
+        // the range of their constants.
+        let unfolded: Fold<'_> = (None, 0, 0);
+        with_scratch::<_, INLINE_ACCESSES, _>(of_array().count(), unfolded, |folds| {
+            with_scratch::<_, { INLINE_ITEMS + 1 }, _>(out.len(), empty, |ranges| {
+                for (dim, &size) in decl.dims.iter().enumerate() {
+                    let folds = fold(of_array().map(|acc| &acc.indices[dim]), folds);
+                    ranges.fill(empty);
+                    for &(e, lo, hi) in folds.iter() {
+                        let e = e.expect("folded subscript");
+                        for r in ranges.iter_mut() {
+                            r.access_lo = lo;
+                            r.access_hi = hi;
+                        }
+                        for (v, c) in e.terms() {
+                            // A variable of no loop is a single point.
+                            let Some(l) = self.loops.iter().position(|lp| lp.var == v) else {
+                                continue;
+                            };
+                            let reach = &self.reach[l * self.rows..][..self.rows];
+                            for (r, reach) in ranges.iter_mut().zip(reach) {
+                                if c >= 0 {
+                                    r.access_hi += c * reach;
+                                } else {
+                                    r.access_lo += c * reach;
+                                }
                             }
                         }
+                        for r in ranges.iter_mut() {
+                            r.lo = r.lo.min(r.access_lo);
+                            r.hi = r.hi.max(r.access_hi);
+                        }
                     }
-                    for r in ranges.iter_mut() {
-                        r.lo = r.lo.min(r.access_lo);
-                        r.hi = r.hi.max(r.access_hi);
+                    for (d, (r, cell)) in ranges.iter().zip(out.iter_mut()).enumerate() {
+                        let e = ((r.hi - r.lo + 1).max(1) as u64).min(size.max(1));
+                        extent(d, e);
+                        if dim < last {
+                            cell.lines *= e as f64;
+                        } else {
+                            let inner_bytes = e * decl.elem_size;
+                            cell.lines *=
+                                (inner_bytes as f64 / self.line_size as f64).ceil().max(1.0);
+                            cell.bytes = cell.lines * self.line_size as f64;
+                        }
                     }
                 }
-                for (d, (r, cell)) in ranges.iter().zip(out.iter_mut()).enumerate() {
-                    let e = ((r.hi - r.lo + 1).max(1) as u64).min(size.max(1));
-                    extent(d, e);
-                    if dim < last {
-                        cell.lines *= e as f64;
-                    } else {
-                        let inner_bytes = e * decl.elem_size;
-                        cell.lines *= (inner_bytes as f64 / self.line_size as f64).ceil().max(1.0);
-                        cell.bytes = cell.lines * self.line_size as f64;
-                    }
-                }
-            }
+            })
         });
     }
+}
+
+/// Subscripts with one set of variable terms (the first of them stands
+/// for all) and the least and greatest of their constants.
+type Fold<'e> = (Option<&'e AffineExpr>, i64, i64);
+
+/// Fold `subscripts` by their variable terms into the front of `out`
+/// (as long as `subscripts`), in first-seen order. Over one set of terms
+/// every subscript's range at any depth is its constant plus the same
+/// spans, so the union of their ranges is `[least, greatest]` plus those
+/// spans — exactly, in integers.
+fn fold<'e, 'o>(
+    subscripts: impl Iterator<Item = &'e AffineExpr>,
+    out: &'o mut [Fold<'e>],
+) -> &'o [Fold<'e>] {
+    let mut n = 0;
+    for e in subscripts {
+        let c = e.constant_part();
+        let same = |f: &&mut Fold<'e>| f.0.is_some_and(|f| f.terms().eq(e.terms()));
+        match out[..n].iter_mut().find(same) {
+            Some((_, lo, hi)) => {
+                *lo = (*lo).min(c);
+                *hi = (*hi).max(c);
+            }
+            None => {
+                out[n] = (Some(e), c, c);
+                n += 1;
+            }
+        }
+    }
+    &out[..n]
 }
 
 /// True if a footprint of `outer_bytes` at one depth strictly shrinks to
@@ -269,18 +321,20 @@ pub fn nest_footprints(
     NestShape::with_nest(nest, |shape| {
         Footprinter::with(arrays, &nest.body, &shape, line_size, |fp| {
             let mut cells = vec![Extent::default(); fps.len()];
-            for array in touched(&nest.body) {
-                let mut extents = vec![Vec::new(); fps.len()];
-                fp.array(array, &mut cells, |d, e| extents[d].push(e));
-                for ((fp, cell), extents) in fps.iter_mut().zip(&cells).zip(extents) {
-                    fp.per_array.push(ArrayFootprint {
-                        array,
-                        extents,
-                        lines: cell.lines,
-                        bytes: cell.bytes,
-                    });
+            with_touched(&nest.body, |touched| {
+                for &array in touched {
+                    let mut extents = vec![Vec::new(); fps.len()];
+                    fp.array(array, &mut cells, |d, e| extents[d].push(e));
+                    for ((fp, cell), extents) in fps.iter_mut().zip(&cells).zip(extents) {
+                        fp.per_array.push(ArrayFootprint {
+                            array,
+                            extents,
+                            lines: cell.lines,
+                            bytes: cell.bytes,
+                        });
+                    }
                 }
-            }
+            })
         })
     });
     for fp in &mut fps {
@@ -322,23 +376,23 @@ impl BodyFootprints<'_> {
         f: impl FnOnce(&BodyFootprints<'_>) -> R,
     ) -> R {
         let rows = shape.depth() + 1;
-        let n = touched(body).count();
-        with_scratch::<_, INLINE_CELLS, _>(n * rows, Extent::default(), |cells| {
-            Footprinter::with(arrays, body, shape, line_size, |fp| {
-                for (cells, array) in cells.chunks_mut(rows).zip(touched(body)) {
-                    fp.array(array, cells, |_, _| {});
-                }
-            });
-            with_scratch::<_, INLINE_ITEMS, _>(n, false, |contiguous| {
-                if let Some(inner) = shape.loops.last() {
-                    for (flag, array) in contiguous.iter_mut().zip(touched(body)) {
-                        *flag = streams_contiguously(body, array, inner.var);
+        with_touched(body, |touched| {
+            let n = touched.len();
+            with_scratch::<_, INLINE_CELLS, _>(n * rows, Extent::default(), |cells| {
+                Footprinter::with(arrays, body, shape, line_size, |fp| {
+                    for (cells, &array) in cells.chunks_mut(rows).zip(touched) {
+                        fp.array(array, cells, |_, _| {});
                     }
-                }
-                f(&BodyFootprints {
-                    rows,
-                    cells,
-                    contiguous,
+                });
+                with_scratch::<_, INLINE_ITEMS, _>(n, false, |contiguous| {
+                    if let Some(inner) = shape.loops.last() {
+                        streams_contiguously(body, touched, inner.var, contiguous);
+                    }
+                    f(&BodyFootprints {
+                        rows,
+                        cells,
+                        contiguous,
+                    })
                 })
             })
         })
@@ -375,28 +429,34 @@ impl BodyFootprints<'_> {
     }
 }
 
-/// Per-array contiguity: `true` if every access to the array advances
-/// stride-1 (or not at all) with the innermost loop — i.e. the innermost
-/// induction variable occurs only in the last subscript, with coefficient
-/// of magnitude ≤ 1. Such streams are tracked by hardware prefetchers.
-fn streams_contiguously(body: &[Stmt], array: ArrayId, inner: VarId) -> bool {
-    accesses(body).filter(|a| a.array == array).all(|acc| {
+/// Per-array contiguity, into `flags` (one per array of `touched`): `true`
+/// if every access to the array advances stride-1 (or not at all) with the
+/// innermost loop — i.e. the innermost induction variable occurs only in
+/// the last subscript, with coefficient of magnitude ≤ 1. Such streams are
+/// tracked by hardware prefetchers. One pass over the accesses.
+fn streams_contiguously(body: &[Stmt], touched: &[ArrayId], inner: VarId, flags: &mut [bool]) {
+    flags.fill(true);
+    for acc in accesses(body) {
+        let a = touched
+            .iter()
+            .position(|&t| t == acc.array)
+            .expect("every accessed array is touched");
         let rank = acc.indices.len();
-        acc.indices.iter().enumerate().all(|(dim, e)| {
+        flags[a] &= acc.indices.iter().enumerate().all(|(dim, e)| {
             let c = e.coeff(inner);
             if dim + 1 == rank {
                 c.abs() <= 1
             } else {
                 c == 0
             }
-        })
-    })
+        });
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moat_ir::{transform, Access, AffineExpr, ArrayId, Loop, LoopNest, Stmt};
+    use moat_ir::{transform, Access, AffineExpr, ArrayId, Loop, LoopNest, NestShape, Stmt};
 
     fn mm(n: i64) -> (Vec<ArrayDecl>, LoopNest) {
         let (i, j, k) = (VarId(0), VarId(1), VarId(2));
@@ -539,6 +599,188 @@ mod tests {
                 w[0].total_bytes,
                 w[1].total_bytes
             );
+        }
+    }
+
+    /// Per-access interval analysis, as `Footprinter::array` ran it before
+    /// accesses were folded by their variable terms.
+    fn per_access(fp: &Footprinter<'_>, id: ArrayId, out: &mut [Extent]) -> Vec<Vec<u64>> {
+        let decl = fp.arrays.iter().find(|a| a.id == id).unwrap();
+        let last = decl.dims.len() - 1;
+        let mut extents = vec![Vec::new(); out.len()];
+        out.fill(Extent {
+            lines: 1.0,
+            bytes: 0.0,
+        });
+        for (dim, &size) in decl.dims.iter().enumerate() {
+            let mut ranges = vec![(i64::MAX, i64::MIN); out.len()];
+            for acc in accesses(fp.body).filter(|a| a.array == id) {
+                let e = &acc.indices[dim];
+                for (d, r) in ranges.iter_mut().enumerate() {
+                    let (mut lo, mut hi) = (e.constant_part(), e.constant_part());
+                    for (v, c) in e.terms() {
+                        let Some(l) = fp.loops.iter().position(|lp| lp.var == v) else {
+                            continue;
+                        };
+                        let reach = fp.reach[l * fp.rows + d];
+                        if c >= 0 {
+                            hi += c * reach;
+                        } else {
+                            lo += c * reach;
+                        }
+                    }
+                    *r = (r.0.min(lo), r.1.max(hi));
+                }
+            }
+            for (d, (r, cell)) in ranges.iter().zip(out.iter_mut()).enumerate() {
+                let e = ((r.1 - r.0 + 1).max(1) as u64).min(size.max(1));
+                extents[d].push(e);
+                if dim < last {
+                    cell.lines *= e as f64;
+                } else {
+                    let inner_bytes = e * decl.elem_size;
+                    cell.lines *= (inner_bytes as f64 / fp.line_size as f64).ceil().max(1.0);
+                    cell.bytes = cell.lines * fp.line_size as f64;
+                }
+            }
+        }
+        extents
+    }
+
+    /// First-touch order as a quadratic scan, as before.
+    fn touched(body: &[Stmt]) -> Vec<ArrayId> {
+        accesses(body)
+            .enumerate()
+            .filter(|(i, a)| !accesses(body).take(*i).any(|b| b.array == a.array))
+            .map(|(_, a)| a.array)
+            .collect()
+    }
+
+    /// Contiguity of one array, access by access, as before.
+    fn contiguous_alone(body: &[Stmt], array: ArrayId, inner: VarId) -> bool {
+        accesses(body).filter(|a| a.array == array).all(|acc| {
+            let rank = acc.indices.len();
+            acc.indices.iter().enumerate().all(|(dim, e)| {
+                let c = e.coeff(inner);
+                if dim + 1 == rank {
+                    c.abs() <= 1
+                } else {
+                    c == 0
+                }
+            })
+        })
+    }
+
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+
+        fn within(&mut self, lo: i64, hi: i64) -> i64 {
+            lo + self.below((hi - lo + 1) as u64) as i64
+        }
+    }
+
+    /// A random affine body: stencil offsets, negative coefficients,
+    /// constant-only and two-variable subscripts, arrays accessed many
+    /// times, and variables of no loop.
+    fn random_nest(rng: &mut Rng) -> (Vec<ArrayDecl>, LoopNest) {
+        let depth = rng.within(1, 3) as usize;
+        let vars: Vec<VarId> = (0..depth as u32).map(VarId).collect();
+        let loops = vars
+            .iter()
+            .map(|&v| Loop::plain(v, format!("i{}", v.0), rng.within(0, 2), rng.within(4, 40)))
+            .collect();
+        let arrays: Vec<ArrayDecl> = (0..rng.within(1, 4) as u32)
+            .map(|a| {
+                let dims = (0..rng.within(1, 3))
+                    .map(|_| rng.within(8, 64) as u64)
+                    .collect();
+                ArrayDecl::new(ArrayId(a), format!("a{a}"), dims, 8)
+            })
+            .collect();
+        let subscript = |rng: &mut Rng| {
+            let mut e = AffineExpr::constant(rng.within(-3, 3));
+            for _ in 0..rng.within(0, 2) {
+                // Variable 7 belongs to no loop.
+                let v = if rng.below(8) == 0 {
+                    VarId(7)
+                } else {
+                    vars[rng.below(depth as u64) as usize]
+                };
+                let c = [-2, -1, 1, 1, 1, 2][rng.below(6) as usize];
+                e = e.add(&AffineExpr::term(v, c));
+            }
+            e
+        };
+        let stmts = (0..rng.within(1, 2))
+            .map(|_| {
+                let accs = (0..rng.within(1, 14))
+                    .map(|_| {
+                        let decl = &arrays[rng.below(arrays.len() as u64) as usize];
+                        let idx = decl.dims.iter().map(|_| subscript(rng)).collect();
+                        Access::read(decl.id, idx)
+                    })
+                    .collect();
+                Stmt::new(accs, 1)
+            })
+            .collect();
+        let nest = LoopNest::new(loops, stmts);
+        if rng.below(2) == 0 {
+            let band = rng.within(1, depth as i64) as usize;
+            let sizes: Vec<u64> = (0..band).map(|_| rng.within(1, 9) as u64).collect();
+            if let Ok(tiled) = transform::tile(&nest, band, &sizes) {
+                return (arrays, tiled);
+            }
+        }
+        (arrays, nest)
+    }
+
+    #[test]
+    fn folded_footprints_equal_per_access_interval_analysis() {
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        for _ in 0..400 {
+            let (arrays, nest) = random_nest(&mut rng);
+            let fps = nest_footprints(&arrays, &nest, 64);
+            let order = touched(&nest.body);
+            let rows = nest.depth() + 1;
+            NestShape::with_nest(&nest, |shape| {
+                let mut want = vec![Extent::default(); order.len() * rows];
+                Footprinter::with(&arrays, &nest.body, &shape, 64, |fp| {
+                    for (a, &id) in order.iter().enumerate() {
+                        let cells = &mut want[a * rows..][..rows];
+                        let extents = per_access(fp, id, cells);
+                        for (d, (cell, extents)) in cells.iter().zip(extents).enumerate() {
+                            let got = &fps[d].per_array[a];
+                            assert_eq!(got.array, id);
+                            assert_eq!(got.extents, extents, "{nest:?}");
+                            assert_eq!(got.lines.to_bits(), cell.lines.to_bits());
+                            assert_eq!(got.bytes.to_bits(), cell.bytes.to_bits());
+                        }
+                    }
+                });
+                let inner = shape.loops.last().map(|l| l.var);
+                BodyFootprints::with(&arrays, &nest.body, &shape, 64, |body| {
+                    for d in 0..rows {
+                        let lines: Vec<(usize, f64)> = body.lines_at(d).collect();
+                        assert_eq!(lines.len(), order.len());
+                        for (a, lines) in lines {
+                            assert_eq!(lines.to_bits(), want[a * rows + d].lines.to_bits());
+                        }
+                        let total: f64 = (0..order.len()).map(|a| want[a * rows + d].bytes).sum();
+                        assert_eq!(body.total_bytes(d).to_bits(), total.to_bits());
+                    }
+                    for (a, &id) in order.iter().enumerate() {
+                        let alone = inner.is_some_and(|v| contiguous_alone(&nest.body, id, v));
+                        assert_eq!(body.contiguous(a), alone, "{nest:?}");
+                    }
+                });
+            });
         }
     }
 

@@ -38,6 +38,15 @@ cargo test -q --workspace -- --test-threads=1
 echo "== cargo test --release -p moat-kernels =="
 cargo test -q --release -p moat-kernels
 
+# The benchmark times the optimised build, so the search trajectories it
+# produces are held to the committed fixture, and the ranking, signature
+# and footprint rewrites to their references, in that build too.
+echo "== cargo test --release: trajectory fixture and equivalence tests =="
+cargo test -q --release --test trajectories
+cargo test -q --release -p moat-core --test equivalence
+cargo test -q --release -p moat-machine --lib footprint::
+cargo test -q --release -p moat-ir --lib expr::
+
 # Traces are per-run handles, so a traced and an untraced test sharing a
 # process must never see each other; a scheduling-dependent relapse should
 # fail here, not in review.

@@ -130,7 +130,7 @@ impl ProgramTuner {
             for cfg_vec in configs {
                 if let Some(objs) = s.evaluator().evaluate(&cfg_vec) {
                     let p = Point::new(cfg_vec, objs);
-                    s.run.archive.insert(p.clone());
+                    s.run.archive.insert_cloned(&p);
                     s.run.all.push(p.clone());
                     s.run.population.push(p);
                 }
@@ -176,7 +176,7 @@ impl ProgramTuner {
                         run.all.push(Point::new(t.clone(), o.clone()));
                     }
                 }
-                s.gde3.select(&mut run.population, &trials, &objs);
+                s.gde3.select(&mut run.population, trials, objs);
                 run.cursor += 1;
                 let last = run.trace.last().expect("initial signature");
                 let (sig, bbox) = self.params.step(
