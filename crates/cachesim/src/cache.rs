@@ -108,89 +108,70 @@ impl Cache {
             Some(m) => line & m,
             None => line % self.num_sets,
         } as usize;
-        let assoc = self.cfg.assoc as usize;
-        (set * assoc..(set + 1) * assoc, line << 1)
+        let start = set * self.cfg.assoc as usize;
+        (start..start + self.cfg.assoc as usize, line << 1)
     }
 
     /// Read the byte at `addr`. Returns `true` on hit. On miss the line is
     /// installed, evicting (and possibly writing back) the LRU line of its
     /// set if necessary.
     pub fn access(&mut self, addr: u64) -> bool {
-        self.touch_evicting(addr, false).0
+        self.touch(addr, 1, false).0
     }
 
     /// Write the byte at `addr` (write-allocate): like [`access`](Self::access)
     /// but the line is marked dirty; a later eviction counts as a
     /// write-back.
     pub fn write(&mut self, addr: u64) -> bool {
-        self.touch_evicting(addr, true).0
+        self.touch(addr, 1, true).0
     }
 
-    /// Like [`access`](Self::access)/[`write`](Self::write) but also
-    /// returns the byte address of a dirty line evicted to make room (to be
-    /// written back to the next level), if any.
-    pub fn touch_evicting(&mut self, addr: u64, is_write: bool) -> (bool, Option<u64>) {
-        self.accesses += 1;
-        if self.promote(addr, is_write) {
-            (true, None)
-        } else {
-            self.misses += 1;
-            (false, self.install(addr, is_write))
-        }
+    /// `n` consecutive accesses to the line holding `addr`, `any_write` when
+    /// at least one of them writes: the first may miss, the rest hit the
+    /// line it leaves most recently used, so one lookup stands for all of
+    /// them. Returns whether the first hit, and the byte address of a dirty
+    /// line evicted to make room (to be written back to the next level), if
+    /// any.
+    #[inline(always)]
+    pub fn touch(&mut self, addr: u64, n: u64, any_write: bool) -> (bool, Option<u64>) {
+        self.accesses += n;
+        let (hit, victim) = self.lookup(addr, any_write, true);
+        self.misses += u64::from(!hit);
+        (hit, victim)
     }
 
-    /// Move `addr`'s line to the MRU slot of its set, accumulating
-    /// dirtiness; `false` (and no change) when it is not resident.
-    #[inline]
-    fn promote(&mut self, addr: u64, dirty: bool) -> bool {
+    /// The one lookup: whether `addr`'s line is resident. A resident line
+    /// moves to the MRU slot of its set and takes `dirty`, unless not
+    /// `promote` (a prefetch fill, which is clean and leaves a resident
+    /// line where it is); an absent one is installed in the MRU slot,
+    /// evicting the LRU line if the set is full. Returns the hit and the
+    /// byte address of a dirty victim.
+    #[inline(always)]
+    fn lookup(&mut self, addr: u64, dirty: bool, promote: bool) -> (bool, Option<u64>) {
         let (range, clean) = self.locate(addr);
         let set = &mut self.slots[range];
+        let dirty = u64::from(dirty);
         if set[0] & !1 == clean {
-            set[0] |= dirty as u64;
-            return true;
+            set[0] |= dirty;
+            return (true, None);
         }
-        let Some(p) = set.iter().position(|&s| s & !1 == clean) else {
-            return false;
-        };
-        let hit = set[p];
-        age(set, p);
-        set[0] = hit | dirty as u64;
-        true
-    }
-
-    /// Insert `addr`'s (absent) line at the MRU slot of its set, evicting
-    /// the LRU line if the set is full. Returns the byte address of a dirty
-    /// victim, if any.
-    #[inline]
-    fn install(&mut self, addr: u64, dirty: bool) -> Option<u64> {
-        let (range, clean) = self.locate(addr);
-        let set = &mut self.slots[range];
+        if let Some(p) = set.iter().position(|&s| s & !1 == clean) {
+            if promote {
+                let hit = set[p];
+                age(set, p);
+                set[0] = hit | dirty;
+            }
+            return (true, None);
+        }
         let last = set.len() - 1;
         let victim = set[last];
         age(set, last);
-        set[0] = clean | dirty as u64;
-        (victim != EMPTY && victim & 1 == 1).then(|| {
-            self.writebacks += 1;
-            victim >> 1 << self.line_shift
-        })
-    }
-
-    /// Account `n` guaranteed hits to the MRU line of `addr`'s set without
-    /// re-running the lookup — the streaming simulator's line-coalescing
-    /// path. The caller must have just touched `addr` (the line is at the
-    /// MRU position); `any_write` marks it dirty, exactly as `n` individual
-    /// hitting accesses (of which at least one writes) would.
-    pub fn credit_repeat_hits(&mut self, addr: u64, n: u64, any_write: bool) {
-        self.accesses += n;
-        if any_write {
-            let (range, clean) = self.locate(addr);
-            debug_assert_eq!(
-                self.slots[range.start] & !1,
-                clean,
-                "coalesced line must be MRU"
-            );
-            self.slots[range.start] |= 1;
+        set[0] = clean | dirty;
+        if victim == EMPTY || victim & 1 == 0 {
+            return (false, None);
         }
+        self.writebacks += 1;
+        (false, Some(victim >> 1 << self.line_shift))
     }
 
     /// Account `n` guaranteed hits without simulating them — the streaming
@@ -208,21 +189,15 @@ impl Cache {
     /// miss. Returns the address of a dirty line evicted to make room, if
     /// any (cascading write-back).
     pub fn receive_writeback(&mut self, addr: u64) -> Option<u64> {
-        if self.promote(addr, true) {
-            None
-        } else {
-            self.install(addr, true)
-        }
+        self.lookup(addr, true, true).1
     }
 
     /// Install the line holding `addr` as *clean*, without access/miss
     /// accounting (hardware prefetch). Returns the address of a dirty line
-    /// evicted to make room, if any. No-op when the line is present.
+    /// evicted to make room, if any. No-op when the line is present, LRU
+    /// order included.
     pub fn receive_prefetch(&mut self, addr: u64) -> Option<u64> {
-        if self.contains(addr) {
-            return None;
-        }
-        self.install(addr, false)
+        self.lookup(addr, false, false).1
     }
 
     /// Probe without updating state or counters.
@@ -383,21 +358,20 @@ mod tests {
         // Dirty eviction must reconstruct the correct victim address.
         c.write(0);
         c.access(3 * 64); // set 0 again
-        let (_, evicted) = c.touch_evicting(6 * 64, false); // evicts LRU of set 0
+        let (_, evicted) = c.touch(6 * 64, 1, false); // evicts LRU of set 0
         assert_eq!(evicted, Some(0), "victim address must round-trip");
     }
 
     #[test]
-    fn credit_repeat_hits_matches_individual_hits() {
+    fn touch_of_n_matches_individual_accesses() {
         // Reference: three element accesses to the same line, one a write.
         let mut a = tiny();
         a.access(0);
         a.access(8);
         a.write(16);
-        // Coalesced: one touch plus two credited repeat hits.
+        // Coalesced: one touch standing for all three.
         let mut b = tiny();
-        b.access(0);
-        b.credit_repeat_hits(16, 2, true);
+        b.touch(0, 3, true);
         assert_eq!(a.accesses(), b.accesses());
         assert_eq!(a.misses(), b.misses());
         // Both must write the dirty line back on eviction.

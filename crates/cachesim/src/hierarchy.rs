@@ -6,7 +6,8 @@ use crate::cache::{Cache, CacheConfig};
 /// Configuration of a multi-core hierarchy.
 #[derive(Debug, Clone)]
 pub struct HierarchyConfig {
-    /// Per-core private levels, outermost last (e.g. `[L1, L2]`).
+    /// Per-core private levels, innermost first (e.g. `[L1, L2]`); at
+    /// least one.
     pub private_levels: Vec<CacheConfig>,
     /// Chip-shared last level (e.g. L3).
     pub shared_level: CacheConfig,
@@ -14,10 +15,11 @@ pub struct HierarchyConfig {
     pub cores_per_chip: usize,
     /// Number of simulated cores.
     pub cores: usize,
-    /// Per-core sequential stream prefetcher: number of next lines fetched
-    /// into the innermost level on a detected ascending line-sequential
-    /// access (0 = disabled). Models the hardware prefetchers behind the
-    /// cost model's `stream_exposure` parameter.
+    /// Per-core sequential stream prefetcher: on an ascending
+    /// line-sequential access, the next this many lines not already in the
+    /// innermost level are filled into every private level beyond it and
+    /// into the shared level (0 = disabled). Models the hardware
+    /// prefetchers behind the cost model's `stream_exposure` parameter.
     pub prefetch_depth: usize,
 }
 
@@ -43,7 +45,9 @@ impl LevelStats {
 
 /// A stream of `(byte address, is_write)` events that can be drawn in
 /// *runs*: blocks of accesses (one innermost-loop iteration) repeated a
-/// known number of times with an identical cache-line pattern.
+/// known number of times with an identical cache-line pattern. Byte
+/// addresses stay below 2^62: the simulator packs the kind of a
+/// shared-level operation into the two bits above them.
 ///
 /// The contract of [`next_run`](Self::next_run): the `reps` repetitions
 /// (including the one materialized in `buf`) touch the same lines — at
@@ -63,55 +67,51 @@ pub trait AccessSource: Iterator<Item = (u64, bool)> {
 
 /// An operation reaching the shared level, recorded during the parallel
 /// private-level phase of [`MultiCoreHierarchy::simulate_streams`] and
-/// replayed in deterministic round-robin order.
+/// replayed in deterministic round-robin order: the byte address shifted
+/// left by two, the kind in the low bits.
 #[derive(Debug, Clone, Copy)]
-enum SharedOp {
+struct SharedOp(u64);
+
+impl SharedOp {
+    /// Demand read that missed every private level.
+    const READ: u64 = 0;
+    /// Demand write (write-allocate: marks the shared line dirty).
+    const WRITE: u64 = 1;
     /// Stream-prefetch fill.
-    Prefetch(u64),
-    /// Demand access that missed every private level.
-    Demand {
-        /// Byte address.
-        addr: u64,
-        /// Write-allocate (marks the shared line dirty).
-        is_write: bool,
-    },
+    const PREFETCH: u64 = 2;
     /// Dirty line written back from the outermost private level.
-    Writeback(u64),
+    const WRITEBACK: u64 = 3;
+
+    fn new(addr: u64, kind: u64) -> Self {
+        assert!(addr < 1 << 62, "byte address {addr:#x} too large to log");
+        SharedOp(addr << 2 | kind)
+    }
 }
 
 /// Where a core's shared-level traffic goes: straight to the chip's shared
 /// cache (demand accesses, and a stream simulated alone) or into a per-core
-/// event log for deterministic replay (streams simulated in parallel).
+/// log of `(stream position, op)` for deterministic replay (streams
+/// simulated in parallel).
 enum SharedSink<'a> {
     Direct {
         shared: &'a mut Cache,
         memory_accesses: &'a mut u64,
     },
-    Record {
-        ops: &'a mut Vec<(u64, SharedOp)>,
-        /// Stream position of the access being issued.
-        index: u64,
-    },
+    Record(&'a mut Vec<(u64, SharedOp)>),
 }
 
 impl SharedSink<'_> {
-    /// Tag what follows with the stream position of the access causing it.
-    fn at(&mut self, position: u64) {
-        if let SharedSink::Record { index, .. } = self {
-            *index = position;
-        }
-    }
-
-    /// Apply `op` to the shared level, or log it; returns whether a demand
-    /// access hit there, when known immediately.
-    fn send(&mut self, op: SharedOp) -> Option<bool> {
+    /// Apply `op`, caused by the access at stream position `position`, to
+    /// the shared level, or log it; returns whether a demand access hit
+    /// there, when known immediately.
+    fn send(&mut self, position: u64, op: SharedOp) -> Option<bool> {
         match self {
             SharedSink::Direct {
                 shared,
                 memory_accesses,
             } => apply_shared(shared, memory_accesses, op),
-            SharedSink::Record { ops, index } => {
-                ops.push((*index, op));
+            SharedSink::Record(ops) => {
+                ops.push((position, op));
                 None
             }
         }
@@ -122,23 +122,34 @@ impl SharedSink<'_> {
 /// Dirty evictions from the shared level are counted as memory write-backs
 /// by the cache itself.
 fn apply_shared(shared: &mut Cache, memory_accesses: &mut u64, op: SharedOp) -> Option<bool> {
-    match op {
-        SharedOp::Prefetch(addr) => {
+    let addr = op.0 >> 2;
+    match op.0 & 3 {
+        SharedOp::PREFETCH => {
             let _ = shared.receive_prefetch(addr);
             None
         }
-        SharedOp::Demand { addr, is_write } => {
-            let (hit, _evicted) = shared.touch_evicting(addr, is_write);
-            if !hit {
-                *memory_accesses += 1;
-            }
-            Some(hit)
-        }
-        SharedOp::Writeback(addr) => {
+        SharedOp::WRITEBACK => {
             let _ = shared.receive_writeback(addr);
             None
         }
+        kind => {
+            let (hit, _evicted) = shared.touch(addr, 1, kind == SharedOp::WRITE);
+            *memory_accesses += u64::from(!hit);
+            Some(hit)
+        }
     }
+}
+
+/// `n` consecutive accesses of a block to one line, simulated as one: the
+/// first access's address and flag, whether any of them writes, and the
+/// first one's offset in the block.
+#[derive(Debug, Clone, Copy)]
+struct Touch {
+    addr: u64,
+    is_write: bool,
+    any_write: bool,
+    n: u64,
+    offset: u64,
 }
 
 /// The private (per-core) half of the hierarchy: the core's cache levels
@@ -149,77 +160,56 @@ fn apply_shared(shared: &mut Cache, memory_accesses: &mut u64, op: SharedOp) -> 
 struct PrivateCore {
     /// Private levels, innermost first.
     levels: Vec<Cache>,
+    prefetch_depth: usize,
     /// Last accessed line (stream detection).
     last_line: Option<u64>,
     prefetches: u64,
-    /// Scratch of [`issue`](Self::issue), empty between calls: `(level the
-    /// write-back originates from, line address)` of dirty evictions still
-    /// to be propagated toward memory.
-    pending: Vec<(usize, u64)>,
 }
 
 impl PrivateCore {
-    /// One demand access: prefetch detection, private-level descent, then
-    /// write-back propagation. Shared-level traffic goes to `sink`. Returns
+    /// The demand path of `t`, the touch at stream position `position`:
+    /// prefetch detection (when `PREFETCH`, i.e. `prefetch_depth > 0`), the
+    /// innermost-level lookup, and on a miss [`miss`](Self::miss). Returns
     /// the hit level (`None` = shared outcome unknown or memory).
-    fn issue(
+    #[inline(always)]
+    fn demand<const PREFETCH: bool>(
         &mut self,
-        prefetch_depth: usize,
-        addr: u64,
-        is_write: bool,
+        t: &Touch,
+        position: u64,
         sink: &mut SharedSink<'_>,
     ) -> Option<usize> {
-        // Stream prefetcher: on an ascending line-sequential access, pull
-        // the next lines into the core's innermost cache (demand path,
-        // without demand accounting).
-        if prefetch_depth > 0 {
-            let line_size = self.levels[0].config().line_size;
-            let line = addr / line_size;
-            let streaming = self.last_line == Some(line.wrapping_sub(1));
-            self.last_line = Some(line);
-            if streaming {
-                for d in 1..=prefetch_depth {
-                    let paddr = (line + d as u64) * line_size;
-                    self.prefetch(paddr, sink);
-                }
-            }
+        if PREFETCH {
+            self.detect_stream(t.addr, position, sink);
         }
-        let n_private = self.levels.len();
-        let mut hit_level = None;
-        for (lvl, cache) in self.levels.iter_mut().enumerate() {
-            let (hit, evicted) = cache.touch_evicting(addr, is_write);
-            if let Some(e) = evicted {
-                self.pending.push((lvl, e));
-            }
-            if hit {
-                hit_level = Some(lvl);
-                break;
-            }
+        match self.levels[0].touch(t.addr, t.n, t.any_write) {
+            (true, _) => Some(0),
+            (false, victim) => self.miss(0, t.addr, t.is_write, victim, position, sink),
         }
-        if hit_level.is_none() && sink.send(SharedOp::Demand { addr, is_write }) == Some(true) {
-            hit_level = Some(n_private);
-        }
-        // Dirty evictions propagate toward memory after the access resolves
-        // (inclusive-style write-back forwarding; cascades may trigger
-        // further evictions).
-        while let Some((from_lvl, line_addr)) = self.pending.pop() {
-            let next = from_lvl + 1;
-            if next < n_private {
-                if let Some(e) = self.levels[next].receive_writeback(line_addr) {
-                    self.pending.push((next, e));
-                }
-            } else {
-                sink.send(SharedOp::Writeback(line_addr));
-            }
-        }
-        hit_level
     }
 
-    /// Install `addr`'s line into the core's mid/outer levels without
-    /// touching the demand-access statistics — hardware stream prefetchers
-    /// fill L2 and beyond, so a prefetched line turns a memory-latency
-    /// demand miss into a cheap L2 hit.
-    fn prefetch(&mut self, addr: u64, sink: &mut SharedSink<'_>) {
+    /// Stream prefetcher: on an ascending line-sequential access, fill the
+    /// next `prefetch_depth` lines into the private levels beyond the
+    /// innermost one and into the shared level (see
+    /// [`prefetch`](Self::prefetch); no demand accounting).
+    #[inline]
+    fn detect_stream(&mut self, addr: u64, position: u64, sink: &mut SharedSink<'_>) {
+        let line_shift = self.levels[0].config().line_size.trailing_zeros();
+        let line = addr >> line_shift;
+        let streaming = self.last_line == Some(line.wrapping_sub(1));
+        self.last_line = Some(line);
+        if streaming {
+            for d in 1..=self.prefetch_depth as u64 {
+                self.prefetch((line + d) << line_shift, position, sink);
+            }
+        }
+    }
+
+    /// Install `addr`'s line into the core's mid/outer levels and the
+    /// shared level without touching the demand-access statistics —
+    /// hardware stream prefetchers fill L2 and beyond, so a prefetched line
+    /// turns a memory-latency demand miss into a cheap L2 hit. Nothing
+    /// happens when the line is already in the innermost level.
+    fn prefetch(&mut self, addr: u64, position: u64, sink: &mut SharedSink<'_>) {
         if self.levels[0].contains(addr) {
             return;
         }
@@ -227,7 +217,61 @@ impl PrivateCore {
         for cache in self.levels.iter_mut().skip(1) {
             let _ = cache.receive_prefetch(addr);
         }
-        sink.send(SharedOp::Prefetch(addr));
+        sink.send(position, SharedOp::new(addr, SharedOp::PREFETCH));
+    }
+
+    /// The rest of a demand access that missed private level `lvl`, whose
+    /// install there evicted `victim`: the next level's lookup (the shared
+    /// level past the last private one), then the victim's write-back.
+    /// Dirty evictions thus propagate toward memory after the access
+    /// resolves, deepest first (inclusive-style write-back forwarding).
+    #[inline(never)]
+    fn miss(
+        &mut self,
+        lvl: usize,
+        addr: u64,
+        is_write: bool,
+        victim: Option<u64>,
+        position: u64,
+        sink: &mut SharedSink<'_>,
+    ) -> Option<usize> {
+        let next = lvl + 1;
+        let hit_level = match self.levels.get_mut(next) {
+            Some(cache) => match cache.touch(addr, 1, is_write) {
+                (true, _) => Some(next),
+                (false, evicted) => self.miss(next, addr, is_write, evicted, position, sink),
+            },
+            None => {
+                let kind = if is_write {
+                    SharedOp::WRITE
+                } else {
+                    SharedOp::READ
+                };
+                (sink.send(position, SharedOp::new(addr, kind)) == Some(true)).then_some(next)
+            }
+        };
+        if let Some(line_addr) = victim {
+            self.write_back(next, line_addr, position, sink);
+        }
+        hit_level
+    }
+
+    /// A dirty line evicted into level `lvl` (the shared level past the
+    /// last private one); a cascade may evict further dirty lines.
+    fn write_back(
+        &mut self,
+        mut lvl: usize,
+        mut line_addr: u64,
+        position: u64,
+        sink: &mut SharedSink<'_>,
+    ) {
+        while let Some(cache) = self.levels.get_mut(lvl) {
+            match cache.receive_writeback(line_addr) {
+                Some(evicted) => (lvl, line_addr) = (lvl + 1, evicted),
+                None => return,
+            }
+        }
+        sink.send(position, SharedOp::new(line_addr, SharedOp::WRITEBACK));
     }
 }
 
@@ -251,13 +295,14 @@ impl MultiCoreHierarchy {
     /// Build the hierarchy.
     pub fn new(cfg: HierarchyConfig) -> Self {
         assert!(cfg.cores >= 1 && cfg.cores_per_chip >= 1);
+        assert!(!cfg.private_levels.is_empty(), "no private cache level");
         let chips = cfg.cores.div_ceil(cfg.cores_per_chip);
         let private = (0..cfg.cores)
             .map(|_| PrivateCore {
                 levels: cfg.private_levels.iter().map(|&c| Cache::new(c)).collect(),
+                prefetch_depth: cfg.prefetch_depth,
                 last_line: None,
                 prefetches: 0,
-                pending: Vec::new(),
             })
             .collect();
         let shared = (0..chips).map(|_| Cache::new(cfg.shared_level)).collect();
@@ -297,7 +342,19 @@ impl MultiCoreHierarchy {
             shared: &mut self.shared[chip],
             memory_accesses: &mut self.memory_accesses,
         };
-        self.private[core].issue(self.cfg.prefetch_depth, addr, is_write, &mut sink)
+        let t = Touch {
+            addr,
+            is_write,
+            any_write: is_write,
+            n: 1,
+            offset: 0,
+        };
+        let core = &mut self.private[core];
+        if core.prefetch_depth > 0 {
+            core.demand::<true>(&t, 0, &mut sink)
+        } else {
+            core.demand::<false>(&t, 0, &mut sink)
+        }
     }
 
     /// Simulate one access stream per thread (thread `t` on core `t`),
@@ -306,10 +363,10 @@ impl MultiCoreHierarchy {
     ///
     /// Private levels are fully independent between cores, so each core's
     /// stream is simulated on its own worker thread, with consecutive
-    /// same-L1-line accesses coalesced into one cache touch plus credited
-    /// hits. Only the operations that reach the shared level (demand
-    /// misses, prefetch fills, write-backs) are recorded — tagged with
-    /// their position in the stream — and replayed afterwards in
+    /// same-L1-line accesses coalesced into one cache touch. Only the
+    /// operations that reach the shared level (demand misses, prefetch
+    /// fills, write-backs) are recorded — tagged with their position in
+    /// the stream — and replayed afterwards in
     /// `(position, thread)` order, which is precisely the order the
     /// round-robin interleave issues them in. A single stream has nothing
     /// to interleave with and drives the shared level directly. Returns
@@ -324,7 +381,6 @@ impl MultiCoreHierarchy {
             streams.len(),
             self.cfg.cores
         );
-        let prefetch_depth = self.cfg.prefetch_depth;
         // Per stream: accesses issued and the shared-level log.
         let mut results: Vec<(u64, Vec<(u64, SharedOp)>)> = Vec::new();
         // Wall-mode-only phase timers: the private-level streaming phase
@@ -337,7 +393,7 @@ impl MultiCoreHierarchy {
                     shared: &mut self.shared[0],
                     memory_accesses: &mut self.memory_accesses,
                 };
-                let issued = run_core(&mut self.private[0], prefetch_depth, stream, &mut sink);
+                let issued = run_core(&mut self.private[0], stream, &mut sink);
                 results.push((issued, Vec::new()));
             }
             Err(streams) => {
@@ -347,8 +403,7 @@ impl MultiCoreHierarchy {
                         self.private.iter_mut().zip(streams).zip(results.iter_mut())
                     {
                         s.spawn(move || {
-                            let mut sink = SharedSink::Record { ops, index: 0 };
-                            *issued = run_core(core, prefetch_depth, stream, &mut sink);
+                            *issued = run_core(core, stream, &mut SharedSink::Record(ops));
                         });
                     }
                 });
@@ -449,70 +504,68 @@ impl MultiCoreHierarchy {
     }
 }
 
-/// Simulate one block of accesses (one innermost-loop iteration) against a
-/// core's private levels, starting at stream position `base`. Consecutive
-/// same-line accesses within the block are coalesced into a single cache
-/// touch plus [`Cache::credit_repeat_hits`]: the repeats are guaranteed
-/// MRU hits in the innermost level (they reach neither the outer levels
-/// nor the shared level), don't change the prefetcher's streaming decision
-/// (`line == last_line` is never line-sequential), and their only
-/// architectural effect is the hit count and possibly dirtying the line.
-/// Splitting a longer same-line run at a block boundary is equally exact:
-/// the second touch is a hit on the already-MRU line and triggers nothing.
-fn simulate_block(
-    core: &mut PrivateCore,
-    prefetch_depth: usize,
-    block: &[(u64, bool)],
-    line_shift: u32,
-    base: u64,
-    sink: &mut SharedSink<'_>,
-) {
-    let mut i = 0usize;
-    while i < block.len() {
-        let (addr, is_write) = block[i];
-        let line = addr >> line_shift;
-        // Extend the coalesced run over consecutive same-line accesses.
-        let mut any_write = is_write;
-        let mut j = i + 1;
-        while j < block.len() && block[j].0 >> line_shift == line {
-            any_write |= block[j].1;
-            j += 1;
+/// Coalesce `block` into `touches`: each run of consecutive same-line
+/// accesses becomes one [`Touch`]. Its repeats are guaranteed MRU hits in
+/// the innermost level (they reach neither the outer levels nor the shared
+/// level), don't change the prefetcher's streaming decision (`line ==
+/// last_line` is never line-sequential), and their only architectural
+/// effect is the hit count and possibly dirtying the line. Splitting a
+/// longer same-line run at a block boundary is equally exact: the second
+/// touch is a hit on the already-MRU line and triggers nothing.
+fn coalesce(block: &[(u64, bool)], line_shift: u32, touches: &mut Vec<Touch>) {
+    touches.clear();
+    for (i, &(addr, is_write)) in block.iter().enumerate() {
+        match touches.last_mut() {
+            Some(t) if t.addr >> line_shift == addr >> line_shift => {
+                t.any_write |= is_write;
+                t.n += 1;
+            }
+            _ => touches.push(Touch {
+                addr,
+                is_write,
+                any_write: is_write,
+                n: 1,
+                offset: i as u64,
+            }),
         }
-        sink.at(base + i as u64);
-        let _ = core.issue(prefetch_depth, addr, is_write, sink);
-        if j > i + 1 {
-            core.levels[0].credit_repeat_hits(addr, (j - i - 1) as u64, any_write);
-        }
-        i = j;
     }
 }
 
 /// Simulate one core's stream against its private levels, sending
 /// shared-level traffic to `sink` tagged with the stream position of the
 /// access that caused it. Returns the number of accesses issued.
+fn run_core<S: AccessSource>(core: &mut PrivateCore, stream: S, sink: &mut SharedSink<'_>) -> u64 {
+    if core.prefetch_depth > 0 {
+        walk_runs::<true, S>(core, stream, sink)
+    } else {
+        walk_runs::<false, S>(core, stream, sink)
+    }
+}
+
+/// [`run_core`] with the prefetcher on or off at compile time.
 ///
 /// The stream is consumed in [`AccessSource`] runs: `reps` repetitions of
-/// an identical line pattern. Repetitions are simulated one block at a
-/// time until a block is *quiet* — every access hits the innermost level
-/// and no prefetch is installed, hence nothing reaches the shared level
-/// either (demand traffic and write-backs start from an innermost-level
-/// miss). A quiet block leaves the private state at a fixed point:
-/// re-applying the same all-hit touch sequence reproduces the same LRU
-/// arrangement, dirty bits are already accumulated, and contained prefetch
-/// probes stay contained (hits never change cache contents). The remaining
-/// repetitions are therefore credited as bulk innermost-level hits —
-/// unless the pattern wraps line-sequentially (last line + 1 == first
-/// line), where each repetition boundary would re-trigger the stream
-/// prefetcher.
-fn run_core<S: AccessSource>(
+/// an identical line pattern, whose block is coalesced once per run.
+/// Repetitions are simulated one block at a time until a block is *quiet*
+/// — every access hits the innermost level and no prefetch is installed,
+/// hence nothing reaches the shared level either (demand traffic and
+/// write-backs start from an innermost-level miss). A quiet block leaves
+/// the private state at a fixed point: re-applying the same all-hit touch
+/// sequence reproduces the same LRU arrangement, dirty bits are already
+/// accumulated, and contained prefetch probes stay contained (hits never
+/// change cache contents). The remaining repetitions are therefore
+/// credited as bulk innermost-level hits — unless the pattern wraps
+/// line-sequentially (last line + 1 == first line), where each repetition
+/// boundary would re-trigger the stream prefetcher.
+fn walk_runs<const PREFETCH: bool, S: AccessSource>(
     core: &mut PrivateCore,
-    prefetch_depth: usize,
     mut stream: S,
     sink: &mut SharedSink<'_>,
 ) -> u64 {
     let line_shift = core.levels[0].config().line_size.trailing_zeros();
     let mut issued: u64 = 0;
     let mut buf: Vec<(u64, bool)> = Vec::new();
+    let mut touches: Vec<Touch> = Vec::new();
     loop {
         let reps = stream.next_run(&mut buf, line_shift);
         if reps == 0 {
@@ -521,14 +574,17 @@ fn run_core<S: AccessSource>(
         if buf.is_empty() {
             continue;
         }
+        coalesce(&buf, line_shift, &mut touches);
         let first_line = buf[0].0 >> line_shift;
         let last_line = buf[buf.len() - 1].0 >> line_shift;
-        let wraps_sequential = prefetch_depth > 0 && first_line == last_line.wrapping_add(1);
+        let wraps_sequential = PREFETCH && first_line == last_line.wrapping_add(1);
         let mut rep = 0u64;
         while rep < reps {
             let misses_before = core.levels[0].misses();
             let prefetches_before = core.prefetches;
-            simulate_block(core, prefetch_depth, &buf, line_shift, issued, sink);
+            for t in &touches {
+                core.demand::<PREFETCH>(t, issued + t.offset, sink);
+            }
             issued += buf.len() as u64;
             rep += 1;
             let quiet =

@@ -276,7 +276,9 @@ impl CompiledNest {
     /// Lazy access stream with the outermost `prefix.len()` induction
     /// variables pinned to the given values (one parallel chunk item).
     pub fn stream_prefix(&self, prefix: Vec<i64>) -> AccessStream<'_> {
-        AccessStream::new(self, prefix)
+        let mut stream = AccessStream::unseated(self);
+        stream.seat(&prefix);
+        stream
     }
 
     /// Per-thread lazy access streams (a single stream for a sequential
@@ -285,9 +287,8 @@ impl CompiledNest {
     pub fn thread_streams(&self) -> Vec<ThreadStream<'_>> {
         let Some((collapsed, threads)) = self.parallel else {
             return vec![ThreadStream {
-                nest: self,
                 prefixes: vec![Vec::new()].into_iter(),
-                cur: None,
+                cur: AccessStream::unseated(self),
             }];
         };
         let mut prefixes = self.collapsed_prefixes(collapsed);
@@ -303,9 +304,8 @@ impl CompiledNest {
             .into_iter()
             .rev()
             .map(|chunk| ThreadStream {
-                nest: self,
                 prefixes: chunk.into_iter(),
-                cur: None,
+                cur: AccessStream::unseated(self),
             })
             .collect()
     }
@@ -367,23 +367,28 @@ pub struct AccessStream<'a> {
 }
 
 impl<'a> AccessStream<'a> {
-    fn new(nest: &'a CompiledNest, prefix: Vec<i64>) -> Self {
+    /// An exhausted stream of `nest`, to be [`seat`](Self::seat)ed.
+    fn unseated(nest: &'a CompiledNest) -> Self {
         let n = nest.steps.len();
-        assert!(prefix.len() <= n);
-        let mut vals = vec![0i64; n];
-        vals[..prefix.len()].copy_from_slice(&prefix);
-        let mut s = AccessStream {
+        AccessStream {
             nest,
-            vals,
+            vals: vec![0i64; n],
             hi: vec![0i64; n],
             lo: vec![0i64; n],
             addrs: vec![0i64; nest.accesses.len()],
-            prefix_len: prefix.len(),
+            prefix_len: 0,
             acc_idx: 0,
-            done: false,
-        };
-        s.done = !s.descend(s.prefix_len);
-        s
+            done: true,
+        }
+    }
+
+    /// Restart the stream at the first iteration point under `prefix`,
+    /// reusing its buffers.
+    fn seat(&mut self, prefix: &[i64]) {
+        self.vals[..prefix.len()].copy_from_slice(prefix);
+        self.prefix_len = prefix.len();
+        self.acc_idx = 0;
+        self.done = !self.descend(self.prefix_len);
     }
 
     /// Position `vals[d..]` at the first iteration point with `vals[..d]`
@@ -543,11 +548,18 @@ impl<'a> AccessStream<'a> {
             ((self.hi[d] - self.vals[d] - 1) / nest.steps[d]) as u64
         };
         let extra = headroom.min(remaining);
-        if extra > 0 {
-            self.vals[d] += extra as i64 * nest.steps[d];
-            self.advance_innermost(extra as i64);
+        if extra < remaining {
+            // The run ends inside the innermost loop: step straight onto
+            // the point after it.
+            self.vals[d] += (extra as i64 + 1) * nest.steps[d];
+            self.advance_innermost(extra as i64 + 1);
+        } else {
+            // The run ends the pass; `next_point` re-evaluates `addrs`.
+            if extra > 0 {
+                self.vals[d] += extra as i64 * nest.steps[d];
+            }
+            self.done = !self.next_point();
         }
-        self.done = !self.next_point();
         1 + extra
     }
 }
@@ -575,12 +587,12 @@ impl Iterator for AccessStream<'_> {
 }
 
 /// One thread's lazy access stream: the concatenation of the
-/// [`AccessStream`]s of its statically-chunked collapsed-prefix range.
+/// [`AccessStream`]s of its statically-chunked collapsed-prefix range, one
+/// stream re-seated on each prefix in turn.
 #[derive(Debug)]
 pub struct ThreadStream<'a> {
-    nest: &'a CompiledNest,
     prefixes: std::vec::IntoIter<Vec<i64>>,
-    cur: Option<AccessStream<'a>>,
+    cur: AccessStream<'a>,
 }
 
 impl Iterator for ThreadStream<'_> {
@@ -588,13 +600,10 @@ impl Iterator for ThreadStream<'_> {
 
     fn next(&mut self) -> Option<(u64, bool)> {
         loop {
-            if let Some(s) = &mut self.cur {
-                if let Some(x) = s.next() {
-                    return Some(x);
-                }
+            if let Some(x) = self.cur.next() {
+                return Some(x);
             }
-            let prefix = self.prefixes.next()?;
-            self.cur = Some(self.nest.stream_prefix(prefix));
+            self.cur.seat(&self.prefixes.next()?);
         }
     }
 }
@@ -608,16 +617,14 @@ impl AccessSource for AccessStream<'_> {
 impl AccessSource for ThreadStream<'_> {
     fn next_run(&mut self, buf: &mut Vec<(u64, bool)>, line_shift: u32) -> u64 {
         loop {
-            if let Some(s) = &mut self.cur {
-                let reps = s.next_run(buf, line_shift);
-                if reps > 0 {
-                    return reps;
-                }
+            let reps = self.cur.next_run(buf, line_shift);
+            if reps > 0 {
+                return reps;
             }
             let Some(prefix) = self.prefixes.next() else {
                 return 0;
             };
-            self.cur = Some(self.nest.stream_prefix(prefix));
+            self.cur.seat(&prefix);
         }
     }
 }

@@ -47,6 +47,13 @@ cargo test -q --release -p moat-core --test equivalence
 cargo test -q --release -p moat-machine --lib footprint::
 cargo test -q --release -p moat-ir --lib expr::
 
+# The same holds for the cache simulator `cachesim-validate` times: its
+# properties, the streaming oracle and the counter fixture, optimised.
+echo "== cargo test --release: cache simulator, streaming oracle, counter fixture =="
+cargo test -q --release -p moat-cachesim
+cargo test -q --release --test streaming_equivalence
+cargo test -q --release --test cachesim_counters
+
 # Traces are per-run handles, so a traced and an untraced test sharing a
 # process must never see each other; a scheduling-dependent relapse should
 # fail here, not in review.
