@@ -246,12 +246,6 @@ impl<'a> BackendSet<'a> {
         self.entries.get(idx).map(|(p, _)| p)
     }
 
-    /// Provenance tags of all backends, in registration (= dimension
-    /// value) order.
-    pub fn provenances(&self) -> Vec<Provenance> {
-        self.entries.iter().map(|(p, _)| p.clone()).collect()
-    }
-
     /// The product space: `base` plus a trailing `backend` choice
     /// dimension with one value per registered backend.
     pub fn space(&self, base: &ParamSpace) -> ParamSpace {

@@ -13,37 +13,23 @@ use crate::tuner::{StopReason, Tuner, TuningReport, TuningSession};
 
 /// Uniform random sampling as a [`Tuner`].
 ///
-/// The sample count comes from the session budget; an optional
-/// [`samples`](Self::samples) cap tightens it further (whichever is
-/// smaller wins). With neither set, [`DEFAULT_SAMPLES`](Self::DEFAULT_SAMPLES)
-/// applies. The report's trace holds one final [`FrontSignature`] whose
-/// hypervolume is normalized over *all* sampled points.
+/// The sample count is the session budget, or
+/// [`DEFAULT_SAMPLES`](Self::DEFAULT_SAMPLES) when the session has none.
+/// The report's trace holds one final [`FrontSignature`] whose hypervolume
+/// is normalized over *all* sampled points.
 #[derive(Debug, Clone)]
 pub struct RandomTuner {
-    /// Optional cap on distinct samples (in addition to the session
-    /// budget).
-    pub samples: Option<u64>,
     /// RNG seed.
     pub seed: u64,
 }
 
 impl RandomTuner {
-    /// Samples drawn when neither a session budget nor
-    /// [`samples`](Self::samples) bounds the run.
+    /// Samples drawn when the session has no budget.
     pub const DEFAULT_SAMPLES: u64 = 1000;
 
     /// Tuner bounded only by the session budget.
     pub fn new(seed: u64) -> Self {
-        RandomTuner {
-            samples: None,
-            seed,
-        }
-    }
-
-    /// Additionally cap the distinct-sample count at `n`.
-    pub fn with_samples(mut self, n: u64) -> Self {
-        self.samples = Some(n);
-        self
+        RandomTuner { seed }
     }
 }
 
@@ -53,12 +39,7 @@ impl Tuner for RandomTuner {
     }
 
     fn tune(&self, session: &mut TuningSession<'_>) -> TuningReport {
-        let budget = match (self.samples, session.budget()) {
-            (Some(n), Some(b)) => n.min(b),
-            (Some(n), None) => n,
-            (None, Some(b)) => b,
-            (None, None) => Self::DEFAULT_SAMPLES,
-        };
+        let budget = session.budget().unwrap_or(Self::DEFAULT_SAMPLES);
         let (mut run, _) = session.start(Some(self.seed));
         let mut stop = StopReason::Completed;
 

@@ -863,11 +863,6 @@ impl SurrogateScreen {
         &self.stats
     }
 
-    /// The online model (e.g. for priming from archive records).
-    pub fn model_mut(&mut self) -> &mut Surrogate {
-        &mut self.model
-    }
-
     /// The online model.
     pub fn model(&self) -> &Surrogate {
         &self.model

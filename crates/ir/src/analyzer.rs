@@ -11,19 +11,20 @@ use crate::deps::DepAnalysis;
 use crate::region::Region;
 use crate::skeleton::{ParamDecl, ParamDomain, Skeleton, Step};
 
+/// Tile-size parameters range over `1..=trip / TILE_SIZE_DIVISOR` (the
+/// paper's `N/2`).
+const TILE_SIZE_DIVISOR: i64 = 2;
+
+/// Most outer parallel loops collapsed into one (the paper collapses the
+/// two outermost tiling loops).
+const MAX_COLLAPSE: usize = 2;
+
 /// Knobs for skeleton derivation.
 #[derive(Debug, Clone)]
 pub struct AnalyzerConfig {
     /// Admissible thread counts on the target machine (e.g. `[1,5,10,20,40]`
     /// for Westmere). If empty, the skeleton is not parallelized.
     pub thread_counts: Vec<i64>,
-    /// Upper bound for tile-size parameters as a fraction denominator of the
-    /// loop trip count: the bound is `trip / tile_size_divisor` (the paper
-    /// uses `N/2`, i.e. divisor 2).
-    pub tile_size_divisor: i64,
-    /// Maximum number of outer parallel loops to collapse (the paper
-    /// collapses the two outermost tiling loops).
-    pub max_collapse: usize,
     /// Also derive *alternative* transformation skeletons (e.g. tiling only
     /// the outer loops of the band); the optimizer then selects among
     /// skeletons via an additional configuration dimension (paper
@@ -36,8 +37,6 @@ impl Default for AnalyzerConfig {
     fn default() -> Self {
         AnalyzerConfig {
             thread_counts: vec![1],
-            tile_size_divisor: 2,
-            max_collapse: 2,
             alternatives: false,
         }
     }
@@ -76,7 +75,7 @@ fn build_skeleton(
             .const_trip()
             .ok_or_else(|| format!("loop {} has non-constant bounds", l.name))?
             as i64;
-        let hi = (trip / cfg.tile_size_divisor).max(1);
+        let hi = (trip / TILE_SIZE_DIVISOR).max(1);
         params.push(ParamDecl::new(
             format!("tile_{}", l.name),
             ParamDomain::IntRange { lo: 1, hi },
@@ -86,7 +85,7 @@ fn build_skeleton(
 
     let mut steps = vec![Step::Tile { band, size_params }];
     if parallel_prefix > 0 && !cfg.thread_counts.is_empty() {
-        let collapse = parallel_prefix.min(cfg.max_collapse).max(1);
+        let collapse = parallel_prefix.min(MAX_COLLAPSE);
         steps.push(Step::Collapse { count: collapse });
         let threads_param = params.len();
         params.push(ParamDecl::new(

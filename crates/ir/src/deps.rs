@@ -39,9 +39,6 @@ pub struct Dependence {
     pub src: (usize, usize),
     /// `(statement index, access index)` of the target access.
     pub dst: (usize, usize),
-    /// Distance per loop level (loop order), when uniform and constrained.
-    /// `None` entries of the inner vector correspond to `Star` directions.
-    pub distance: Vec<Option<i64>>,
     /// Normalized (lexicographically non-negative) direction vector.
     pub directions: Vec<Direction>,
 }
@@ -131,7 +128,7 @@ impl DepAnalysis {
 }
 
 /// Test one pair of accesses; returns the normalized dependences between
-/// them (0, 1 or 2 direction-vector families).
+/// them (one per direction-vector family, none when independent).
 fn test_pair(
     vars: &[VarId],
     id_a: (usize, usize),
@@ -144,7 +141,7 @@ fn test_pair(
         return Vec::new();
     }
 
-    // Per-variable constrained distance: Some(d) once a dimension pins it.
+    // Per-variable distance, `Some(d)` once a dimension pins it.
     let mut delta: Vec<Option<i64>> = vec![None; vars.len()];
     let mut uniform = true;
     for (ea, eb) in a.indices.iter().zip(&b.indices) {
@@ -210,22 +207,13 @@ fn test_pair(
     }
 
     if !uniform {
-        // Conservative: all-star family, normalized to a forward dependence.
-        let mut dirs = vec![Direction::Star; vars.len()];
-        if !dirs.is_empty() {
-            dirs[0] = Direction::Star;
-        }
-        return vec![Dependence {
-            src: id_a,
-            dst: id_b,
-            distance: vec![None; vars.len()],
-            directions: dirs,
-        }];
+        // Conservative: no level's distance is pinned.
+        delta.fill(None);
     }
 
-    // Build direction vector; normalize to lexicographically positive
-    // families, splitting leading `*` levels.
-    let base: Vec<Direction> = delta
+    // Build the raw direction vector; normalize it into lexicographically
+    // positive families.
+    let raw: Vec<Direction> = delta
         .iter()
         .map(|d| match d {
             Some(0) => Direction::Eq,
@@ -235,23 +223,23 @@ fn test_pair(
         })
         .collect();
 
-    normalize(&base)
+    normalize(&raw)
         .into_iter()
-        .map(|dirs| {
-            let distance = delta
-                .iter()
-                .zip(&dirs)
-                .map(|(d, dir)| match dir {
-                    Direction::Eq => Some(0),
-                    _ => *d,
-                })
-                .collect();
-            Dependence {
-                src: id_a,
-                dst: id_b,
-                distance,
-                directions: dirs,
-            }
+        .map(|directions| Dependence {
+            src: id_a,
+            dst: id_b,
+            directions,
+        })
+        .collect()
+}
+
+/// The same dependence seen from the other end: `<` and `>` swap.
+fn flip(dirs: &[Direction]) -> Vec<Direction> {
+    dirs.iter()
+        .map(|d| match d {
+            Direction::Lt => Direction::Gt,
+            Direction::Gt => Direction::Lt,
+            x => *x,
         })
         .collect()
 }
@@ -260,35 +248,31 @@ fn test_pair(
 /// positive families it represents. Returns an empty set for the all-`=`
 /// vector (no loop-carried dependence).
 fn normalize(dirs: &[Direction]) -> Vec<Vec<Direction>> {
-    match dirs.iter().position(|d| *d != Direction::Eq) {
-        None => Vec::new(),
-        Some(l) => match dirs[l] {
-            Direction::Lt => vec![dirs.to_vec()],
-            // A leading `>` flips source and target: same family mirrored.
-            Direction::Gt => {
-                let flipped: Vec<Direction> = dirs
-                    .iter()
-                    .map(|d| match d {
-                        Direction::Lt => Direction::Gt,
-                        Direction::Gt => Direction::Lt,
-                        x => *x,
-                    })
-                    .collect();
-                vec![flipped]
+    let Some(l) = dirs.iter().position(|d| *d != Direction::Eq) else {
+        return Vec::new();
+    };
+    let leading = |d: Direction| {
+        let mut v = dirs.to_vec();
+        v[l] = d;
+        v
+    };
+    match dirs[l] {
+        Direction::Lt => vec![dirs.to_vec()],
+        // A leading `>` flips source and target: same family mirrored.
+        Direction::Gt => vec![flip(dirs)],
+        // `*` stands for `<`, `=` and `>`: the `<` family, the `=` case
+        // normalized further, and the mirrored `>` family (dropped when it
+        // is the `<` family again).
+        Direction::Star => {
+            let mut out = vec![leading(Direction::Lt)];
+            out.extend(normalize(&leading(Direction::Eq)));
+            let mirrored = flip(&leading(Direction::Gt));
+            if mirrored != out[0] {
+                out.push(mirrored);
             }
-            Direction::Star => {
-                // Split: {<, rest...} plus {=, normalize(rest...)}.
-                let mut out = Vec::new();
-                let mut with_lt = dirs.to_vec();
-                with_lt[l] = Direction::Lt;
-                out.push(with_lt);
-                let mut with_eq = dirs.to_vec();
-                with_eq[l] = Direction::Eq;
-                out.extend(normalize(&with_eq));
-                out
-            }
-            Direction::Eq => unreachable!(),
-        },
+            out
+        }
+        Direction::Eq => unreachable!(),
     }
 }
 
@@ -508,9 +492,10 @@ mod tests {
     #[test]
     fn normalize_splits_star() {
         let fams = normalize(&[Direction::Star, Direction::Lt]);
-        assert_eq!(fams.len(), 2);
+        assert_eq!(fams.len(), 3);
         assert_eq!(fams[0], vec![Direction::Lt, Direction::Lt]);
         assert_eq!(fams[1], vec![Direction::Eq, Direction::Lt]);
+        assert_eq!(fams[2], vec![Direction::Lt, Direction::Gt]);
     }
 
     #[test]

@@ -119,11 +119,6 @@ impl AffineExpr {
         self.terms.0.is_empty()
     }
 
-    /// True if the expression is exactly the single variable `v`.
-    pub fn is_var(&self, v: VarId) -> bool {
-        self.constant == 0 && self.terms.0 == [(v, 1)]
-    }
-
     /// Number of distinct variables with non-zero coefficient.
     pub fn num_vars(&self) -> usize {
         self.terms.0.len()

@@ -10,10 +10,11 @@
 //!   [`access`]),
 //! * dependence analysis identifying parallelizable loops and fully
 //!   permutable (tileable) bands ([`deps`]),
-//! * code transformations: strip-mining, interchange, tiling, collapsing,
-//!   parallelization and unrolling ([`transform`]),
+//! * code transformations: tiling, collapsing, parallelization and
+//!   unrolling ([`transform`]) — only what the dependence analysis can prove
+//!   legal,
 //! * *transformation skeletons* — generic transformation sequences with
-//!   unbound tuning parameters (tile sizes, thread counts, flags) that are
+//!   unbound tuning parameters (tile sizes, thread counts) that are
 //!   instantiated into concrete code variants by the optimizer
 //!   ([`skeleton`]) — or, for analytic models, into just the variant's
 //!   loop [`shape`] —, and

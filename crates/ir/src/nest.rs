@@ -128,14 +128,6 @@ impl Loop {
         let n = (hi - lo).max(0) as u64;
         Some(n.div_ceil(self.step as u64))
     }
-
-    /// Trip count in a concrete environment.
-    pub fn trip_in(&self, env: &dyn Fn(VarId) -> i64) -> u64 {
-        let lo = self.lower.eval(env);
-        let hi = self.upper.eval(env);
-        let n = (hi - lo).max(0) as u64;
-        n.div_ceil(self.step as u64)
-    }
 }
 
 /// Parallelization metadata attached to a nest: the outermost `collapsed`
@@ -211,21 +203,10 @@ impl LoopNest {
         self.loops.iter().position(|l| l.var == v)
     }
 
-    /// Flops executed per innermost iteration.
-    pub fn flops_per_iter(&self) -> u64 {
-        self.body.iter().map(|s| s.flops).sum()
-    }
-
     /// Product of the average trip counts of all loops — the (approximate)
     /// total number of innermost iterations.
     pub fn approx_iterations(&self) -> f64 {
         self.loops.iter().map(|l| l.avg_trip).product()
-    }
-
-    /// Product of the average trip counts of the outermost `k` loops — the
-    /// size of the parallel iteration space when those loops are collapsed.
-    pub fn approx_outer_iterations(&self, k: usize) -> f64 {
-        self.loops.iter().take(k).map(|l| l.avg_trip).product()
     }
 
     /// Exact total iteration count if all bounds are constant (pre-tiling).
@@ -290,16 +271,6 @@ impl LoopNest {
     pub fn walk(&self, f: &mut dyn FnMut(&[i64])) {
         let mut vals = vec![0i64; self.loops.len()];
         self.walk_rec(0, &mut vals, f);
-    }
-
-    /// Like [`walk`](Self::walk), but with the outermost `prefix.len()`
-    /// induction variables pinned to the given values. Used to enumerate the
-    /// iterations of one parallel chunk of a collapsed nest.
-    pub fn walk_prefix(&self, prefix: &[i64], f: &mut dyn FnMut(&[i64])) {
-        assert!(prefix.len() <= self.loops.len());
-        let mut vals = vec![0i64; self.loops.len()];
-        vals[..prefix.len()].copy_from_slice(prefix);
-        self.walk_rec(prefix.len(), &mut vals, f);
     }
 
     fn walk_rec(&self, depth: usize, vals: &mut Vec<i64>, f: &mut dyn FnMut(&[i64])) {

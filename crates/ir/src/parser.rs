@@ -431,6 +431,8 @@ impl<'a> Parser<'a> {
         // the LHS also appears there, which `expr` already recorded).
         accesses.push(Access::write(lhs_id, lhs_idx));
 
+        // The annotation is not C: the statement text stops before it.
+        let text_end = self.peek().start;
         let mut explicit_flops = None;
         if self.eat_sym("@") {
             self.expect_kw("flops")?;
@@ -438,7 +440,6 @@ impl<'a> Parser<'a> {
             explicit_flops = Some(self.int()? as u64);
             self.expect_sym(")")?;
         }
-        let text_end = self.peek().start;
         self.expect_sym(";")?;
         let text = self.src[text_start..text_end].trim().to_string() + ";";
         Ok(Stmt::new(accesses, explicit_flops.unwrap_or(flops)).with_expr(text))
@@ -616,9 +617,10 @@ pub fn parse_region(src: &str) -> Result<Region, ParseError> {
 }
 
 /// Serialize a region back to the textual language. Statements use their
-/// stored source text when available and a generated placeholder
-/// otherwise; `parse_region(to_source(r))` reproduces `r` for regions that
-/// originated from the parser (see the round-trip tests).
+/// stored source text, annotated with their flop count, when available and
+/// a generated placeholder otherwise; `parse_region(to_source(r))`
+/// reproduces `r` for regions that originated from the parser (see the
+/// round-trip tests).
 pub fn to_source(region: &Region) -> String {
     use std::fmt::Write;
     let mut out = String::new();
@@ -640,7 +642,13 @@ pub fn to_source(region: &Region) -> String {
     let body_indent = "    ".repeat(depth + 1);
     for (si, stmt) in region.nest.body.iter().enumerate() {
         match &stmt.expr {
-            Some(text) => writeln!(out, "{body_indent}{text}").unwrap(),
+            Some(text) => writeln!(
+                out,
+                "{body_indent}{} @ flops({});",
+                text.strip_suffix(';').unwrap_or(text),
+                stmt.flops
+            )
+            .unwrap(),
             None => writeln!(
                 out,
                 "{body_indent}// statement {si}: {} accesses, {} flops (no source)",
@@ -818,6 +826,17 @@ mod tests {
         assert_eq!(r1.nest, r2.nest);
         // Idempotent printing.
         assert_eq!(printed, to_source(&r2));
+    }
+
+    #[test]
+    fn flops_annotation_is_not_statement_text() {
+        let src = "region s { arrays { A: f64[8]; }
+                   for i in 0..7 { A[i] = A[i+1] * 3 @ flops(4); } }";
+        let r1 = parse_region(src).unwrap();
+        assert_eq!(r1.nest.body[0].expr.as_deref(), Some("A[i] = A[i+1] * 3;"));
+        let r2 = parse_region(&to_source(&r1)).unwrap();
+        assert_eq!(r1.nest, r2.nest);
+        assert_eq!(r2.nest.body[0].flops, 4);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Loop-nest *shapes*: what a transformation sequence changes about a nest.
 //!
-//! Tiling, interchange and collapse leave the body of a nest untouched. Per
-//! loop they only decide the induction variable, the structural role
+//! Tiling and collapse leave the body of a nest untouched. Per loop they
+//! only decide the induction variable, the structural role
 //! ([`LoopKind`]), the average trip count and whether the bounds are
 //! constants; for the nest they decide its parallelization. An analytic
 //! cost model reads nothing else of the loops, so a configuration can be
@@ -40,19 +40,6 @@ pub struct LoopShape {
     pub const_bounds: Option<(i64, i64)>,
     /// Step of the loop.
     pub step: i64,
-    /// Which variables the bounds reference (what an interchange must keep
-    /// outside this loop).
-    bound_vars: BoundVars,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum BoundVars {
-    /// Constant bounds.
-    None,
-    /// The bounds of a point loop: its tile loop's variable.
-    Tile(VarId),
-    /// The bounds of loop `i` of the nest the shape was taken from.
-    OfLoop(usize),
 }
 
 impl LoopShape {
@@ -62,17 +49,15 @@ impl LoopShape {
         avg_trip: 0.0,
         const_bounds: None,
         step: 1,
-        bound_vars: BoundVars::None,
     };
 
-    fn of(l: &Loop, index: usize) -> Self {
+    fn of(l: &Loop) -> Self {
         LoopShape {
             var: l.var,
             kind: l.kind,
             avg_trip: l.avg_trip,
             const_bounds: l.const_bounds(),
             step: l.step,
-            bound_vars: BoundVars::OfLoop(index),
         }
     }
 }
@@ -132,26 +117,24 @@ pub struct VariantShape<'a> {
 }
 
 /// A shape under transformation: the counterparts of
-/// [`crate::transform`]'s `tile`, `interchange` and
-/// `collapse_and_parallelize`, applied in place to a buffer the caller
-/// sized for the deepest nest the walk can reach. Each returns `None`
-/// exactly where its counterpart returns an error on a valid nest.
-pub(crate) struct ShapeWalk<'n, 'b> {
-    nest: &'n LoopNest,
+/// [`crate::transform`]'s `tile` and `collapse_and_parallelize`, applied
+/// in place to a buffer the caller sized for the deepest nest the walk can
+/// reach. Each returns `None` exactly where its counterpart returns an
+/// error on a valid nest.
+pub(crate) struct ShapeWalk<'b> {
     buf: &'b mut [LoopShape],
     len: usize,
     parallel: Option<ParallelInfo>,
 }
 
-impl<'n, 'b> ShapeWalk<'n, 'b> {
+impl<'b> ShapeWalk<'b> {
     /// Start from the shape of `nest`; `buf` holds the deepest nest the
     /// walk will reach.
-    pub fn new(nest: &'n LoopNest, buf: &'b mut [LoopShape]) -> Self {
+    pub fn new(nest: &LoopNest, buf: &'b mut [LoopShape]) -> Self {
         for (i, l) in nest.loops.iter().enumerate() {
-            buf[i] = LoopShape::of(l, i);
+            buf[i] = LoopShape::of(l);
         }
         ShapeWalk {
-            nest,
             buf,
             len: nest.depth(),
             parallel: nest.parallel,
@@ -176,7 +159,6 @@ impl<'n, 'b> ShapeWalk<'n, 'b> {
                 avg_trip: geo.tile_trip(),
                 const_bounds: Some((geo.lo, geo.hi)),
                 step: geo.ts as i64,
-                bound_vars: BoundVars::None,
             };
             self.buf[band + idx] = LoopShape {
                 var: l.var,
@@ -184,45 +166,10 @@ impl<'n, 'b> ShapeWalk<'n, 'b> {
                 avg_trip: geo.point_trip(),
                 const_bounds: None,
                 step: 1,
-                bound_vars: BoundVars::Tile(tvar),
             };
         }
         self.len += band;
         Some(())
-    }
-
-    /// Reorder the loops (`perm[new] = old`); fails on a malformed
-    /// permutation or when a bound would reference a loop that is no
-    /// longer outside it.
-    pub fn interchange(&mut self, perm: &[usize]) -> Option<()> {
-        let n = self.len;
-        if perm.len() != n {
-            return None;
-        }
-        for (i, &p) in perm.iter().enumerate() {
-            if p >= n || perm[..i].contains(&p) {
-                return None;
-            }
-        }
-        with_loops(n, |old| {
-            old.copy_from_slice(&self.buf[..n]);
-            for (new, &p) in perm.iter().enumerate() {
-                self.buf[new] = old[p];
-            }
-        });
-        (0..n)
-            .all(|d| {
-                let outer = |v: VarId| self.buf[..d].iter().any(|o| o.var == v);
-                match self.buf[d].bound_vars {
-                    BoundVars::None => true,
-                    BoundVars::Tile(v) => outer(v),
-                    BoundVars::OfLoop(i) => {
-                        let l = &self.nest.loops[i];
-                        l.lower.vars().chain(l.upper.vars()).all(outer)
-                    }
-                }
-            })
-            .then_some(())
     }
 
     /// Collapse the outermost `collapsed` loops (constant bounds required)

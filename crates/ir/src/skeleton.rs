@@ -2,10 +2,10 @@
 //!
 //! A [`Skeleton`] describes a *generic* sequence of code transformations
 //! with unbound parameters for its tunable properties (tile sizes, thread
-//! counts, flags). The optimizer explores assignments of these parameters;
-//! [`Skeleton::instantiate`] turns one assignment into a concrete code
-//! [`Variant`] that can be costed (on the machine model) or executed (via a
-//! native kernel binding).
+//! counts, unroll factors). The optimizer explores assignments of these
+//! parameters; [`Skeleton::instantiate`] turns one assignment into a
+//! concrete code [`Variant`] that can be costed (on the machine model) or
+//! executed (via a native kernel binding).
 
 use crate::nest::LoopNest;
 use crate::shape::{with_loops, ShapeWalk, VariantShape};
@@ -52,7 +52,7 @@ impl SigHasher {
 }
 
 /// Value of a tuning parameter. All parameter kinds (tile sizes, thread
-/// counts, flags, factors) are modeled uniformly as integers, exactly as the
+/// counts, unroll factors) are modeled uniformly as integers, exactly as the
 /// paper's configurations do.
 pub type ParamValue = i64;
 
@@ -68,8 +68,6 @@ pub enum ParamDomain {
     },
     /// An explicit, ordered list of admissible values (e.g. thread counts).
     Choice(Vec<i64>),
-    /// Boolean flag encoded as `{0, 1}`.
-    Bool,
 }
 
 impl ParamDomain {
@@ -78,7 +76,6 @@ impl ParamDomain {
         match self {
             ParamDomain::IntRange { lo, hi } => (hi - lo + 1).max(0) as u64,
             ParamDomain::Choice(v) => v.len() as u64,
-            ParamDomain::Bool => 2,
         }
     }
 
@@ -87,7 +84,6 @@ impl ParamDomain {
         match self {
             ParamDomain::IntRange { lo, hi } => (*lo..=*hi).contains(&v),
             ParamDomain::Choice(vals) => vals.contains(&v),
-            ParamDomain::Bool => v == 0 || v == 1,
         }
     }
 
@@ -99,7 +95,6 @@ impl ParamDomain {
                 .iter()
                 .min_by_key(|&&x| ((x - v).abs(), x))
                 .expect("empty choice domain"),
-            ParamDomain::Bool => i64::from(v > 0),
         }
     }
 
@@ -111,7 +106,6 @@ impl ParamDomain {
                 *vals.iter().min().expect("empty choice domain"),
                 *vals.iter().max().expect("empty choice domain"),
             ),
-            ParamDomain::Bool => (0, 1),
         }
     }
 }
@@ -145,11 +139,6 @@ pub enum Step {
         band: usize,
         /// One parameter index per band loop.
         size_params: Vec<usize>,
-    },
-    /// Permute the loops (`perm[new] = old`).
-    Interchange {
-        /// The permutation.
-        perm: Vec<usize>,
     },
     /// Collapse the outermost `count` loops before parallelization — the
     /// paper applies this to mitigate load imbalance from large tiles.
@@ -264,9 +253,6 @@ impl Skeleton {
                         .collect();
                     cur = transform::tile(&cur, *band, &sizes)?;
                 }
-                Step::Interchange { perm } => {
-                    cur = transform::interchange(&cur, perm)?;
-                }
                 Step::Collapse { count } => {
                     pending_collapse = (*count).max(1);
                 }
@@ -314,7 +300,7 @@ impl Skeleton {
                     depth += band;
                     structural = true;
                 }
-                Step::Interchange { .. } | Step::Parallelize { .. } => structural = true,
+                Step::Parallelize { .. } => structural = true,
                 Step::Collapse { .. } | Step::Unroll { .. } => {}
             }
         }
@@ -334,7 +320,6 @@ impl Skeleton {
                         let sizes = size_params.iter().map(|&p| values[p].max(1) as u64);
                         walk.tile(*band, sizes)?;
                     }
-                    Step::Interchange { perm } => walk.interchange(perm)?,
                     Step::Collapse { count } => pending_collapse = (*count).max(1),
                     Step::Parallelize { threads_param } => {
                         threads = values[*threads_param].max(1) as usize;
@@ -382,9 +367,6 @@ impl Skeleton {
                         h.i64(v);
                     }
                 }
-                ParamDomain::Bool => {
-                    h.str("bool");
-                }
             }
         }
         h.u64(self.steps.len() as u64);
@@ -395,12 +377,6 @@ impl Skeleton {
                         .u64(*band as u64)
                         .u64(size_params.len() as u64);
                     for &p in size_params {
-                        h.u64(p as u64);
-                    }
-                }
-                Step::Interchange { perm } => {
-                    h.str("interchange").u64(perm.len() as u64);
-                    for &p in perm {
                         h.u64(p as u64);
                     }
                 }
@@ -510,15 +486,6 @@ mod tests {
         assert_eq!(d.nearest(8), 10);
         assert_eq!(d.nearest(-3), 1);
         assert_eq!(d.nearest(100), 40);
-    }
-
-    #[test]
-    fn domain_bool() {
-        let d = ParamDomain::Bool;
-        assert_eq!(d.size(), 2);
-        assert!(d.contains(0) && d.contains(1) && !d.contains(2));
-        assert_eq!(d.nearest(7), 1);
-        assert_eq!(d.nearest(-1), 0);
     }
 
     #[test]

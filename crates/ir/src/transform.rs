@@ -1,4 +1,4 @@
-//! Loop transformations: interchange, tiling, collapsing + parallelization.
+//! Loop transformations: tiling, collapsing + parallelization.
 //!
 //! All transformations are *mechanical* here — legality is established
 //! separately via [`crate::deps::DepAnalysis`] by the analyzer/skeleton
@@ -24,27 +24,6 @@ impl std::error::Error for TransformError {}
 
 fn err<T>(msg: impl Into<String>) -> Result<T, TransformError> {
     Err(TransformError(msg.into()))
-}
-
-/// Reorder the loops of `nest` according to `perm` (`perm[new] = old`).
-///
-/// Fails if the permutation is malformed or if a loop bound would reference
-/// a variable that is no longer an outer loop after permutation.
-pub fn interchange(nest: &LoopNest, perm: &[usize]) -> Result<LoopNest, TransformError> {
-    if perm.len() != nest.loops.len() {
-        return err("permutation length mismatch");
-    }
-    let mut seen = vec![false; perm.len()];
-    for &p in perm {
-        if p >= perm.len() || seen[p] {
-            return err("invalid permutation");
-        }
-        seen[p] = true;
-    }
-    let mut out = nest.clone();
-    out.loops = perm.iter().map(|&p| nest.loops[p].clone()).collect();
-    out.validate().map_err(TransformError)?;
-    Ok(out)
 }
 
 /// What tiling one band loop with a requested size comes to: the one place
@@ -246,38 +225,6 @@ mod tests {
                 2,
             )],
         )
-    }
-
-    #[test]
-    fn interchange_permutes() {
-        let nest = mm(8);
-        let ikj = interchange(&nest, &[0, 2, 1]).unwrap();
-        assert_eq!(ikj.loops[1].name, "k");
-        assert_eq!(ikj.loops[2].name, "j");
-        // Same iteration count.
-        assert_eq!(ikj.const_iterations(), nest.const_iterations());
-    }
-
-    #[test]
-    fn interchange_rejects_bad_perm() {
-        let nest = mm(8);
-        assert!(interchange(&nest, &[0, 0, 1]).is_err());
-        assert!(interchange(&nest, &[0, 1]).is_err());
-    }
-
-    #[test]
-    fn interchange_rejects_dependent_bound_violation() {
-        // Triangular nest: inner bound references outer var; swapping is
-        // structurally illegal.
-        let (i, j) = (VarId(0), VarId(1));
-        let mut nest = mm(8);
-        nest.loops.truncate(2);
-        nest.body = vec![Stmt::new(
-            vec![Access::write(ArrayId(0), vec![i.into(), j.into()])],
-            1,
-        )];
-        nest.loops[1].upper = Bound::Affine(AffineExpr::var(i));
-        assert!(interchange(&nest, &[1, 0]).is_err());
     }
 
     #[test]

@@ -409,10 +409,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn generated_c_passes_syntax_check_if_compiler_available() {
-        let (region, variants, table) = setup();
-        let code = emit_multiversioned_c(&region, &table, &variants);
+    /// Hold `code` to `cc -fsyntax-only -fopenmp -Wall`, written as `file`;
+    /// skips, and says so, when no C compiler is found.
+    fn assert_syntax_ok(file: &str, code: &str) {
         let cc = ["cc", "gcc", "clang"].iter().find(|c| {
             std::process::Command::new(*c)
                 .arg("--version")
@@ -420,13 +419,13 @@ mod tests {
                 .is_ok()
         });
         let Some(cc) = cc else {
-            eprintln!("no C compiler found; skipping syntax check");
+            eprintln!("no C compiler found; skipping syntax check of {file}");
             return;
         };
         let dir = std::env::temp_dir().join("moat_codegen_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("mm_region.c");
-        std::fs::write(&path, &code).unwrap();
+        let path = dir.join(file);
+        std::fs::write(&path, code).unwrap();
         let out = std::process::Command::new(cc)
             .args(["-fsyntax-only", "-fopenmp", "-Wall"])
             .arg(&path)
@@ -437,6 +436,46 @@ mod tests {
             "generated C rejected by {cc}:\n{}\n--- code ---\n{code}",
             String::from_utf8_lossy(&out.stderr)
         );
+    }
+
+    #[test]
+    fn generated_c_passes_syntax_check_if_compiler_available() {
+        let (region, variants, table) = setup();
+        let code = emit_multiversioned_c(&region, &table, &variants);
+        assert_syntax_ok("mm_region.c", &code);
+    }
+
+    #[test]
+    fn example_regions_emit_c_that_passes_syntax_check() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/regions");
+        let mut paths: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "moat"))
+            .collect();
+        paths.sort();
+        assert!(!paths.is_empty(), "no regions in {}", dir.display());
+        let cfg = AnalyzerConfig::for_threads(vec![1, 2]);
+        for path in &paths {
+            let source = std::fs::read_to_string(path).unwrap();
+            let parsed = moat_ir::parse_region(&source)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let region = analyze(parsed, &cfg).unwrap();
+            let sk = &region.skeletons[0];
+            let values: Vec<i64> = sk.params.iter().map(|p| p.domain.extremes().1).collect();
+            let front = ParetoFront::from_points([Point::new(values.clone(), vec![1.0, 1.0])]);
+            let threads = sk.params.iter().position(|p| p.name == "threads");
+            let table = VersionTable::from_front(
+                region.name.clone(),
+                sk,
+                &front,
+                vec!["time".into(), "resources".into()],
+                threads,
+            );
+            let variants = [sk.instantiate(&region.nest, &values).unwrap()];
+            let code = emit_multiversioned_c(&region, &table, &variants);
+            assert_syntax_ok(&format!("{}_region.c", region.name), &code);
+        }
     }
 
     #[test]
@@ -465,31 +504,10 @@ mod tests {
         // Tile-loop variable `kt` untouched by the substitution.
         assert!(code.contains("for (long kt ="));
         // And it is valid C if a compiler is around.
-        if let Some(cc) = ["cc", "gcc", "clang"].iter().find(|c| {
-            std::process::Command::new(*c)
-                .arg("--version")
-                .output()
-                .is_ok()
-        }) {
-            let dir = std::env::temp_dir().join("moat_unroll_test");
-            std::fs::create_dir_all(&dir).unwrap();
-            let path = dir.join("mm_u4.c");
-            std::fs::write(
-                &path,
-                format!("#define MOAT_MIN(a,b) ((a)<(b)?(a):(b))\n{code}"),
-            )
-            .unwrap();
-            let outp = std::process::Command::new(cc)
-                .args(["-fsyntax-only", "-fopenmp", "-Wall"])
-                .arg(&path)
-                .output()
-                .unwrap();
-            assert!(
-                outp.status.success(),
-                "unrolled C rejected:\n{}",
-                String::from_utf8_lossy(&outp.stderr)
-            );
-        }
+        assert_syntax_ok(
+            "mm_u4.c",
+            &format!("#define MOAT_MIN(a,b) ((a)<(b)?(a):(b))\n{code}"),
+        );
     }
 
     #[test]

@@ -98,11 +98,6 @@ pub fn emit_parameterized_c(
                     "loop unrolling requires structurally distinct code versions".into(),
                 ))
             }
-            Step::Interchange { .. } => {
-                return Err(NotParameterizable(
-                    "interchange changes the loop structure per configuration".into(),
-                ))
-            }
         }
     }
     if band == 0 {

@@ -101,14 +101,6 @@ impl Pool {
         }
     }
 
-    /// A pool sized to the machine's available parallelism.
-    pub fn with_available_parallelism() -> Self {
-        let n = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Pool::new(n)
-    }
-
     /// Maximum team size (including the calling thread).
     pub fn size(&self) -> usize {
         self.size

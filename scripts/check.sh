@@ -54,6 +54,12 @@ cargo test -q --release -p moat-cachesim
 cargo test -q --release --test streaming_equivalence
 cargo test -q --release --test cachesim_counters
 
+# The legality oracle holds the dependence test and every skeleton the
+# Analyzer builds to brute-forced dependences; the optimised build is the
+# one the tuner and the benchmark run.
+echo "== cargo test --release: legality oracle =="
+cargo test -q --release -p moat-ir --test legality_oracle
+
 # Traces are per-run handles, so a traced and an untraced test sharing a
 # process must never see each other; a scheduling-dependent relapse should
 # fail here, not in review.

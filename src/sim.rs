@@ -89,7 +89,6 @@ pub fn ir_space(skeleton: &Skeleton) -> ParamSpace {
         .map(|p| match &p.domain {
             ParamDomain::IntRange { lo, hi } => Domain::Range { lo: *lo, hi: *hi },
             ParamDomain::Choice(v) => Domain::Choice(v.clone()),
-            ParamDomain::Bool => Domain::Range { lo: 0, hi: 1 },
         })
         .collect();
     ParamSpace::new(names, domains)
