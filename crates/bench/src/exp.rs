@@ -1,12 +1,12 @@
 //! Shared experiment plumbing: setups, grid axes, per-thread-count sweeps,
-//! loss matrices, and optimizer comparisons. The bench targets are thin
-//! wrappers around these functions, and the integration tests reuse them to
-//! assert the paper's qualitative claims.
+//! loss matrices, the exact reference front, and optimizer comparisons. The
+//! bench targets are thin wrappers around these functions, and the
+//! integration tests reuse them to assert the paper's qualitative claims.
 
 use moat::core::grid::cartesian_axes;
 use moat::core::{
-    additive_epsilon, hypervolume, igd, normalize_front, BatchEval, Config, GridTuner, ParamSpace,
-    Point, RandomTuner, RsGde3Params, RsGde3Tuner, TuningReport, TuningSession,
+    hypervolume, mult_epsilon, normalize_front, BatchEval, Config, GridTuner, ParamSpace,
+    ParetoFront, Point, RandomTuner, RsGde3Params, RsGde3Tuner, TuningReport, TuningSession,
 };
 use moat::ir::{analyze, AnalyzerConfig, Region, Skeleton};
 use moat::machine::{CostModel, MachineDesc, NoiseModel};
@@ -16,6 +16,7 @@ use moat_core::Evaluator;
 
 /// A prepared experiment: kernel region analyzed for one machine, with the
 /// noisy cost model the paper's measurement protocol corresponds to.
+#[derive(Clone)]
 pub struct Setup {
     /// The kernel.
     pub kernel: Kernel,
@@ -49,6 +50,14 @@ impl Setup {
             space,
             model,
         }
+    }
+
+    /// The same experiment on the noise-free model, which every front is
+    /// measured on.
+    pub fn exact(&self) -> Setup {
+        let mut exact = self.clone();
+        exact.model = CostModel::new(self.machine.clone());
+        exact
     }
 
     /// The tuned skeleton.
@@ -177,6 +186,43 @@ pub fn best_time(points: &[Point]) -> &Point {
         .expect("empty sweep")
 }
 
+/// The fastest grid tiles at `threads` threads, and the evaluations spent.
+fn best_tiles(setup: &Setup, points: usize, threads: i64) -> (Point, u64) {
+    let result = sweep(setup, &grid_axes_fixed_threads(setup, points, threads));
+    (best_time(&result.all).clone(), result.evaluations)
+}
+
+/// The exact front of a cell on the noise-free model, sorted by thread
+/// count. Resources are `threads × time`, so the front holds at most one
+/// point per thread count: the fastest tiles at that count. For every count
+/// in `1..=cores`, the grid optimum of [`best_tiles`] descends over the
+/// integer tile domains until no ±1 move on a tile lowers time; the front
+/// is the non-dominated set of those optima.
+pub fn oracle(setup: &Setup, points: usize) -> Vec<Point> {
+    let exact = setup.exact();
+    let optima = (1..=exact.machine.total_cores() as i64).map(|t| {
+        let mut best = best_tiles(&exact, points, t).0;
+        while let Some(next) = (0..exact.tile_dims())
+            .flat_map(|d| [(d, -1), (d, 1)])
+            .map(|(d, step)| {
+                let mut cfg = best.config.clone();
+                cfg[d] += step;
+                cfg
+            })
+            .filter(|cfg| exact.space.contains(cfg))
+            .map(|cfg| exact.eval(&cfg))
+            .filter(|p| p.objectives[0] < best.objectives[0])
+            .min_by(|a, b| a.objectives[0].total_cmp(&b.objectives[0]))
+        {
+            best = next;
+        }
+        best
+    });
+    let mut front = ParetoFront::from_points(optima).points().to_vec();
+    front.sort_by_key(|p| p.config[exact.threads_dim()]);
+    front
+}
+
 // ---------------------------------------------------------------------------
 // Per-thread-count study (Tables II, V; Figs. 1, 2 share its sweeps)
 // ---------------------------------------------------------------------------
@@ -234,10 +280,9 @@ pub fn per_thread_study(setup: &Setup, points: usize) -> PerThreadStudy {
     let mut best = Vec::with_capacity(thread_counts.len());
     let mut evaluations = 0;
     for &t in &thread_counts {
-        let axes = grid_axes_fixed_threads(setup, points, t);
-        let result = sweep(setup, &axes);
-        evaluations += result.evaluations;
-        best.push(best_time(&result.all).clone());
+        let (point, spent) = best_tiles(setup, points, t);
+        evaluations += spent;
+        best.push(point);
     }
     // Cross matrix: tiles of row r at thread count of column c.
     let loss: Vec<Vec<f64>> = (0..thread_counts.len())
@@ -310,16 +355,56 @@ pub fn thread_tradeoffs(study: &PerThreadStudy) -> Vec<ThreadTradeoff> {
 // Optimizer comparison (Fig. 9, Table VI)
 // ---------------------------------------------------------------------------
 
+/// `front` re-evaluated by `exact`, the noise-free evaluator every front is
+/// measured with.
+pub fn rescore(exact: &impl Evaluator, front: &[Point]) -> Vec<Point> {
+    let objectives = |p: &Point| exact.evaluate(&p.config).expect("infeasible front point");
+    front
+        .iter()
+        .map(|p| Point::new(p.config.clone(), objectives(p)))
+        .collect()
+}
+
 /// Aggregated metrics of one search method (means over repeated runs for
-/// the stochastic ones, as in the paper).
+/// the stochastic ones, as in the paper). Every front is rescored on the
+/// noise-free model before V(S) and ε× are taken; E and |S| are as the
+/// runs found them.
 #[derive(Debug, Clone)]
 pub struct MethodStats {
     /// Mean evaluations `E`.
     pub e: f64,
     /// Mean front size `|S|`.
     pub s: f64,
-    /// Mean hypervolume `V(S)` (normalized to the brute-force bounds).
+    /// Mean hypervolume `V(S)`, normalized to the exact front's bounds.
     pub v: f64,
+    /// Each run's (mean, max) multiplicative epsilon to the exact front;
+    /// index = seed.
+    pub eps: Vec<(f64, f64)>,
+}
+
+impl MethodStats {
+    /// Measure `reports` against the exact front `oracle`, rescoring each
+    /// front with the noise-free evaluator `exact`.
+    pub fn of(reports: &[TuningReport], exact: &impl Evaluator, oracle: &[Point]) -> MethodStats {
+        let (ideal, nadir) = objective_bounds(oracle);
+        let fronts: Vec<Vec<Point>> = reports
+            .iter()
+            .map(|r| rescore(exact, r.front.points()))
+            .collect();
+        let n = reports.len() as f64;
+        let hv: f64 = fronts.iter().map(|f| hv_under(f, &ideal, &nadir)).sum();
+        MethodStats {
+            e: reports.iter().map(|r| r.evaluations as f64).sum::<f64>() / n,
+            s: reports.iter().map(|r| r.front.len() as f64).sum::<f64>() / n,
+            v: hv / n,
+            eps: fronts.iter().map(|f| mult_epsilon(f, oracle)).collect(),
+        }
+    }
+
+    /// Median over the runs of each run's mean ε×.
+    pub fn eps_median(&self) -> f64 {
+        median(self.eps.iter().map(|e| e.0))
+    }
 }
 
 /// Full three-way comparison on one kernel/machine pair.
@@ -332,19 +417,16 @@ pub struct Comparison {
     pub random_stats: MethodStats,
     /// RS-GDE3 metrics (mean of the runs).
     pub rsgde3_stats: MethodStats,
-    /// Every random-search run's front; index = seed.
-    pub random_fronts: Vec<Vec<Point>>,
-    /// Every RS-GDE3 run's front; index = seed.
-    pub rsgde3_fronts: Vec<Vec<Point>>,
-    /// Evaluations of every RS-GDE3 run; index = seed.
-    pub rsgde3_evaluations: Vec<u64>,
-    /// Normalization bounds used for all hypervolumes.
-    pub ideal: Vec<f64>,
-    /// See `ideal`.
-    pub nadir: Vec<f64>,
+    /// Every random-search run, as it ran; index = seed.
+    pub random_runs: Vec<TuningReport>,
+    /// Every RS-GDE3 run, as it ran; index = seed.
+    pub rsgde3_runs: Vec<TuningReport>,
+    /// The exact front ([`oracle`]): the reference of every ε× and the
+    /// bounds of every V(S).
+    pub oracle: Vec<Point>,
 }
 
-/// One stochastic run, singled out by its IGD.
+/// One stochastic run, singled out by its ε×.
 #[derive(Debug, Clone, Copy)]
 pub struct SeedRun {
     /// The run's seed.
@@ -353,40 +435,21 @@ pub struct SeedRun {
     pub e: u64,
     /// Front size `|S|`.
     pub s: usize,
-    /// IGD against the brute-force front.
-    pub igd: f64,
+    /// (mean, max) multiplicative epsilon to the exact front.
+    pub eps: (f64, f64),
 }
 
 impl Comparison {
-    /// Median IGD of `fronts` against the brute-force front.
-    pub fn median_igd(&self, fronts: &[Vec<Point>]) -> f64 {
-        median(fronts.iter().map(|f| igd(f, self.brute.front.points())))
-    }
-
-    /// Median additive epsilon of `fronts` against the brute-force front.
-    pub fn median_epsilon(&self, fronts: &[Vec<Point>]) -> f64 {
-        median(
-            fronts
-                .iter()
-                .map(|f| additive_epsilon(f, self.brute.front.points())),
-        )
-    }
-
-    /// The RS-GDE3 run farthest from the brute-force front by IGD (the
+    /// The RS-GDE3 run farthest from the exact front by mean ε× (the
     /// lowest seed on ties).
     pub fn worst_rsgde3_run(&self) -> SeedRun {
-        let reference = self.brute.front.points();
-        let igds: Vec<f64> = self
-            .rsgde3_fronts
-            .iter()
-            .map(|f| igd(f, reference))
-            .collect();
-        let seed = (0..igds.len()).fold(0, |w, i| if igds[i] > igds[w] { i } else { w });
+        let eps = &self.rsgde3_stats.eps;
+        let seed = (0..eps.len()).fold(0, |w, i| if eps[i].0 > eps[w].0 { i } else { w });
         SeedRun {
             seed: seed as u64,
-            e: self.rsgde3_evaluations[seed],
-            s: self.rsgde3_fronts[seed].len(),
-            igd: igds[seed],
+            e: self.rsgde3_runs[seed].evaluations,
+            s: self.rsgde3_runs[seed].front.len(),
+            eps: eps[seed],
         }
     }
 }
@@ -422,80 +485,34 @@ pub fn hv_under(points: &[Point], ideal: &[f64], nadir: &[f64]) -> f64 {
 
 /// Compare brute force, random search and RS-GDE3 (paper §V-B.3):
 /// stochastic methods run `runs` times with seeds `0..runs`; random search
-/// gets RS-GDE3's mean evaluation budget, as in the paper.
+/// gets RS-GDE3's mean evaluation budget, as in the paper. Every method is
+/// measured against the cell's [`oracle`] at the same grid resolution.
 pub fn compare_methods(setup: &Setup, grid_points: usize, runs: u64) -> Comparison {
-    let axes = grid_axes(setup, grid_points);
-    let brute = sweep(setup, &axes);
-    // Normalization bounds come from the brute-force *front* (the best
-    // available approximation of the true Pareto front): fronts far from it
-    // clamp to ~0 volume, fronts pushing beyond it may exceed its V — the
-    // discriminative scale behind the paper's Table VI values.
-    let (ideal, nadir) = objective_bounds(brute.front.points());
+    let brute = sweep(setup, &grid_axes(setup, grid_points));
+    let oracle = oracle(setup, grid_points);
+    let noise_free = setup.exact();
+    let exact = noise_free.evaluator();
 
-    let mut rs_results = Vec::new();
-    for seed in 0..runs {
-        rs_results.push(run_rsgde3(setup, seed));
-    }
-    let rs_e = rs_results.iter().map(|r| r.evaluations as f64).sum::<f64>() / runs as f64;
-    let rs_s = rs_results.iter().map(|r| r.front.len() as f64).sum::<f64>() / runs as f64;
-    let rs_v = rs_results
-        .iter()
-        .map(|r| hv_under(r.front.points(), &ideal, &nadir))
-        .sum::<f64>()
-        / runs as f64;
-
-    let budget = rs_e.round() as u64;
-    let mut rnd_results = Vec::new();
-    for seed in 0..runs {
-        let ev = setup.evaluator();
-        let mut session = TuningSession::new(setup.space.clone(), &ev)
-            .with_batch(batch())
-            .with_budget(budget);
-        rnd_results.push(session.run(&RandomTuner::new(seed)));
-    }
-    let rnd_e = rnd_results
-        .iter()
-        .map(|r| r.evaluations as f64)
-        .sum::<f64>()
-        / runs as f64;
-    let rnd_s = rnd_results
-        .iter()
-        .map(|r| r.front.len() as f64)
-        .sum::<f64>()
-        / runs as f64;
-    let rnd_v = rnd_results
-        .iter()
-        .map(|r| hv_under(r.front.points(), &ideal, &nadir))
-        .sum::<f64>()
-        / runs as f64;
+    let rs_results: Vec<TuningReport> = (0..runs).map(|seed| run_rsgde3(setup, seed)).collect();
+    let rsgde3_stats = MethodStats::of(&rs_results, &exact, &oracle);
+    let budget = rsgde3_stats.e.round() as u64;
+    let rnd_results: Vec<TuningReport> = (0..runs)
+        .map(|seed| {
+            let ev = setup.evaluator();
+            let mut session = TuningSession::new(setup.space.clone(), &ev)
+                .with_batch(batch())
+                .with_budget(budget);
+            session.run(&RandomTuner::new(seed))
+        })
+        .collect();
 
     Comparison {
-        brute_stats: MethodStats {
-            e: brute.evaluations as f64,
-            s: brute.front.len() as f64,
-            v: hv_under(brute.front.points(), &ideal, &nadir),
-        },
-        random_stats: MethodStats {
-            e: rnd_e,
-            s: rnd_s,
-            v: rnd_v,
-        },
-        rsgde3_stats: MethodStats {
-            e: rs_e,
-            s: rs_s,
-            v: rs_v,
-        },
-        random_fronts: rnd_results
-            .iter()
-            .map(|r| r.front.points().to_vec())
-            .collect(),
-        rsgde3_fronts: rs_results
-            .iter()
-            .map(|r| r.front.points().to_vec())
-            .collect(),
-        rsgde3_evaluations: rs_results.iter().map(|r| r.evaluations).collect(),
-        ideal,
-        nadir,
+        brute_stats: MethodStats::of(std::slice::from_ref(&brute), &exact, &oracle),
+        random_stats: MethodStats::of(&rnd_results, &exact, &oracle),
+        rsgde3_stats,
+        random_runs: rnd_results,
+        rsgde3_runs: rs_results,
+        oracle,
         brute,
     }
 }
@@ -664,7 +681,7 @@ mod tests {
     #[test]
     fn comparison_shapes_hold() {
         let s = small_setup();
-        let cmp = compare_methods(&s, 10, 2);
+        let cmp = compare_methods(&s, 10, 3);
         // RS-GDE3 uses a small fraction of brute-force evaluations (the
         // real experiments use a 24-point grid where the ratio is ~100x).
         assert!(cmp.rsgde3_stats.e * 3.0 < cmp.brute_stats.e);
@@ -673,32 +690,28 @@ mod tests {
         // RS-GDE3 beats random on hypervolume.
         assert!(cmp.rsgde3_stats.v > cmp.random_stats.v);
         assert!(cmp.brute_stats.v > 0.0);
-        // One front per run and method; the worst seed is one of the runs,
-        // as it ran.
-        assert_eq!(cmp.rsgde3_fronts.len(), 2);
-        assert_eq!(cmp.random_fronts.len(), 2);
+        // Fig. 9's and Table VI's claims: over the seeds, RS-GDE3 is closer
+        // to the exact front than random search and than the brute-force
+        // grid, which at the oracle's resolution cannot beat the exact front.
+        let (rs, rnd) = (cmp.rsgde3_stats.eps_median(), cmp.random_stats.eps_median());
+        let brute = cmp.brute_stats.eps[0].0;
+        assert!(rs < rnd, "median ε×: rs-gde3 {rs} vs random {rnd}");
+        assert!(
+            rs <= brute,
+            "median ε×: rs-gde3 {rs} vs brute force {brute}"
+        );
+        assert!(brute >= 1.0, "brute force beats the exact front: {brute}");
+        // One report per run and method; the worst seed is one of the
+        // runs, as it ran.
+        assert_eq!(cmp.rsgde3_runs.len(), 3);
+        assert_eq!(cmp.random_runs.len(), 3);
         let worst = cmp.worst_rsgde3_run();
         let w = worst.seed as usize;
-        assert!(w < 2);
-        assert_eq!(worst.e, cmp.rsgde3_evaluations[w]);
-        assert_eq!(worst.s, cmp.rsgde3_fronts[w].len());
-        assert_eq!(
-            worst.igd,
-            igd(&cmp.rsgde3_fronts[w], cmp.brute.front.points())
-        );
-        assert!(worst.igd >= cmp.median_igd(&cmp.rsgde3_fronts));
-
-        // Fig. 9's IGD claim, over the seeds' medians, at the paper's size
-        // on a coarser grid. At n = 128 it does not hold: raw-unit IGD
-        // against a five-point reference reads RS-GDE3 8.8e-5 vs random
-        // 4.1e-5 there (ROADMAP item 1(a)).
-        let paper = Setup::new(Kernel::Mm, MachineDesc::westmere(), None);
-        let cmp = compare_methods(&paper, 10, 3);
-        let (rs, rnd) = (
-            cmp.median_igd(&cmp.rsgde3_fronts),
-            cmp.median_igd(&cmp.random_fronts),
-        );
-        assert!(rs <= rnd, "median IGD: rs-gde3 {rs} vs random {rnd}");
+        assert!(w < 3);
+        assert_eq!(worst.e, cmp.rsgde3_runs[w].evaluations);
+        assert_eq!(worst.s, cmp.rsgde3_runs[w].front.len());
+        assert_eq!(worst.eps, cmp.rsgde3_stats.eps[w]);
+        assert!(worst.eps.0 >= rs && worst.eps.1 >= worst.eps.0);
     }
 
     #[test]

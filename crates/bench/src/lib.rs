@@ -14,7 +14,7 @@
 //! | `fig8_scatter`   | Fig. 8 — time vs. resources of all configurations |
 //! | `fig9_fronts`    | Fig. 9 — Pareto fronts of the three optimizers |
 //! | `table5_kernels` | Table V — per-kernel cross-thread losses |
-//! | `table6_compare` | Table VI — E, |S|, V(S) for all methods |
+//! | `table6_compare` | Table VI — E, |S|, V(S) and ε× for all methods |
 //! | `ablation`       | design-choice studies (rough set, population, …) |
 //! | `warmstart`      | extension: archive warm-start vs cold-start study |
 //! | `tri_objective`  | extension: time/resources/energy tuning (3-d HV) |

@@ -19,8 +19,8 @@
 //!   search and brute-force grid search), plus [`nsga2`] as an additional
 //!   evolutionary baseline,
 //! * [`metrics`] — the evaluation metrics of Table VI: evaluation count
-//!   `E`, solution count `|S|` and hypervolume `V(S)`, plus IGD and
-//!   additive epsilon, and
+//!   `E`, solution count `|S|` and hypervolume `V(S)`, plus the
+//!   multiplicative epsilon [`mult_epsilon`] against a reference front, and
 //! * [`evaluate`] — objective-function plumbing: counting, caching and
 //!   parallel batch evaluation (paper §III-A, label 3), and
 //! * [`backend`] — backend identity and provenance, plus the [`BackendSet`]
@@ -63,7 +63,7 @@ pub use fault::{
 pub use gde3::{Gde3, Gde3Params};
 pub use grid::GridTuner;
 pub use metrics::{
-    additive_epsilon, extend_bounds, hypervolume, hypervolume_2d, hypervolume_2d_presorted, igd,
+    extend_bounds, hypervolume, hypervolume_2d, hypervolume_2d_presorted, mult_epsilon,
     normalize_front, Hv2dIncremental,
 };
 pub use nsga2::{Nsga2Params, Nsga2Tuner};

@@ -7,7 +7,8 @@
 //!   the normalized objective box dominated by the front; 1 would mean the
 //!   (unattainable) ideal point. Exact sweep in 2-D, recursive slicing for
 //!   `m > 2`.
-//! * **IGD** and **additive epsilon** as additional set-quality indicators.
+//! * the **multiplicative epsilon** [`mult_epsilon`], the unitless distance
+//!   of a front from a reference front.
 
 use crate::pareto::Point;
 
@@ -249,51 +250,29 @@ fn hv_rec(pts: &[Vec<f64>]) -> f64 {
     hv
 }
 
-/// Inverted generational distance: mean Euclidean distance from each
-/// reference-front point to its nearest point of `front` (both in raw
-/// objective space). Lower is better; 0 means the reference is covered.
-pub fn igd(front: &[Point], reference: &[Point]) -> f64 {
-    assert!(!reference.is_empty());
-    let total: f64 = reference
-        .iter()
-        .map(|r| {
-            front
-                .iter()
-                .map(|p| {
-                    p.objectives
-                        .iter()
-                        .zip(&r.objectives)
-                        .map(|(a, b)| (a - b) * (a - b))
-                        .sum::<f64>()
-                        .sqrt()
-                })
-                .fold(f64::INFINITY, f64::min)
-        })
-        .sum();
-    total / reference.len() as f64
-}
-
-/// Additive epsilon indicator: the smallest `ε` such that every reference
-/// point is weakly dominated by some front point shifted by `ε` (raw
-/// objective space). Lower is better; ≤ 0 means the front covers the
-/// reference.
-pub fn additive_epsilon(front: &[Point], reference: &[Point]) -> f64 {
+/// Multiplicative epsilon indicator (Zitzler et al., IEEE TEC 2003) of a
+/// front against a reference front, both minimizing positive objectives:
+/// for each reference point `r`, the smallest factor by which some front
+/// point comes within `r` on every objective, `min_p max_k p_k / r_k`.
+/// Returns the mean and the max over the reference points. 1 means the
+/// front reaches every reference point, below 1 it dominates them; being a
+/// ratio, it does not depend on the objectives' units.
+pub fn mult_epsilon(front: &[Point], reference: &[Point]) -> (f64, f64) {
     assert!(!front.is_empty() && !reference.is_empty());
-    reference
+    let eps: Vec<f64> = reference
         .iter()
         .map(|r| {
             front
                 .iter()
                 .map(|p| {
-                    p.objectives
-                        .iter()
-                        .zip(&r.objectives)
-                        .map(|(a, b)| a - b)
-                        .fold(f64::NEG_INFINITY, f64::max)
+                    let ratios = p.objectives.iter().zip(&r.objectives).map(|(a, b)| a / b);
+                    ratios.fold(f64::NEG_INFINITY, f64::max)
                 })
                 .fold(f64::INFINITY, f64::min)
         })
-        .fold(f64::NEG_INFINITY, f64::max)
+        .collect();
+    let max = eps.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    (eps.iter().sum::<f64>() / eps.len() as f64, max)
 }
 
 #[cfg(test)]
@@ -418,19 +397,42 @@ mod tests {
     }
 
     #[test]
-    fn igd_zero_when_covering() {
-        let f = vec![p(&[1.0, 2.0]), p(&[2.0, 1.0])];
-        assert_eq!(igd(&f, &f), 0.0);
-        let far = vec![p(&[5.0, 5.0])];
-        assert!(igd(&far, &f) > 0.0);
+    fn mult_epsilon_is_one_on_the_reference() {
+        let f = vec![p(&[1.0, 4.0]), p(&[2.0, 2.0]), p(&[4.0, 1.0])];
+        assert_eq!(mult_epsilon(&f, &f), (1.0, 1.0));
     }
 
     #[test]
-    fn epsilon_indicator() {
-        let reference = vec![p(&[1.0, 1.0])];
-        let front = vec![p(&[1.5, 1.2])];
-        // Needs to shift by 0.5 to weakly dominate the reference.
-        assert!((additive_epsilon(&front, &reference) - 0.5).abs() < 1e-12);
-        assert!(additive_epsilon(&reference, &reference) <= 0.0);
+    fn mult_epsilon_two_points_by_hand() {
+        let reference = vec![p(&[1.0, 4.0]), p(&[4.0, 1.0])];
+        let front = vec![p(&[1.5, 4.0]), p(&[4.0, 1.25])];
+        // (1, 4): 1.5 from the first point (4 from the second).
+        // (4, 1): 1.25 from the second point (4 from the first).
+        let (mean, max) = mult_epsilon(&front, &reference);
+        assert!((mean - 1.375).abs() < 1e-12, "{mean}");
+        assert_eq!(max, 1.5);
+    }
+
+    #[test]
+    fn mult_epsilon_below_one_when_the_front_dominates() {
+        let reference = vec![p(&[2.0, 4.0]), p(&[4.0, 2.0])];
+        let front = vec![p(&[1.0, 3.0]), p(&[3.0, 1.0])];
+        // Each reference point is 0.75 of the way from a front point.
+        assert_eq!(mult_epsilon(&front, &reference), (0.75, 0.75));
+    }
+
+    #[test]
+    fn mult_epsilon_ignores_the_unit_of_an_objective() {
+        let reference = vec![p(&[0.2, 3.0]), p(&[0.5, 1.0]), p(&[1.1, 0.7])];
+        let front = vec![p(&[0.25, 2.9]), p(&[0.7, 0.9])];
+        // Seconds to milliseconds on the first objective.
+        let ms = |ps: &[Point]| -> Vec<Point> {
+            ps.iter()
+                .map(|q| p(&[q.objectives[0] * 1000.0, q.objectives[1]]))
+                .collect()
+        };
+        let (mean, max) = mult_epsilon(&front, &reference);
+        let (mean_ms, max_ms) = mult_epsilon(&ms(&front), &ms(&reference));
+        assert!((mean - mean_ms).abs() < 1e-12 && (max - max_ms).abs() < 1e-12);
     }
 }

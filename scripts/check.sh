@@ -60,6 +60,12 @@ cargo test -q --release --test cachesim_counters
 echo "== cargo test --release: legality oracle =="
 cargo test -q --release -p moat-ir --test legality_oracle
 
+# Every front comparison in moat_bench is scored against the exact fronts;
+# recomputing all ten (the paper grid at every thread count, then a descent)
+# is only affordable optimised, so the fixture is held to them here.
+echo "== cargo test --release: exact reference fronts =="
+cargo test -q --release -p moat-bench --test oracle_fronts
+
 # Traces are per-run handles, so a traced and an untraced test sharing a
 # process must never see each other; a scheduling-dependent relapse should
 # fail here, not in review.
