@@ -15,9 +15,9 @@
 //! The rename is atomic, so at any crash point the target holds its old
 //! bytes or its new ones, never a mix; a temp left by a crash is dead
 //! weight that [`sweep`] removes. Which writes sync: checkpoints, archive
-//! records and `shards.json` do; the serve job-table snapshot, flight
-//! dumps and the port file do not (a crash may lose their last version,
-//! never tear one).
+//! records and `shards.json` do; the serve job-table snapshot and the
+//! port file do not (a crash may lose their last version, never tear
+//! one).
 //!
 //! With these two sequences one enumeration of crash points covers every
 //! state file in the workspace.

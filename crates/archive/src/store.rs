@@ -120,22 +120,12 @@ impl Archive {
     /// Insert a record, merging (dominance-aware dedup, counters summed)
     /// with any existing record for the same key. Refuses to merge a record
     /// whose front comes from different backends than the stored one (see
-    /// [`ArchiveRecord::merge`]); use
-    /// [`insert_across_backends`](Self::insert_across_backends) for that.
-    /// Returns the merge stats (a first insert counts every front point as
-    /// inserted). It is a one-record [`merge_batch`](Self::merge_batch).
+    /// [`ArchiveRecord::merge`]); [`merge_batch`](Self::merge_batch) with
+    /// `across_backends` does that. Returns the merge stats (a first
+    /// insert counts every front point as inserted). It is a one-record
+    /// `merge_batch`.
     pub fn insert(&self, record: &ArchiveRecord) -> Result<MergeStats, ArchiveError> {
         Ok(self.merge_batch(std::slice::from_ref(record), false)?[0])
-    }
-
-    /// Like [`insert`](Self::insert), but deliberately merges fronts from
-    /// different backends (dominance-aware, provenance preserved per
-    /// point).
-    pub fn insert_across_backends(
-        &self,
-        record: &ArchiveRecord,
-    ) -> Result<MergeStats, ArchiveError> {
-        Ok(self.merge_batch(std::slice::from_ref(record), true)?[0])
     }
 
     /// Merge a whole batch of records with one read and one atomic write

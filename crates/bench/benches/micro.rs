@@ -121,27 +121,6 @@ fn bench_parser(c: &mut Criterion) {
     });
 }
 
-fn bench_scheduler(c: &mut Criterion) {
-    use moat::runtime::{schedule, Task, VersionMeta};
-    let tasks: Vec<Task> = (0..8)
-        .map(|i| Task {
-            name: format!("t{i}"),
-            versions: [1usize, 2, 4, 8, 16]
-                .iter()
-                .map(|&t| VersionMeta {
-                    objectives: vec![(4.0 + i as f64) / t as f64 * 1.1, 4.0 + i as f64],
-                    threads: t,
-                    label: format!("{t}t"),
-                    backend: None,
-                })
-                .collect(),
-        })
-        .collect();
-    c.bench_function("schedule_8tasks_5versions_16cores", |b| {
-        b.iter(|| schedule(black_box(&tasks), 16))
-    });
-}
-
 fn bench_native_mm(c: &mut Criterion) {
     let n = 192;
     let a = data::seeded_vec(n * n, 1);
@@ -172,7 +151,6 @@ criterion_group!(
     bench_cachesim,
     bench_pool,
     bench_parser,
-    bench_scheduler,
     bench_native_mm
 );
 criterion_main!(benches);

@@ -25,8 +25,6 @@ pub struct RsGde3Params {
     /// Hard cap on iterations (safety net; the paper's runs terminate by
     /// patience long before this).
     pub max_generations: u32,
-    /// Minimum hypervolume change counting as an improvement.
-    pub hv_tolerance: f64,
     /// RNG seed (stochastic algorithm; the paper averages 5 runs).
     pub seed: u64,
     /// Enable the Rough-Set search-space reduction (disable for the
@@ -40,7 +38,6 @@ impl Default for RsGde3Params {
             gde3: Gde3Params::default(),
             patience: 3,
             max_generations: 200,
-            hv_tolerance: 1e-3,
             seed: 42,
             use_roughset: true,
         }
@@ -76,7 +73,7 @@ impl RsGde3Params {
             )
         });
         let sig = FrontSignature::signed(population, &ranking, None);
-        if sig.improved_over(last, self.hv_tolerance) {
+        if sig.improved_over(last) {
             *stall = 0;
         } else {
             *stall += 1;
@@ -203,6 +200,11 @@ impl Tuner for RsGde3Tuner {
     }
 }
 
+/// How far a front's self-normalized hypervolume (absolutely) or any
+/// coordinate of its ideal point (relatively) must move to count as an
+/// improvement.
+const HV_TOLERANCE: f64 = 1e-3;
+
 /// Summary of the population's non-dominated subset used by the stopping
 /// criterion: "solutions are no longer improving" means the front's size,
 /// its per-objective ideal point and its self-normalized hypervolume have
@@ -302,19 +304,20 @@ impl FrontSignature {
     /// exploration phase (front still degenerate — fewer points than
     /// objectives-space dimensions can meaningfully span) any size change
     /// counts; afterwards the front must move: its self-normalized
-    /// hypervolume or its ideal point must change measurably.
-    pub fn improved_over(&self, prev: &FrontSignature, tol: f64) -> bool {
+    /// hypervolume or its ideal point must change by more than
+    /// [`HV_TOLERANCE`].
+    pub fn improved_over(&self, prev: &FrontSignature) -> bool {
         let exploring = self.size < 4 || prev.size < 4;
         if exploring && self.size != prev.size {
             return true;
         }
-        if (self.hv - prev.hv).abs() > tol {
+        if (self.hv - prev.hv).abs() > HV_TOLERANCE {
             return true;
         }
         self.ideal
             .iter()
             .zip(&prev.ideal)
-            .any(|(now, before)| *now < *before * (1.0 - tol))
+            .any(|(now, before)| *now < *before * (1.0 - HV_TOLERANCE))
     }
 }
 

@@ -209,12 +209,6 @@ impl AffineExpr {
         }
         (lo, hi)
     }
-
-    /// Greatest common divisor of all variable coefficients
-    /// (0 if there are none).
-    pub fn coeff_gcd(&self) -> i64 {
-        self.terms().fold(0i64, |g, (_, c)| gcd(g, c.abs()))
-    }
 }
 
 /// Greatest common divisor (non-negative; `gcd(0, 0) == 0`).
@@ -352,13 +346,6 @@ mod tests {
         assert_eq!(gcd(0, 7), 7);
         assert_eq!(gcd(12, 18), 6);
         assert_eq!(gcd(-12, 18), 6);
-    }
-
-    #[test]
-    fn coeff_gcd() {
-        let e = AffineExpr::term(v(0), 6).add(&AffineExpr::term(v(1), 9));
-        assert_eq!(e.coeff_gcd(), 3);
-        assert_eq!(AffineExpr::constant(5).coeff_gcd(), 0);
     }
 
     /// The map form the flat terms replaced, kept to pin that the JSON,

@@ -71,14 +71,6 @@ pub enum ParamDomain {
 }
 
 impl ParamDomain {
-    /// Number of admissible values.
-    pub fn size(&self) -> u64 {
-        match self {
-            ParamDomain::IntRange { lo, hi } => (hi - lo + 1).max(0) as u64,
-            ParamDomain::Choice(v) => v.len() as u64,
-        }
-    }
-
     /// True if `v` is admissible.
     pub fn contains(&self, v: i64) -> bool {
         match self {
@@ -338,11 +330,6 @@ impl Skeleton {
         })
     }
 
-    /// Cardinality of the full configuration space of this skeleton.
-    pub fn space_size(&self) -> u64 {
-        self.params.iter().map(|p| p.domain.size()).product()
-    }
-
     /// Stable 64-bit signature of the skeleton's *structure*: its name,
     /// parameter declarations (names and domains) and transformation steps.
     ///
@@ -471,12 +458,6 @@ mod tests {
         let near = sk.nearest_values(&[-5, 100, 16, 5]);
         assert_eq!(near, vec![1, 32, 16, 4]);
         sk.check_values(&near).unwrap();
-    }
-
-    #[test]
-    fn space_size() {
-        let sk = mm_skeleton(64, vec![1, 2, 4, 8]);
-        assert_eq!(sk.space_size(), 32 * 32 * 32 * 4);
     }
 
     #[test]

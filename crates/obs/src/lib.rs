@@ -42,13 +42,11 @@
 
 pub mod context;
 pub mod export;
-pub mod flight;
 pub mod metrics;
 pub mod record;
 pub mod subscriber;
 
 pub use context::TraceContext;
-pub use flight::FlightRecorder;
 pub use record::{Class, Event, Record};
 pub use subscriber::{Obs, TimestampMode};
 

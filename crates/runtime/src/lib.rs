@@ -16,7 +16,6 @@ pub mod health;
 pub mod monitor;
 pub mod pool;
 pub mod registry;
-pub mod schedule;
 pub mod select;
 
 pub use adaptive::AdaptiveSelector;
@@ -24,5 +23,4 @@ pub use health::{DegradingSelector, HealthPolicy, VersionHealth};
 pub use monitor::{measure, DemotionReason, RegionStats, RuntimeEvent};
 pub use pool::{static_chunk, Pool};
 pub use registry::VersionRegistry;
-pub use schedule::{schedule, schedule_fixed_version, Placement, Schedule, Task};
 pub use select::{SelectionContext, SelectionPolicy, VersionMeta};

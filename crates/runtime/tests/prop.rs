@@ -1,38 +1,9 @@
 //! Property-based tests of the runtime: static chunking laws, pool
 //! correctness under arbitrary team sizes, and selection-policy soundness.
 
-use moat_runtime::{
-    schedule, schedule_fixed_version, static_chunk, Pool, SelectionContext, SelectionPolicy, Task,
-    VersionMeta,
-};
+use moat_runtime::{static_chunk, Pool, SelectionContext, SelectionPolicy, VersionMeta};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-fn task_strategy(cores: usize) -> impl Strategy<Value = Task> {
-    // Version set with plausible scaling: serial time t, efficiency decay.
-    (0.5f64..20.0, prop::collection::vec(1usize..=cores, 1..5)).prop_map(
-        move |(serial, mut threads)| {
-            threads.push(1); // always a feasible serial version
-            threads.sort_unstable();
-            threads.dedup();
-            Task {
-                name: format!("t{serial:.2}"),
-                versions: threads
-                    .iter()
-                    .map(|&t| {
-                        let eff = 1.0 / (1.0 + 0.1 * (t as f64 - 1.0));
-                        VersionMeta {
-                            objectives: vec![serial / (t as f64 * eff), serial / eff],
-                            threads: t,
-                            label: format!("{t}t"),
-                            backend: None,
-                        }
-                    })
-                    .collect(),
-            }
-        },
-    )
-}
 
 proptest! {
     /// Static chunks partition `0..total` contiguously with balanced sizes.
@@ -68,63 +39,6 @@ proptest! {
             sum.fetch_add(local, Ordering::Relaxed);
         });
         prop_assert_eq!(sum.load(Ordering::Relaxed), expected);
-    }
-
-    /// Schedules are feasible and complete: every task placed exactly once,
-    /// the machine is never oversubscribed, makespan and CPU-seconds are
-    /// consistent, and the version-aware schedule is never worse than the
-    /// fixed-version baselines.
-    #[test]
-    fn schedule_soundness(
-        mut tasks in prop::collection::vec(task_strategy(8), 1..8),
-        cores in 2usize..=8,
-    ) {
-        // Unique names (the strategy derives names from the serial time,
-        // which may collide).
-        for (i, t) in tasks.iter_mut().enumerate() {
-            t.name = format!("task{i}");
-        }
-        let s = schedule(&tasks, cores);
-        prop_assert_eq!(s.placements.len(), tasks.len());
-        // Each task exactly once, version index valid, duration matches.
-        for t in &tasks {
-            let ps: Vec<_> = s.placements.iter().filter(|p| p.task == t.name).collect();
-            prop_assert_eq!(ps.len(), 1, "task placed once");
-            let p = ps[0];
-            prop_assert!(p.version < t.versions.len());
-            let v = &t.versions[p.version];
-            prop_assert!((p.end - p.start - v.objectives[0]).abs() < 1e-9);
-            prop_assert_eq!(p.threads, v.threads);
-        }
-        // Capacity: check occupancy at every interval midpoint.
-        for p in &s.placements {
-            let mid = (p.start + p.end) / 2.0;
-            let busy: usize = s
-                .placements
-                .iter()
-                .filter(|q| q.start <= mid && mid < q.end)
-                .map(|q| q.threads)
-                .sum();
-            prop_assert!(busy <= cores, "oversubscribed: {busy} > {cores}");
-        }
-        // Aggregates consistent.
-        let max_end = s.placements.iter().map(|p| p.end).fold(0.0, f64::max);
-        prop_assert!((s.makespan - max_end).abs() < 1e-9);
-        let cpu: f64 = s
-            .placements
-            .iter()
-            .map(|p| (p.end - p.start) * p.threads as f64)
-            .sum();
-        prop_assert!((s.cpu_seconds - cpu).abs() < 1e-9);
-        // Never worse than the all-serial baseline (version 0 = 1 thread in
-        // this strategy, always feasible).
-        let serial = schedule_fixed_version(&tasks, cores, 0);
-        prop_assert!(s.makespan <= serial.makespan + 1e-9);
-        // And never worse than the all-widest baseline when it is feasible.
-        if tasks.iter().all(|t| t.versions.last().unwrap().threads <= cores) {
-            let widest = schedule_fixed_version(&tasks, cores, usize::MAX);
-            prop_assert!(s.makespan <= widest.makespan + 1e-9);
-        }
     }
 
     /// Every policy returns an index within the table for any non-empty

@@ -78,7 +78,7 @@ use crate::wire::{self, Request, Response, WireError};
 use moat_archive::file::{self, AppendLog};
 use moat_archive::CheckpointStore;
 use moat_core::SessionCheckpoint;
-use moat_obs::{FlightRecorder, Obs, TimestampMode, TraceContext};
+use moat_obs::{Obs, TimestampMode, TraceContext};
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -158,12 +158,6 @@ pub struct ServeConfig {
     pub robustness_seed: u64,
     /// `Retry-After` seconds advertised on shed responses (default 1).
     pub retry_after_secs: u64,
-    /// The flight recorder (default on): a fixed-size in-memory ring of
-    /// recent service events and spans, dumped to `<state>/flight/` on
-    /// contained panics, breaker opens and persist errors, and readable
-    /// at `GET /debug/flight`. Costs one relaxed atomic load per event
-    /// when disabled.
-    pub flight: bool,
 }
 
 impl ServeConfig {
@@ -192,7 +186,6 @@ impl ServeConfig {
             breaker_cooldown: 8,
             robustness_seed: 0x5EED,
             retry_after_secs: 1,
-            flight: true,
         }
     }
 
@@ -366,7 +359,6 @@ struct Daemon {
     obs: Mutex<ServiceLog>,
     spans: Mutex<ServiceLog>,
     traces: Mutex<HashMap<String, JobTrace>>,
-    flight: FlightRecorder,
     /// Where one throwaway connection reaches the listener: the bound
     /// address, on loopback when bound to an unspecified IP.
     wake: SocketAddr,
@@ -383,20 +375,17 @@ impl Daemon {
         self.count_persist(written);
     }
 
-    /// Append one service-level event to `serve.jsonl` (and the flight
-    /// recorder's ring, so incident dumps carry the sheds and breaker
-    /// transitions leading up to the failure).
+    /// Append one service-level event to `serve.jsonl`.
     fn obs_event(&self, event: moat_obs::Event) {
-        self.flight.record(event.clone(), 0);
         let _ = self.obs.lock().append(event, 0);
     }
 
-    /// Append one completed span of a traced job to `spans.jsonl` (and
-    /// the flight recorder). `ctx` is the span's own context — its id and
-    /// parent are already derived — and `dur_us` its wall duration. The
-    /// record's `seq` is the span log's own; `dur_us` rides the envelope
-    /// (wall time is explicitly outside the byte-stability contract for
-    /// `JobStage`, a Control-class event).
+    /// Append one completed span of a traced job to `spans.jsonl`. `ctx`
+    /// is the span's own context — its id and parent are already derived
+    /// — and `dur_us` its wall duration. The record's `seq` is the span
+    /// log's own; `dur_us` rides the envelope (wall time is explicitly
+    /// outside the byte-stability contract for `JobStage`, a
+    /// Control-class event).
     fn span_event(
         &self,
         ctx: &TraceContext,
@@ -415,21 +404,7 @@ impl Daemon {
             tenant: tenant.to_string(),
             detail,
         };
-        self.flight.record(event.clone(), dur_us);
         let _ = self.spans.lock().append(event, dur_us);
-    }
-
-    /// Dump the flight recorder's ring to `<state>/flight/<name>.jsonl`,
-    /// an unsynced [`file::replace`]. Fixed names overwrite: the latest
-    /// incident of each kind wins, so a crash loop cannot fill the disk.
-    fn flight_dump(&self, name: &str) {
-        if !self.flight.enabled() {
-            return;
-        }
-        let dir = self.config.state_dir.join("flight");
-        let _ = std::fs::create_dir_all(&dir);
-        let text = moat_obs::export::to_jsonl(&self.flight.snapshot());
-        let _ = file::replace(&dir.join(format!("{name}.jsonl")), text.as_bytes(), false);
     }
 
     /// Journal row `id`, the one row a table change touched. Callers hold
@@ -456,7 +431,6 @@ impl Daemon {
     fn count_persist(&self, written: std::io::Result<()>) {
         if written.is_err() {
             self.metrics.persist_errors.fetch_add(1, Ordering::Relaxed);
-            self.flight_dump("persist-error");
         }
     }
 
@@ -528,7 +502,6 @@ impl Daemon {
                 job: id.to_string(),
                 error: msg.clone(),
             });
-            self.flight_dump(&format!("panic-{id}"));
             Err(format!("backend panicked: {msg}"))
         })
     }
@@ -881,10 +854,9 @@ impl Daemon {
                 .breakers_tripped
                 .store(jobs.admission.breakers_tripped(), Ordering::Relaxed);
             self.obs_event(moat_obs::Event::ServeBreaker {
-                fingerprint: fingerprint.clone(),
+                fingerprint,
                 state: "open".into(),
             });
-            self.flight_dump(&format!("breaker-{fingerprint}"));
         }
         self.journal_row(&mut jobs, id);
         self.metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
@@ -1153,23 +1125,10 @@ impl Daemon {
                 }
                 Response::text(200, self.metrics.render(&records).into_bytes())
             }
-            ("GET", "/debug/flight") => {
-                // The flight recorder's ring, dumped on demand: the last
-                // N service events and spans in emit order, as validating
-                // JSONL. Empty (but 200) when the recorder is disabled.
-                let text = moat_obs::export::to_jsonl(&self.flight.snapshot());
-                Response {
-                    status: 200,
-                    content_type: "application/x-ndjson".into(),
-                    headers: Vec::new(),
-                    body: text.into_bytes(),
-                }
-            }
             ("GET", "/debug/spans") => {
-                // The full span log, acknowledged records only — unlike
-                // the flight ring this never evicts, so clients can assert
-                // their trace ids round-tripped. Empty when no traced
-                // request ever arrived.
+                // The full span log, acknowledged records only, so clients
+                // can assert their trace ids round-tripped. Empty when no
+                // traced request ever arrived.
                 let body = self.spans.lock().bytes();
                 Response {
                     status: 200,
@@ -1466,7 +1425,7 @@ pub fn serve(config: ServeConfig, backend: Arc<dyn JobBackend>) -> std::io::Resu
     }
     std::fs::create_dir_all(config.state_dir.join("ckpt"))?;
     // A temp no rename claimed is a write that never happened.
-    for dir in ["", "archive", "ckpt", "flight"] {
+    for dir in ["", "archive", "ckpt"] {
         file::sweep(&config.state_dir.join(dir));
     }
     let artifacts = ArtifactLog::open(&config.state_dir)?;
@@ -1487,9 +1446,6 @@ pub fn serve(config: ServeConfig, backend: Arc<dyn JobBackend>) -> std::io::Resu
     let mut obs = ServiceLog::recover(config.state_dir.join("serve.jsonl"))?;
     obs.log.cut()?;
     let spans = ServiceLog::recover(config.state_dir.join("spans.jsonl"))?;
-
-    let flight = FlightRecorder::default();
-    flight.set_enabled(config.flight);
 
     let policy = config.admission_policy();
     let daemon = Arc::new(Daemon {
@@ -1518,7 +1474,6 @@ pub fn serve(config: ServeConfig, backend: Arc<dyn JobBackend>) -> std::io::Resu
         obs: Mutex::new(obs),
         spans: Mutex::new(spans),
         traces: Mutex::new(HashMap::new()),
-        flight,
         wake,
         config,
     });

@@ -314,33 +314,6 @@ fn chaos_runs_terminate_recover_and_reproduce() {
             "seed {seed}: {panics} panics drawn, {logged} logged"
         );
 
-        // Every contained panic also dumped the flight ring: one
-        // `flight/panic-<job>.jsonl` per panicking job, each parseable
-        // and holding its own ServePanic event.
-        for (i, fate) in fates.iter().enumerate() {
-            if *fate != Fate::Panic {
-                continue;
-            }
-            let dump_path = state_dir
-                .join("flight")
-                .join(format!("panic-{}.jsonl", ids[i]));
-            let dump = std::fs::read_to_string(&dump_path).unwrap_or_else(|e| {
-                panic!(
-                    "seed {seed}: flight dump missing at {}: {e}",
-                    dump_path.display()
-                )
-            });
-            let records =
-                moat_obs::export::parse_jsonl(&dump).expect("flight dump parses as obs JSONL");
-            assert!(
-                records.iter().any(|r| matches!(
-                    &r.event,
-                    moat_obs::Event::ServePanic { job, .. } if *job == ids[i]
-                )),
-                "seed {seed}: dump for {} lacks its ServePanic",
-                ids[i]
-            );
-        }
         assert_eq!(send(addr, &Request::new("GET", "/healthz")).status, 200);
         shutdown(addr, handle);
         let _ = std::fs::remove_dir_all(&state_dir);
@@ -607,13 +580,6 @@ fn disk_faults_are_counted_not_fatal() {
     assert!(
         metric(&text, "serve_persist_errors_total") >= 4,
         "failed journal and snapshot writes are counted, not dropped: {text}"
-    );
-    assert!(
-        state_dir
-            .join("flight")
-            .join("persist-error.jsonl")
-            .exists(),
-        "a persist error dumps the flight ring"
     );
     assert!(
         metric(&text, "serve_parked_checkpoints") >= 1,

@@ -6,10 +6,9 @@
 //! * **zero-cost off** — untraced runs write no span log and produce
 //!   byte-identical archives and session traces across paired runs, and
 //!   tracing a run does not perturb its archive bytes;
-//! * **incident capture** — a contained backend panic dumps the flight
-//!   ring to `<state>/flight/panic-<job>.jsonl` including the ServePanic
-//!   event, and `/debug/flight` serves the live ring (empty when the
-//!   recorder is disabled).
+//! * **one record** — a contained backend panic is recorded in
+//!   `serve.jsonl` and its traced job's spans in `spans.jsonl`, with no
+//!   second copy beside them.
 
 use moat_serve::chaos::{ChaosBackend, ChaosConfig};
 use moat_serve::daemon::{serve, JobState, JobStatus, ServeConfig, ServeHandle};
@@ -223,11 +222,12 @@ fn untraced_runs_are_byte_identical_and_span_free() {
     );
 }
 
-/// A contained backend panic dumps the flight ring to
-/// `<state>/flight/panic-<job>.jsonl`, and the dump holds the ServePanic
-/// event that triggered it.
+/// The service logs are the one record of what the daemon did: a
+/// contained backend panic leaves its ServePanic in `serve.jsonl` and the
+/// traced job's spans in `spans.jsonl`, and nothing else — no incident
+/// directory, no ring endpoint.
 #[test]
-fn panic_dumps_the_flight_ring() {
+fn a_panic_is_recorded_once_in_the_service_logs() {
     // Injected panics are expected noise; silence just those.
     let default = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
@@ -262,65 +262,32 @@ fn panic_dumps_the_flight_ring() {
     let sub = submit(addr, &spec("mm", 1, "boom", 16), Some(0xDEAD));
     let state = wait_done(addr, &sub.job);
     assert_eq!(state.status, JobStatus::Failed);
+    assert_eq!(
+        send(addr, &Request::new("GET", "/debug/flight")).status,
+        404,
+        "no ring endpoint"
+    );
+    shutdown(addr, handle);
 
-    let dump_path = state_dir
-        .join("flight")
-        .join(format!("panic-{}.jsonl", sub.job));
-    let dump = std::fs::read_to_string(&dump_path)
-        .unwrap_or_else(|e| panic!("flight dump missing at {}: {e}", dump_path.display()));
-    let records = moat_obs::export::parse_jsonl(&dump).expect("dump parses as obs JSONL");
+    let read = |name: &str| {
+        let text = std::fs::read_to_string(state_dir.join(name)).unwrap();
+        moat_obs::export::parse_jsonl(&text).unwrap_or_else(|e| panic!("{name}: {e}"))
+    };
     assert!(
-        records.iter().any(
+        read("serve.jsonl").iter().any(
             |r| matches!(&r.event, moat_obs::Event::ServePanic { job, .. } if *job == sub.job)
         ),
-        "dump must include the triggering ServePanic"
+        "serve.jsonl must hold the triggering ServePanic"
     );
-    // The traced job's spans made it into the ring too.
     assert!(
-        records.iter().any(
+        read("spans.jsonl").iter().any(
             |r| matches!(&r.event, moat_obs::Event::JobStage { stage, .. } if stage == "admission")
         ),
-        "dump should carry the job's admission span"
+        "spans.jsonl must hold the job's admission span"
     );
-    shutdown(addr, handle);
-    let _ = std::fs::remove_dir_all(&state_dir);
-}
-
-/// `/debug/flight` serves the live ring as JSONL; with the recorder
-/// disabled it answers 200 with an empty body and no dumps are written.
-#[test]
-fn debug_flight_endpoint_and_flight_off() {
-    // Recorder on (default): a traced job leaves spans in the ring.
-    let state_dir = temp_dir("flight-on");
-    let handle = serve(
-        ServeConfig::new(&state_dir),
-        Arc::new(SyntheticBackend::default()),
-    )
-    .unwrap();
-    let addr = handle.addr();
-    let sub = submit(addr, &spec("mm", 2, "ring", 16), Some(0xF11));
-    wait_done(addr, &sub.job);
-    let resp = send(addr, &Request::new("GET", "/debug/flight"));
-    assert_eq!(resp.status, 200);
-    let body = String::from_utf8(resp.body).unwrap();
-    assert!(body.contains("JobStage"), "ring should hold spans: {body}");
-    moat_obs::export::parse_jsonl(&body).expect("ring snapshot parses");
-    shutdown(addr, handle);
-    let _ = std::fs::remove_dir_all(&state_dir);
-
-    // Recorder off: same traffic, empty ring — but the span log (a
-    // separate, durable channel) still records.
-    let state_dir = temp_dir("flight-off");
-    let mut config = ServeConfig::new(&state_dir);
-    config.flight = false;
-    let handle = serve(config, Arc::new(SyntheticBackend::default())).unwrap();
-    let addr = handle.addr();
-    let sub = submit(addr, &spec("mm", 2, "ring", 16), Some(0xF12));
-    wait_done(addr, &sub.job);
-    let resp = send(addr, &Request::new("GET", "/debug/flight"));
-    assert_eq!(resp.status, 200);
-    assert!(resp.body.is_empty(), "disabled ring must be empty");
-    assert!(state_dir.join("spans.jsonl").exists());
-    shutdown(addr, handle);
+    assert!(
+        !state_dir.join("flight").exists(),
+        "no incident directory beside the logs"
+    );
     let _ = std::fs::remove_dir_all(&state_dir);
 }

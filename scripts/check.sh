@@ -319,17 +319,15 @@ if [[ "$term" != 12 ]]; then
     echo "$jobs_json" >&2
     exit 1
 fi
-# Injected panics are contained (daemon alive, obs-logged) not fatal,
-# and each one dumped the flight ring for post-hoc analysis.
+# Injected panics are contained (daemon alive, obs-logged) not fatal.
 grep -q '"ServePanic"' "$csmoke/state/serve.jsonl"
-ls "$csmoke/state/flight/"panic-*.jsonl > /dev/null
 "$lg" --addr "$c2_addr" --get /healthz > /dev/null
 cargo run -q --bin moat-report -- --from-serve "$csmoke/state" > "$csmoke/chaos-report.txt"
 grep -q "contained backend panics" "$csmoke/chaos-report.txt"
 "$lg" --addr "$c2_addr" --post /shutdown > /dev/null
 wait "$c2_pid"
 
-echo "== serve trace smoke (loadgen --trace -> /debug/flight -> --from-trace -> validate) =="
+echo "== serve trace smoke (loadgen --trace -> /debug/spans -> --from-trace -> validate) =="
 tsmoke="target/serve-trace-smoke"
 rm -rf "$tsmoke"
 mkdir -p "$tsmoke"
@@ -342,10 +340,9 @@ t_addr=$(wait_port "$tsmoke/t.port")
 "$lg" --addr "$t_addr" --clients 2 --jobs 3 --distinct 4 --trace \
     2> "$tsmoke/loadgen.log" > /dev/null
 grep -q "trace round-trip OK" "$tsmoke/loadgen.log"
-# Keep the flight-ring snapshot and the span log as CI artifacts.
-"$lg" --addr "$t_addr" --get /debug/flight > "$tsmoke/flight.jsonl"
+# Keep the span log as a CI artifact.
 "$lg" --addr "$t_addr" --get /debug/spans > "$tsmoke/spans.jsonl"
-[[ -s "$tsmoke/flight.jsonl" ]]
+[[ -s "$tsmoke/spans.jsonl" ]]
 "$lg" --addr "$t_addr" --post /shutdown > /dev/null
 wait "$t_pid"
 # Causal span trees with critical-path breakdowns, and the SLO section.

@@ -368,10 +368,9 @@ fn main() {
     let completed = metric(&final_metrics, "serve_jobs_completed_total");
 
     // `--trace` exit assertion: every accepted submission's trace id must
-    // have round-tripped into the daemon's span log. The span log (not
-    // the flight ring, which evicts) is the durable record; admission
-    // spans are written synchronously at submit, so after the drain the
-    // log is necessarily complete.
+    // have round-tripped into the daemon's span log, the durable record
+    // of every span; admission spans are written synchronously at
+    // submit, so after the drain the log is necessarily complete.
     if trace_mode {
         let resp = http(&addr, &Request::new("GET", "/debug/spans")).unwrap_or_else(|e| fail(e));
         let spans = String::from_utf8_lossy(&resp.body).to_string();

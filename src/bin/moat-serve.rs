@@ -40,9 +40,6 @@
 //!                             0x5EED)
 //!   --retry-after-s <N>       Retry-After seconds on shed responses
 //!                             (default 1)
-//!   --flight-off              disable the flight recorder (the in-memory
-//!                             incident ring behind /debug/flight and the
-//!                             <state>/flight/ dumps; default on)
 //!   --chaos <SEED>            wrap the backend in the seeded chaos fault
 //!                             injector (testing only)
 //!   --port-file <FILE>        write "<ip>:<port>" here once bound (for
@@ -166,7 +163,6 @@ fn main() {
             "--breaker-cooldown" => config.breaker_cooldown = int(&mut args, "--breaker-cooldown"),
             "--robustness-seed" => config.robustness_seed = int(&mut args, "--robustness-seed"),
             "--retry-after-s" => config.retry_after_secs = int(&mut args, "--retry-after-s"),
-            "--flight-off" => config.flight = false,
             "--chaos" => chaos = Some(int(&mut args, "--chaos")),
             "--port-file" => port_file = Some(value(&mut args, "--port-file")),
             "--synthetic" => {

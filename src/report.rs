@@ -576,7 +576,7 @@ fn fmt_ms(us: u64) -> String {
 
 impl SpanForest {
     /// Collect the `job_stage` records of a trace (other kinds are
-    /// ignored, so serve.jsonl/flight dumps can be fed in unfiltered).
+    /// ignored, so mixed logs can be fed in unfiltered).
     pub fn from_records(records: &[Record]) -> SpanForest {
         let spans = records
             .iter()
@@ -1407,7 +1407,7 @@ mod tests {
         assert!(text.contains("other 0.100 ms"), "{text}");
     }
 
-    /// Mixed-event input (the flight-dump case) only picks up job stages,
+    /// Mixed-event input only picks up job stages,
     /// and an empty forest renders a clear message.
     #[test]
     fn span_forest_ignores_non_stage_events() {
