@@ -76,8 +76,8 @@ pub use roughset::reduce_search_space;
 pub use rsgde3::{FrontSignature, RsGde3Params, RsGde3Tuner};
 pub use space::{Config, Domain, ParamSpace};
 pub use surrogate::{
-    spearman, BatchError, FeatureSource, ScreenPlan, ScreeningEvaluator, ScreeningPolicy,
-    SpaceFeatures, Surrogate, SurrogateScreen, SurrogateStats,
+    spearman, BatchError, FeatureSource, ScreenPlan, ScreeningPolicy, SpaceFeatures, Surrogate,
+    SurrogateScreen, SurrogateStats,
 };
 pub use tuner::{
     EventLog, EventSink, Run, SessionHooks, StopReason, StrategyKind, Tuner, TuningEvent,

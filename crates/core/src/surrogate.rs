@@ -22,11 +22,8 @@
 //!   the *set* of observed samples (canonically ordered, order-independent
 //!   accumulation), so rebuilding it from an evaluation-cache snapshot —
 //!   which is how [`TuningSession::with_surrogate`] primes it — is exact.
-//! * [`SurrogateScreen`] / [`ScreeningEvaluator`] — the screening policies:
-//!   the former is the batch-level top-k screen driven by
-//!   [`TuningSession`]; the latter wraps any [`Evaluator`] (and hence,
-//!   through the fault layer, any `FallibleEvaluator`) as a standalone
-//!   per-call quantile screen.
+//! * [`SurrogateScreen`] — the screening policy: the batch-level top-k
+//!   screen driven by [`TuningSession`], the one place a surrogate screens.
 //!
 //! Determinism: screening decisions are made on the session control thread
 //! before any evaluation is dispatched, exploration picks depend only on
@@ -38,11 +35,10 @@
 //! [`TuningSession`]: crate::tuner::TuningSession
 //! [`TuningSession::with_surrogate`]: crate::tuner::TuningSession::with_surrogate
 
-use crate::evaluate::{Evaluator, ObjVec};
+use crate::evaluate::ObjVec;
 use crate::fault::QUARANTINE_PENALTY;
 use crate::space::{Config, ParamSpace};
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// Extracts a fixed-width feature vector from a configuration.
 ///
@@ -265,11 +261,6 @@ impl Surrogate {
     /// Feature dimensionality.
     pub fn dims(&self) -> usize {
         self.dims
-    }
-
-    /// Objective dimensionality.
-    pub fn num_objectives(&self) -> usize {
-        self.num_objectives
     }
 
     /// Number of retained training samples.
@@ -980,120 +971,6 @@ impl SurrogateScreen {
     }
 }
 
-/// Interior state of a [`ScreeningEvaluator`].
-struct ScreenState {
-    model: Surrogate,
-    /// Sliding window of recent predicted scores, the screen's quantile
-    /// reference.
-    recent: Vec<f64>,
-}
-
-/// A standalone screening layer wrapping any [`Evaluator`] (and, through
-/// the blanket fault-layer lift, any `FallibleEvaluator` stack): each
-/// `evaluate` call is scored by the shared online surrogate and forwarded
-/// only when it ranks within the policy's `screen_ratio` quantile of
-/// recently seen scores — or wins the deterministic ε-exploration coin, or
-/// arrives before the model is trained. Withheld calls return `None`
-/// without touching the inner evaluator.
-///
-/// Inside a [`TuningSession`](crate::tuner::TuningSession) prefer
-/// [`with_surrogate`](crate::tuner::TuningSession::with_surrogate): the
-/// session's batch-level screen sees whole batches (exact top-k, exact
-/// budget bookkeeping) where this per-call layer can only apply a running
-/// quantile.
-pub struct ScreeningEvaluator<'a> {
-    inner: &'a dyn Evaluator,
-    features: Box<dyn FeatureSource>,
-    policy: ScreeningPolicy,
-    state: Mutex<ScreenState>,
-}
-
-impl<'a> ScreeningEvaluator<'a> {
-    /// Window of recent scores the quantile screen ranks against.
-    const WINDOW: usize = 64;
-
-    /// Wrap `inner` with a fresh model over `features`.
-    pub fn new(
-        inner: &'a dyn Evaluator,
-        features: Box<dyn FeatureSource>,
-        policy: ScreeningPolicy,
-    ) -> Self {
-        let model = Surrogate::new(features.dims(), inner.num_objectives());
-        Self::with_model(inner, features, model, policy)
-    }
-
-    /// Wrap `inner` with a pre-trained (e.g. archive-primed) model.
-    pub fn with_model(
-        inner: &'a dyn Evaluator,
-        features: Box<dyn FeatureSource>,
-        model: Surrogate,
-        policy: ScreeningPolicy,
-    ) -> Self {
-        assert_eq!(features.dims(), model.dims());
-        assert_eq!(inner.num_objectives(), model.num_objectives());
-        ScreeningEvaluator {
-            inner,
-            features,
-            policy,
-            state: Mutex::new(ScreenState {
-                model,
-                recent: Vec::new(),
-            }),
-        }
-    }
-
-    /// Number of samples the model has absorbed.
-    pub fn observed(&self) -> usize {
-        self.state.lock().expect("screen lock").model.len()
-    }
-}
-
-impl Evaluator for ScreeningEvaluator<'_> {
-    fn num_objectives(&self) -> usize {
-        self.inner.num_objectives()
-    }
-
-    fn evaluate(&self, cfg: &Config) -> Option<ObjVec> {
-        let feats = self.features.features(cfg);
-        let forward = {
-            let mut st = self.state.lock().expect("screen lock");
-            if !st.model.ready() {
-                true
-            } else {
-                let score = st.model.score(&feats);
-                if st.recent.len() >= Self::WINDOW {
-                    st.recent.remove(0);
-                }
-                st.recent.push(score);
-                let mut sorted = st.recent.clone();
-                sorted.sort_by(f64::total_cmp);
-                let k = self.policy.forward_count(sorted.len());
-                score <= sorted[k - 1] || self.policy.explore_pick(cfg)
-            }
-        };
-        if !forward {
-            return None;
-        }
-        let result = self.inner.evaluate(cfg);
-        if let Some(objs) = &result {
-            self.state
-                .lock()
-                .expect("screen lock")
-                .model
-                .observe(&feats, objs);
-        }
-        result
-    }
-
-    fn is_quarantined(&self, cfg: &Config) -> bool {
-        self.inner.is_quarantined(cfg)
-    }
-
-    fn fault_stats(&self) -> Option<crate::fault::FaultStats> {
-        self.inner.fault_stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1278,40 +1155,5 @@ mod tests {
         assert_eq!(err.samples, 4);
         assert!(err.rank_corr.unwrap_or(0.0) > 0.5, "ranking should hold");
         assert_eq!(screen.stats().observed, 4);
-    }
-
-    #[test]
-    fn screening_evaluator_screens_after_training() {
-        let sp = space();
-        let ev = (1usize, |cfg: &Config| Some(vec![(cfg[0] + cfg[1]) as f64]));
-        let screen = ScreeningEvaluator::new(
-            &ev,
-            Box::new(SpaceFeatures::new(&sp)),
-            ScreeningPolicy {
-                screen_ratio: 0.3,
-                explore: 0.0,
-                seed: 5,
-            },
-        );
-        // Warm-up: the first min_train calls are forwarded unconditionally;
-        // once the model turns ready mid-loop the quantile screen kicks in.
-        let first = screen.observed();
-        for x in (0..=100).step_by(10) {
-            for y in [1, 16, 64] {
-                screen.evaluate(&vec![x, y]);
-            }
-        }
-        assert!(screen.observed() > first, "warm-up must train the model");
-        // Trained: obviously-bad configurations (largest everything) are
-        // withheld once the window has seen better scores.
-        let mut withheld = 0;
-        for y in 50..64 {
-            if screen.evaluate(&vec![100, y]).is_none() {
-                withheld += 1;
-            }
-        }
-        assert!(withheld > 0, "trained screen never withheld anything");
-        // Good configurations keep flowing.
-        assert!(screen.evaluate(&vec![0, 2]).is_some());
     }
 }

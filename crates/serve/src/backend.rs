@@ -38,21 +38,6 @@ pub struct JobInfo {
     pub machine: MachineFeatures,
 }
 
-/// Daemon-level surrogate screening handed to a backend: the screening
-/// ratio from [`ServeConfig`](crate::ServeConfig) plus the priming set
-/// the daemon pulled out of the sharded archive at admission (every
-/// stored front for this problem, nearest machine first). Surrogate
-/// screening is a *daemon* policy, never part of the [`JobSpec`] — spec
-/// fingerprints (and thus dedupe and checkpoint identity) are unaffected.
-#[derive(Debug, Clone)]
-pub struct SurrogateJob {
-    /// Fraction of each batch forwarded to real evaluation.
-    pub screen_ratio: f64,
-    /// `(config, objectives)` pairs to prime the model with before the
-    /// session starts.
-    pub primer: Vec<(Config, Vec<f64>)>,
-}
-
 /// Everything the daemon injects into one job run.
 #[derive(Debug, Clone)]
 pub struct JobContext {
@@ -81,9 +66,6 @@ pub struct JobContext {
     pub warm: Option<WarmStart>,
     /// Daemon metrics to count pool evaluations into.
     pub metrics: Option<Arc<crate::metrics::ServeMetrics>>,
-    /// Daemon-level surrogate screening (`None`: run unscreened, the
-    /// byte-identical default).
-    pub surrogate: Option<SurrogateJob>,
     /// The request's trace context, when the submission carried an
     /// `x-moat-trace` header. Backends use it to opt the session into
     /// per-batch wall timing (so eval spans get real durations); untraced
@@ -157,7 +139,7 @@ pub struct JobOutcome {
     /// resumes from its last checkpoint instead of completing.
     pub cancelled: bool,
     /// The session's event stream: the daemon derives a traced job's
-    /// `eval`/`screen`/`checkpoint` spans from it.
+    /// `eval` and `checkpoint` spans from it.
     pub events: Vec<TuningEvent>,
 }
 
@@ -203,7 +185,7 @@ pub trait PreparedJob: Send {
 /// Open the job's slot with the daemon's checkpointer and return the
 /// sink its session checkpoints through (see [`Checkpointer::open`]).
 pub fn open_checkpoint_store(ctx: &JobContext) -> Option<GaugedStore> {
-    ctx.checkpoints.as_ref()?.open(ctx.job_fp, ctx.obs.clone())
+    ctx.checkpoints.as_ref()?.open(ctx.job_fp)
 }
 
 /// FNV-1a over a string, for synthetic fingerprints.
@@ -304,18 +286,6 @@ impl PreparedJob for SyntheticJob {
                 .with_obs(ctx.obs.clone())
                 .with_hooks(ctx.session_hooks(&mut store, &mut log))
                 .map_err(|e| e.to_string())?;
-            if let Some(s) = &ctx.surrogate {
-                let policy = moat_core::ScreeningPolicy {
-                    screen_ratio: s.screen_ratio,
-                    seed: spec.seed,
-                    ..Default::default()
-                };
-                let mut screen = moat_core::SurrogateScreen::for_space(&space, 2, policy);
-                for (cfg, objs) in &s.primer {
-                    screen.prime(cfg, objs);
-                }
-                session = session.with_surrogate(screen);
-            }
             let report = session.run(&RandomTuner::new(spec.seed));
             (report, session.cancelled())
         };
@@ -370,7 +340,6 @@ mod tests {
             resume: None,
             warm: None,
             metrics: None,
-            surrogate: None,
             trace: None,
             obs: moat_obs::Obs::default(),
         }
@@ -386,35 +355,6 @@ mod tests {
         assert!(!a.cancelled);
         let c = run("dsyrk", ctx(pool)).unwrap();
         assert_ne!(a.record.key, c.record.key, "kernel changes the key");
-    }
-
-    #[test]
-    fn surrogate_full_ratio_is_identical_and_screening_runs() {
-        let pool = FairPool::new(4);
-        let plain = run("mm", ctx(Arc::clone(&pool))).unwrap();
-        // ratio = 1.0 forwards everything: byte-identical record.
-        let mut full = ctx(Arc::clone(&pool));
-        full.surrogate = Some(SurrogateJob {
-            screen_ratio: 1.0,
-            primer: vec![],
-        });
-        let out = run("mm", full).unwrap();
-        assert_eq!(out.record, plain.record);
-        assert_eq!(out.evaluations, plain.evaluations);
-        // A primed screening run still completes with a usable front.
-        let mut screened = ctx(pool);
-        screened.surrogate = Some(SurrogateJob {
-            screen_ratio: 0.5,
-            primer: plain
-                .record
-                .front
-                .iter()
-                .map(|p| (p.config.clone(), p.objectives.clone()))
-                .collect(),
-        });
-        let out = run("mm", screened).unwrap();
-        assert!(!out.cancelled);
-        assert!(!out.record.front.is_empty());
     }
 
     #[test]
@@ -460,7 +400,11 @@ mod tests {
         c.cancel.store(true, std::sync::atomic::Ordering::Relaxed);
         c.checkpoints = Some(Arc::clone(&checkpointer));
         let out = run("mm", c).unwrap();
-        assert!(checkpointer.settle(1, true).is_empty(), "nothing to flush");
+        assert_eq!(
+            checkpointer.settle(1, true),
+            (vec![], None),
+            "nothing to flush"
+        );
         checkpointer.shutdown();
         assert!(out.cancelled);
         assert_eq!(out.stop, StopReason::Cancelled);

@@ -227,7 +227,6 @@ mod tests {
             resume: None,
             warm: None,
             metrics: None,
-            surrogate: None,
             trace: None,
             obs: moat_obs::Obs::default(),
         };

@@ -55,8 +55,8 @@ struct Slot {
     pending: Option<(Instant, SessionCheckpoint)>,
     /// A write has been started for this run.
     attempted: bool,
-    /// A write has failed for this run (gauged once).
-    parked: bool,
+    /// The error of this run's first failed write (gauged once).
+    parked: Option<String>,
     /// What each checkpoint offer cost the session, in µs, in offer
     /// order: a save's hand-off, 0 for an offer declined.
     handoffs_us: Vec<u64>,
@@ -109,12 +109,15 @@ impl Checkpointer {
     }
 
     /// Open job `fp`'s slot and return the sink its session checkpoints
-    /// through; failed saves are reported on `obs`. A store that cannot
+    /// through. The store is untraced: whether a run writes at all hangs
+    /// on other jobs' write timing, which the job's trace must not show,
+    /// so [`settle`](Self::settle) reports a failed write instead. A store
+    /// that cannot
     /// even be created degrades the run to an uncheckpointed one (`None`):
     /// a sick checkpoint disk costs restart-resumability, never an
     /// otherwise-healthy job. The failure is counted into
     /// `serve_persist_errors_total` and the parked gauge.
-    pub fn open(self: &Arc<Self>, fp: u64, obs: moat_obs::Obs) -> Option<GaugedStore> {
+    pub fn open(self: &Arc<Self>, fp: u64) -> Option<GaugedStore> {
         let Ok(store) = CheckpointStore::create(self.path(fp)) else {
             self.metrics.persist_errors.fetch_add(1, Ordering::Relaxed);
             self.metrics
@@ -123,10 +126,10 @@ impl Checkpointer {
             return None;
         };
         let slot = Slot {
-            store: Some(store.with_obs(obs)),
+            store: Some(store),
             pending: None,
             attempted: false,
-            parked: false,
+            parked: None,
             handoffs_us: Vec::new(),
         };
         self.state.lock().slots.insert(fp, slot);
@@ -143,8 +146,8 @@ impl Checkpointer {
     /// (Done, Failed, replayed) drop what is pending — unless nothing was
     /// written yet — wait out a write in flight and remove the files.
     /// Returns what each checkpoint offer of the run cost its session, in
-    /// µs.
-    pub fn settle(&self, fp: u64, keep: bool) -> Vec<u64> {
+    /// µs, and the error of its first failed write, if one parked.
+    pub fn settle(&self, fp: u64, keep: bool) -> (Vec<u64>, Option<String>) {
         let mut state = self.state.lock();
         if let Some(slot) = state.slots.get_mut(&fp) {
             if !keep && slot.attempted && slot.pending.take().is_some() {
@@ -165,7 +168,8 @@ impl Checkpointer {
         if !keep {
             CheckpointStore::remove(self.path(fp));
         }
-        slot.map(|slot| slot.handoffs_us).unwrap_or_default()
+        slot.map(|slot| (slot.handoffs_us, slot.parked))
+            .unwrap_or_default()
     }
 
     /// Write what is pending, then stop and join the thread.
@@ -207,7 +211,8 @@ impl Checkpointer {
 
             let started = Instant::now();
             store.save(&checkpoint);
-            let written = store.last_error().is_none();
+            let failed = store.last_error().map(|e| e.to_string());
+            let written = failed.is_none();
             if written {
                 // Never 0, which says that nobody knows.
                 self.last_write_us.store(
@@ -231,7 +236,8 @@ impl Checkpointer {
             // still this run's.
             if let Some(slot) = state.slots.get_mut(&fp) {
                 slot.store = Some(store);
-                if !written && !std::mem::replace(&mut slot.parked, true) {
+                if slot.parked.is_none() && failed.is_some() {
+                    slot.parked = failed;
                     self.metrics
                         .parked_checkpoints
                         .fetch_add(1, Ordering::Relaxed);
@@ -253,10 +259,11 @@ impl std::fmt::Debug for Checkpointer {
 
 /// The [`CheckpointSink`] of one served job: `due` picks the offers worth
 /// a write (see the module docs), `save` hands the checkpoint to the
-/// [`Checkpointer`] and returns. A write that fails behind it parks — the
-/// store emits `checkpoint_parked` into the job's trace and the daemon's
-/// `serve_parked_checkpoints` gauge is bumped the moment it happens, so
-/// operators see the degradation on the next `/metrics` scrape.
+/// [`Checkpointer`] and returns. A write that fails behind it parks: the
+/// daemon's `serve_parked_checkpoints` gauge is bumped the moment it
+/// happens, so operators see the degradation on the next `/metrics`
+/// scrape, and the settled run logs one `checkpoint_parked` event to
+/// `serve.jsonl`.
 pub struct GaugedStore {
     checkpointer: Arc<Checkpointer>,
     fp: u64,
@@ -343,14 +350,15 @@ mod tests {
     #[test]
     fn a_parking_run_flushes_its_newest_checkpoint() {
         let (checkpointer, metrics) = started("park");
-        let mut sink = checkpointer.open(7, moat_obs::Obs::default()).unwrap();
+        let mut sink = checkpointer.open(7).unwrap();
         for seq in 1..=5 {
             sink.save(&checkpoint(seq));
         }
+        let (handoffs, parked) = checkpointer.settle(7, true);
         assert_eq!(
-            checkpointer.settle(7, true).len(),
-            5,
-            "one hand-off per save"
+            (handoffs.len(), parked),
+            (5, None),
+            "one hand-off per save, none parked"
         );
         let on_disk = CheckpointStore::load(checkpointer.path(7)).unwrap();
         assert_eq!(on_disk, checkpoint(5), "latest wins");
@@ -364,19 +372,19 @@ mod tests {
     #[test]
     fn a_first_offer_is_wanted_unearned_only_while_nobody_knows_what_a_write_costs() {
         let (checkpointer, metrics) = started("due");
-        let mut sink = checkpointer.open(7, moat_obs::Obs::default()).unwrap();
+        let mut sink = checkpointer.open(7).unwrap();
         assert!(sink.due(), "the first offer finds out what a write costs");
         assert!(!sink.due(), "only the first");
-        let mut other = checkpointer.open(8, moat_obs::Obs::default()).unwrap();
+        let mut other = checkpointer.open(8).unwrap();
         assert!(other.due(), "every run's, until a write has finished");
         sink.save(&checkpoint(1));
-        let handoffs = checkpointer.settle(7, true);
+        let (handoffs, _) = checkpointer.settle(7, true);
         assert_eq!((handoffs.len(), handoffs[0]), (2, 0), "declined, saved");
         assert!(checkpointer.last_write_us.load(Ordering::Relaxed) > 0);
 
         // Now that it is known, a first offer is earned like any other. A
         // write that took a minute: nothing this test does earns one.
-        let mut third = checkpointer.open(9, moat_obs::Obs::default()).unwrap();
+        let mut third = checkpointer.open(9).unwrap();
         checkpointer
             .last_write_us
             .store(60_000_000, Ordering::Relaxed);
@@ -388,32 +396,36 @@ mod tests {
         assert!(third.due());
         assert!(!third.due(), "counted from the offer just wanted");
         assert_eq!(metrics.checkpoints_declined.load(Ordering::Relaxed), 3);
-        assert_eq!(checkpointer.settle(8, false), [], "wanted, never saved");
-        assert_eq!(checkpointer.settle(9, false), [0, 0], "the two it declined");
+        assert_eq!(checkpointer.settle(8, false).0, [], "wanted, never saved");
+        assert_eq!(
+            checkpointer.settle(9, false).0,
+            [0, 0],
+            "the two it declined"
+        );
         finish(checkpointer);
     }
 
     #[test]
     fn a_failed_write_makes_the_next_first_offer_due_again() {
         let (checkpointer, metrics) = started("forget");
-        let mut sink = checkpointer.open(7, moat_obs::Obs::default()).unwrap();
+        let mut sink = checkpointer.open(7).unwrap();
         sink.save(&checkpoint(1));
         checkpointer.settle(7, false);
         assert_eq!(metrics.checkpoints_written.load(Ordering::Relaxed), 1);
         checkpointer
             .last_write_us
             .store(60_000_000, Ordering::Relaxed);
-        let mut healthy = checkpointer.open(8, moat_obs::Obs::default()).unwrap();
+        let mut healthy = checkpointer.open(8).unwrap();
         assert!(!healthy.due(), "a write's cost is known and not earned");
 
         // The boundary save of a parking run, into a directory gone bad.
-        let mut sick = checkpointer.open(9, moat_obs::Obs::default()).unwrap();
+        let mut sick = checkpointer.open(9).unwrap();
         std::fs::create_dir_all(checkpointer.path(9)).unwrap();
         sick.save(&checkpoint(1));
         checkpointer.settle(9, true);
         assert_eq!(metrics.parked_checkpoints.load(Ordering::Relaxed), 1);
         assert_eq!(checkpointer.last_write_us.load(Ordering::Relaxed), 0);
-        let mut next = checkpointer.open(10, moat_obs::Obs::default()).unwrap();
+        let mut next = checkpointer.open(10).unwrap();
         assert!(next.due(), "whatever it has worked");
         assert!(!healthy.due(), "but no run's second");
         std::fs::remove_dir(checkpointer.path(9)).unwrap();
@@ -426,7 +438,7 @@ mod tests {
     #[test]
     fn a_finished_run_still_writes_its_first_checkpoint_then_retires_the_file() {
         let (checkpointer, metrics) = started("finish");
-        let mut sink = checkpointer.open(7, moat_obs::Obs::default()).unwrap();
+        let mut sink = checkpointer.open(7).unwrap();
         sink.save(&checkpoint(1));
         checkpointer.settle(7, false);
         assert_eq!(metrics.checkpoints_written.load(Ordering::Relaxed), 1);
@@ -437,19 +449,20 @@ mod tests {
     #[test]
     fn a_sick_directory_parks_once_and_leaves_nothing_behind() {
         let (checkpointer, metrics) = started("sick");
-        let obs = moat_obs::Obs::new(moat_obs::TimestampMode::Logical);
-        let mut sink = checkpointer.open(7, obs.clone()).unwrap();
+        let mut sink = checkpointer.open(7).unwrap();
         std::fs::create_dir_all(checkpointer.path(7)).unwrap();
         sink.save(&checkpoint(1));
-        checkpointer.settle(7, true);
+        let (_, first) = checkpointer.settle(7, true);
         assert_eq!(metrics.parked_checkpoints.load(Ordering::Relaxed), 1);
+        // A second run of the same job parks again, and is gauged again.
+        let mut sink = checkpointer.open(7).unwrap();
+        sink.save(&checkpoint(2));
+        sink.save(&checkpoint(3));
+        let (_, second) = checkpointer.settle(7, true);
         assert_eq!(metrics.checkpoints_written.load(Ordering::Relaxed), 0);
-        let parked =
-            |r: &moat_obs::Record| matches!(r.event, moat_obs::Event::CheckpointParked { .. });
-        assert!(
-            obs.drain().iter().any(parked),
-            "reported on the job's handle"
-        );
+        let error = first.expect("settle reports the parked write");
+        assert_eq!(second, Some(error), "the first failed write's error");
+        assert_eq!(metrics.parked_checkpoints.load(Ordering::Relaxed), 2);
         std::fs::remove_dir(checkpointer.path(7)).unwrap();
         checkpointer.settle(7, false);
         assert_eq!(std::fs::read_dir(&checkpointer.dir).unwrap().count(), 0);

@@ -112,14 +112,6 @@ pub struct ServeConfig {
     pub checkpoint_every: u32,
     /// Background compaction period.
     pub compact_interval: Duration,
-    /// Daemon-level surrogate screening: every session runs behind an
-    /// online surrogate primed from the sharded archive at admission.
-    /// Never part of the [`JobSpec`], so fingerprints (dedupe, checkpoint
-    /// identity) are unchanged. Off by default — the byte-identical path.
-    pub surrogate: bool,
-    /// Fraction of each batch forwarded to real evaluation when
-    /// [`surrogate`](Self::surrogate) is on.
-    pub screen_ratio: f64,
     /// Session worker threads draining the job queue (default 8). This
     /// replaces the old unbounded thread-per-job spawn.
     pub workers: usize,
@@ -171,8 +163,6 @@ impl ServeConfig {
             shards: 4,
             checkpoint_every: 1,
             compact_interval: Duration::from_millis(250),
-            surrogate: false,
-            screen_ratio: moat_core::ScreeningPolicy::default().screen_ratio,
             workers: 8,
             queue_depth: 256,
             max_connections: 64,
@@ -571,32 +561,6 @@ impl Daemon {
             }
         }
 
-        // Daemon-level surrogate: prime the model from every archived
-        // front of this problem (nearest machine first) so screening
-        // compounds with warm-start dedupe — the second tenant's job
-        // starts with a model trained on the first tenant's measurements.
-        let surrogate = info.filter(|_| self.config.surrogate).map(|info| {
-            let primer = self
-                .archive
-                .records_for_machine_family(&info.key, &info.machine)
-                .map(|family| {
-                    family
-                        .iter()
-                        .flat_map(|(record, _distance)| {
-                            record
-                                .front
-                                .iter()
-                                .map(|p| (p.config.clone(), p.objectives.clone()))
-                        })
-                        .collect()
-                })
-                .unwrap_or_default();
-            crate::backend::SurrogateJob {
-                screen_ratio: self.config.screen_ratio,
-                primer,
-            }
-        });
-
         // The job's own logical-mode handle: what its session emits on it
         // is the job's trace, whatever else the process is running.
         let obs = Obs::new(TimestampMode::Logical);
@@ -610,7 +574,6 @@ impl Daemon {
             resume,
             warm,
             metrics: Some(Arc::clone(&self.metrics)),
-            surrogate,
             trace: run_ctx,
             obs: obs.clone(),
         };
@@ -622,10 +585,19 @@ impl Daemon {
 
         // The session has returned: a parking run's last checkpoint goes
         // to disk before the row says Parked; any other outcome retires
-        // the checkpoint, whichever incarnation wrote it.
+        // the checkpoint, whichever incarnation wrote it. A failed write
+        // is a service event, not part of the job's trace, and names its
+        // file relative to the state directory.
         let persist_started = Instant::now();
         let parks = run.as_ref().is_ok_and(|outcome| outcome.cancelled);
-        let handoffs_us = self.checkpointer.settle(fp, parks);
+        let (handoffs_us, parked) = self.checkpointer.settle(fp, parks);
+        if let Some(error) = parked {
+            let state = format!("{}/", self.config.state_dir.display());
+            self.obs_event(moat_obs::Event::CheckpointParked {
+                path: format!("ckpt/{fp:016x}.ckpt"),
+                error: error.replace(&state, ""),
+            });
+        }
 
         match run {
             Ok(outcome) => {
@@ -636,7 +608,7 @@ impl Daemon {
                 // Child indices count per stage, so the derived span ids
                 // are invariant under worker count and pickup order.
                 if let Some(rc) = &run_ctx {
-                    let (mut ev, mut sc, mut ck) = (0u64, 0u64, 0u64);
+                    let (mut ev, mut ck) = (0u64, 0u64);
                     for event in &outcome.events {
                         match event {
                             moat_core::TuningEvent::BatchEvaluated {
@@ -655,25 +627,6 @@ impl Daemon {
                                     dur,
                                 );
                                 ev += 1;
-                            }
-                            moat_core::TuningEvent::BatchScreened {
-                                requested,
-                                forwarded,
-                                screened,
-                                ..
-                            } => {
-                                self.span_event(
-                                    &rc.child("screen", sc),
-                                    "screen",
-                                    id,
-                                    &tenant,
-                                    format!(
-                                        "requested={requested} forwarded={forwarded} \
-                                         screened={screened}"
-                                    ),
-                                    0,
-                                );
-                                sc += 1;
                             }
                             moat_core::TuningEvent::Checkpointed { seq } => {
                                 self.span_event(

@@ -35,7 +35,7 @@ pub mod wire;
 pub use admission::{AdmissionPolicy, ShedReason};
 pub use artifacts::ArtifactLog;
 pub use backend::{
-    open_checkpoint_store, JobBackend, JobContext, JobInfo, JobOutcome, PreparedJob, SurrogateJob,
+    open_checkpoint_store, JobBackend, JobContext, JobInfo, JobOutcome, PreparedJob,
     SyntheticBackend,
 };
 pub use chaos::{ChaosBackend, ChaosConfig, Fate};

@@ -325,36 +325,6 @@ impl ShardedArchive {
         }
     }
 
-    /// Every record for the same (skeleton, space) problem across all
-    /// shards (merged view), paired with its machine-feature distance to
-    /// `target` and sorted nearest-first with key-id tie-breaks — the
-    /// cross-shard mirror of `Archive::records_for_machine_family`. This
-    /// is what primes a job's surrogate at admission: sibling-machine
-    /// fronts are informative about *which configurations* matter even
-    /// when their absolute objectives don't transfer.
-    pub fn records_for_machine_family(
-        &self,
-        key: &ArchiveKey,
-        target: &MachineFeatures,
-    ) -> Result<Vec<(ArchiveRecord, f64)>, ArchiveError> {
-        let mut out: Vec<(ArchiveRecord, f64)> = Vec::new();
-        for candidate in self.keys()? {
-            if !candidate.same_problem(key) {
-                continue;
-            }
-            let Some(rec) = self.get(&candidate)? else {
-                continue;
-            };
-            let d = rec.machine.distance(target);
-            out.push((rec, d));
-        }
-        out.sort_by(|a, b| {
-            a.1.total_cmp(&b.1)
-                .then_with(|| a.0.key.id().cmp(&b.0.key.id()))
-        });
-        Ok(out)
-    }
-
     /// The whole archive (merged view) as one pretty JSON array in key
     /// order — the byte-comparable determinism surface used by the smoke
     /// and 1-vs-N-clients tests.

@@ -320,6 +320,51 @@ fn chaos_runs_terminate_recover_and_reproduce() {
     }
 }
 
+/// A job's trace is what its session emitted, however the daemon around
+/// it timed its checkpoint writes: two same-seed chaos sessions serve
+/// byte-identical traces for every job, checkpoint-denied ones included.
+#[test]
+fn same_seed_chaos_sessions_serve_identical_traces() {
+    silence_chaos_panics();
+    let specs = chaos_specs();
+    let session = |run: u32| {
+        let state_dir = temp_dir(&format!("traces-{run}"));
+        let backend = ChaosBackend::new(
+            Arc::new(SyntheticBackend { eval_delay_us: 500 }),
+            ChaosConfig::new(SEEDS[0]),
+        );
+        let handle = serve(ServeConfig::new(&state_dir), Arc::new(backend)).expect("starts");
+        let addr = handle.addr();
+        let ids: Vec<String> = specs.iter().map(|s| submit(addr, s).job).collect();
+        wait_all_terminal(addr, specs.len());
+        let traces: Vec<(String, Response)> = ids
+            .into_iter()
+            .map(|id| {
+                let trace = send(addr, &Request::new("GET", &format!("/jobs/{id}/trace")));
+                (id, trace)
+            })
+            .collect();
+        shutdown(addr, handle);
+        let _ = std::fs::remove_dir_all(&state_dir);
+        traces
+    };
+    let first = session(0);
+    let second = session(1);
+    let denied = specs
+        .iter()
+        .filter(|s| ChaosConfig::new(SEEDS[0]).fate(fingerprint_of(s)) == Fate::CheckpointDeny)
+        .count();
+    assert!(denied > 0, "the seed draws checkpoint sabotage");
+    for ((id, a), (_, b)) in first.iter().zip(&second) {
+        assert_eq!(a.status, b.status, "{id}");
+        assert_eq!(
+            String::from_utf8_lossy(&a.body),
+            String::from_utf8_lossy(&b.body),
+            "{id}: same seed, different trace"
+        );
+    }
+}
+
 /// Per-tenant quotas: a hostile tenant hammering distinct specs is shed
 /// with 429 + Retry-After, while a fair tenant's jobs all complete and
 /// are never shed.
@@ -591,8 +636,18 @@ fn disk_faults_are_counted_not_fatal() {
         &Request::new("GET", &format!("/jobs/{}/trace", sub.job)),
     );
     assert!(
-        String::from_utf8_lossy(&trace.body).contains("\"CheckpointParked\""),
-        "the parked save is in the job's own trace"
+        !String::from_utf8_lossy(&trace.body).contains("CheckpointParked"),
+        "the job's trace is its session's alone"
+    );
+    let service = std::fs::read_to_string(state_dir.join("serve.jsonl")).unwrap();
+    let parked: Vec<&str> = service
+        .lines()
+        .filter(|l| l.contains("\"CheckpointParked\""))
+        .collect();
+    let path = format!("\"ckpt/{}.ckpt\"", jspec.fingerprint_hex());
+    assert!(
+        parked.len() == 1 && parked[0].contains(&path),
+        "one parked-save event, naming the file under the state dir: {service}"
     );
     let result = send(
         addr,

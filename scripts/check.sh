@@ -144,7 +144,7 @@ cold=$(cargo run -q --bin moat-tune -- --kernel mm --size 160 --generations 12 \
 cold=${cold%%$'\n'*}
 # Screened leg: warm start + surrogate compound against the same archive.
 sur=$(cargo run -q --bin moat-tune -- --kernel mm --size 160 --generations 12 \
-    --quiet --archive "$susmoke/arc" --warm-start --surrogate --screen-ratio 0.5)
+    --quiet --archive "$susmoke/arc" --warm-start --surrogate)
 sur=${sur%%$'\n'*}
 echo "cold: $cold"
 echo "surr: $sur"
@@ -321,6 +321,12 @@ if [[ "$term" != 12 ]]; then
 fi
 # Injected panics are contained (daemon alive, obs-logged) not fatal.
 grep -q '"ServePanic"' "$csmoke/state/serve.jsonl"
+# A parked checkpoint is a service event: no job's trace names a
+# checkpoint file.
+if grep -q 'ckpt/' "$csmoke/state/artifacts.log"; then
+    echo "chaos smoke: a job trace in artifacts.log names a checkpoint file" >&2
+    exit 1
+fi
 "$lg" --addr "$c2_addr" --get /healthz > /dev/null
 cargo run -q --bin moat-report -- --from-serve "$csmoke/state" > "$csmoke/chaos-report.txt"
 grep -q "contained backend panics" "$csmoke/chaos-report.txt"

@@ -405,13 +405,17 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    /// Every flag matched is documented, and every documented flag is
+    /// matched.
     #[test]
     fn every_flag_arm_appears_in_the_usage_text() {
         let source = include_str!("moat-loadgen.rs");
         let usage = moat::usage_text(source);
         assert!(usage.starts_with("moat-loadgen --addr"), "{usage}");
         let end = source.find("#[cfg(test)]").expect("tests follow main");
-        let mut arms = 0;
+        let mut arms = BTreeSet::new();
         for line in source[..end].lines().filter(|l| l.contains("=>")) {
             let Some(flag) = line.trim().strip_prefix("\"--") else {
                 continue;
@@ -421,8 +425,14 @@ mod tests {
                 usage.contains(&format!("  {flag} ")),
                 "{flag} missing from usage"
             );
-            arms += 1;
+            arms.insert(flag);
         }
-        assert_eq!(arms, 10, "flag arms found: {arms}");
+        assert_eq!(arms.len(), 10, "flag arms found: {arms:?}");
+        for line in usage.lines().map(str::trim_start) {
+            let Some(flag) = line.split(' ').next().filter(|f| f.starts_with("--")) else {
+                continue;
+            };
+            assert!(arms.contains(flag), "{flag} documented but not parsed");
+        }
     }
 }

@@ -113,11 +113,13 @@ fn report_serve(dir: &str, slo_p99_ms: Option<f64>) -> Result<String, String> {
     ));
 
     // Service-level control-plane events (sheds, breaker transitions,
-    // contained panics) live in serve.jsonl, outside any job's trace.
+    // contained panics, parked checkpoint writes) live in serve.jsonl,
+    // outside any job's trace.
     if let Ok(trace) = std::fs::read_to_string(root.join("serve.jsonl")) {
         if let Ok(records) = parse_jsonl(&trace) {
-            let service = Analysis::from_records(&records).service;
-            if service.any() {
+            let analysis = Analysis::from_records(&records);
+            let (service, parked) = (analysis.service, analysis.faults.parked_checkpoints);
+            if service.any() || parked > 0 {
                 out.push_str("\nAdmission & isolation\n");
                 let total: u64 = service.sheds.values().sum();
                 if total > 0 {
@@ -136,6 +138,9 @@ fn report_serve(dir: &str, slo_p99_ms: Option<f64>) -> Result<String, String> {
                 }
                 if service.panics > 0 {
                     out.push_str(&format!("  contained backend panics {}\n", service.panics));
+                }
+                if parked > 0 {
+                    out.push_str(&format!("  parked checkpoint writes {parked}\n"));
                 }
             }
         }

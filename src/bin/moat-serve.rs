@@ -13,10 +13,6 @@
 //!   --shards <N>              archive shard count (default 4)
 //!   --checkpoint-every <N>    checkpoint cadence in save opportunities
 //!                             (default 1)
-//!   --surrogate               screen every session with an online surrogate
-//!                             primed from the sharded archive at admission
-//!   --screen-ratio <F>        fraction of each batch actually evaluated
-//!                             under --surrogate (default 0.5)
 //!   --workers <N>             session worker threads draining the job
 //!                             queue (default 8)
 //!   --queue-depth <N>         bounded job-queue depth; submissions beyond
@@ -46,6 +42,7 @@
 //!                             scripts that pass port 0)
 //!   --synthetic [DELAY_US]    serve the synthetic test backend instead of
 //!                             the real tuner (protocol benchmarking)
+//!   --help                    print this text
 //! ```
 //!
 //! The daemon answers `POST /jobs`, `GET /jobs[/<id>[/result|/trace]]`,
@@ -120,15 +117,6 @@ fn main() {
             "--shards" => config.shards = int(&mut args, "--shards") as usize,
             "--checkpoint-every" => {
                 config.checkpoint_every = int(&mut args, "--checkpoint-every") as u32
-            }
-            "--surrogate" => config.surrogate = true,
-            "--screen-ratio" => {
-                config.screen_ratio = value(&mut args, "--screen-ratio")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--screen-ratio needs a number"));
-                if !(0.0..=1.0).contains(&config.screen_ratio) {
-                    fail("--screen-ratio must be in [0, 1]")
-                }
             }
             "--workers" => config.workers = int(&mut args, "--workers") as usize,
             "--queue-depth" => config.queue_depth = int(&mut args, "--queue-depth") as usize,
@@ -213,5 +201,41 @@ fn main() {
     handle.stop();
     if let Err(e) = handle.join() {
         fail(format!("shutdown: {e}"));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    /// Every flag `main` matches is documented, and every documented flag
+    /// is matched: a stale usage line fails here as surely as a missing
+    /// one.
+    #[test]
+    fn every_flag_arm_appears_in_the_usage_text() {
+        let source = include_str!("moat-serve.rs");
+        let usage = moat::usage_text(source);
+        assert!(usage.starts_with("moat-serve [OPTIONS]"), "{usage}");
+        let start = source.find("\nfn main()").expect("main exists");
+        let end = source.find("#[cfg(test)]").expect("tests follow main");
+        let mut arms = BTreeSet::new();
+        for line in source[start..end].lines().filter(|l| l.contains("=>")) {
+            let Some(flag) = line.trim().strip_prefix("\"--") else {
+                continue;
+            };
+            let flag = format!("--{}", flag.split('"').next().unwrap());
+            assert!(
+                usage.contains(&format!("  {flag} ")),
+                "{flag} missing from usage"
+            );
+            arms.insert(flag);
+        }
+        assert_eq!(arms.len(), 23, "flag arms found: {arms:?}");
+        for line in usage.lines().map(str::trim_start) {
+            let Some(flag) = line.split(' ').next().filter(|f| f.starts_with("--")) else {
+                continue;
+            };
+            assert!(arms.contains(flag), "{flag} documented but not parsed");
+        }
     }
 }

@@ -14,8 +14,7 @@
 //!   --warm-start                                      seed the optimizer from the archive
 //!   --surrogate                                       screen batches with an online surrogate
 //!                                                     model (primed from --archive when set)
-//!   --screen-ratio <F>                                fraction of each batch actually evaluated
-//!                                                     under --surrogate (default 0.5)
+//!                                                     and evaluate its better-ranked half
 //!   --seed <S>                                        optimizer seed (default 42)
 //!   --generations <G>                                 max GDE3 generations (default 200)
 //!   --energy                                          add the energy objective (3 objectives)
@@ -51,8 +50,8 @@ use moat::core::{
 use moat::framework::{Session, Wrap};
 use moat::multiversion::emit_parameterized_c;
 use moat::{
-    CheckpointStore, Framework, Hooks, Kernel, MachineDesc, Objective, Obs, Prepared, StrategyKind,
-    WarmStartSource,
+    CheckpointStore, Framework, Hooks, Kernel, MachineDesc, Objective, Obs, Prepared,
+    ScreeningPolicy, StrategyKind, WarmStartSource,
 };
 use std::cell::Cell;
 use std::process::exit;
@@ -215,7 +214,6 @@ fn parse_args() -> Opts {
             "--archive" => fw.archive = Some(value("--archive").into()),
             "--warm-start" => fw.warm_start = true,
             "--surrogate" => fw.surrogate = true,
-            "--screen-ratio" => fw.screen_ratio = number(value("--screen-ratio")),
             "--seed" => fw.tuner_params.seed = number(value("--seed")),
             "--generations" => fw.tuner_params.max_generations = number(value("--generations")),
             "--energy" => fw.objectives.push(Objective::Energy),
@@ -342,7 +340,6 @@ fn tune(opts: &Opts, p: &Prepared, resume: Option<SessionCheckpoint>, obs: &Obs)
             ..Default::default()
         },
         wrap: (opts.fault_policy.is_some() || opts.inject.is_some()).then_some(&faults as Wrap),
-        primer: None,
     };
     let out = or_die(fw.run(p, hooks, obs), 1);
     let result = &out.report;
@@ -381,7 +378,7 @@ fn tune(opts: &Opts, p: &Prepared, resume: Option<SessionCheckpoint>, obs: &Obs)
     if let Some((primed, stats)) = &out.surrogate {
         println!(
             "surrogate stats: surrogate=on(ratio={}, primed={primed}) requested={} forwarded={} screened={} explored={} mae={:.1}% rank-corr={:.3}",
-            fw.screen_ratio,
+            ScreeningPolicy::default().screen_ratio,
             stats.requested,
             stats.forwarded,
             stats.screened,
@@ -445,9 +442,12 @@ fn tune(opts: &Opts, p: &Prepared, resume: Option<SessionCheckpoint>, obs: &Obs)
 
 #[cfg(test)]
 mod tests {
-    /// Every flag `parse_args` matches is documented: a flag whose arm is
-    /// added without a usage line, or a usage block the fences no longer
-    /// bracket, fails here.
+    use std::collections::BTreeSet;
+
+    /// Every flag `parse_args` matches is documented, and every documented
+    /// flag is matched: a flag whose arm is added without a usage line, a
+    /// usage line its deleted arm left behind, or a usage block the fences
+    /// no longer bracket, fails here.
     #[test]
     fn every_flag_arm_appears_in_the_usage_text() {
         let source = include_str!("moat-tune.rs");
@@ -455,7 +455,7 @@ mod tests {
         assert!(usage.starts_with("moat-tune [OPTIONS]"), "{usage}");
         let start = source.find("fn parse_args()").expect("parse_args exists");
         let end = start + source[start..].find("\nfn main()").expect("main follows");
-        let mut arms = 0;
+        let mut arms = BTreeSet::new();
         for line in source[start..end].lines().filter(|l| l.contains("=>")) {
             let Some(flag) = line.trim().strip_prefix("\"--") else {
                 continue;
@@ -465,8 +465,14 @@ mod tests {
                 usage.contains(&format!("  {flag} ")),
                 "{flag} missing from usage"
             );
-            arms += 1;
+            arms.insert(flag);
         }
-        assert!(arms >= 28, "only {arms} flag arms found");
+        assert!(arms.len() >= 28, "only {} flag arms found", arms.len());
+        for line in usage.lines().map(str::trim_start) {
+            let Some(flag) = line.split(' ').next().filter(|f| f.starts_with("--")) else {
+                continue;
+            };
+            assert!(arms.contains(flag), "{flag} documented but not parsed");
+        }
     }
 }

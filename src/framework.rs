@@ -12,9 +12,9 @@ use crate::sim::{
 };
 use moat_archive::{Archive, ArchiveKey, ArchiveRecord, WarmStartSource};
 use moat_core::{
-    BackendId, BackendKind, BackendSet, BatchEval, Config, Evaluator, FeatureSource, ObjVec,
-    ParamSpace, ParetoFront, Provenance, RsGde3Params, ScreeningPolicy, SessionHooks, StrategyKind,
-    Surrogate, SurrogateScreen, SurrogateStats, TuningReport, TuningSession,
+    BackendId, BackendKind, BackendSet, BatchEval, Evaluator, FeatureSource, ParamSpace,
+    ParetoFront, Provenance, RsGde3Params, ScreeningPolicy, SessionHooks, StrategyKind, Surrogate,
+    SurrogateScreen, SurrogateStats, TuningReport, TuningSession,
 };
 use moat_ir::{analyze, AnalyzerConfig, Region, Skeleton, Step, Variant};
 use moat_kernels::Kernel;
@@ -191,11 +191,9 @@ pub struct Framework {
     /// most promising fraction is actually evaluated. Screened-out
     /// configurations consume *no* evaluation budget. With the surrogate
     /// disabled the tuning output is byte-identical to a build without the
-    /// screening machinery.
+    /// screening machinery. The forwarded fraction is
+    /// `ScreeningPolicy::default().screen_ratio`.
     pub surrogate: bool,
-    /// Fraction of each batch forwarded to real evaluation when
-    /// [`surrogate`](Self::surrogate) is on (1.0 = screen nothing).
-    pub screen_ratio: f64,
     /// Write a JSONL observability trace of the run here. A live
     /// observability handle is the *only* thing that changes any code
     /// path: with `trace` and [`metrics`](Self::metrics) unset, tuning
@@ -250,9 +248,6 @@ pub struct Hooks<'h> {
     pub session: SessionHooks<'h>,
     /// `moat-tune`'s fault pipeline, the daemon's pooled evaluator.
     pub wrap: Option<Wrap<'h>>,
-    /// Surrogate training pairs supplied by the host, used instead of the
-    /// archived fronts of this problem's machine family.
-    pub primer: Option<&'h [(Config, ObjVec)]>,
 }
 
 /// What [`Framework::run`] hands back.
@@ -289,7 +284,6 @@ impl Framework {
             archive: None,
             warm_start: false,
             surrogate: false,
-            screen_ratio: ScreeningPolicy::default().screen_ratio,
             trace: None,
             metrics: None,
             timestamps: TimestampMode::default(),
@@ -351,12 +345,6 @@ impl Framework {
         }
         if !roster.is_empty() && self.objectives != [Objective::Time, Objective::Resources] {
             return Err("a backend roster tunes the two paper objectives only".into());
-        }
-        if !(0.0..=1.0).contains(&self.screen_ratio) {
-            return Err(format!(
-                "screen ratio must be in [0, 1], got {}",
-                self.screen_ratio
-            ));
         }
 
         // `alt<K>` backends need the analyzer's alternative skeletons.
@@ -481,28 +469,19 @@ impl Framework {
         let mut primed = 0;
         let screen = if self.surrogate {
             let policy = ScreeningPolicy {
-                screen_ratio: self.screen_ratio,
                 seed: self.tuner_params.seed,
                 ..ScreeningPolicy::default()
             };
             let source = IrFeatures::new(skeleton, &tuning_space, &features);
             let model = Surrogate::new(source.dims(), self.objectives.len());
             let mut screen = SurrogateScreen::new(Box::new(source), model, policy);
-            let mut prime = |config: &Config, objectives: &[f64]| {
-                primed += usize::from(screen.prime(config, objectives));
-            };
-            match (hooks.primer, &archive) {
-                _ if roster.is_some() => {}
-                (Some(pairs), _) => pairs.iter().for_each(|(c, o)| prime(c, o)),
-                (None, Some(archive)) => {
-                    let family = archive
-                        .records_for_machine_family(&p.key, &features)
-                        .map_err(|e| e.to_string())?;
-                    for point in family.iter().flat_map(|(record, _)| &record.front) {
-                        prime(&point.config, &point.objectives);
-                    }
+            if let (None, Some(archive)) = (&roster, &archive) {
+                let family = archive
+                    .records_for_machine_family(&p.key, &features)
+                    .map_err(|e| e.to_string())?;
+                for point in family.iter().flat_map(|(record, _)| &record.front) {
+                    primed += usize::from(screen.prime(&point.config, &point.objectives));
                 }
-                (None, None) => {}
             }
             Some(screen)
         } else {
@@ -899,7 +878,6 @@ mod tests {
         plain.tuner_params.max_generations = 12;
         let mut screened = plain.clone();
         screened.surrogate = true;
-        screened.screen_ratio = 0.5;
         let a = plain.tune(Kernel::Mm.region(128)).unwrap();
         let b = screened.tune(Kernel::Mm.region(128)).unwrap();
         assert!(!b.result.front.is_empty());
@@ -909,22 +887,6 @@ mod tests {
             b.result.evaluations,
             a.result.evaluations
         );
-    }
-
-    #[test]
-    fn surrogate_at_full_ratio_is_identical_to_plain() {
-        // screen_ratio = 1.0 forwards every configuration: the screened
-        // pipeline must reproduce the unscreened run exactly.
-        let mut plain = quick_framework();
-        plain.noise = None;
-        let mut full = plain.clone();
-        full.surrogate = true;
-        full.screen_ratio = 1.0;
-        let a = plain.tune(Kernel::Jacobi2d.region(128)).unwrap();
-        let b = full.tune(Kernel::Jacobi2d.region(128)).unwrap();
-        assert_eq!(a.result, b.result);
-        assert_eq!(a.table, b.table);
-        assert_eq!(a.source_c, b.source_c);
     }
 
     #[test]
@@ -939,7 +901,6 @@ mod tests {
         // model starts ready, so screening bites from the first batch.
         let cold = fw.tune(Kernel::Mm.region(96)).unwrap();
         fw.surrogate = true;
-        fw.screen_ratio = 0.4;
         let primed = fw.tune(Kernel::Mm.region(96)).unwrap();
         assert!(!primed.result.front.is_empty());
         assert!(
@@ -949,15 +910,6 @@ mod tests {
             cold.result.evaluations
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bad_screen_ratio_is_rejected() {
-        let mut fw = quick_framework();
-        fw.surrogate = true;
-        fw.screen_ratio = 1.5;
-        let err = fw.tune(Kernel::Mm.region(64)).unwrap_err();
-        assert!(err.contains("screen ratio"), "{err}");
     }
 
     #[test]

@@ -103,9 +103,9 @@ pub use moat_archive::{Archive, ArchiveKey, ArchiveRecord, CheckpointStore, Warm
 pub use moat_core::{
     BackendId, BackendKind, BackendSet, BatchEval, CheckpointSink, EventLog, EventSink,
     FaultInjector, FaultPolicy, FaultSchedule, FaultStats, FaultTolerantEvaluator, FeatureSource,
-    ParetoFront, Provenance, RsGde3Params, RsGde3Tuner, ScreeningEvaluator, ScreeningPolicy,
-    SessionCheckpoint, SpaceFeatures, StopReason, StrategyKind, Surrogate, SurrogateScreen,
-    SurrogateStats, Tuner, TuningEvent, TuningReport, TuningSession, WarmStart, BACKEND_PARAM,
+    ParetoFront, Provenance, RsGde3Params, RsGde3Tuner, ScreeningPolicy, SessionCheckpoint,
+    SpaceFeatures, StopReason, StrategyKind, Surrogate, SurrogateScreen, SurrogateStats, Tuner,
+    TuningEvent, TuningReport, TuningSession, WarmStart, BACKEND_PARAM,
 };
 pub use moat_ir::Region;
 pub use moat_kernels::Kernel;

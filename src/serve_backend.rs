@@ -3,8 +3,9 @@
 //! [`TuneBackend`] implements [`moat_serve::JobBackend`] by filling in a
 //! [`Framework`] from the [`JobSpec`] and running its prepare and run
 //! stages. The daemon owns the session wiring (cancel flag, shared
-//! evaluation pool, checkpoint store, warm-start seeds, surrogate primer),
-//! which reaches the run stage as [`Hooks`] built by the [`JobContext`].
+//! evaluation pool, checkpoint store, warm-start seeds), which reaches the
+//! run stage as [`Hooks`] built by the [`JobContext`]. A service job runs
+//! unscreened.
 //! The emit stage is *not* part of a service job — the archive record is
 //! the deliverable; clients regenerate code locally from the front.
 
@@ -74,11 +75,6 @@ impl PreparedJob for TuneJob {
             mut fw, prepared, ..
         } = *self;
         fw.batch = ctx.batch();
-        // Surrogate screening is a daemon policy, not part of the spec.
-        if let Some(s) = &ctx.surrogate {
-            fw.surrogate = true;
-            fw.screen_ratio = s.screen_ratio;
-        }
         // A failed store *creation* degrades to an uncheckpointed run
         // (counted in `serve_persist_errors_total`) rather than failing
         // the job — same policy as the serve crate's backends.
@@ -87,7 +83,6 @@ impl PreparedJob for TuneJob {
         let hooks = Hooks {
             session: ctx.session_hooks(&mut store, &mut log),
             wrap: Some(&|roster, session| session(&ctx.pooled(roster))),
-            primer: ctx.surrogate.as_ref().map(|s| s.primer.as_slice()),
         };
         let out = fw.run(&prepared, hooks, &ctx.obs)?;
         let record = fw.record(&prepared, &out.report);
@@ -133,7 +128,6 @@ mod tests {
             resume: None,
             warm: None,
             metrics: None,
-            surrogate: None,
             trace: None,
             obs: moat_obs::Obs::default(),
         }
