@@ -13,14 +13,13 @@
 //! * [`BackendSet`] fans one logical configuration space out across
 //!   registered backends by appending a `backend` choice dimension, so any
 //!   [`Tuner`](crate::tuner::Tuner) explores the product space
-//!   `config × backend` under the existing budget/caching/fault machinery.
+//!   `config × backend` under the existing budget and caching machinery.
 //!
 //! Provenance is deliberately optional everywhere it is stored (fronts,
 //! archives, version tables): single-backend runs carry `None` and
 //! serialize byte-identically to the pre-provenance format.
 
 use crate::evaluate::{Evaluator, ObjVec};
-use crate::fault::FaultStats;
 use crate::pareto::{ParetoFront, Point};
 use crate::space::{Config, Domain, ParamSpace};
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -183,8 +182,8 @@ impl Deserialize for Provenance {
 /// space; [`Evaluator::evaluate`] strips it again and dispatches the inner
 /// configuration to the selected backend. Tuners thus explore
 /// `config × backend` with no knowledge that the last dimension is special,
-/// and every layer of budget accounting, caching, fault tolerance and batch
-/// parallelism applies unchanged.
+/// and every layer of budget accounting, caching and batch parallelism
+/// applies unchanged.
 pub struct BackendSet<'a> {
     entries: Vec<(Provenance, &'a dyn Evaluator)>,
     num_objectives: usize,
@@ -301,29 +300,6 @@ impl Evaluator for BackendSet<'_> {
     fn evaluate(&self, cfg: &Config) -> Option<ObjVec> {
         let (idx, inner) = self.decode(cfg)?;
         self.entries[idx].1.evaluate(&inner.to_vec())
-    }
-
-    fn is_quarantined(&self, cfg: &Config) -> bool {
-        match self.decode(cfg) {
-            Some((idx, inner)) => self.entries[idx].1.is_quarantined(&inner.to_vec()),
-            None => false,
-        }
-    }
-
-    fn fault_stats(&self) -> Option<FaultStats> {
-        let mut total: Option<FaultStats> = None;
-        for (_, e) in &self.entries {
-            if let Some(s) = e.fault_stats() {
-                let t = total.get_or_insert_with(FaultStats::default);
-                t.attempts += s.attempts;
-                t.retries += s.retries;
-                t.timeouts += s.timeouts;
-                t.failures += s.failures;
-                t.extra_measurements += s.extra_measurements;
-                t.quarantined += s.quarantined;
-            }
-        }
-        total
     }
 }
 

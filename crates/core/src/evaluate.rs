@@ -29,20 +29,6 @@ pub trait Evaluator: Sync {
     fn num_objectives(&self) -> usize;
     /// Evaluate one configuration.
     fn evaluate(&self, cfg: &Config) -> Option<ObjVec>;
-
-    /// Whether `cfg` was quarantined by a fault-handling layer (its result
-    /// is a penalty vector, not a genuine measurement). Evaluators without
-    /// a fault layer report `false`.
-    fn is_quarantined(&self, _cfg: &Config) -> bool {
-        false
-    }
-
-    /// Fault-handling counters, when a fault-tolerant layer (see
-    /// [`FaultTolerantEvaluator`](crate::fault::FaultTolerantEvaluator)) is
-    /// present somewhere in the evaluator stack.
-    fn fault_stats(&self) -> Option<crate::fault::FaultStats> {
-        None
-    }
 }
 
 impl<F> Evaluator for (usize, F)
@@ -216,14 +202,6 @@ impl Evaluator for CachingEvaluator<'_> {
             .expect("only the claimant publishes");
         result
     }
-
-    fn is_quarantined(&self, cfg: &Config) -> bool {
-        self.inner.is_quarantined(cfg)
-    }
-
-    fn fault_stats(&self) -> Option<crate::fault::FaultStats> {
-        self.inner.fault_stats()
-    }
 }
 
 /// A feasibility predicate over configurations (`true` = feasible).
@@ -274,14 +252,6 @@ impl Evaluator for ConstrainedEvaluator<'_> {
             return None;
         }
         self.inner.evaluate(cfg)
-    }
-
-    fn is_quarantined(&self, cfg: &Config) -> bool {
-        self.inner.is_quarantined(cfg)
-    }
-
-    fn fault_stats(&self) -> Option<crate::fault::FaultStats> {
-        self.inner.fault_stats()
     }
 }
 

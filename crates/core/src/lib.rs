@@ -36,7 +36,6 @@
 pub mod backend;
 pub mod checkpoint;
 pub mod evaluate;
-pub mod fault;
 pub mod gde3;
 pub mod grid;
 pub mod metrics;
@@ -56,10 +55,6 @@ pub use checkpoint::{
     CHECKPOINT_FORMAT_VERSION,
 };
 pub use evaluate::{BatchEval, CachingEvaluator, ConstrainedEvaluator, Evaluator, ObjVec};
-pub use fault::{
-    EvalError, FallibleEvaluator, FaultInjector, FaultPolicy, FaultSchedule, FaultStats,
-    FaultTolerantEvaluator, QUARANTINE_PENALTY,
-};
 pub use gde3::{Gde3, Gde3Params};
 pub use grid::GridTuner;
 pub use metrics::{

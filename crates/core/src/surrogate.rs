@@ -36,7 +36,6 @@
 //! [`TuningSession::with_surrogate`]: crate::tuner::TuningSession::with_surrogate
 
 use crate::evaluate::ObjVec;
-use crate::fault::QUARANTINE_PENALTY;
 use crate::space::{Config, ParamSpace};
 use std::collections::HashMap;
 
@@ -297,21 +296,15 @@ impl Surrogate {
     }
 
     /// Observe one measurement. Returns `false` (and stores nothing) for
-    /// arity mismatches, non-finite values, quarantine-penalty sentinel
-    /// objectives, exact duplicates, and samples beyond the capacity cut
-    /// (the retained set is always the `cap` canonically-smallest samples,
-    /// which keeps retention order-independent too).
+    /// arity mismatches, non-finite values, exact duplicates, and samples
+    /// beyond the capacity cut (the retained set is always the `cap`
+    /// canonically-smallest samples, which keeps retention
+    /// order-independent too).
     pub fn observe(&mut self, feats: &[f64], objs: &[f64]) -> bool {
         if feats.len() != self.dims || objs.len() != self.num_objectives {
             return false;
         }
-        if !feats.iter().all(|v| v.is_finite()) {
-            return false;
-        }
-        if !objs
-            .iter()
-            .all(|v| v.is_finite() && v.abs() < QUARANTINE_PENALTY)
-        {
+        if !feats.iter().chain(objs).all(|v| v.is_finite()) {
             return false;
         }
         let hash = sample_hash(feats, objs);
@@ -939,7 +932,7 @@ impl SurrogateScreen {
             let (Some(objs), Some(pred)) = (result, plan.scores[i]) else {
                 continue;
             };
-            if objs.iter().any(|v| v.abs() >= QUARANTINE_PENALTY) {
+            if !objs.iter().all(|v| v.is_finite()) {
                 continue;
             }
             pairs.push((pred, self.model.scalarize(objs)));
@@ -1062,8 +1055,8 @@ mod tests {
         assert!(!model.observe(&[0.5, 0.5], &[1.0, 2.0]), "objective arity");
         assert!(!model.observe(&[f64::NAN, 0.5], &[1.0]), "non-finite");
         assert!(
-            !model.observe(&[0.5, 0.5], &[QUARANTINE_PENALTY]),
-            "penalty sentinel"
+            !model.observe(&[0.5, 0.5], &[f64::INFINITY]),
+            "non-finite objective"
         );
         assert!(model.observe(&[0.5, 0.5], &[1.0]));
         assert!(!model.observe(&[0.5, 0.5], &[1.0]), "exact duplicate");

@@ -35,7 +35,6 @@ use crate::checkpoint::{
     CHECKPOINT_FORMAT_VERSION,
 };
 use crate::evaluate::{BatchEval, CachingEvaluator, Evaluator, ObjVec};
-use crate::fault::FaultStats;
 use crate::grid::GridTuner;
 use crate::nsga2::{Nsga2Params, Nsga2Tuner};
 use crate::pareto::{ParetoArchive, ParetoFront, Point};
@@ -160,12 +159,6 @@ pub enum TuningEvent {
     Checkpointed {
         /// The checkpoint's event cursor (checkpoint opportunities seen).
         seq: u64,
-    },
-    /// Summary of the fault handling performed during the run (only
-    /// emitted when a fault-tolerant evaluator layer is present).
-    FaultSummary {
-        /// The fault counters at the end of the run.
-        stats: FaultStats,
     },
     /// The run ended.
     Stopped {
@@ -857,14 +850,6 @@ impl<'a> TuningSession<'a> {
                 dims: bbox.len() as u64,
             },
             TuningEvent::Checkpointed { seq } => Event::Checkpointed { seq: *seq },
-            TuningEvent::FaultSummary { stats } => Event::FaultSummary {
-                attempts: stats.attempts,
-                retries: stats.retries,
-                timeouts: stats.timeouts,
-                failures: stats.failures,
-                extra_measurements: stats.extra_measurements,
-                quarantined: stats.quarantined,
-            },
             TuningEvent::Stopped {
                 reason,
                 evaluations,
@@ -1072,14 +1057,8 @@ impl<'a> TuningSession<'a> {
     /// Run `tuner` to completion and emit the final
     /// [`TuningEvent::Stopped`] event.
     ///
-    /// Post-processing on top of the tuner's raw report:
-    /// * a stop caused by the wall-clock budget (rather than the
-    ///   evaluation budget) is relabeled
-    ///   [`StopReason::TimeBudgetExhausted`];
-    /// * when a fault-tolerant evaluator layer is present, quarantined
-    ///   configurations are stripped from the final front (their penalty
-    ///   objectives are bookkeeping, not measurements) and a
-    ///   [`TuningEvent::FaultSummary`] is emitted.
+    /// A stop caused by the wall-clock budget (rather than the evaluation
+    /// budget) is relabeled [`StopReason::TimeBudgetExhausted`].
     pub fn run(&mut self, tuner: &dyn Tuner) -> TuningReport {
         if let Some(state) = self.resume.as_ref() {
             assert_eq!(
@@ -1103,19 +1082,6 @@ impl<'a> TuningSession<'a> {
             && self.budget.is_none_or(|b| self.evaluations() < b)
         {
             report.stop = StopReason::TimeBudgetExhausted;
-        }
-        if let Some(stats) = self.evaluator.fault_stats() {
-            if stats.quarantined > 0 {
-                let keep: Vec<Point> = report
-                    .front
-                    .points()
-                    .iter()
-                    .filter(|p| !self.evaluator.is_quarantined(&p.config))
-                    .cloned()
-                    .collect();
-                report.front = ParetoFront::from_points(keep);
-            }
-            self.emit(TuningEvent::FaultSummary { stats });
         }
         self.emit(TuningEvent::Stopped {
             reason: report.stop,

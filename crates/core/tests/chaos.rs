@@ -1,15 +1,11 @@
-//! Chaos and crash-safety tests: fault injection under every strategy,
-//! and checkpoint/resume equivalence with uninterrupted runs.
+//! Crash-safety tests: checkpoint/resume equivalence with uninterrupted
+//! runs under every strategy.
 
-use moat_core::fault::FaultTolerantEvaluator;
-use moat_core::pareto::dominates;
 use moat_core::{
-    BatchEval, CheckpointSink, Domain, EventLog, FaultInjector, FaultPolicy, FaultSchedule,
-    GridTuner, MemorySink, Nsga2Params, Nsga2Tuner, ParamSpace, RandomTuner, RsGde3Params,
-    RsGde3Tuner, SessionCheckpoint, StopReason, Tuner, TuningEvent, TuningReport, TuningSession,
-    WeightedSumTuner, WeightedSweepParams,
+    BatchEval, CheckpointSink, Domain, EventLog, GridTuner, MemorySink, Nsga2Params, Nsga2Tuner,
+    ParamSpace, RandomTuner, RsGde3Params, RsGde3Tuner, SessionCheckpoint, StopReason, Tuner,
+    TuningEvent, TuningReport, TuningSession, WeightedSumTuner, WeightedSweepParams,
 };
-use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -331,135 +327,4 @@ fn generous_time_budget_is_inert() {
         .with_time_budget(Duration::from_secs(3600));
     let b = timed.run(&tuner);
     assert_reports_equal(&a, &b, "time-budgeted run");
-}
-
-/// Persistent failures get quarantined, and the final front never
-/// contains a quarantined configuration or a penalty objective.
-#[test]
-fn quarantined_configs_never_reach_the_front() {
-    let ev = evaluator();
-    let schedule = FaultSchedule {
-        seed: 11,
-        persistent_rate: 0.3,
-        transient_rate: 0.2,
-        ..Default::default()
-    };
-    let injector = FaultInjector::new(&ev, schedule);
-    let ft = FaultTolerantEvaluator::new(&injector, FaultPolicy::default());
-    let mut session = TuningSession::new(space(), &ft)
-        .with_batch(BatchEval::sequential())
-        .with_budget(120);
-    let report = session.run(&RandomTuner::new(2));
-    let stats = ft.stats();
-    assert!(stats.quarantined > 0, "schedule produced no quarantines");
-    assert!(stats.retries > 0, "schedule produced no retries");
-    let quarantined = ft.quarantined_configs();
-    for p in report.front.points() {
-        assert!(
-            !quarantined.contains(&p.config),
-            "quarantined config in front: {:?}",
-            p.config
-        );
-        assert!(
-            p.objectives.iter().all(|&o| o < ft.policy().penalty),
-            "penalty objective leaked into the front: {:?}",
-            p.objectives
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Under ANY seeded fault schedule: the front stays pairwise
-    /// non-dominated, no quarantined configuration survives into it, the
-    /// budget is respected, and the whole run is deterministic.
-    #[test]
-    fn chaos_run_invariants(
-        seed in 0u64..1000,
-        persistent in 0.0f64..0.3,
-        transient in 0.0f64..0.4,
-        noise in 0.0f64..0.2,
-    ) {
-        let schedule = FaultSchedule {
-            seed,
-            persistent_rate: persistent,
-            transient_rate: transient,
-            noise,
-            ..Default::default()
-        };
-        let run = || {
-            let ev = evaluator();
-            let injector = FaultInjector::new(&ev, schedule.clone());
-            let policy = FaultPolicy { repeats: 3, ..Default::default() };
-            let ft = FaultTolerantEvaluator::new(&injector, policy);
-            let mut session = TuningSession::new(space(), &ft)
-                .with_batch(BatchEval::sequential())
-                .with_budget(100);
-            let report = session.run(&RsGde3Tuner::new(RsGde3Params {
-                seed: 1,
-                max_generations: 6,
-                ..Default::default()
-            }));
-            let quarantined = ft.quarantined_configs();
-            (report, quarantined)
-        };
-        let (report, quarantined) = run();
-
-        prop_assert!(report.evaluations <= 100, "budget exceeded: {}", report.evaluations);
-        for a in report.front.points() {
-            prop_assert!(!quarantined.contains(&a.config), "quarantined config in front");
-            for b in report.front.points() {
-                prop_assert!(
-                    !dominates(&a.objectives, &b.objectives),
-                    "front is not pairwise non-dominated"
-                );
-            }
-        }
-
-        // Chaos is seeded: the identical run reproduces byte-identically.
-        let (again, _) = run();
-        prop_assert_eq!(report.front.points(), again.front.points());
-        prop_assert_eq!(report.evaluations, again.evaluations);
-    }
-
-    /// The event stream's running evaluation count is monotone and never
-    /// exceeds the budget, whatever faults are injected.
-    #[test]
-    fn chaos_event_accounting_is_monotone(
-        seed in 0u64..1000,
-        persistent in 0.0f64..0.4,
-        budget in 20u64..120,
-    ) {
-        let ev = evaluator();
-        let schedule = FaultSchedule {
-            seed,
-            persistent_rate: persistent,
-            ..Default::default()
-        };
-        let injector = FaultInjector::new(&ev, schedule);
-        let ft = FaultTolerantEvaluator::new(&injector, FaultPolicy::default());
-        let mut counts: Vec<u64> = Vec::new();
-        let mut saw_fault_summary = false;
-        {
-            let mut sink = |event: &TuningEvent| match event {
-                TuningEvent::BatchEvaluated { evaluations, .. } => counts.push(*evaluations),
-                TuningEvent::FaultSummary { .. } => saw_fault_summary = true,
-                _ => {}
-            };
-            let mut session = TuningSession::new(space(), &ft)
-                .with_batch(BatchEval::sequential())
-                .with_budget(budget)
-                .with_sink(&mut sink);
-            session.run(&RandomTuner::new(3));
-        }
-        prop_assert!(saw_fault_summary, "fault-tolerant run must emit a FaultSummary");
-        prop_assert!(!counts.is_empty());
-        for w in counts.windows(2) {
-            prop_assert!(w[0] <= w[1], "E went backwards: {counts:?}");
-        }
-        for &c in &counts {
-            prop_assert!(c <= budget, "E exceeded budget: {c} > {budget}");
-        }
-    }
 }

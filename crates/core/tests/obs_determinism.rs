@@ -1,16 +1,11 @@
 //! The observability stream must not depend on evaluation parallelism.
 //!
-//! In logical-timestamp mode, control events carry the logical clock,
-//! keyed worker events (fault retries, quarantines) carry an epoch plus a
-//! stable sort key, and timing spans are dropped entirely — so the drained
-//! record stream for a fixed seed is the same whether `BatchEval` fans a
-//! batch over 1, 2, or 8 threads.
+//! In logical-timestamp mode, control events carry the logical clock and
+//! timing spans are dropped entirely — so the drained record stream for a
+//! fixed seed is the same whether `BatchEval` fans a batch over 1, 2, or 8
+//! threads.
 
-use moat_core::fault::FaultTolerantEvaluator;
-use moat_core::{
-    BatchEval, Domain, FaultInjector, FaultPolicy, FaultSchedule, ParamSpace, RandomTuner,
-    TuningSession,
-};
+use moat_core::{BatchEval, Domain, ParamSpace, RandomTuner, TuningSession};
 use moat_obs as obs;
 
 type Config = Vec<i64>;
@@ -37,23 +32,14 @@ fn evaluator() -> (usize, impl Fn(&Config) -> Option<ObjVec> + Sync) {
     })
 }
 
-/// Run the seeded, fault-injected tuning session `seed` with the given
+/// Run the seeded tuning session `seed` with the given
 /// worker count on its own handle and return the drained trace. `start`
 /// runs right before the session does (a rendezvous point for the
 /// concurrent case).
 fn trace_session(threads: usize, seed: u64, start: impl FnOnce()) -> Vec<obs::Record> {
     let handle = obs::Obs::new(obs::TimestampMode::Logical);
     let ev = evaluator();
-    let schedule = FaultSchedule {
-        seed: 11,
-        persistent_rate: 0.3,
-        transient_rate: 0.2,
-        ..Default::default()
-    };
-    let injector = FaultInjector::new(&ev, schedule);
-    let ft =
-        FaultTolerantEvaluator::new(&injector, FaultPolicy::default()).with_obs(handle.clone());
-    let mut session = TuningSession::new(space(), &ft)
+    let mut session = TuningSession::new(space(), &ev)
         .with_batch(BatchEval::parallel(threads))
         .with_label(format!("obs-determinism-{seed}"))
         .with_budget(120)
@@ -71,18 +57,6 @@ fn trace_with_parallelism(threads: usize) -> Vec<obs::Record> {
 fn obs_stream_is_identical_across_parallelism() {
     let base = trace_with_parallelism(1);
     assert!(!base.is_empty(), "session produced no records");
-    // The interesting case: keyed events emitted concurrently from worker
-    // threads. Without them this test would only cover the control plane.
-    assert!(
-        base.iter()
-            .any(|r| matches!(r.event, obs::Event::EvalRetry { .. })),
-        "fault schedule produced no retry events"
-    );
-    assert!(
-        base.iter()
-            .any(|r| matches!(r.event, obs::Event::EvalQuarantined { .. })),
-        "fault schedule produced no quarantine events"
-    );
     // Logical mode drops timing spans, the other leg of the guarantee.
     assert!(
         !base
@@ -110,7 +84,7 @@ fn logical_trace_serialization_is_byte_stable() {
 /// Two traced sessions in one process, each fanning batches over 8
 /// workers and started together, must each produce exactly the trace
 /// they produce alone: a handle belongs to its run, so neither session's
-/// control events, keyed worker events or clock can leak into the other.
+/// events nor its clock can leak into the other.
 #[test]
 fn concurrent_sessions_trace_as_if_alone() {
     let alone: Vec<String> = [2u64, 5]

@@ -1,8 +1,8 @@
 //! moat-obs — unified structured tracing, metrics and profiling for the
 //! moat tuning + runtime stack.
 //!
-//! Every layer of the stack (tuning session, fault-tolerant evaluator,
-//! batch workers, cache simulator, archive, runtime selector) reduces its
+//! Every layer of the stack (tuning session, batch workers, cache
+//! simulator, archive, checkpoint store, runtime selector) reduces its
 //! activity to flat [`Event`]s emitted through an [`Obs`] handle. The
 //! handle belongs to a run, not to the process: whoever starts the run
 //! creates it, the objects of that run carry clones of it, and any number

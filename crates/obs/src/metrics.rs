@@ -129,8 +129,6 @@ pub fn render(records: &[Record]) -> String {
     let mut front_size = 0u64;
     let mut hypervolume = 0.0f64;
     let mut iterations = 0u64;
-    let mut retries = 0u64;
-    let mut quarantined = 0u64;
 
     for r in records {
         *kind_counts.entry(r.event.kind()).or_default() += 1;
@@ -157,16 +155,6 @@ pub fn render(records: &[Record]) -> String {
                 hypervolume = *hv;
             }
             Event::Stopped { evaluations: e, .. } => evaluations = evaluations.max(*e),
-            Event::EvalRetry { .. } => retries += 1,
-            Event::EvalQuarantined { .. } => quarantined += 1,
-            Event::FaultSummary {
-                retries: r,
-                quarantined: q,
-                ..
-            } => {
-                retries = retries.max(*r);
-                quarantined = quarantined.max(*q);
-            }
             Event::VersionSelected { region, version } => {
                 *version_counts
                     .entry((region.clone(), *version))
@@ -204,14 +192,6 @@ pub fn render(records: &[Record]) -> String {
     out.push_str("# HELP moat_hypervolume Final front hypervolume (V(S)).\n");
     out.push_str("# TYPE moat_hypervolume gauge\n");
     out.push_str(&format!("moat_hypervolume {}\n", fmt_f64(hypervolume)));
-
-    out.push_str("# HELP moat_fault_retries_total Measurement retries.\n");
-    out.push_str("# TYPE moat_fault_retries_total counter\n");
-    out.push_str(&format!("moat_fault_retries_total {retries}\n"));
-
-    out.push_str("# HELP moat_fault_quarantined_total Configurations quarantined.\n");
-    out.push_str("# TYPE moat_fault_quarantined_total counter\n");
-    out.push_str(&format!("moat_fault_quarantined_total {quarantined}\n"));
 
     out.push_str("# HELP moat_version_selected_total Runtime version picks per region.\n");
     out.push_str("# TYPE moat_version_selected_total counter\n");

@@ -11,12 +11,11 @@
 //! * **Control** events are emitted from the single control thread of a
 //!   tuning run (session, archive, runtime selector). Each one advances
 //!   the logical clock, so their order *is* the clock.
-//! * **Keyed** events are emitted from worker threads but are themselves
-//!   deterministic for a fixed seed (fault retries, quarantines — the
-//!   caching evaluator guarantees each distinct configuration runs the
-//!   fault pipeline exactly once). They stamp the current logical clock as
-//!   an *epoch* without advancing it and carry a stable sort key, so the
-//!   drained stream is identical regardless of worker count.
+//! * **Keyed** events may be emitted from a thread other than the run's
+//!   control thread (a parked checkpoint write, reported by the writer).
+//!   They stamp the current logical clock as an *epoch* without advancing
+//!   it and carry a stable sort key, so the drained stream does not depend
+//!   on which thread emitted them or when.
 //! * **Timing** records (per-worker spans, cachesim phase timers) exist
 //!   only in wall-timestamp mode; logical traces drop them entirely.
 
@@ -108,41 +107,12 @@ pub enum Event {
         /// Checkpoint sequence number.
         seq: u64,
     },
-    /// End-of-run fault handling summary.
-    FaultSummary {
-        /// Total measurement attempts.
-        attempts: u64,
-        /// Attempts that were retries.
-        retries: u64,
-        /// Attempts abandoned on timeout.
-        timeouts: u64,
-        /// Attempts that failed outright.
-        failures: u64,
-        /// Extra repeat-and-median measurements.
-        extra_measurements: u64,
-        /// Configurations quarantined.
-        quarantined: u64,
-    },
     /// The tuning run ended.
     Stopped {
         /// Stop reason, rendered as text.
         reason: String,
         /// Final distinct-evaluation count `E`.
         evaluations: u64,
-    },
-
-    // ── fault layer (worker threads, keyed) ─────────────────────────────
-    /// A failed attempt is being retried.
-    EvalRetry {
-        /// The configuration, rendered as text (stable sort key).
-        config: String,
-        /// 1-based retry number.
-        attempt: u64,
-    },
-    /// A configuration exhausted its retries and was quarantined.
-    EvalQuarantined {
-        /// The configuration, rendered as text (stable sort key).
-        config: String,
     },
 
     // ── checkpoint persistence (keyed) ──────────────────────────────────
@@ -290,9 +260,7 @@ impl Event {
     /// class slip through the trace invariants.
     pub fn class(&self) -> Class {
         match self {
-            Event::EvalRetry { .. }
-            | Event::EvalQuarantined { .. }
-            | Event::CheckpointParked { .. } => Class::Keyed,
+            Event::CheckpointParked { .. } => Class::Keyed,
             Event::Phase { .. } | Event::WorkerSpan { .. } => Class::Timing,
             Event::SessionStart { .. }
             | Event::IterationStart { .. }
@@ -302,7 +270,6 @@ impl Event {
             | Event::FrontUpdated { .. }
             | Event::SpaceReduced { .. }
             | Event::Checkpointed { .. }
-            | Event::FaultSummary { .. }
             | Event::Stopped { .. }
             | Event::ArchiveRead { .. }
             | Event::ArchiveWrite { .. }
@@ -330,10 +297,7 @@ impl Event {
             Event::FrontUpdated { .. } => "front_updated",
             Event::SpaceReduced { .. } => "space_reduced",
             Event::Checkpointed { .. } => "checkpointed",
-            Event::FaultSummary { .. } => "fault_summary",
             Event::Stopped { .. } => "stopped",
-            Event::EvalRetry { .. } => "eval_retry",
-            Event::EvalQuarantined { .. } => "eval_quarantined",
             Event::CheckpointParked { .. } => "checkpoint_parked",
             Event::ArchiveRead { .. } => "archive_read",
             Event::ArchiveWrite { .. } => "archive_write",
@@ -351,15 +315,12 @@ impl Event {
         }
     }
 
-    /// Within-epoch sort key for keyed events: `(kind rank, payload key)`.
-    /// Retries sort before the quarantine they culminate in; within a
-    /// kind, the rendered configuration (then attempt) orders records.
-    pub fn sort_key(&self) -> (u8, String, u64) {
+    /// Within-epoch sort key for keyed events: a parked checkpoint orders
+    /// by its path. Empty for every other event.
+    pub fn sort_key(&self) -> &str {
         match self {
-            Event::EvalRetry { config, attempt } => (0, config.clone(), *attempt),
-            Event::EvalQuarantined { config } => (1, config.clone(), 0),
-            Event::CheckpointParked { path, .. } => (2, path.clone(), 0),
-            _ => (0, String::new(), 0),
+            Event::CheckpointParked { path, .. } => path,
+            _ => "",
         }
     }
 }
@@ -386,7 +347,7 @@ impl Record {
     /// events have unique `seq`s so their mutual order is the clock;
     /// keyed events interleave deterministically at their epoch; timing
     /// records (wall mode only) come last within an epoch, by timestamp.
-    pub fn order_key(&self) -> (u64, Class, (u8, String, u64), u64, u64) {
+    pub fn order_key(&self) -> (u64, Class, &str, u64, u64) {
         (
             self.seq,
             self.event.class(),
@@ -408,9 +369,9 @@ mod tests {
             Class::Control
         );
         assert_eq!(
-            Event::EvalRetry {
-                config: "[1]".into(),
-                attempt: 1
+            Event::CheckpointParked {
+                path: "ckpt/1.ckpt".into(),
+                error: "disk full".into()
             }
             .class(),
             Class::Keyed
@@ -444,14 +405,13 @@ mod tests {
     }
 
     #[test]
-    fn keyed_events_sort_retries_before_quarantine() {
-        let q = Event::EvalQuarantined {
-            config: "[2, 3]".into(),
+    fn keyed_events_sort_by_path() {
+        let parked = |path: &str| Event::CheckpointParked {
+            path: path.into(),
+            error: "disk full".into(),
         };
-        let r = Event::EvalRetry {
-            config: "[2, 3]".into(),
-            attempt: 2,
-        };
-        assert!(r.sort_key() < q.sort_key());
+        let (a, b) = (parked("ckpt/a.ckpt"), parked("ckpt/b.ckpt"));
+        assert!(a.sort_key() < b.sort_key());
+        assert_eq!(Event::IterationStart { iteration: 1 }.sort_key(), "");
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! Whoever starts a run creates the handle ([`Obs::new`]) and hands clones
 //! of it to the objects that emit — the tuning session and its batch
-//! workers, the fault layer, the archive, the checkpoint store, the
+//! workers, the archive, the checkpoint store, the
 //! runtime selectors. Every clone feeds the same collector under the same
 //! clock; two handles share nothing, so concurrent runs in one process
 //! cannot see each other's events. The default handle is disabled: every
@@ -173,7 +173,7 @@ impl Obs {
                 all.append(&mut shard.lock());
             }
         }
-        all.sort_by_key(|r| r.order_key());
+        all.sort_by(|a, b| a.order_key().cmp(&b.order_key()));
         all
     }
 }
@@ -215,30 +215,25 @@ mod tests {
     fn keyed_events_sort_within_epoch_regardless_of_emit_order() {
         let obs = Obs::new(TimestampMode::Logical);
         obs.emit(|| Event::IterationStart { iteration: 1 });
-        // Emitted "out of order", as racing workers would.
-        obs.emit(|| Event::EvalQuarantined {
-            config: "[9]".into(),
-        });
-        obs.emit(|| Event::EvalRetry {
-            config: "[9]".into(),
-            attempt: 1,
-        });
-        obs.emit(|| Event::EvalRetry {
-            config: "[3]".into(),
-            attempt: 1,
-        });
+        // Emitted "out of order", as racing writers would.
+        for path in ["ckpt/9.ckpt", "ckpt/3.ckpt", "ckpt/5.ckpt"] {
+            obs.emit(|| Event::CheckpointParked {
+                path: path.into(),
+                error: "disk full".into(),
+            });
+        }
         let recs = obs.drain();
         let kinds: Vec<_> = recs
             .iter()
-            .map(|r| (r.event.kind(), r.event.sort_key().1))
+            .map(|r| (r.event.kind(), r.event.sort_key()))
             .collect();
         assert_eq!(
             kinds,
             vec![
-                ("iteration_start", String::new()),
-                ("eval_retry", "[3]".to_string()),
-                ("eval_retry", "[9]".to_string()),
-                ("eval_quarantined", "[9]".to_string()),
+                ("iteration_start", ""),
+                ("checkpoint_parked", "ckpt/3.ckpt"),
+                ("checkpoint_parked", "ckpt/5.ckpt"),
+                ("checkpoint_parked", "ckpt/9.ckpt"),
             ]
         );
         assert!(

@@ -11,14 +11,12 @@
 
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod health;
 pub mod monitor;
 pub mod pool;
 pub mod registry;
 pub mod select;
 
-pub use adaptive::AdaptiveSelector;
 pub use health::{DegradingSelector, HealthPolicy, VersionHealth};
 pub use monitor::{measure, DemotionReason, RegionStats, RuntimeEvent};
 pub use pool::{static_chunk, Pool};

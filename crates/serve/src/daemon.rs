@@ -323,7 +323,8 @@ type QueueItem = (String, Option<SessionCheckpoint>);
 struct Handoff {
     /// Accepted, not yet picked up.
     waiting: VecDeque<TcpStream>,
-    /// Handlers parked on [`Daemon::conn_cv`].
+    /// Handlers parked on [`Daemon::conn_cv`], and started ones that have
+    /// not yet taken this lock: either takes the next connection.
     idle: usize,
     /// Every handler started so far; they live until shutdown.
     handlers: Vec<JoinHandle<()>>,
@@ -1186,11 +1187,16 @@ impl Daemon {
         let _ = wire::write_response(&mut stream, &resp);
     }
 
-    /// Give an accepted connection to a handler thread: a parked one if
-    /// one is to spare, a new one otherwise — up to the connection cap,
-    /// beyond which the next handler to finish picks it up. Once `stop` is
-    /// set the handlers are leaving (they check it under this lock), so the
+    /// Give an accepted connection to a handler thread: an idle one if one
+    /// is to spare, a new one otherwise — up to the connection cap, beyond
+    /// which the next handler to finish picks it up. Once `stop` is set the
+    /// handlers are leaving (they check it under this lock), so the
     /// connection is closed instead: nobody would take it from the queue.
+    ///
+    /// A handler is started only when the waiting connections outnumber
+    /// the idle handlers, and a connection counts as open until its handler
+    /// is back under this lock; so the handlers never outnumber the most
+    /// connections ever open at once (`connections_peak`).
     fn hand_off(self: &Arc<Self>, stream: TcpStream) {
         let mut conns = self.conns.lock();
         if self.stop.load(Ordering::SeqCst) {
@@ -1207,6 +1213,7 @@ impl Daemon {
                 .spawn(move || d.handler_loop())
                 .expect("spawn connection handler");
             conns.handlers.push(handler);
+            conns.idle += 1;
             self.metrics.conn_handlers.fetch_add(1, Ordering::Relaxed);
         }
         drop(conns);
@@ -1214,26 +1221,28 @@ impl Daemon {
     }
 
     /// One connection handler: serve what the accept thread hands over,
-    /// park in between, leave at stop.
+    /// park in between, leave at stop. It starts counted as idle (see
+    /// [`Daemon::hand_off`]), and a connection it served is closed only
+    /// once it is back under the lock: a client that is back sooner finds
+    /// its connection counted beside the old one.
     fn handler_loop(self: &Arc<Self>) {
+        let mut conns = self.conns.lock();
+        conns.idle -= 1;
         loop {
-            let stream = {
-                let mut conns = self.conns.lock();
-                loop {
-                    if let Some(stream) = conns.waiting.pop_front() {
-                        break stream;
-                    }
-                    if self.stop.load(Ordering::SeqCst) {
-                        self.metrics.conn_handlers.fetch_sub(1, Ordering::Relaxed);
-                        return;
-                    }
-                    conns.idle += 1;
-                    self.conn_cv.wait(&mut conns);
-                    conns.idle -= 1;
-                }
-            };
-            self.handle_conn(stream);
-            self.conn_closed();
+            if let Some(stream) = conns.waiting.pop_front() {
+                drop(conns);
+                self.handle_conn(stream);
+                conns = self.conns.lock();
+                self.conn_closed();
+                continue;
+            }
+            if self.stop.load(Ordering::SeqCst) {
+                self.metrics.conn_handlers.fetch_sub(1, Ordering::Relaxed);
+                return;
+            }
+            conns.idle += 1;
+            self.conn_cv.wait(&mut conns);
+            conns.idle -= 1;
         }
     }
 
@@ -1504,11 +1513,11 @@ pub fn serve(config: ServeConfig, backend: Arc<dyn JobBackend>) -> std::io::Resu
                         let _ = wire::write_response(&mut stream, &resp);
                         continue;
                     }
-                    d.conns_active.fetch_add(1, Ordering::Relaxed);
-                    d.metrics.connections_active.store(
-                        d.conns_active.load(Ordering::Relaxed) as u64,
-                        Ordering::Relaxed,
-                    );
+                    let open = d.conns_active.fetch_add(1, Ordering::Relaxed) as u64 + 1;
+                    d.metrics.connections_active.store(open, Ordering::Relaxed);
+                    d.metrics
+                        .connections_peak
+                        .fetch_max(open, Ordering::Relaxed);
                     d.hand_off(stream);
                 }
                 // A failing accept (fd exhaustion, …) must not spin.

@@ -128,6 +128,9 @@ pub struct ServeMetrics {
     pub persist_errors: AtomicU64,
     /// Connections currently being handled (gauge).
     pub connections_active: AtomicU64,
+    /// The most connections ever open at once (gauge): the daemon never
+    /// starts more handler threads than this.
+    pub connections_peak: AtomicU64,
     /// `POST /jobs` handling latency (parse, validate, admission).
     pub phase_submit: PhaseLatency,
     /// Enqueue-to-worker-pickup wait.
@@ -312,6 +315,11 @@ impl ServeMetrics {
             "serve_connections_active",
             "Connections currently being handled.",
             self.connections_active.load(Ordering::Relaxed),
+        );
+        gauge(
+            "serve_connections_peak",
+            "The most connections ever open at once.",
+            self.connections_peak.load(Ordering::Relaxed),
         );
         gauge(
             "serve_conn_handlers",

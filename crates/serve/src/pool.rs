@@ -187,14 +187,6 @@ impl moat_core::Evaluator for PooledEvaluator<'_> {
         }
         self.inner.evaluate(cfg)
     }
-
-    fn is_quarantined(&self, cfg: &moat_core::Config) -> bool {
-        self.inner.is_quarantined(cfg)
-    }
-
-    fn fault_stats(&self) -> Option<moat_core::FaultStats> {
-        self.inner.fault_stats()
-    }
 }
 
 #[cfg(test)]

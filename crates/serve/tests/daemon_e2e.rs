@@ -493,10 +493,14 @@ impl PreparedJob for LateJob {
 /// job and still empty once the checkpointer has been joined. A run has to
 /// earn its writes (16× what the last one cost, in work), so the jobs take
 /// 50 ms, and after a round that earned none — one slow write raises the
-/// bar for everybody — twice as long until a round does; and their budget
-/// of two chunks and one evaluation puts the offer that crosses the bar
-/// one evaluation before the session returns, with its write still
-/// waiting or under way.
+/// bar for everybody — twice as long, up to 64 times, until a round does;
+/// and their budget of two chunks and one evaluation puts the offer that
+/// crosses the bar one evaluation before the session returns, with its
+/// write still waiting or under way. A write that took seconds (a loaded
+/// box) puts the bar beyond the longest of these jobs, so then the daemon
+/// is restarted on the same state dir: a fresh one checkpoints a run's
+/// first offer regardless. Rounds run until 300 checkpoints have been
+/// written, at most 600 of them.
 #[test]
 fn ckpt_dir_is_empty_after_done_failed_and_replay() {
     let default_hook = std::panic::take_hook();
@@ -508,17 +512,23 @@ fn ckpt_dir_is_empty_after_done_failed_and_replay() {
     }));
     let state_dir = temp_dir("retire");
     let ckpt = state_dir.join("ckpt");
-    let delay_us = Arc::new(AtomicU64::new(750));
+    const DELAY_US: u64 = 750;
+    let delay_us = Arc::new(AtomicU64::new(DELAY_US));
     let backend = Arc::new(FailsLate {
         delay_us: Arc::clone(&delay_us),
     });
-    let handle = serve(ServeConfig::new(&state_dir), backend).unwrap();
-    let addr = handle.addr();
-    let metrics = handle.metrics();
-    let written = || metrics.checkpoints_written.load(Ordering::Relaxed);
+    let start = || serve(ServeConfig::new(&state_dir), backend.clone()).unwrap();
+    let written = |h: &ServeHandle| h.metrics().checkpoints_written.load(Ordering::Relaxed);
     let files = || -> Vec<_> { std::fs::read_dir(&ckpt).unwrap().flatten().collect() };
-    for round in 0..200 {
-        let before = written();
+    let mut handle = start();
+    // Checkpoints the daemon's earlier incarnations wrote.
+    let mut earlier = 0;
+    for round in 0..600 {
+        let addr = handle.addr();
+        if earlier + written(&handle) >= 300 {
+            break;
+        }
+        let before = written(&handle);
         for (kernel, warm, ends) in [
             (format!("k{round}"), false, JobStatus::Done),
             (format!("late-error{round}"), false, JobStatus::Failed),
@@ -537,12 +547,22 @@ fn ckpt_dir_is_empty_after_done_failed_and_replay() {
             assert!(files().is_empty(), "{kernel} round {round}: {:?}", files());
         }
         // Lengthen the job, not the rule.
-        let earned = written() > before;
-        let longer = 2 * delay_us.load(Ordering::Relaxed);
-        delay_us.store(if earned { 750 } else { longer }, Ordering::Relaxed);
+        let delay = delay_us.load(Ordering::Relaxed);
+        if written(&handle) > before {
+            delay_us.store(DELAY_US, Ordering::Relaxed);
+        } else if delay < 64 * DELAY_US {
+            delay_us.store(2 * delay, Ordering::Relaxed);
+        } else {
+            earlier += written(&handle);
+            shutdown(addr, handle);
+            assert!(files().is_empty(), "after a restart: {:?}", files());
+            handle = start();
+            delay_us.store(DELAY_US, Ordering::Relaxed);
+        }
     }
-    assert!(written() >= 300, "{} checkpoints written", written());
-    shutdown(addr, handle);
+    let total = earlier + written(&handle);
+    assert!(total >= 300, "{total} checkpoints written");
+    shutdown(handle.addr(), handle);
     assert!(files().is_empty(), "after the join: {:?}", files());
     let _ = std::fs::remove_dir_all(&state_dir);
 }
@@ -788,10 +808,13 @@ fn a_long_job_earns_further_checkpoints_and_restarts_from_each() {
     }
 }
 
-/// Requests that follow one another share a handler thread (two, when a
-/// client is back before the handler has parked again); connections held
-/// open side by side get one each up to the cap, beyond which the next is
-/// shed; and none is left once the daemon has been joined.
+/// Handlers start on demand: never more of them than the most connections
+/// the daemon ever had open at once, however the threads are scheduled
+/// (requests that follow one another share one, or two when a client is
+/// back before its last connection's handler has taken the hand-off lock
+/// again); connections held open side by side get one each up to the cap,
+/// beyond which the next is shed; and none is left once the daemon has
+/// been joined.
 #[test]
 fn handlers_start_on_demand_and_none_outlives_the_join() {
     let handle = serve(
@@ -801,13 +824,29 @@ fn handlers_start_on_demand_and_none_outlives_the_join() {
     .unwrap();
     let addr = handle.addr();
     let metrics = handle.metrics();
+    let handlers = || metrics.conn_handlers.load(Ordering::Relaxed);
+    let peak = || metrics.connections_peak.load(Ordering::Relaxed);
     for _ in 0..200 {
         assert_eq!(send(addr, &Request::new("GET", "/healthz")).status, 200);
+        // The peak is raised before a handler starts: read it second.
+        let (h, p) = (handlers(), peak());
+        assert!(
+            (1..=p).contains(&h),
+            "{h} handlers, at most {p} connections open"
+        );
     }
-    let handlers = metrics.conn_handlers.load(Ordering::Relaxed);
-    assert!((1..=2).contains(&handlers), "{handlers} handlers");
-    assert_eq!(metric(addr, "serve_conn_handlers"), handlers);
+    assert_eq!(metric(addr, "serve_conn_handlers"), handlers());
+    assert_eq!(metric(addr, "serve_connections_peak"), peak());
 
+    // Every earlier connection closed: the cap below is all the clients'.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while metrics.connections_active.load(Ordering::Relaxed) > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "an earlier connection never closed"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     // 64 clients that connect and say nothing yet: each holds a handler.
     let mut held: Vec<TcpStream> = (0..64)
         .map(|_| TcpStream::connect(addr).expect("connect"))
@@ -827,13 +866,14 @@ fn handlers_start_on_demand_and_none_outlives_the_join() {
         assert_eq!(wire::read_response(stream).expect("served").status, 200);
     }
     drop(held);
-    assert_eq!(metrics.conn_handlers.load(Ordering::Relaxed), 64);
+    assert_eq!(handlers(), 64);
+    assert_eq!(peak(), 64);
 
     let asked = Instant::now();
     handle.stop();
     handle.join().expect("clean shutdown");
     assert!(asked.elapsed() < Duration::from_secs(1));
-    assert_eq!(metrics.conn_handlers.load(Ordering::Relaxed), 0);
+    assert_eq!(handlers(), 0);
 }
 
 /// Every file under `dir`, relative to it.

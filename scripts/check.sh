@@ -4,8 +4,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== cargo fmt --check =="
-cargo fmt --check
+echo "== cargo fmt --all --check =="
+cargo fmt --all --check
 
 echo "== cargo clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -25,8 +25,8 @@
 //! ```
 //!
 //! With no options, prints the convergence table (iteration, E, |S|,
-//! V(S) per session), phase-time breakdown, fault summary, archive
-//! traffic, and version-selection histogram.
+//! V(S) per session), phase-time breakdown, parked checkpoint writes,
+//! archive traffic, and version-selection histogram.
 
 use moat::multiversion::VersionTable;
 use moat::obs::export::{parse_jsonl, to_chrome, validate_jsonl};
@@ -118,7 +118,7 @@ fn report_serve(dir: &str, slo_p99_ms: Option<f64>) -> Result<String, String> {
     if let Ok(trace) = std::fs::read_to_string(root.join("serve.jsonl")) {
         if let Ok(records) = parse_jsonl(&trace) {
             let analysis = Analysis::from_records(&records);
-            let (service, parked) = (analysis.service, analysis.faults.parked_checkpoints);
+            let (service, parked) = (analysis.service, analysis.parked_checkpoints);
             if service.any() || parked > 0 {
                 out.push_str("\nAdmission & isolation\n");
                 let total: u64 = service.sheds.values().sum();

@@ -29,10 +29,6 @@
 //!   --checkpoint-every <N>                            checkpoint every Nth opportunity (default 1)
 //!   --resume <FILE>                                   resume a checkpointed run (adopts the
 //!                                                     stored strategy and budget)
-//!   --fault-policy <K=V,..>                           retries=N,timeout-ms=N,backoff-ms=N,
-//!                                                     repeats=N,noise=F,penalty=F,jitter-seed=N
-//!   --inject-faults <K=V,..>                          seed=N,persistent=F,transient=F,hang=F,
-//!                                                     hang-ms=N,noise=F (chaos testing)
 //!   --crash-after <N>                                 abort after the Nth checkpoint (testing)
 //!   --trace <FILE>                                    write a JSONL observability trace
 //!   --metrics <FILE>                                  write a Prometheus-style metrics snapshot
@@ -41,25 +37,19 @@
 //!   --help                                            print this text
 //! ```
 
-use moat::core::fault::FallibleEvaluator;
 use moat::core::metrics::objective_bounds;
-use moat::core::{
-    hypervolume, normalize_front, CheckpointSink, Config, Evaluator, FaultInjector, FaultPolicy,
-    FaultSchedule, FaultTolerantEvaluator, SessionCheckpoint, SessionHooks,
-};
-use moat::framework::{Session, Wrap};
+use moat::core::{hypervolume, normalize_front, CheckpointSink, SessionCheckpoint, SessionHooks};
 use moat::multiversion::emit_parameterized_c;
 use moat::{
     CheckpointStore, Framework, Hooks, Kernel, MachineDesc, Objective, Obs, Prepared,
     ScreeningPolicy, StrategyKind, WarmStartSource,
 };
-use std::cell::Cell;
 use std::process::exit;
 use std::time::Duration;
 
 /// The run options ([`Framework`], filled straight from the flags) and
 /// what only this host has: where the region comes from, what to write,
-/// and the checkpoint/fault/crash wiring around the session.
+/// and the checkpoint/crash wiring around the session.
 #[derive(Debug)]
 struct Opts {
     fw: Framework,
@@ -74,68 +64,7 @@ struct Opts {
     checkpoint: Option<String>,
     checkpoint_every: u32,
     resume: Option<String>,
-    fault_policy: Option<FaultPolicy>,
-    inject: Option<FaultSchedule>,
     crash_after: Option<u64>,
-}
-
-/// The `(key, value)` pairs of a `key=value,key=value` flag.
-fn spec_pairs<'a>(flag: &'a str, spec: &'a str) -> impl Iterator<Item = (&'a str, &'a str)> {
-    spec.split(',').filter(|p| !p.is_empty()).map(move |part| {
-        part.split_once('=').unwrap_or_else(|| {
-            eprintln!("{flag}: expected key=value, got '{part}'");
-            exit(2)
-        })
-    })
-}
-
-/// The value `v` of key `k` of `flag`, parsed.
-fn spec_value<T: std::str::FromStr>(flag: &str, k: &str, v: &str) -> T {
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("{flag}: bad value for {k}: '{v}'");
-        exit(2)
-    })
-}
-
-fn unknown_key(flag: &str, k: &str) -> ! {
-    eprintln!("{flag}: unknown key '{k}'");
-    exit(2)
-}
-
-fn parse_fault_policy(spec: &str) -> FaultPolicy {
-    const FLAG: &str = "--fault-policy";
-    let mut p = FaultPolicy::default();
-    for (k, v) in spec_pairs(FLAG, spec) {
-        match k {
-            "retries" => p.max_retries = spec_value(FLAG, k, v),
-            "timeout-ms" => p.timeout = Some(Duration::from_millis(spec_value(FLAG, k, v))),
-            "backoff-ms" => p.backoff = Duration::from_millis(spec_value(FLAG, k, v)),
-            "jitter-seed" => p.jitter_seed = spec_value(FLAG, k, v),
-            "repeats" => p.repeats = spec_value(FLAG, k, v),
-            "noise" => p.noise_threshold = spec_value(FLAG, k, v),
-            "penalty" => p.penalty = spec_value(FLAG, k, v),
-            _ => unknown_key(FLAG, k),
-        }
-    }
-    p
-}
-
-fn parse_fault_schedule(spec: &str) -> FaultSchedule {
-    const FLAG: &str = "--inject-faults";
-    let mut s = FaultSchedule::default();
-    for (k, v) in spec_pairs(FLAG, spec) {
-        match k {
-            "seed" => s.seed = spec_value(FLAG, k, v),
-            "persistent" => s.persistent_rate = spec_value(FLAG, k, v),
-            "transient" => s.transient_rate = spec_value(FLAG, k, v),
-            "max-transient" => s.max_transient_failures = spec_value(FLAG, k, v),
-            "hang" => s.hang_rate = spec_value(FLAG, k, v),
-            "hang-ms" => s.hang = Duration::from_millis(spec_value(FLAG, k, v)),
-            "noise" => s.noise = spec_value(FLAG, k, v),
-            _ => unknown_key(FLAG, k),
-        }
-    }
-    s
 }
 
 /// Checkpoint sink that forwards to the durable store and optionally
@@ -191,8 +120,6 @@ fn parse_args() -> Opts {
         checkpoint: None,
         checkpoint_every: 1,
         resume: None,
-        fault_policy: None,
-        inject: None,
         crash_after: None,
     };
     let mut args = std::env::args().skip(1);
@@ -232,12 +159,6 @@ fn parse_args() -> Opts {
             "--checkpoint" => opts.checkpoint = Some(value("--checkpoint")),
             "--checkpoint-every" => opts.checkpoint_every = number(value("--checkpoint-every")),
             "--resume" => opts.resume = Some(value("--resume")),
-            "--fault-policy" => {
-                opts.fault_policy = Some(parse_fault_policy(&value("--fault-policy")))
-            }
-            "--inject-faults" => {
-                opts.inject = Some(parse_fault_schedule(&value("--inject-faults")))
-            }
             "--crash-after" => opts.crash_after = Some(number(value("--crash-after"))),
             "--trace" => fw.trace = Some(value("--trace").into()),
             "--metrics" => fw.metrics = Some(value("--metrics").into()),
@@ -313,25 +234,6 @@ fn tune(opts: &Opts, p: &Prepared, resume: Option<SessionCheckpoint>, obs: &Obs)
         saved: 0,
     });
 
-    // Optional fault pipeline: the chaos injector sits under the
-    // retry/outlier-rejection layer; the session's cache sits on top, so
-    // each distinct configuration runs the pipeline exactly once.
-    let fault_stats = Cell::new(None);
-    let faults = |roster: &dyn Evaluator, session: Session<'_>| {
-        let injector = opts
-            .inject
-            .clone()
-            .map(|schedule| FaultInjector::new(roster, schedule));
-        let plain = (roster.num_objectives(), |cfg: &Config| roster.evaluate(cfg));
-        let fallible: &dyn FallibleEvaluator = match &injector {
-            Some(injector) => injector,
-            None => &plain,
-        };
-        let policy = opts.fault_policy.clone().unwrap_or_default();
-        let tolerant = FaultTolerantEvaluator::new(fallible, policy).with_obs(obs.clone());
-        session(&tolerant);
-        fault_stats.set(Some(tolerant.stats()));
-    };
     let hooks = Hooks {
         session: SessionHooks {
             time_budget: opts.time_budget.map(Duration::from_secs_f64),
@@ -339,7 +241,7 @@ fn tune(opts: &Opts, p: &Prepared, resume: Option<SessionCheckpoint>, obs: &Obs)
             resume,
             ..Default::default()
         },
-        wrap: (opts.fault_policy.is_some() || opts.inject.is_some()).then_some(&faults as Wrap),
+        wrap: None,
     };
     let out = or_die(fw.run(p, hooks, obs), 1);
     let result = &out.report;
@@ -385,12 +287,6 @@ fn tune(opts: &Opts, p: &Prepared, resume: Option<SessionCheckpoint>, obs: &Obs)
             stats.explored,
             stats.mae_pct(),
             stats.mean_rank_corr(),
-        );
-    }
-    if let Some(s) = fault_stats.take() {
-        println!(
-            "fault stats: attempts={} retries={} timeouts={} failures={} extra={} quarantined={}",
-            s.attempts, s.retries, s.timeouts, s.failures, s.extra_measurements, s.quarantined
         );
     }
     if !opts.quiet {
@@ -467,7 +363,7 @@ mod tests {
             );
             arms.insert(flag);
         }
-        assert!(arms.len() >= 28, "only {} flag arms found", arms.len());
+        assert!(arms.len() >= 26, "only {} flag arms found", arms.len());
         for line in usage.lines().map(str::trim_start) {
             let Some(flag) = line.split(' ').next().filter(|f| f.starts_with("--")) else {
                 continue;

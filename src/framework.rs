@@ -246,7 +246,7 @@ pub struct Hooks<'h> {
     /// Session wiring. A `warm` start given here is used as is and the
     /// archive is not consulted for one.
     pub session: SessionHooks<'h>,
-    /// `moat-tune`'s fault pipeline, the daemon's pooled evaluator.
+    /// The daemon's pooled evaluator.
     pub wrap: Option<Wrap<'h>>,
 }
 

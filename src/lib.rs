@@ -102,10 +102,9 @@ pub use moat_serve as serve;
 pub use moat_archive::{Archive, ArchiveKey, ArchiveRecord, CheckpointStore, WarmStartSource};
 pub use moat_core::{
     BackendId, BackendKind, BackendSet, BatchEval, CheckpointSink, EventLog, EventSink,
-    FaultInjector, FaultPolicy, FaultSchedule, FaultStats, FaultTolerantEvaluator, FeatureSource,
-    ParetoFront, Provenance, RsGde3Params, RsGde3Tuner, ScreeningPolicy, SessionCheckpoint,
-    SpaceFeatures, StopReason, StrategyKind, Surrogate, SurrogateScreen, SurrogateStats, Tuner,
-    TuningEvent, TuningReport, TuningSession, WarmStart, BACKEND_PARAM,
+    FeatureSource, ParetoFront, Provenance, RsGde3Params, RsGde3Tuner, ScreeningPolicy,
+    SessionCheckpoint, SpaceFeatures, StopReason, StrategyKind, Surrogate, SurrogateScreen,
+    SurrogateStats, Tuner, TuningEvent, TuningReport, TuningSession, WarmStart, BACKEND_PARAM,
 };
 pub use moat_ir::Region;
 pub use moat_kernels::Kernel;

@@ -10,7 +10,8 @@
 //!   point),
 //! * a **phase-time breakdown** summed over wall-mode spans
 //!   (`cachesim.compile`, `cachesim.stream`, batch worker spans, …),
-//! * a **fault summary** (retries, quarantines, end-of-run totals),
+//! * **parked checkpoint writes** (saves that failed and left the
+//!   on-disk resume point stale),
 //! * a **version-selection histogram** per runtime region, and
 //! * **archive traffic** (read hits/misses, merge adds/drops).
 //!
@@ -96,21 +97,6 @@ pub struct PhaseStat {
     pub total_us: u64,
 }
 
-/// Fault-handling activity seen in the trace.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultReport {
-    /// `eval_retry` records.
-    pub retry_events: u64,
-    /// `eval_quarantined` records.
-    pub quarantine_events: u64,
-    /// `checkpoint_parked` records (checkpoint saves that failed and left
-    /// the on-disk resume point stale).
-    pub parked_checkpoints: u64,
-    /// End-of-run totals from the last `fault_summary` record, as
-    /// `(attempts, retries, timeouts, failures, extra, quarantined)`.
-    pub summary: Option<(u64, u64, u64, u64, u64, u64)>,
-}
-
 /// Archive traffic seen in the trace.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArchiveReport {
@@ -170,8 +156,9 @@ pub struct Analysis {
     /// Wall-mode phase totals by name (batch workers under
     /// `batch.worker`). Empty for logical traces.
     pub phases: BTreeMap<String, PhaseStat>,
-    /// Fault-handling activity.
-    pub faults: FaultReport,
+    /// `checkpoint_parked` records (checkpoint saves that failed and left
+    /// the on-disk resume point stale).
+    pub parked_checkpoints: u64,
     /// Archive traffic.
     pub archive: ArchiveReport,
     /// Runtime selector activity by region.
@@ -257,30 +244,11 @@ impl Analysis {
                 }),
                 Event::SpaceReduced { .. } => a.session().reductions += 1,
                 Event::Checkpointed { .. } => a.session().checkpoints += 1,
-                Event::FaultSummary {
-                    attempts,
-                    retries,
-                    timeouts,
-                    failures,
-                    extra_measurements,
-                    quarantined,
-                } => {
-                    a.faults.summary = Some((
-                        *attempts,
-                        *retries,
-                        *timeouts,
-                        *failures,
-                        *extra_measurements,
-                        *quarantined,
-                    ))
-                }
                 Event::Stopped {
                     reason,
                     evaluations,
                 } => a.session().stop = Some((reason.clone(), *evaluations)),
-                Event::EvalRetry { .. } => a.faults.retry_events += 1,
-                Event::EvalQuarantined { .. } => a.faults.quarantine_events += 1,
-                Event::CheckpointParked { .. } => a.faults.parked_checkpoints += 1,
+                Event::CheckpointParked { .. } => a.parked_checkpoints += 1,
                 Event::ArchiveRead { hit, .. } => {
                     if *hit {
                         a.archive.hits += 1
@@ -452,28 +420,12 @@ impl Analysis {
                 );
             }
         }
-        let f = &self.faults;
-        if f.retry_events > 0
-            || f.quarantine_events > 0
-            || f.parked_checkpoints > 0
-            || f.summary.is_some()
-        {
-            let _ = writeln!(out, "\nfaults:");
+        if self.parked_checkpoints > 0 {
             let _ = writeln!(
                 out,
-                "  retry events={} quarantine events={}",
-                f.retry_events, f.quarantine_events
+                "\ncheckpoints:\n  parked writes={}",
+                self.parked_checkpoints
             );
-            if f.parked_checkpoints > 0 {
-                let _ = writeln!(out, "  parked checkpoints={}", f.parked_checkpoints);
-            }
-            if let Some((attempts, retries, timeouts, failures, extra, quarantined)) = f.summary {
-                let _ = writeln!(
-                    out,
-                    "  totals: attempts={attempts} retries={retries} timeouts={timeouts} \
-                     failures={failures} extra={extra} quarantined={quarantined}"
-                );
-            }
         }
         let ar = &self.archive;
         if ar.hits + ar.misses + ar.added + ar.dropped > 0 {
